@@ -5,11 +5,24 @@
 //!
 //! commands: fig8 fig9 fig11 fig12 table1 table2 cuda-src summary ablations streams memory all
 //! ```
+//!
+//! Exits non-zero when any requested experiment fails, including a tuned
+//! winner whose outputs diverge from the CPU reference.
 
 use bench::experiments as exp;
 use bench::report;
 use downscaler::Scenario;
 use simgpu::Calibration;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Failures reported so far; any makes the process exit non-zero.
+static FAILURES: AtomicUsize = AtomicUsize::new(0);
+
+/// Report a failed experiment.
+fn fail(msg: impl std::fmt::Display) {
+    eprintln!("{msg}");
+    FAILURES.fetch_add(1, Ordering::Relaxed);
+}
 
 fn usage() -> ! {
     eprintln!(
@@ -82,31 +95,31 @@ fn main() {
     if run("fig3") {
         match exp::figure3_dot(s) {
             Ok(t) => println!("--- Figure 3 (downscaler overview, Graphviz DOT) ---\n{t}"),
-            Err(e) => eprintln!("fig3 failed: {e}"),
+            Err(e) => fail(format!("fig3 failed: {e}")),
         }
     }
     if run("fig8") {
         match exp::figure8_text(s) {
             Ok(t) => println!("--- Figure 8 (folded WITH-loop) ---\n{t}"),
-            Err(e) => eprintln!("fig8 failed: {e}"),
+            Err(e) => fail(format!("fig8 failed: {e}")),
         }
     }
     if run("fig11") {
         match exp::figure11_text(s) {
             Ok(t) => println!("--- Figure 11 (generated OpenCL tiler kernel) ---\n{t}"),
-            Err(e) => eprintln!("fig11 failed: {e}"),
+            Err(e) => fail(format!("fig11 failed: {e}")),
         }
     }
     if run("cuda-src") {
         match exp::cuda_source_text(s) {
             Ok(t) => println!("--- Generated CUDA source (SaC route) ---\n{t}"),
-            Err(e) => eprintln!("cuda-src failed: {e}"),
+            Err(e) => fail(format!("cuda-src failed: {e}")),
         }
     }
     if run("fig9") {
         match exp::figure9(s) {
             Ok(rows) => println!("{}", report::render_fig9(&rows)),
-            Err(e) => eprintln!("fig9 failed: {e}"),
+            Err(e) => fail(format!("fig9 failed: {e}")),
         }
     }
     if run("table1") {
@@ -118,7 +131,7 @@ fn main() {
                     &t
                 )
             ),
-            Err(e) => eprintln!("table1 failed: {e}"),
+            Err(e) => fail(format!("table1 failed: {e}")),
         }
     }
     if run("table2") {
@@ -130,13 +143,13 @@ fn main() {
                     &t
                 )
             ),
-            Err(e) => eprintln!("table2 failed: {e}"),
+            Err(e) => fail(format!("table2 failed: {e}")),
         }
     }
     if run("fig12") {
         match exp::figure12(s) {
             Ok(f) => println!("{}", report::render_fig12(&f)),
-            Err(e) => eprintln!("fig12 failed: {e}"),
+            Err(e) => fail(format!("fig12 failed: {e}")),
         }
     }
     if run("summary") || command == "all" {
@@ -155,7 +168,7 @@ fn main() {
                     }
                 }
             }
-            Err(e) => eprintln!("streams ablation failed: {e}"),
+            Err(e) => fail(format!("streams ablation failed: {e}")),
         }
     }
     if run("memory") {
@@ -169,8 +182,8 @@ fn main() {
                     }
                 }
             }
-            (Err(e), _) => eprintln!("memory ablation failed: {e}"),
-            (_, Err(e)) => eprintln!("degradation demo failed: {e}"),
+            (Err(e), _) => fail(format!("memory ablation failed: {e}")),
+            (_, Err(e)) => fail(format!("degradation demo failed: {e}")),
         }
     }
     if run("fusion") {
@@ -183,7 +196,7 @@ fn main() {
                     }
                 }
             }
-            Err(e) => eprintln!("fusion ablation failed: {e}"),
+            Err(e) => fail(format!("fusion ablation failed: {e}")),
         }
     }
     if run("fusion-parity") {
@@ -196,7 +209,7 @@ fn main() {
                     }
                 }
             }
-            Err(e) => eprintln!("fusion-parity ablation failed: {e}"),
+            Err(e) => fail(format!("fusion-parity ablation failed: {e}")),
         }
     }
     if run("planopt") {
@@ -209,7 +222,7 @@ fn main() {
                     }
                 }
             }
-            Err(e) => eprintln!("planopt ablation failed: {e}"),
+            Err(e) => fail(format!("planopt ablation failed: {e}")),
         }
     }
     if run("serve") {
@@ -222,7 +235,7 @@ fn main() {
                     }
                 }
             }
-            Err(e) => eprintln!("serve ablation failed: {e}"),
+            Err(e) => fail(format!("serve ablation failed: {e}")),
         }
     }
     if run("scenarios") {
@@ -235,20 +248,26 @@ fn main() {
                     }
                 }
             }
-            Err(e) => eprintln!("scenarios ablation failed: {e}"),
+            Err(e) => fail(format!("scenarios ablation failed: {e}")),
         }
     }
     if run("tune") {
         match bench::tune::tune_ablation(s) {
             Ok(a) => {
                 println!("{}", report::render_tune(&a));
+                for r in a.rows.iter().filter(|r| !r.outputs_ok) {
+                    fail(format!(
+                        "tune: {}: the tuned winner diverged from its reference",
+                        r.scenario
+                    ));
+                }
                 if command == "tune" {
                     if let Some(path) = &json_path {
                         write_json(path, &bench::json::tune_json(s, &a));
                     }
                 }
             }
-            Err(e) => eprintln!("tune ablation failed: {e}"),
+            Err(e) => fail(format!("tune ablation failed: {e}")),
         }
     }
     if run("sweep") {
@@ -257,12 +276,17 @@ fn main() {
     if command == "emit-artifacts" {
         emit_artifacts(s);
     }
+    let failures = FAILURES.load(Ordering::Relaxed);
+    if failures > 0 {
+        eprintln!("reproduce: {failures} failure(s)");
+        std::process::exit(1);
+    }
 }
 
 fn write_json(path: &str, record: &str) {
     match std::fs::write(path, record) {
         Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("writing {path} failed: {e}"),
+        Err(e) => fail(format!("writing {path} failed: {e}")),
     }
 }
 
@@ -290,7 +314,7 @@ fn emit_artifacts(s: &Scenario) {
             write("sac/main.cu", &sac_cuda::emit::emit_host_source(&route.cuda));
             write("sac/Makefile", &sac_cuda::emit::emit_makefile("downscaler"));
         }
-        Err(e) => eprintln!("sac artefacts failed: {e}"),
+        Err(e) => fail(format!("sac artefacts failed: {e}")),
     }
     match build_gaspard(s) {
         Ok(route) => {
@@ -302,7 +326,7 @@ fn emit_artifacts(s: &Scenario) {
                 write("gaspard/downscaler.dot", &arrayol::dot::to_dot(&g, "Downscaler"));
             }
         }
-        Err(e) => eprintln!("gaspard artefacts failed: {e}"),
+        Err(e) => fail(format!("gaspard artefacts failed: {e}")),
     }
 }
 
@@ -337,7 +361,7 @@ fn sweep() {
             }
             println!();
         }
-        Err(e) => eprintln!("sweep failed: {e}"),
+        Err(e) => fail(format!("sweep failed: {e}")),
     }
 }
 
@@ -350,12 +374,12 @@ fn summary(s: &Scenario) {
                 k.gaspard.0, k.gaspard.1, k.sac.0, k.sac.1
             );
         }
-        Err(e) => eprintln!("kernel counts failed: {e}"),
+        Err(e) => fail(format!("kernel counts failed: {e}")),
     }
     let (t1, t2, fig9) = match (exp::table1(s), exp::table2(s), exp::figure9(s)) {
         (Ok(a), Ok(b), Ok(c)) => (a, b, c),
         _ => {
-            eprintln!("summary incomplete");
+            fail("summary incomplete");
             return;
         }
     };
@@ -420,7 +444,7 @@ fn ablations(s: &Scenario) {
             Ok((sac, gaspard)) => {
                 println!("{label:<42} {sac:>9.2}s {gaspard:>11.2}s {:>8.3}", gaspard / sac)
             }
-            Err(e) => eprintln!("{label}: {e}"),
+            Err(e) => fail(format!("{label}: {e}")),
         }
     }
     println!();
@@ -440,7 +464,7 @@ fn ablations(s: &Scenario) {
                 route.cuda.launches_per_run(),
                 route.cuda.host_steps_per_run()
             ),
-            Err(e) => eprintln!("{label}: {e}"),
+            Err(e) => fail(format!("{label}: {e}")),
         }
     }
     println!();

@@ -117,7 +117,7 @@ pub fn lower_plan(prog: &CudaProgram, channel_chunks: usize) -> Result<LaunchPla
                         HostBinding::Const(_) => None,
                     })
                     .collect();
-                let run = Box::new(move |arrs: &[NdArray<i64>]| {
+                let run = std::rc::Rc::new(move |arrs: &[NdArray<i64>]| {
                     let wrapper = Program { funs: vec![fun.clone()] };
                     let mut interp = Interp::new(&wrapper);
                     let mut supplied = arrs.iter();

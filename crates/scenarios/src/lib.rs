@@ -539,12 +539,26 @@ impl BuiltWorkload {
         for note in report.notes {
             device.profiler.note(note);
         }
-        device.set_pool_enabled(opts.pool);
         let executed =
             if opts.executed == 0 { self.spec.frames } else { opts.executed.min(self.spec.frames) };
         let frames = self.frames(route, executed);
+        self.run_plan(&plan, device, opts, &frames)
+    }
+
+    /// The last stage of [`BuiltWorkload::run_placed`], for callers that
+    /// cache the stages before it: run an already lowered and optimised
+    /// `plan` over the functional `frames` (a prefix of
+    /// [`BuiltWorkload::frames`]) and timing-replay the rest of the batch.
+    pub fn run_plan(
+        &self,
+        plan: &LaunchPlan<'_>,
+        device: &mut Device,
+        opts: &ExecOptions,
+        frames: &[Vec<NdArray<i64>>],
+    ) -> Result<(Vec<NdArray<i64>>, RunStats), ScenarioError> {
+        device.set_pool_enabled(opts.pool);
         let run_opts = ExecOptions { total_frames: self.spec.frames, ..*opts };
-        let (outs, stats) = BatchScheduler::new(&plan).run(device, &frames, &run_opts)?;
+        let (outs, stats) = BatchScheduler::new(plan).run(device, frames, &run_opts)?;
         Ok((outs.into_iter().map(|o| self.canon(o)).collect(), stats))
     }
 }

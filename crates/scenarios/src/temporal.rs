@@ -47,7 +47,7 @@ pub fn temporalize(mut plan: LaunchPlan<'_>) -> Result<LaunchPlan<'_>, String> {
         name: "stack_cur_prev".into(),
         target: stacked,
         reads: vec![cur, prev],
-        run: Box::new(move |arrs: &[NdArray<i64>]| {
+        run: std::rc::Rc::new(move |arrs: &[NdArray<i64>]| {
             let mut data = Vec::with_capacity(2 * plane_len);
             data.extend_from_slice(arrs[0].as_slice());
             data.extend_from_slice(arrs[1].as_slice());

@@ -6,6 +6,7 @@ use crate::cost::{
 };
 use crate::exec::{run_kernel, LaunchConfig, LaunchStats};
 use crate::kir::{Kernel, KernelArg};
+use crate::memo::LaunchMemo;
 use crate::profiler::{OpClass, Profiler};
 use crate::SimError;
 use arrayol::access::TiledAccess;
@@ -203,6 +204,8 @@ pub struct Device {
     /// Completion timestamps of recorded events.
     events: Vec<f64>,
     host_workers: usize,
+    /// Launch memo shared with other devices, when one is installed.
+    memo: Option<LaunchMemo>,
     /// Profiling records for every operation this device executed.
     pub profiler: Profiler,
 }
@@ -232,6 +235,7 @@ impl Device {
             engine_free_us: [0.0; ENGINE_COUNT],
             events: Vec::new(),
             host_workers,
+            memo: None,
             profiler: Profiler::new(),
         }
     }
@@ -273,6 +277,14 @@ impl Device {
     /// Number of host threads used to execute launches.
     pub fn set_host_workers(&mut self, workers: usize) {
         self.host_workers = workers.max(1);
+    }
+
+    /// Serve kernel launches through `memo` (see [`crate::memo`]): a launch
+    /// the memo has recorded copies its stored results instead of being
+    /// interpreted. Simulated time is unchanged, since the cost model still
+    /// prices every launch from its stats. No memo is installed by default.
+    pub fn set_launch_memo(&mut self, memo: LaunchMemo) {
+        self.memo = Some(memo);
     }
 
     /// The host-visible simulated clock, µs since device creation.
@@ -836,7 +848,10 @@ impl Device {
         if block_threads > self.config.max_threads_per_block {
             return Err(SimError::BadParam { kernel: kernel.name.clone(), index: usize::MAX });
         }
-        let stats = run_kernel(kernel, cfg, args, &mut self.buffers, self.host_workers)?;
+        let stats = match &self.memo {
+            Some(memo) => memo.launch(kernel, cfg, args, &mut self.buffers, self.host_workers)?,
+            None => run_kernel(kernel, cfg, args, &mut self.buffers, self.host_workers)?,
+        };
         let ctx = LaunchContext { device: &self.config, config: cfg, access };
         let us = self.model.kernel_time_us(&stats, &ctx);
         self.schedule_on(&kernel.name, OpClass::Kernel, stream, us)?;

@@ -19,7 +19,7 @@ use crate::kir::{BinOp, Instr, Kernel, KernelArg, Param, Special};
 use crate::SimError;
 
 /// Grid/block geometry of a launch (x, y). A missing dimension is 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LaunchConfig {
     /// Number of blocks along (x, y).
     pub grid: (u32, u32),
@@ -117,6 +117,18 @@ pub fn run_kernel(
     buffers: &mut [Option<Vec<i32>>],
     host_workers: usize,
 ) -> Result<LaunchStats, SimError> {
+    run_kernel_touching(kernel, cfg, args, buffers, host_workers).map(|(stats, _)| stats)
+}
+
+/// [`run_kernel`], also returning per argument the bitset of addresses the
+/// launch loaded or stored through it (empty for scalars).
+pub(crate) fn run_kernel_touching(
+    kernel: &Kernel,
+    cfg: LaunchConfig,
+    args: &[KernelArg],
+    buffers: &mut [Option<Vec<i32>>],
+    host_workers: usize,
+) -> Result<(LaunchStats, Vec<Vec<u64>>), SimError> {
     // Bind arguments to parameters.
     if args.len() != kernel.params.len() {
         return Err(SimError::BadParam { kernel: kernel.name.clone(), index: args.len() });
@@ -224,7 +236,7 @@ pub fn run_kernel(
             buf[addr as usize] = val;
         }
     }
-    Ok(stats)
+    Ok((stats, merged))
 }
 
 /// Per-thread execution context.

@@ -32,6 +32,7 @@ pub mod emit;
 pub mod exec;
 pub mod fleet;
 pub mod kir;
+pub mod memo;
 pub mod planopt;
 pub mod profiler;
 pub mod runtime;
@@ -46,6 +47,7 @@ pub use device::{BufferId, Device, DeviceConfig, EventId, MemPool, StreamId};
 pub use exec::{LaunchConfig, LaunchStats};
 pub use fleet::Fleet;
 pub use kir::{BinOp, Instr, Kernel, KernelArg, KernelFlavor, Param, Reg, Special};
+pub use memo::LaunchMemo;
 pub use planopt::{optimize, PlanOptLevel, PlanOptReport};
 pub use profiler::{AllocStats, OpClass, Profiler, Record, Span};
 pub use runtime::GpuRuntime;

@@ -1051,7 +1051,7 @@ mod tests {
             name: "bump(host)".into(),
             target: 0,
             reads: vec![0],
-            run: Box::new(|arrs| {
+            run: std::rc::Rc::new(|arrs| {
                 let out = NdArray::from_fn([arrs[0].as_slice().len()], |ix| {
                     arrs[0].as_slice()[ix[0]] + 1
                 });

@@ -154,10 +154,15 @@ impl PlanKernel<'_> {
 /// by [`HostOp::reads`] (in that order), produce the result array and the
 /// number of abstract host operations consumed (which the scheduler converts
 /// to simulated time via [`ExecOptions::host_ns_per_op`]).
-pub type HostFn<'a> = Box<dyn Fn(&[NdArray<i64>]) -> Result<(NdArray<i64>, u64), String> + 'a>;
+///
+/// Reference-counted so a [`LaunchPlan`] can be cloned cheaply (a lowered
+/// plan is reused as the starting point of several rewrites).
+pub type HostFn<'a> =
+    std::rc::Rc<dyn Fn(&[NdArray<i64>]) -> Result<(NdArray<i64>, u64), String> + 'a>;
 
 /// A host-side fallback step (e.g. the SaC generic output tiler, which the
 /// backend could not lower to a kernel).
+#[derive(Clone)]
 pub struct HostOp<'a> {
     /// Name charged to the profiler for the step's simulated time.
     pub name: String,
@@ -211,7 +216,7 @@ pub struct Carry {
 /// every frame of a batch; buffer lifetimes (which step may assume an array
 /// is on the device or on the host) follow from the step order and are
 /// checked once per batch by [`LaunchPlan::validate`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct LaunchPlan<'a> {
     /// Every array the plan touches, indexed by the ids steps use.
     pub arrays: Vec<ArrayDecl>,
@@ -1455,7 +1460,7 @@ mod tests {
             name: "add_one(host)".into(),
             target: 1,
             reads: vec![0],
-            run: Box::new(|arrs| {
+            run: std::rc::Rc::new(|arrs| {
                 let out = NdArray::from_fn([arrs[0].as_slice().len()], |ix| {
                     arrs[0].as_slice()[ix[0]] + 1
                 });
@@ -1532,7 +1537,7 @@ mod tests {
             name: "rewrite(host)".into(),
             target: 0,
             reads: vec![0],
-            run: Box::new(|arrs| Ok((arrs[0].clone(), 1))),
+            run: std::rc::Rc::new(|arrs| Ok((arrs[0].clone(), 1))),
         };
         let plan = LaunchPlan {
             arrays: vec![ArrayDecl { name: "a".into(), shape: vec![n] }],
