@@ -1,0 +1,37 @@
+//! Table II: the non-generic SaC implementation's profile over the full run.
+
+use super::table1::ProfileTable;
+use super::{default_exec, test_frame, Experiment};
+use downscaler::pipelines::{build_sac, PipelineError};
+use downscaler::sac_src::{Part, Variant};
+use downscaler::Scenario;
+use sac_cuda::exec::run_on_device_opts;
+use simgpu::device::Device;
+
+/// The `table2` command.
+pub const EXPERIMENT: Experiment = Experiment {
+    name: "table2",
+    title: "Table II: kernel execution and data transfer times (SAC)",
+    run: |s| Ok(table2(s)?.record()),
+};
+
+/// Table II: the non-generic SaC implementation's profile over the full run.
+pub fn table2(s: &Scenario) -> Result<ProfileTable, PipelineError> {
+    let route = build_sac(s, Variant::NonGeneric, Part::Full, &Default::default())?;
+    let mut device = Device::gtx480();
+    run_on_device_opts(&route.cuda, &mut device, &[test_frame(s)], default_exec(s))?;
+    Ok(ProfileTable::of_frame(s, &mut device))
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn has_the_paper_structure() {
+        let s = downscaler::Scenario::tiny();
+        let t = super::table2(&s).unwrap();
+        assert!(t.rows[0].label.contains("H. Filter (5 kernels)"), "{:?}", t.rows);
+        assert!(t.rows[1].label.contains("V. Filter (7 kernels)"), "{:?}", t.rows);
+        assert_eq!(t.rows[0].calls, s.frames as u64);
+        assert_eq!(t.rows[2].calls, (s.frames * s.channels) as u64);
+    }
+}

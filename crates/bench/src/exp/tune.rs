@@ -49,7 +49,17 @@ use simgpu::cost::CostModelSpec;
 use simgpu::schedule::ExecOptions;
 use simgpu::{Device, LaunchMemo, LaunchPlan};
 
+use super::{config_err, Experiment};
 use crate::calibration::HOST_NS_PER_OP;
+use crate::record;
+use crate::record::Record;
+
+/// The `tune` command.
+pub const EXPERIMENT: Experiment = Experiment {
+    name: "tune",
+    title: "Ablation: simulator-as-oracle autotuner (winners bit-checked and re-priced under the warp-tile model)",
+    run: |s| Ok(tune_ablation(s)?.record()),
+};
 
 /// Named [`simgpu::PlanOptLevel`] subsets the tuner searches.
 fn presets() -> [(&'static str, simgpu::PlanOptLevel); 4] {
@@ -156,6 +166,35 @@ pub struct TuneAblation {
     pub rows: Vec<TuneRow>,
 }
 
+impl TuneAblation {
+    fn record(&self) -> Record {
+        let rows: Record = self
+            .rows
+            .iter()
+            .map(|r| {
+                record! {
+                    "scenario": &r.scenario,
+                    "search": &r.search,
+                    "evals": r.evals,
+                    "route": &r.config.route,
+                    "streams": r.config.streams,
+                    "pool": r.config.pool,
+                    "optimize": &r.config.optimize,
+                    "placement": &r.config.placement,
+                    "channel_chunks": r.config.channel_chunks,
+                    "tuned_s": r.best_s,
+                    "default_s": r.default_s,
+                    "speedup": r.speedup,
+                    "warp_tile_s": r.warp_tile_s,
+                    "launches": r.launches,
+                    "outputs_ok": Record::Verdict(r.outputs_ok),
+                }
+            })
+            .collect();
+        record! { "cost_model": &self.model, "rows": rows }
+    }
+}
+
 /// Entries whose frames are at least this many pixels use the
 /// coordinate-descent beam instead of the exhaustive sweep.
 const BEAM_PIXELS: usize = 1 << 20;
@@ -199,10 +238,6 @@ impl<'a> RouteStage<'a> {
         }
         Ok(key)
     }
-}
-
-fn cfg_err(e: ScenarioError) -> PipelineError {
-    PipelineError::Config(e.to_string())
 }
 
 struct Tuner<'a> {
@@ -276,13 +311,13 @@ impl<'a> Tuner<'a> {
             });
         }
         let stage = self.stage.as_mut().expect("stage set above");
-        let key = stage.prepare(self.built, opts.channel_chunks, cand).map_err(cfg_err)?;
+        let key = stage.prepare(self.built, opts.channel_chunks, cand).map_err(config_err)?;
         let mut device = Device::gtx480();
         device.set_launch_memo(stage.memo.clone());
         let (outs, stats) = self
             .built
             .run_plan(&stage.plans[&key], &mut device, &opts, &stage.frames)
-            .map_err(cfg_err)?;
+            .map_err(config_err)?;
         Ok((device.now_us() / 1e6, stats.launches, outs == self.references))
     }
 
@@ -422,7 +457,7 @@ pub fn tune_ablation(s: &Scenario) -> Result<TuneAblation, PipelineError> {
 
     let mut rows = Vec::new();
     for w in &entries {
-        let built = w.build().map_err(cfg_err)?;
+        let built = w.build().map_err(config_err)?;
         let mut tuner = Tuner::new(&built);
         let beam = w.rows * w.cols >= BEAM_PIXELS;
         let search = if beam { "beam" } else { "exhaustive" };

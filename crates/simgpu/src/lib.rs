@@ -35,7 +35,6 @@ pub mod kir;
 pub mod memo;
 pub mod planopt;
 pub mod profiler;
-pub mod runtime;
 pub mod schedule;
 pub mod tiled;
 
@@ -50,7 +49,6 @@ pub use kir::{BinOp, Instr, Kernel, KernelArg, KernelFlavor, Param, Reg, Special
 pub use memo::LaunchMemo;
 pub use planopt::{optimize, PlanOptLevel, PlanOptReport};
 pub use profiler::{AllocStats, OpClass, Profiler, Record, Span};
-pub use runtime::GpuRuntime;
 pub use schedule::{
     chunks_for, ArrayDecl, BatchOutput, BatchScheduler, ExecOptions, HostOp, LaunchPlan,
     PlanKernel, PlanStep, RunStats, ScheduleError,

@@ -1,20 +1,24 @@
 #!/usr/bin/env bash
-# Golden-numbers smoke check: rerun the eight headline ablations on the
-# hd1080 scenario and diff the machine-readable records byte-for-byte
-# against the checked-in expected values.
+# Golden-numbers check: rerun every experiment that has a checked-in record
+# `expected/<name>_hd1080.json` (underscores in the file name stand for the
+# dashes of the experiment name) on the hd1080 scenario and diff the
+# machine-readable records byte-for-byte against the checked-in expected
+# values.
 #
 # The simulator is deterministic and the JSON writer renders floats via
 # Rust's shortest-roundtrip formatting, so an exact diff is the right
-# check — any drift in the published numbers (streams 3.611s -> 2.001s,
-# memory 3.612s/2.781s pooled, fusion 2.246s / 3 launches, planopt
-# 1.408s -> 1.399s fused, serve 3.96x frames/s at 4 devices, tune's
-# 1.399s autotuned headline) fails loudly. The serve ablation's replay
-# templates and event loop are pure IEEE arithmetic (no libm), so its
-# numbers golden just as exactly, and the autotuner's search is a
-# deterministic sweep with tie-keeps-first, so its table goldens too.
+# check: any drift in a published number, the paper's own Tables I/II,
+# Figures 9/12 and kernel counts as much as the extensions'
+# makespans, throughputs and tuned configurations, fails loudly. The
+# serving event loop and replay templates are pure IEEE arithmetic (no
+# libm), and the autotuner's search is deterministic with
+# tie-keeps-first, so their records golden just as exactly.
+#
+# To golden a new experiment, write its record once:
+#   ./target/release/reproduce <name> --scenario hd1080 --json expected/<name>_hd1080.json
 #
 # Usage: scripts/check_golden.sh [--bless]
-#   --bless  regenerate expected/*.json instead of diffing
+#   --bless  regenerate the existing expected/*_hd1080.json instead of diffing
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -30,10 +34,16 @@ out_dir=$(mktemp -d)
 trap 'rm -rf "$out_dir"' EXIT
 
 status=0
-for exp in streams memory fusion fusion-parity planopt serve scenarios tune; do
-  record="${exp//-/_}_hd1080.json"
-  ./target/release/reproduce "$exp" --scenario hd1080 --json "$out_dir/$record" \
-    > /dev/null
+for golden in expected/*_hd1080.json; do
+  record=$(basename "$golden")
+  exp=${record%_hd1080.json}
+  exp=${exp//_/-}
+  if ! ./target/release/reproduce "$exp" --scenario hd1080 --json "$out_dir/$record" \
+    > /dev/null; then
+    echo "FAIL: reproduce $exp exited non-zero" >&2
+    status=1
+    continue
+  fi
   if [[ $bless -eq 1 ]]; then
     cp "$out_dir/$record" "expected/$record"
     echo "blessed expected/$record"
