@@ -846,7 +846,11 @@ impl Device {
         self.stream_tail(stream)?;
         let block_threads = (cfg.block.0 as usize) * (cfg.block.1 as usize);
         if block_threads > self.config.max_threads_per_block {
-            return Err(SimError::BadParam { kernel: kernel.name.clone(), index: usize::MAX });
+            return Err(SimError::InvalidLaunchConfig {
+                kernel: kernel.name.clone(),
+                grid: cfg.grid,
+                block: cfg.block,
+            });
         }
         let stats = match &self.memo {
             Some(memo) => memo.launch(kernel, cfg, args, &mut self.buffers, self.host_workers)?,
@@ -894,6 +898,19 @@ mod tests {
         b.store(x, gid, w);
         b.end_if();
         b.finish()
+    }
+
+    #[test]
+    fn oversized_block_is_rejected() {
+        let mut d = Device::gtx480();
+        let x = d.malloc(4).unwrap();
+        let cfg = LaunchConfig { grid: (1, 1), block: (64, 32) };
+        let err = d
+            .launch(&inc_kernel(), cfg, &[KernelArg::Buffer(x.0), KernelArg::Scalar(4)])
+            .unwrap_err();
+        let expected =
+            SimError::InvalidLaunchConfig { kernel: "inc".into(), grid: (1, 1), block: (64, 32) };
+        assert_eq!(err, expected);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Kernel execution engine: grid/block interpretation of kernel IR.
+//! Kernel execution engine: warp-lockstep interpretation of kernel IR.
 //!
 //! Semantics mirror a CUDA/OpenCL launch:
 //!
@@ -10,12 +10,53 @@
 //!   (block-major, then thread-major) rank wins — deterministic, though
 //!   well-formed kernels never rely on it.
 //!
+//! # Warp-lockstep execution
+//!
+//! A block runs as consecutive warps of `WARP` lanes: lane `l` of warp `w`
+//! is the thread of rank `w * WARP + l`, where a thread's rank in its block
+//! is `ty * block.x + tx`. A warp's register file is lane-major (one
+//! `[i64; WARP]` row per register) and is zeroed once per warp. Each
+//! instruction is decoded once per warp and applied to the warp's active
+//! lanes, a bitmask with a contiguous fast path when all lanes are active.
+//! `If` partitions the active set; `For` captures each lane's
+//! `(start, end, step.max(1))` at entry and iterates while any lane is live;
+//! `Return` retires a lane for the rest of the kernel.
+//!
+//! The outcome is bit for bit the one a thread-at-a-time walk gives:
+//!
+//! * **Counters.** An instruction executed with `n` active lanes counts `n`
+//!   instructions; loads, stores and touched addresses count per lane. So
+//!   [`LaunchStats`] and the touched bitsets — the cost model's inputs, the
+//!   goldens' source and the launch memo's record — are exact.
+//! * **Store order.** A warp logs its stores in execution order, which
+//!   interleaves lanes, then sorts its part of the worker's write log stably
+//!   by lane. Stores therefore apply in (block, thread rank, program order),
+//!   and a write conflict between two different store instructions resolves
+//!   to the highest-ranked thread, as in a thread-at-a-time walk.
+//! * **Fault order.** A faulting lane retires with its error while the
+//!   others run on, and the warp keeps the lowest faulting lane's error: a
+//!   lower-ranked thread's later fault beats a higher-ranked thread's
+//!   earlier one. The launch reports the lowest-ranked faulting thread's
+//!   first fault and applies no stores.
+//!
+//! `WARP` is a fixed constant, not a knob. Each host worker holds one
+//! `[i64; WARP]` row per register, and code generators allocate a fresh
+//! register per value: a prototype with a per-block register file (256
+//! lanes) raised the peak RSS of the perfbench `tune` workload from 24.7 MB
+//! to 41.3 MB, while 32 lanes already amortise decoding over a whole warp.
+//! For the same reason a launch first renumbers the kernel's registers onto
+//! shared slots by live range (`compact_registers`): a fused HD kernel's 912
+//! registers fit in 155 slots, a SaC generator's 80 in 12.
+//!
+//! The scalar thread-at-a-time interpreter lives on only in this module's
+//! tests, as the differential oracle the warp interpreter is checked against.
+//!
 //! Blocks are distributed over std::thread scoped threads. Each worker keeps a
 //! private write log and private access bitsets; the coordinator applies the
 //! logs in block order and merges the bitsets, so execution is deterministic
 //! and data-race-free while the dynamic counters remain exact.
 
-use crate::kir::{BinOp, Instr, Kernel, KernelArg, Param, Special};
+use crate::kir::{BinOp, Instr, Kernel, KernelArg, Param, Reg, Special};
 use crate::SimError;
 
 /// Grid/block geometry of a launch (x, y). A missing dimension is 1.
@@ -75,8 +116,42 @@ enum Bound<'a> {
     Scalar(i64),
 }
 
-/// A pending store: (argument slot, address, value).
-type WriteLog = Vec<(usize, u32, i32)>;
+/// Bind `args` to `kernel`'s parameters over the launch-time `buffers`.
+fn bind<'a>(
+    kernel: &Kernel,
+    args: &[KernelArg],
+    buffers: &'a [Option<Vec<i32>>],
+) -> Result<Vec<Bound<'a>>, SimError> {
+    if args.len() != kernel.params.len() {
+        return Err(SimError::BadParam { kernel: kernel.name.clone(), index: args.len() });
+    }
+    let bind_one = |(i, (p, a)): (usize, (&Param, &KernelArg))| match (p, a) {
+        (Param::Buffer { writable, .. }, KernelArg::Buffer(id)) => {
+            let data = buffers
+                .get(*id)
+                .and_then(|b| b.as_deref())
+                .ok_or(SimError::UnknownBuffer { id: *id })?;
+            Ok(Bound::Buf { buf_index: *id, data, writable: *writable })
+        }
+        (Param::Scalar { .. }, KernelArg::Scalar(v)) => Ok(Bound::Scalar(*v)),
+        _ => Err(SimError::ArgKindMismatch { kernel: kernel.name.clone(), index: i }),
+    };
+    kernel.params.iter().zip(args).enumerate().map(bind_one).collect()
+}
+
+/// One empty address bitset per bound argument (empty for scalars).
+fn empty_bitsets(bound: &[Bound<'_>]) -> Vec<Vec<u64>> {
+    bound
+        .iter()
+        .map(|b| match b {
+            Bound::Buf { data, .. } => vec![0u64; data.len().div_ceil(64)],
+            Bound::Scalar(_) => Vec::new(),
+        })
+        .collect()
+}
+
+/// Pending stores: (lane in its warp, argument slot, address, value).
+type WriteLog = Vec<(u8, u32, u32, i32)>;
 
 /// Per-worker dynamic counters plus address bitsets (one per buffer argument).
 struct WorkerState {
@@ -89,20 +164,13 @@ struct WorkerState {
 
 impl WorkerState {
     fn new(bound: &[Bound<'_>]) -> Self {
-        let touched = bound
-            .iter()
-            .map(|b| match b {
-                Bound::Buf { data, .. } => vec![0u64; data.len().div_ceil(64)],
-                Bound::Scalar(_) => Vec::new(),
-            })
-            .collect();
-        WorkerState { instructions: 0, loads: 0, stores: 0, touched, log: Vec::new() }
-    }
-
-    #[inline]
-    fn touch(&mut self, arg: usize, addr: u32) {
-        let w = &mut self.touched[arg][(addr / 64) as usize];
-        *w |= 1u64 << (addr % 64);
+        WorkerState {
+            instructions: 0,
+            loads: 0,
+            stores: 0,
+            touched: empty_bitsets(bound),
+            log: Vec::new(),
+        }
     }
 }
 
@@ -129,27 +197,14 @@ pub(crate) fn run_kernel_touching(
     buffers: &mut [Option<Vec<i32>>],
     host_workers: usize,
 ) -> Result<(LaunchStats, Vec<Vec<u64>>), SimError> {
-    // Bind arguments to parameters.
-    if args.len() != kernel.params.len() {
-        return Err(SimError::BadParam { kernel: kernel.name.clone(), index: args.len() });
+    let (grid, block) = (cfg.grid, cfg.block);
+    if grid.0 == 0 || grid.1 == 0 || block.0 == 0 || block.1 == 0 {
+        return Err(SimError::InvalidLaunchConfig { kernel: kernel.name.clone(), grid, block });
     }
     // Shared view for the read-only sweep; stores go to write logs that are
     // applied through `buffers` only after every borrow of `view` has ended.
     let view: &[Option<Vec<i32>>] = buffers;
-    let mut bound: Vec<Bound<'_>> = Vec::with_capacity(args.len());
-    for (i, (p, a)) in kernel.params.iter().zip(args).enumerate() {
-        match (p, a) {
-            (Param::Buffer { writable, .. }, KernelArg::Buffer(id)) => {
-                let data = view
-                    .get(*id)
-                    .and_then(|b| b.as_ref())
-                    .ok_or(SimError::UnknownBuffer { id: *id })?;
-                bound.push(Bound::Buf { buf_index: *id, data, writable: *writable });
-            }
-            (Param::Scalar { .. }, KernelArg::Scalar(v)) => bound.push(Bound::Scalar(*v)),
-            _ => return Err(SimError::ArgKindMismatch { kernel: kernel.name.clone(), index: i }),
-        }
-    }
+    let bound = bind(kernel, args, view)?;
 
     let total_blocks = cfg.total_blocks();
     // Respect the caller's worker count (clamped only by the block count):
@@ -158,24 +213,14 @@ pub(crate) fn run_kernel_touching(
     let workers = host_workers.max(1).min(total_blocks as usize);
     let chunk = total_blocks.div_ceil(workers as u64);
 
-    let regs_needed = kernel.register_count();
-
     // Run blocks, either inline or across scoped threads.
+    let compact = compact_registers(kernel);
     let run_range = |lo: u64, hi: u64| -> Result<WorkerState, SimError> {
-        let mut st = WorkerState::new(&bound);
-        let mut regs = vec![0i64; regs_needed];
+        let mut warp = Warp::new(&compact, &bound, cfg);
         for blk in lo..hi {
-            let bx = (blk % cfg.grid.0 as u64) as i64;
-            let by = (blk / cfg.grid.0 as u64) as i64;
-            for ty in 0..cfg.block.1 as i64 {
-                for tx in 0..cfg.block.0 as i64 {
-                    let ctx = ThreadCtx { kernel, bound: &bound, cfg, bx, by, tx, ty };
-                    regs.iter_mut().for_each(|r| *r = 0);
-                    exec_block(&kernel.body, &ctx, &mut regs, &mut st)?;
-                }
-            }
+            warp.run_block(blk)?;
         }
-        Ok(st)
+        Ok(warp.st)
     };
 
     let states: Vec<Result<WorkerState, SimError>> = if workers <= 1 {
@@ -193,19 +238,33 @@ pub(crate) fn run_kernel_touching(
             handles.into_iter().map(|h| h.join().expect("kernel worker panicked")).collect()
         })
     };
-
-    // Merge counters and bitsets; apply write logs in block order.
-    let mut stats = LaunchStats { threads: cfg.total_threads(), ..Default::default() };
-    let mut merged: Vec<Vec<u64>> = bound
+    // Workers ran increasing block ranges, so the first error in worker
+    // order is the lowest-ranked faulting thread's.
+    let states = states.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let buffer_of = bound
         .iter()
         .map(|b| match b {
-            Bound::Buf { data, .. } => vec![0u64; data.len().div_ceil(64)],
-            Bound::Scalar(_) => Vec::new(),
+            Bound::Buf { buf_index, .. } => Some(*buf_index),
+            Bound::Scalar(_) => None,
         })
-        .collect();
-    let mut logs: Vec<WriteLog> = Vec::with_capacity(states.len());
+        .collect::<Vec<_>>();
+    let merged = empty_bitsets(&bound);
+    drop(bound);
+    Ok(finish(cfg, merged, &buffer_of, states, buffers))
+}
+
+/// Merge the workers' counters and bitsets into `merged` and apply their
+/// write logs in worker order, which is block-rank order. `buffer_of[arg]`
+/// is the buffer bound to argument `arg` (`None` for scalars).
+fn finish(
+    cfg: LaunchConfig,
+    mut merged: Vec<Vec<u64>>,
+    buffer_of: &[Option<usize>],
+    states: Vec<WorkerState>,
+    buffers: &mut [Option<Vec<i32>>],
+) -> (LaunchStats, Vec<Vec<u64>>) {
+    let mut stats = LaunchStats { threads: cfg.total_threads(), ..Default::default() };
     for st in states {
-        let st = st?;
         stats.instructions += st.instructions;
         stats.loads += st.loads;
         stats.stores += st.stores;
@@ -214,156 +273,431 @@ pub(crate) fn run_kernel_touching(
                 *a |= *b;
             }
         }
-        logs.push(st.log);
-    }
-    stats.distinct_accesses = merged.iter().flatten().map(|w| w.count_ones() as u64).sum();
-    stats.l1_hits = (stats.loads + stats.stores).saturating_sub(stats.distinct_accesses);
-
-    // Apply stores. Workers were assigned increasing block ranges, so applying
-    // in worker order preserves block-rank order.
-    let slot_of: Vec<Option<usize>> = bound
-        .iter()
-        .map(|b| match b {
-            Bound::Buf { buf_index, .. } => Some(*buf_index),
-            Bound::Scalar(_) => None,
-        })
-        .collect();
-    drop(bound);
-    for log in logs {
-        for (arg, addr, val) in log {
-            let id = slot_of[arg].expect("store through scalar argument");
+        for (_, arg, addr, val) in st.log {
+            let id = buffer_of[arg as usize].expect("store through scalar argument");
             let buf = buffers[id].as_mut().expect("buffer vanished during launch");
             buf[addr as usize] = val;
         }
     }
-    Ok((stats, merged))
+    stats.distinct_accesses = merged.iter().flatten().map(|w| w.count_ones() as u64).sum();
+    stats.l1_hits = (stats.loads + stats.stores).saturating_sub(stats.distinct_accesses);
+    (stats, merged)
 }
 
-/// Per-thread execution context.
-struct ThreadCtx<'a> {
+/// Lanes per warp: the unit in which the interpreter decodes instructions.
+const WARP: usize = 32;
+
+/// A set of lanes of one warp, one bit per lane.
+type Mask = u32;
+const _: () = assert!(Mask::BITS as usize == WARP);
+
+/// Every lane of a full warp.
+const FULL: Mask = Mask::MAX;
+
+/// Call `f` for every lane in `mask`, in increasing lane order.
+#[inline(always)]
+fn for_lanes(mask: Mask, mut f: impl FnMut(usize)) {
+    if mask == FULL {
+        (0..WARP).for_each(f);
+    } else {
+        let mut m = mask;
+        while m != 0 {
+            f(m.trailing_zeros() as usize);
+            m &= m - 1;
+        }
+    }
+}
+
+/// `d[l] = f(l)` for every lane `l` in `mask`; the other lanes keep their
+/// values. `f` is evaluated on every lane, so it must not panic on an
+/// inactive lane's values; in return the update vectorises.
+#[inline(always)]
+fn set(d: &mut [i64; WARP], mask: Mask, f: impl Fn(usize) -> i64) {
+    if mask == FULL {
+        d.iter_mut().enumerate().for_each(|(l, x)| *x = f(l));
+    } else {
+        d.iter_mut().enumerate().for_each(|(l, x)| *x = if mask >> l & 1 != 0 { f(l) } else { *x });
+    }
+}
+
+/// The lanes of `mask` for which `p` holds; `p` is evaluated on every lane,
+/// so it must not panic on an inactive lane's values.
+#[inline(always)]
+fn lanes_where(mask: Mask, p: impl Fn(usize) -> bool) -> Mask {
+    (0..WARP).fold(0, |m, l| m | (p(l) as Mask) << l) & mask
+}
+
+/// `kernel` with its registers renumbered onto as few slots as possible.
+///
+/// Code generators allocate a fresh register per value (a fused HD kernel
+/// has 912), and every host worker holds `registers × WARP` of them, so the
+/// warp register file would otherwise cost 32 times a thread's. Two
+/// registers share a slot when their live ranges are disjoint. A live range
+/// runs from a register's first mention to its last in program order,
+/// widened to the end of every loop that mentions a register already
+/// mentioned before the loop (a later iteration reads it again). A register
+/// that some read may find unwritten, and so zero, starts its range at the
+/// program start, which gives it a slot no other register has used. Every
+/// thread therefore reads the same values as under the original numbering.
+fn compact_registers(kernel: &Kernel) -> Kernel {
+    let n = kernel.register_count();
+    let mut live = LiveRanges {
+        first: vec![u32::MAX; n],
+        last: vec![0; n],
+        maybe_unset: vec![false; n],
+        loops: Vec::new(),
+        pos: 0,
+    };
+    live.scan(&kernel.body, &mut vec![false; n]);
+    let LiveRanges { mut first, mut last, maybe_unset, loops, .. } = live;
+    let mut order: Vec<usize> = (0..n).filter(|&r| first[r] != u32::MAX).collect();
+    for &r in &order {
+        if maybe_unset[r] {
+            first[r] = 0;
+        }
+    }
+    for &(header, end) in &loops {
+        for &r in &order {
+            if first[r] < header && (header..end).contains(&last[r]) {
+                last[r] = end;
+            }
+        }
+    }
+    // Linear scan: hand each range, in order of start, a slot whose
+    // previous range has ended.
+    order.sort_by_key(|&r| first[r]);
+    let mut slot = vec![0 as Reg; n];
+    let mut busy = std::collections::BinaryHeap::new();
+    let (mut free, mut slots) = (Vec::new(), 0 as Reg);
+    for r in order {
+        while let Some(&std::cmp::Reverse((end, s))) = busy.peek() {
+            if end >= first[r] {
+                break;
+            }
+            busy.pop();
+            free.push(s);
+        }
+        slot[r] = free.pop().unwrap_or_else(|| {
+            slots += 1;
+            slots - 1
+        });
+        busy.push(std::cmp::Reverse((last[r], slot[r])));
+    }
+    let mut compact = kernel.clone();
+    renumber(&mut compact.body, &slot);
+    compact
+}
+
+/// Register live ranges over instruction positions (pre-order: a `For` or
+/// `If` comes before its bodies, a `then` before its `els`).
+struct LiveRanges {
+    first: Vec<u32>,
+    last: Vec<u32>,
+    /// Registers that some read may find never written.
+    maybe_unset: Vec<bool>,
+    /// `(header, end)` positions of every loop: its body lies in between.
+    loops: Vec<(u32, u32)>,
+    pos: u32,
+}
+
+impl LiveRanges {
+    fn mention(&mut self, r: Reg, at: u32) {
+        let r = r as usize;
+        self.first[r] = self.first[r].min(at);
+        self.last[r] = self.last[r].max(at);
+    }
+
+    fn read(&mut self, r: Reg, at: u32, set: &[bool]) {
+        self.mention(r, at);
+        self.maybe_unset[r as usize] |= !set[r as usize];
+    }
+
+    fn write(&mut self, r: Reg, at: u32, set: &mut [bool]) {
+        self.mention(r, at);
+        set[r as usize] = true;
+    }
+
+    /// Record the mentions in `instrs`. `set` holds the registers written on
+    /// every path to `instrs` and is left holding those written on every
+    /// path through them.
+    fn scan(&mut self, instrs: &[Instr], set: &mut Vec<bool>) {
+        for i in instrs {
+            let at = self.pos;
+            self.pos += 1;
+            match i {
+                Instr::Const { dst, .. }
+                | Instr::LoadParam { dst, .. }
+                | Instr::Special { dst, .. } => self.write(*dst, at, set),
+                Instr::Bin { dst, lhs, rhs, .. } => {
+                    self.read(*lhs, at, set);
+                    self.read(*rhs, at, set);
+                    self.write(*dst, at, set);
+                }
+                Instr::Mov { dst, src } | Instr::Load { dst, index: src, .. } => {
+                    self.read(*src, at, set);
+                    self.write(*dst, at, set);
+                }
+                Instr::Store { index, src, .. } => {
+                    self.read(*index, at, set);
+                    self.read(*src, at, set);
+                }
+                Instr::For { var, start, end, step, body } => {
+                    for r in [start, end, step] {
+                        self.read(*r, at, set);
+                    }
+                    // The body may run zero times: it adds nothing to `set`.
+                    let mut in_body = set.clone();
+                    self.write(*var, at, &mut in_body);
+                    self.scan(body, &mut in_body);
+                    self.loops.push((at, self.pos));
+                }
+                Instr::If { cond, then, els } => {
+                    self.read(*cond, at, set);
+                    let mut on_else = set.clone();
+                    self.scan(then, set);
+                    self.scan(els, &mut on_else);
+                    set.iter_mut().zip(on_else).for_each(|(s, e)| *s &= e);
+                }
+                Instr::Return => {}
+            }
+        }
+    }
+}
+
+/// Replace every register `r` in `instrs` by `slot[r]`.
+fn renumber(instrs: &mut [Instr], slot: &[Reg]) {
+    let renumber_reg = |r: &mut Reg| *r = slot[*r as usize];
+    for i in instrs {
+        match i {
+            Instr::Const { dst, .. }
+            | Instr::LoadParam { dst, .. }
+            | Instr::Special { dst, .. } => renumber_reg(dst),
+            Instr::Bin { dst, lhs, rhs, .. } => [dst, lhs, rhs].into_iter().for_each(renumber_reg),
+            Instr::Mov { dst, src }
+            | Instr::Load { dst, index: src, .. }
+            | Instr::Store { index: dst, src, .. } => [dst, src].into_iter().for_each(renumber_reg),
+            Instr::For { var, start, end, step, body } => {
+                [var, start, end, step].into_iter().for_each(renumber_reg);
+                renumber(body, slot);
+            }
+            Instr::If { cond, then, els } => {
+                renumber_reg(cond);
+                renumber(then, slot);
+                renumber(els, slot);
+            }
+            Instr::Return => {}
+        }
+    }
+}
+
+/// One worker's execution state: the launch it serves, the current warp's
+/// identity, lane-major registers and fault, and the worker's counters and
+/// write log.
+struct Warp<'a> {
     kernel: &'a Kernel,
     bound: &'a [Bound<'a>],
     cfg: LaunchConfig,
     bx: i64,
     by: i64,
-    tx: i64,
-    ty: i64,
+    tx: [i64; WARP],
+    ty: [i64; WARP],
+    /// `regs[reg][lane]`.
+    regs: Vec<[i64; WARP]>,
+    /// The lowest faulting lane so far and its (first and only) fault.
+    fault: Option<(usize, SimError)>,
+    st: WorkerState,
 }
 
-/// Whether control should keep flowing after an instruction sequence.
-enum Flow {
-    Continue,
-    Return,
-}
+impl<'a> Warp<'a> {
+    fn new(kernel: &'a Kernel, bound: &'a [Bound<'a>], cfg: LaunchConfig) -> Self {
+        Warp {
+            kernel,
+            bound,
+            cfg,
+            bx: 0,
+            by: 0,
+            tx: [0; WARP],
+            ty: [0; WARP],
+            regs: vec![[0; WARP]; kernel.register_count()],
+            fault: None,
+            st: WorkerState::new(bound),
+        }
+    }
 
-fn exec_block(
-    instrs: &[Instr],
-    ctx: &ThreadCtx<'_>,
-    regs: &mut [i64],
-    st: &mut WorkerState,
-) -> Result<Flow, SimError> {
-    let mut flow = Flow::Continue;
-    for i in instrs {
-        st.instructions += 1;
-        match i {
-            Instr::Const { dst, value } => regs[*dst as usize] = *value,
-            Instr::LoadParam { dst, param } => match ctx.bound.get(*param) {
-                Some(Bound::Scalar(v)) => regs[*dst as usize] = *v,
-                _ => {
-                    return Err(SimError::BadParam {
-                        kernel: ctx.kernel.name.clone(),
-                        index: *param,
-                    })
+    /// Run block `blk` warp by warp, appending its stores to the worker log
+    /// in (thread rank, program order).
+    fn run_block(&mut self, blk: u64) -> Result<(), SimError> {
+        let kernel = self.kernel;
+        let width = self.cfg.block.0 as usize;
+        let threads = width * self.cfg.block.1 as usize;
+        self.bx = (blk % self.cfg.grid.0 as u64) as i64;
+        self.by = (blk / self.cfg.grid.0 as u64) as i64;
+        for first in (0..threads).step_by(WARP) {
+            let lanes = (threads - first).min(WARP);
+            let (mut x, mut y) = (first % width, first / width);
+            for l in 0..lanes {
+                (self.tx[l], self.ty[l]) = (x as i64, y as i64);
+                x += 1;
+                if x == width {
+                    (x, y) = (0, y + 1);
                 }
-            },
-            Instr::Special { dst, kind } => {
-                regs[*dst as usize] = match kind {
-                    Special::GlobalIdX => ctx.bx * ctx.cfg.block.0 as i64 + ctx.tx,
-                    Special::GlobalIdY => ctx.by * ctx.cfg.block.1 as i64 + ctx.ty,
-                    Special::ThreadIdxX => ctx.tx,
-                    Special::ThreadIdxY => ctx.ty,
-                    Special::BlockIdxX => ctx.bx,
-                    Special::BlockIdxY => ctx.by,
-                    Special::BlockDimX => ctx.cfg.block.0 as i64,
-                    Special::BlockDimY => ctx.cfg.block.1 as i64,
-                    Special::GridDimX => ctx.cfg.grid.0 as i64,
-                    Special::GridDimY => ctx.cfg.grid.1 as i64,
-                };
             }
-            Instr::Bin { op, dst, lhs, rhs } => {
-                let a = regs[*lhs as usize];
-                let b = regs[*rhs as usize];
-                regs[*dst as usize] = match op {
-                    BinOp::Add => a.wrapping_add(b),
-                    BinOp::Sub => a.wrapping_sub(b),
-                    BinOp::Mul => a.wrapping_mul(b),
-                    BinOp::Div => {
-                        if b == 0 {
-                            return Err(SimError::DivByZero { kernel: ctx.kernel.name.clone() });
-                        }
-                        a.wrapping_div(b)
-                    }
-                    BinOp::Rem => {
-                        if b == 0 {
-                            return Err(SimError::DivByZero { kernel: ctx.kernel.name.clone() });
-                        }
-                        a.wrapping_rem(b)
-                    }
-                    BinOp::Min => a.min(b),
-                    BinOp::Max => a.max(b),
-                    BinOp::Lt => (a < b) as i64,
-                    BinOp::Le => (a <= b) as i64,
-                    BinOp::Eq => (a == b) as i64,
-                    BinOp::Ne => (a != b) as i64,
-                    BinOp::And => ((a != 0) && (b != 0)) as i64,
-                    BinOp::Or => ((a != 0) || (b != 0)) as i64,
-                };
+            self.regs.fill([0; WARP]);
+            let logged = self.st.log.len();
+            self.exec(&kernel.body, if lanes == WARP { FULL } else { (1 << lanes) - 1 });
+            if let Some((_, err)) = self.fault.take() {
+                return Err(err);
             }
-            Instr::Mov { dst, src } => regs[*dst as usize] = regs[*src as usize],
-            Instr::Load { dst, param, index } => {
-                let ix = regs[*index as usize];
-                match ctx.bound.get(*param) {
-                    Some(Bound::Buf { data, .. }) => {
-                        if ix < 0 || ix as usize >= data.len() {
-                            return Err(SimError::OutOfBounds {
-                                kernel: ctx.kernel.name.clone(),
-                                buffer: *param,
-                                index: ix,
-                                len: data.len(),
-                            });
-                        }
-                        regs[*dst as usize] = data[ix as usize] as i64;
-                        st.loads += 1;
-                        st.touch(*param, ix as u32);
+            // The warp logged its stores in execution order, which
+            // interleaves lanes; a stable sort restores program order per lane.
+            self.st.log[logged..].sort_by_key(|&(lane, ..)| lane);
+        }
+        Ok(())
+    }
+
+    /// Record that the lanes in `lanes` fault with `err(lane)`, keeping the
+    /// lowest faulting lane's error. A lane faults at most once: it retires.
+    fn fault(&mut self, lanes: Mask, err: impl FnOnce(usize) -> SimError) {
+        let lane = lanes.trailing_zeros() as usize;
+        if self.fault.as_ref().is_none_or(|&(l, _)| lane < l) {
+            self.fault = Some((lane, err(lane)));
+        }
+    }
+
+    /// The lanes of `mask` whose index `ix[lane]` lies inside a buffer of
+    /// `len` elements; the others fault with an out-of-bounds access through
+    /// argument `param`.
+    fn in_bounds(&mut self, mask: Mask, param: usize, ix: &[i64; WARP], len: usize) -> Mask {
+        // A negative index wraps to a huge unsigned one.
+        let oob = lanes_where(mask, |l| ix[l] as u64 >= len as u64);
+        if oob != 0 {
+            let kernel = self.kernel;
+            self.fault(oob, |l| SimError::OutOfBounds {
+                kernel: kernel.name.clone(),
+                buffer: param,
+                index: ix[l],
+                len,
+            });
+        }
+        mask & !oob
+    }
+
+    /// Run `instrs` for the lanes in `mask`; returns the lanes still running
+    /// afterwards (those that neither returned nor faulted).
+    fn exec(&mut self, instrs: &'a [Instr], mut mask: Mask) -> Mask {
+        let (kernel, bound, cfg) = (self.kernel, self.bound, self.cfg);
+        let name = || kernel.name.clone();
+        for instr in instrs {
+            if mask == 0 {
+                break;
+            }
+            self.st.instructions += mask.count_ones() as u64;
+            match instr {
+                Instr::Const { dst, value } => {
+                    let d = &mut self.regs[*dst as usize];
+                    set(d, mask, |_| *value);
+                }
+                Instr::LoadParam { dst, param } => match bound.get(*param) {
+                    Some(Bound::Scalar(v)) => {
+                        let d = &mut self.regs[*dst as usize];
+                        set(d, mask, |_| *v);
                     }
                     _ => {
-                        return Err(SimError::BadParam {
-                            kernel: ctx.kernel.name.clone(),
-                            index: *param,
-                        })
+                        self.fault(mask, |_| SimError::BadParam { kernel: name(), index: *param });
+                        mask = 0;
+                    }
+                },
+                Instr::Special { dst, kind } => {
+                    let (bx, by, tx, ty) = (self.bx, self.by, &self.tx, &self.ty);
+                    let (bdx, bdy) = (cfg.block.0 as i64, cfg.block.1 as i64);
+                    let value = |l: usize| match kind {
+                        Special::GlobalIdX => bx * bdx + tx[l],
+                        Special::GlobalIdY => by * bdy + ty[l],
+                        Special::ThreadIdxX => tx[l],
+                        Special::ThreadIdxY => ty[l],
+                        Special::BlockIdxX => bx,
+                        Special::BlockIdxY => by,
+                        Special::BlockDimX => bdx,
+                        Special::BlockDimY => bdy,
+                        Special::GridDimX => cfg.grid.0 as i64,
+                        Special::GridDimY => cfg.grid.1 as i64,
+                    };
+                    let d = &mut self.regs[*dst as usize];
+                    set(d, mask, value);
+                }
+                Instr::Bin { op, dst, lhs, rhs } => {
+                    let (a, b) = (self.regs[*lhs as usize], self.regs[*rhs as usize]);
+                    if matches!(op, BinOp::Div | BinOp::Rem) {
+                        let zero = lanes_where(mask, |l| b[l] == 0);
+                        if zero != 0 {
+                            self.fault(zero, |_| SimError::DivByZero { kernel: name() });
+                            mask &= !zero;
+                        }
+                    }
+                    let d = &mut self.regs[*dst as usize];
+                    match op {
+                        BinOp::Add => set(d, mask, |l| a[l].wrapping_add(b[l])),
+                        BinOp::Sub => set(d, mask, |l| a[l].wrapping_sub(b[l])),
+                        BinOp::Mul => set(d, mask, |l| a[l].wrapping_mul(b[l])),
+                        BinOp::Div => for_lanes(mask, |l| d[l] = a[l].wrapping_div(b[l])),
+                        BinOp::Rem => for_lanes(mask, |l| d[l] = a[l].wrapping_rem(b[l])),
+                        BinOp::Min => set(d, mask, |l| a[l].min(b[l])),
+                        BinOp::Max => set(d, mask, |l| a[l].max(b[l])),
+                        BinOp::Lt => set(d, mask, |l| (a[l] < b[l]) as i64),
+                        BinOp::Le => set(d, mask, |l| (a[l] <= b[l]) as i64),
+                        BinOp::Eq => set(d, mask, |l| (a[l] == b[l]) as i64),
+                        BinOp::Ne => set(d, mask, |l| (a[l] != b[l]) as i64),
+                        BinOp::And => set(d, mask, |l| (a[l] != 0 && b[l] != 0) as i64),
+                        BinOp::Or => set(d, mask, |l| (a[l] != 0 || b[l] != 0) as i64),
                     }
                 }
-            }
-            Instr::Store { param, index, src } => {
-                let ix = regs[*index as usize];
-                match ctx.bound.get(*param) {
-                    Some(Bound::Buf { data, writable, .. }) => {
-                        if !*writable {
-                            return Err(SimError::ReadOnlyStore {
-                                kernel: ctx.kernel.name.clone(),
-                                param: *param,
-                            });
+                Instr::Mov { dst, src } => {
+                    let s = self.regs[*src as usize];
+                    let d = &mut self.regs[*dst as usize];
+                    set(d, mask, |l| s[l]);
+                }
+                Instr::Load { dst, param, index } => {
+                    let Some(Bound::Buf { data, .. }) = bound.get(*param) else {
+                        self.fault(mask, |_| SimError::BadParam { kernel: name(), index: *param });
+                        mask = 0;
+                        continue;
+                    };
+                    let ix = self.regs[*index as usize];
+                    mask = self.in_bounds(mask, *param, &ix, data.len());
+                    let touched = &mut self.st.touched[*param];
+                    let d = &mut self.regs[*dst as usize];
+                    for_lanes(mask, |l| {
+                        let a = ix[l] as usize;
+                        touched[a / 64] |= 1 << (a % 64);
+                        d[l] = data[a] as i64;
+                    });
+                    self.st.loads += mask.count_ones() as u64;
+                }
+                Instr::Store { param, index, src } => {
+                    let data = match bound.get(*param) {
+                        Some(Bound::Buf { data, writable: true, .. }) => data,
+                        Some(Bound::Buf { .. }) => {
+                            let err = |_| SimError::ReadOnlyStore { kernel: name(), param: *param };
+                            self.fault(mask, err);
+                            mask = 0;
+                            continue;
                         }
-                        if ix < 0 || ix as usize >= data.len() {
-                            return Err(SimError::OutOfBounds {
-                                kernel: ctx.kernel.name.clone(),
-                                buffer: *param,
-                                index: ix,
-                                len: data.len(),
+                        _ => {
+                            self.fault(mask, |_| SimError::BadParam {
+                                kernel: name(),
+                                index: *param,
                             });
+                            mask = 0;
+                            continue;
                         }
-                        st.stores += 1;
-                        st.touch(*param, ix as u32);
+                    };
+                    let ix = self.regs[*index as usize];
+                    mask = self.in_bounds(mask, *param, &ix, data.len());
+                    let v = self.regs[*src as usize];
+                    let (touched, log) = (&mut self.st.touched[*param], &mut self.st.log);
+                    for_lanes(mask, |l| {
+                        let a = ix[l] as u32;
+                        touched[(a / 64) as usize] |= 1 << (a % 64);
                         // Device buffers hold 32-bit ints (the paper's frames
                         // are `int` arrays); like real CUDA/OpenCL `int`
                         // stores, values are truncated modulo 2^32. Registers
@@ -371,43 +705,262 @@ fn exec_block(
                         // than a real device's — programs relying on i32
                         // wrap-around mid-expression would diverge, which the
                         // studied pixel workloads never do.
-                        st.log.push((*param, ix as u32, regs[*src as usize] as i32));
+                        log.push((l as u8, *param as u32, a, v[l] as i32));
+                    });
+                    self.st.stores += mask.count_ones() as u64;
+                }
+                Instr::For { var, start, end, step, body } => {
+                    let mut v = self.regs[*start as usize];
+                    let end_v = self.regs[*end as usize];
+                    let step_v = self.regs[*step as usize].map(|s| s.max(1));
+                    let mut live = lanes_where(mask, |l| v[l] < end_v[l]);
+                    while live != 0 {
+                        let d = &mut self.regs[*var as usize];
+                        set(d, live, |l| v[l]);
+                        let cont = self.exec(body, live);
+                        mask &= !(live & !cont);
+                        for_lanes(cont, |l| v[l] += step_v[l]);
+                        live = lanes_where(cont, |l| v[l] < end_v[l]);
                     }
+                }
+                Instr::If { cond, then, els } => {
+                    let c = self.regs[*cond as usize];
+                    let taken = lanes_where(mask, |l| c[l] != 0);
+                    let not_taken = mask & !taken;
+                    mask = 0;
+                    if taken != 0 {
+                        mask |= self.exec(then, taken);
+                    }
+                    if not_taken != 0 {
+                        mask |= self.exec(els, not_taken);
+                    }
+                }
+                Instr::Return => mask = 0,
+            }
+        }
+        mask
+    }
+}
+
+/// A scalar interpreter: one thread at a time, in (block, thread rank)
+/// order, on one worker, with the kernel's own register numbering. It is
+/// the differential oracle the warp interpreter must match bit for bit.
+#[cfg(test)]
+mod scalar {
+    use super::*;
+
+    /// [`run_kernel_touching`] by walking every thread separately.
+    pub(super) fn run(
+        kernel: &Kernel,
+        cfg: LaunchConfig,
+        args: &[KernelArg],
+        buffers: &mut [Option<Vec<i32>>],
+    ) -> Result<(LaunchStats, Vec<Vec<u64>>), SimError> {
+        let bound = bind(kernel, args, buffers)?;
+        let mut st = WorkerState::new(&bound);
+        let mut regs = vec![0i64; kernel.register_count()];
+        for blk in 0..cfg.total_blocks() {
+            let bx = (blk % cfg.grid.0 as u64) as i64;
+            let by = (blk / cfg.grid.0 as u64) as i64;
+            for ty in 0..cfg.block.1 as i64 {
+                for tx in 0..cfg.block.0 as i64 {
+                    let ctx = ThreadCtx { kernel, bound: &bound, cfg, bx, by, tx, ty };
+                    regs.iter_mut().for_each(|r| *r = 0);
+                    exec_block(&kernel.body, &ctx, &mut regs, &mut st)?;
+                }
+            }
+        }
+        let buffer_of = bound
+            .iter()
+            .map(|b| match b {
+                Bound::Buf { buf_index, .. } => Some(*buf_index),
+                Bound::Scalar(_) => None,
+            })
+            .collect::<Vec<_>>();
+        let merged = empty_bitsets(&bound);
+        drop(bound);
+        Ok(finish(cfg, merged, &buffer_of, vec![st], buffers))
+    }
+
+    fn touch(st: &mut WorkerState, arg: usize, addr: u32) {
+        let w = &mut st.touched[arg][(addr / 64) as usize];
+        *w |= 1u64 << (addr % 64);
+    }
+
+    /// Per-thread execution context.
+    struct ThreadCtx<'a> {
+        kernel: &'a Kernel,
+        bound: &'a [Bound<'a>],
+        cfg: LaunchConfig,
+        bx: i64,
+        by: i64,
+        tx: i64,
+        ty: i64,
+    }
+
+    /// Whether control should keep flowing after an instruction sequence.
+    enum Flow {
+        Continue,
+        Return,
+    }
+
+    fn exec_block(
+        instrs: &[Instr],
+        ctx: &ThreadCtx<'_>,
+        regs: &mut [i64],
+        st: &mut WorkerState,
+    ) -> Result<Flow, SimError> {
+        let mut flow = Flow::Continue;
+        for i in instrs {
+            st.instructions += 1;
+            match i {
+                Instr::Const { dst, value } => regs[*dst as usize] = *value,
+                Instr::LoadParam { dst, param } => match ctx.bound.get(*param) {
+                    Some(Bound::Scalar(v)) => regs[*dst as usize] = *v,
                     _ => {
                         return Err(SimError::BadParam {
                             kernel: ctx.kernel.name.clone(),
                             index: *param,
                         })
                     }
+                },
+                Instr::Special { dst, kind } => {
+                    regs[*dst as usize] = match kind {
+                        Special::GlobalIdX => ctx.bx * ctx.cfg.block.0 as i64 + ctx.tx,
+                        Special::GlobalIdY => ctx.by * ctx.cfg.block.1 as i64 + ctx.ty,
+                        Special::ThreadIdxX => ctx.tx,
+                        Special::ThreadIdxY => ctx.ty,
+                        Special::BlockIdxX => ctx.bx,
+                        Special::BlockIdxY => ctx.by,
+                        Special::BlockDimX => ctx.cfg.block.0 as i64,
+                        Special::BlockDimY => ctx.cfg.block.1 as i64,
+                        Special::GridDimX => ctx.cfg.grid.0 as i64,
+                        Special::GridDimY => ctx.cfg.grid.1 as i64,
+                    };
                 }
-            }
-            Instr::For { var, start, end, step, body } => {
-                let mut v = regs[*start as usize];
-                let end_v = regs[*end as usize];
-                let step_v = regs[*step as usize].max(1);
-                while v < end_v {
-                    regs[*var as usize] = v;
-                    match exec_block(body, ctx, regs, st)? {
+                Instr::Bin { op, dst, lhs, rhs } => {
+                    let a = regs[*lhs as usize];
+                    let b = regs[*rhs as usize];
+                    regs[*dst as usize] = match op {
+                        BinOp::Add => a.wrapping_add(b),
+                        BinOp::Sub => a.wrapping_sub(b),
+                        BinOp::Mul => a.wrapping_mul(b),
+                        BinOp::Div => {
+                            if b == 0 {
+                                return Err(SimError::DivByZero {
+                                    kernel: ctx.kernel.name.clone(),
+                                });
+                            }
+                            a.wrapping_div(b)
+                        }
+                        BinOp::Rem => {
+                            if b == 0 {
+                                return Err(SimError::DivByZero {
+                                    kernel: ctx.kernel.name.clone(),
+                                });
+                            }
+                            a.wrapping_rem(b)
+                        }
+                        BinOp::Min => a.min(b),
+                        BinOp::Max => a.max(b),
+                        BinOp::Lt => (a < b) as i64,
+                        BinOp::Le => (a <= b) as i64,
+                        BinOp::Eq => (a == b) as i64,
+                        BinOp::Ne => (a != b) as i64,
+                        BinOp::And => ((a != 0) && (b != 0)) as i64,
+                        BinOp::Or => ((a != 0) || (b != 0)) as i64,
+                    };
+                }
+                Instr::Mov { dst, src } => regs[*dst as usize] = regs[*src as usize],
+                Instr::Load { dst, param, index } => {
+                    let ix = regs[*index as usize];
+                    match ctx.bound.get(*param) {
+                        Some(Bound::Buf { data, .. }) => {
+                            if ix < 0 || ix as usize >= data.len() {
+                                return Err(SimError::OutOfBounds {
+                                    kernel: ctx.kernel.name.clone(),
+                                    buffer: *param,
+                                    index: ix,
+                                    len: data.len(),
+                                });
+                            }
+                            regs[*dst as usize] = data[ix as usize] as i64;
+                            st.loads += 1;
+                            touch(st, *param, ix as u32);
+                        }
+                        _ => {
+                            return Err(SimError::BadParam {
+                                kernel: ctx.kernel.name.clone(),
+                                index: *param,
+                            })
+                        }
+                    }
+                }
+                Instr::Store { param, index, src } => {
+                    let ix = regs[*index as usize];
+                    match ctx.bound.get(*param) {
+                        Some(Bound::Buf { data, writable, .. }) => {
+                            if !*writable {
+                                return Err(SimError::ReadOnlyStore {
+                                    kernel: ctx.kernel.name.clone(),
+                                    param: *param,
+                                });
+                            }
+                            if ix < 0 || ix as usize >= data.len() {
+                                return Err(SimError::OutOfBounds {
+                                    kernel: ctx.kernel.name.clone(),
+                                    buffer: *param,
+                                    index: ix,
+                                    len: data.len(),
+                                });
+                            }
+                            st.stores += 1;
+                            touch(st, *param, ix as u32);
+                            // Device buffers hold 32-bit ints (the paper's frames
+                            // are `int` arrays); like real CUDA/OpenCL `int`
+                            // stores, values are truncated modulo 2^32. Registers
+                            // are 64-bit, so *intermediate* arithmetic is wider
+                            // than a real device's — programs relying on i32
+                            // wrap-around mid-expression would diverge, which the
+                            // studied pixel workloads never do.
+                            st.log.push((0, *param as u32, ix as u32, regs[*src as usize] as i32));
+                        }
+                        _ => {
+                            return Err(SimError::BadParam {
+                                kernel: ctx.kernel.name.clone(),
+                                index: *param,
+                            })
+                        }
+                    }
+                }
+                Instr::For { var, start, end, step, body } => {
+                    let mut v = regs[*start as usize];
+                    let end_v = regs[*end as usize];
+                    let step_v = regs[*step as usize].max(1);
+                    while v < end_v {
+                        regs[*var as usize] = v;
+                        match exec_block(body, ctx, regs, st)? {
+                            Flow::Continue => {}
+                            Flow::Return => return Ok(Flow::Return),
+                        }
+                        v += step_v;
+                    }
+                }
+                Instr::If { cond, then, els } => {
+                    let branch = if regs[*cond as usize] != 0 { then } else { els };
+                    match exec_block(branch, ctx, regs, st)? {
                         Flow::Continue => {}
                         Flow::Return => return Ok(Flow::Return),
                     }
-                    v += step_v;
                 }
-            }
-            Instr::If { cond, then, els } => {
-                let branch = if regs[*cond as usize] != 0 { then } else { els };
-                match exec_block(branch, ctx, regs, st)? {
-                    Flow::Continue => {}
-                    Flow::Return => return Ok(Flow::Return),
+                Instr::Return => {
+                    flow = Flow::Return;
+                    break;
                 }
-            }
-            Instr::Return => {
-                flow = Flow::Return;
-                break;
             }
         }
+        Ok(flow)
     }
-    Ok(flow)
 }
 
 #[cfg(test)]
@@ -606,6 +1159,107 @@ mod tests {
             assert_eq!(bufs[0].as_ref().unwrap()[0], 31);
         }
     }
+
+    #[test]
+    fn lower_ranked_later_fault_wins() {
+        // Thread 1 faults on its first store (out of bounds); thread 0 runs
+        // on and divides by zero later. Thread 0 ranks lower, so its fault
+        // is the launch's, although in warp lockstep thread 1 faults first.
+        let mut b = KernelBuilder::new("faults", KernelFlavor::Cuda);
+        let y = b.buffer_param("y", true);
+        let tid = b.special(Special::ThreadIdxX);
+        let zero = b.constant(0);
+        let one = b.constant(1);
+        let is_one = b.bin(BinOp::Eq, tid, one);
+        b.begin_if(is_one);
+        let far = b.constant(100);
+        b.store(y, far, tid);
+        b.end_if();
+        let is_zero = b.bin(BinOp::Eq, tid, zero);
+        b.begin_if(is_zero);
+        let q = b.bin(BinOp::Div, one, tid);
+        b.store(y, zero, q);
+        b.end_if();
+        let k = b.finish();
+        for block in [(32, 1), (64, 1), (2, 2)] {
+            let mut bufs = vec![Some(vec![0i32; 4])];
+            let cfg = LaunchConfig { grid: (2, 1), block };
+            let err = run_kernel(&k, cfg, &[KernelArg::Buffer(0)], &mut bufs, 1).unwrap_err();
+            assert_eq!(err, SimError::DivByZero { kernel: "faults".into() }, "block {block:?}");
+            assert_eq!(
+                bufs[0].as_deref(),
+                Some(&[0i32; 4][..]),
+                "a faulting launch stores nothing"
+            );
+        }
+    }
+
+    #[test]
+    fn conflict_between_store_instructions_goes_to_highest_rank() {
+        // Odd threads store through the first store instruction, even
+        // threads through a later one. Warp lockstep executes every odd
+        // lane's store before any even lane's, but the highest-ranked
+        // thread (63, odd) must still win.
+        let mut b = KernelBuilder::new("two_stores", KernelFlavor::Cuda);
+        let y = b.buffer_param("y", true);
+        let gid = b.special(Special::GlobalIdX);
+        let zero = b.constant(0);
+        let two = b.constant(2);
+        let parity = b.bin(BinOp::Rem, gid, two);
+        b.begin_if(parity);
+        b.store(y, zero, gid);
+        b.end_if();
+        let even = b.bin(BinOp::Eq, parity, zero);
+        b.begin_if(even);
+        let k1000 = b.constant(1000);
+        let tagged = b.bin(BinOp::Add, gid, k1000);
+        b.store(y, zero, tagged);
+        b.end_if();
+        let k = b.finish();
+        for workers in [1usize, 2] {
+            let mut bufs = vec![Some(vec![-1i32])];
+            let cfg = LaunchConfig { grid: (1, 1), block: (64, 1) };
+            run_kernel(&k, cfg, &[KernelArg::Buffer(0)], &mut bufs, workers).unwrap();
+            assert_eq!(bufs[0].as_ref().unwrap()[0], 63);
+        }
+    }
+
+    #[test]
+    fn registers_with_disjoint_live_ranges_share_a_slot() {
+        // A chain of 100 temporaries needs three slots: the thread id, the
+        // previous link and the next one. A register read before any write
+        // (`unset`, zero) gets a slot no register used before it.
+        let mut b = KernelBuilder::new("chain", KernelFlavor::Cuda);
+        let y = b.buffer_param("y", true);
+        let gid = b.special(Special::GlobalIdX);
+        let unset = b.reg();
+        let mut t = b.bin(BinOp::Add, gid, unset);
+        for _ in 0..100 {
+            t = b.bin(BinOp::Add, t, gid);
+        }
+        b.store(y, gid, t);
+        let k = b.finish();
+        assert_eq!(k.register_count(), 103);
+        assert_eq!(compact_registers(&k).register_count(), 3);
+        let mut bufs = vec![Some(vec![0i32; 4])];
+        run_kernel(&k, LaunchConfig::cover_1d(4, 4), &[KernelArg::Buffer(0)], &mut bufs, 1)
+            .unwrap();
+        assert_eq!(bufs[0].as_deref(), Some(&[0, 101, 202, 303][..]));
+    }
+
+    #[test]
+    fn zero_sized_launch_is_rejected() {
+        let k = scale_kernel();
+        let args = [KernelArg::Buffer(0), KernelArg::Buffer(1), KernelArg::Scalar(4)];
+        for (grid, block) in
+            [((0, 1), (4, 1)), ((1, 0), (4, 1)), ((1, 1), (0, 1)), ((1, 1), (4, 0))]
+        {
+            let mut bufs = vec![Some(vec![1i32; 4]), Some(vec![0i32; 4])];
+            let err =
+                run_kernel(&k, LaunchConfig { grid, block }, &args, &mut bufs, 2).unwrap_err();
+            assert_eq!(err, SimError::InvalidLaunchConfig { kernel: "scale2".into(), grid, block });
+        }
+    }
 }
 
 #[cfg(test)]
@@ -634,6 +1288,166 @@ mod prop_tests {
         }
         b.store(y, gid, acc);
         b.finish()
+    }
+
+    /// Random structured kernels for the warp-vs-scalar differential test:
+    /// nested `For` loops with lane-dependent trip counts and steps,
+    /// `If`/else divergence, `Return` anywhere (inside loops too), `Div` and
+    /// `Rem` by lane-dependent values that are sometimes zero, and loads and
+    /// stores whose indices collide and are sometimes out of bounds.
+    /// Registers defined in one branch are read after it, as real kernels
+    /// never do, so a lane's untouched registers must survive divergence.
+    struct KernelGen<'r> {
+        rng: &'r mut TestRng,
+        b: KernelBuilder,
+        /// Registers holding values, mostly lane-dependent.
+        vals: Vec<Reg>,
+        /// Buffer parameters with their lengths: x (read-only), y, z.
+        bufs: [(usize, i64); 3],
+    }
+
+    impl KernelGen<'_> {
+        fn below(&mut self, n: u64) -> u64 {
+            self.rng.below(n)
+        }
+
+        fn pick(&mut self) -> Reg {
+            let i = self.below(self.vals.len() as u64) as usize;
+            self.vals[i]
+        }
+
+        /// `v mod n` for a lane-dependent `v`, in `(-n, n)`.
+        fn lane_mod(&mut self, n: i64) -> Reg {
+            let v = self.pick();
+            let n = self.b.constant(n);
+            self.b.bin(BinOp::Rem, v, n)
+        }
+
+        /// An index into a buffer of `len`: in bounds, except one time in
+        /// twelve when it may fall on either side.
+        fn index(&mut self, len: i64) -> Reg {
+            if self.below(12) == 0 {
+                return self.lane_mod(len + 2);
+            }
+            let v = self.pick();
+            let zero = self.b.constant(0);
+            let v = self.b.bin(BinOp::Max, v, zero);
+            let n = self.b.constant(len);
+            self.b.bin(BinOp::Rem, v, n)
+        }
+
+        fn stmts(&mut self, depth: u32, count: u64) {
+            for _ in 0..count {
+                let kinds = if depth < 2 { 11 } else { 8 };
+                match self.below(kinds) {
+                    0..=2 => {
+                        const OPS: [BinOp; 13] = [
+                            BinOp::Add,
+                            BinOp::Sub,
+                            BinOp::Mul,
+                            BinOp::Div,
+                            BinOp::Rem,
+                            BinOp::Min,
+                            BinOp::Max,
+                            BinOp::Lt,
+                            BinOp::Le,
+                            BinOp::Eq,
+                            BinOp::Ne,
+                            BinOp::And,
+                            BinOp::Or,
+                        ];
+                        let op = OPS[self.below(13) as usize];
+                        let a = self.pick();
+                        let b = if matches!(op, BinOp::Div | BinOp::Rem) && self.below(6) != 0 {
+                            // A lane-dependent divisor in 1..=5.
+                            let r = self.index(5);
+                            self.b.bin_imm(BinOp::Add, r, 1)
+                        } else {
+                            self.pick()
+                        };
+                        let r = self.b.bin(op, a, b);
+                        self.vals.push(r);
+                    }
+                    3 => {
+                        let (param, len) = self.bufs[self.below(3) as usize];
+                        let ix = self.index(len);
+                        let r = self.b.load(param, ix);
+                        self.vals.push(r);
+                    }
+                    4 | 5 => {
+                        let (param, len) = self.bufs[1 + self.below(2) as usize];
+                        let ix = self.index(len);
+                        let v = self.pick();
+                        self.b.store(param, ix, v);
+                    }
+                    6 => {
+                        let (dst, src) = (self.pick(), self.pick());
+                        self.b.mov(dst, src);
+                    }
+                    7 => {
+                        // Return for about a quarter of the lanes.
+                        let r = self.lane_mod(4);
+                        let k = self.below(4) as i64;
+                        let k = self.b.constant(k);
+                        let c = self.b.bin(BinOp::Eq, r, k);
+                        self.b.begin_if(c);
+                        self.b.ret();
+                        self.b.end_if();
+                    }
+                    8 | 9 => {
+                        let (a, c) = (self.pick(), self.pick());
+                        let cond = self.b.bin(BinOp::Lt, a, c);
+                        self.b.begin_if(cond);
+                        let n = 1 + self.below(4);
+                        self.stmts(depth + 1, n);
+                        if self.below(2) == 0 {
+                            self.b.begin_else();
+                            let n = 1 + self.below(4);
+                            self.stmts(depth + 1, n);
+                        }
+                        self.b.end_if();
+                    }
+                    _ => {
+                        // Trip counts up to 5, lane-dependent bounds and step.
+                        let start = self.below(3) as i64 - 1;
+                        let start = self.b.constant(start);
+                        let end = self.lane_mod(5);
+                        let end = self.b.bin_imm(BinOp::Add, end, 1);
+                        let step =
+                            if self.below(2) == 0 { self.b.constant(1) } else { self.lane_mod(3) };
+                        let var = self.b.begin_for(start, end, step);
+                        self.vals.push(var);
+                        let n = 1 + self.below(4);
+                        self.stmts(depth + 1, n);
+                        self.b.end_for();
+                    }
+                }
+            }
+        }
+    }
+
+    /// A random kernel with parameters (x read-only, y, z writable, n).
+    fn random_structured_kernel(rng: &mut TestRng, lens: [i64; 3]) -> Kernel {
+        let mut b = KernelBuilder::new("diff", KernelFlavor::Cuda);
+        let x = b.buffer_param("x", false);
+        let y = b.buffer_param("y", true);
+        let z = b.buffer_param("z", true);
+        let n = b.scalar_param("n");
+        let mut vals = vec![b.param_value(n)];
+        for kind in [
+            Special::GlobalIdX,
+            Special::GlobalIdY,
+            Special::ThreadIdxX,
+            Special::ThreadIdxY,
+            Special::BlockIdxX,
+            Special::BlockDimX,
+        ] {
+            vals.push(b.special(kind));
+        }
+        let mut g = KernelGen { rng, b, vals, bufs: [(x, lens[0]), (y, lens[1]), (z, lens[2])] };
+        let count = 4 + g.below(12);
+        g.stmts(0, count);
+        g.b.finish()
     }
 
     proptest! {
@@ -667,6 +1481,53 @@ mod prop_tests {
                 let s = run_kernel(&kernel, cfg, &args, &mut bufs, workers).unwrap();
                 prop_assert_eq!(&bufs[1], &base[1], "workers = {}", workers);
                 prop_assert_eq!(s, s1);
+            }
+        }
+
+        /// The warp interpreter matches the scalar one thread-at-a-time
+        /// interpreter exactly: buffers, counters, touched bitsets, and on a
+        /// fault the same error with no store applied — for every block
+        /// shape, including partial and single-lane warps, and worker count.
+        #[test]
+        fn warp_execution_matches_scalar_reference(
+            seed in any::<u64>(),
+            block in prop_oneof![
+                Just((7u32, 3u32)),
+                Just((33, 1)),
+                Just((1, 1)),
+                Just((1024, 1)),
+                Just((64, 1)),
+                Just((16, 5)),
+            ],
+            grid in (1u32..=2, 1u32..=2),
+            alias in 0u8..4,
+        ) {
+            let mut rng = TestRng::new(seed);
+            let lens = [8 + rng.below(40) as i64, 4 + rng.below(60) as i64, 1 + rng.below(30) as i64];
+            let kernel = random_structured_kernel(&mut rng, lens);
+            let cfg = LaunchConfig { grid, block };
+            let mut init: Vec<Option<Vec<i32>>> = lens
+                .iter()
+                .map(|&n| Some((0..n).map(|_| rng.below(2000) as i32 - 1000).collect()))
+                .collect();
+            // Sometimes z aliases y: two writable parameters, one buffer.
+            let z = if alias == 0 { 1 } else { 2 };
+            if alias == 0 {
+                init[2] = None;
+            }
+            let args = [
+                KernelArg::Buffer(0),
+                KernelArg::Buffer(1),
+                KernelArg::Buffer(z),
+                KernelArg::Scalar(rng.below(100) as i64 - 50),
+            ];
+            let mut expect_bufs = init.clone();
+            let expect = scalar::run(&kernel, cfg, &args, &mut expect_bufs);
+            for workers in [1usize, 2, 5] {
+                let mut bufs = init.clone();
+                let got = run_kernel_touching(&kernel, cfg, &args, &mut bufs, workers);
+                prop_assert_eq!(&got, &expect, "workers = {}", workers);
+                prop_assert_eq!(&bufs, &expect_bufs, "workers = {}", workers);
             }
         }
     }

@@ -66,6 +66,9 @@ pub enum SimError {
     BadParam { kernel: String, index: usize },
     /// An argument had the wrong kind (buffer vs scalar).
     ArgKindMismatch { kernel: String, index: usize },
+    /// A launch with a zero grid or block dimension, or with more threads
+    /// per block than the device allows.
+    InvalidLaunchConfig { kernel: String, grid: (u32, u32), block: (u32, u32) },
     /// A buffer id was stale or out of range.
     UnknownBuffer { id: usize },
     /// Device-side out-of-bounds access.
@@ -97,6 +100,10 @@ impl std::fmt::Display for SimError {
             SimError::ArgKindMismatch { kernel, index } => {
                 write!(f, "kernel '{kernel}': argument {index} has wrong kind")
             }
+            SimError::InvalidLaunchConfig { kernel, grid, block } => write!(
+                f,
+                "kernel '{kernel}': invalid launch configuration (grid {grid:?}, block {block:?})"
+            ),
             SimError::UnknownBuffer { id } => write!(f, "unknown device buffer {id}"),
             SimError::OutOfBounds { kernel, buffer, index, len } => write!(
                 f,
