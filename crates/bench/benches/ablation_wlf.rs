@@ -10,7 +10,7 @@ use downscaler::frames::FrameGenerator;
 use downscaler::pipelines::build_sac;
 use downscaler::sac_src::{Part, Variant};
 use downscaler::Scenario;
-use sac_cuda::exec::{run_on_device, HostCost};
+use sac_cuda::exec::{run_on_device, ExecOptions};
 use sac_lang::opt::OptConfig;
 use simgpu::device::Device;
 use std::hint::black_box;
@@ -49,7 +49,7 @@ fn bench_ablation(c: &mut Criterion) {
                         &route.cuda,
                         &mut device,
                         black_box(std::slice::from_ref(&frame)),
-                        HostCost::default(),
+                        ExecOptions::default(),
                     )
                     .unwrap(),
                 )

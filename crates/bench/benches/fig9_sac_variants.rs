@@ -7,7 +7,7 @@ use downscaler::frames::FrameGenerator;
 use downscaler::pipelines::build_sac;
 use downscaler::sac_src::{Part, Variant};
 use downscaler::Scenario;
-use sac_cuda::exec::{run_on_device, HostCost};
+use sac_cuda::exec::{run_on_device, ExecOptions};
 use simgpu::device::Device;
 use std::hint::black_box;
 
@@ -35,7 +35,7 @@ fn bench_fig9(c: &mut Criterion) {
                         &route.cuda,
                         &mut device,
                         black_box(std::slice::from_ref(&frame)),
-                        HostCost::default(),
+                        ExecOptions::default(),
                     )
                     .unwrap(),
                 )

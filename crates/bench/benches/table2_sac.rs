@@ -7,7 +7,7 @@ use downscaler::frames::FrameGenerator;
 use downscaler::pipelines::build_sac;
 use downscaler::sac_src::{Part, Variant};
 use downscaler::Scenario;
-use sac_cuda::exec::{run_on_device_opts, ExecOptions};
+use sac_cuda::exec::{run_on_device, ExecOptions};
 use simgpu::device::Device;
 use std::hint::black_box;
 
@@ -32,7 +32,7 @@ fn bench_sac(c: &mut Criterion) {
         b.iter(|| {
             let mut device = Device::gtx480();
             black_box(
-                run_on_device_opts(
+                run_on_device(
                     &route.cuda,
                     &mut device,
                     black_box(std::slice::from_ref(&frame)),
@@ -54,7 +54,7 @@ fn bench_sac(c: &mut Criterion) {
             b.iter(|| {
                 let mut device = Device::gtx480();
                 black_box(
-                    run_on_device_opts(
+                    run_on_device(
                         &r.cuda,
                         &mut device,
                         black_box(std::slice::from_ref(&input)),

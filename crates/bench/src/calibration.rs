@@ -18,5 +18,6 @@
 /// Modelled nanoseconds per abstract flat-program op for SAC-Seq runs.
 pub const SEQ_CPU_NS_PER_OP: f64 = 0.055;
 
-/// Modelled nanoseconds per abstract interpreter op for host fallback steps.
-pub const HOST_NS_PER_OP: f64 = 0.12;
+/// Modelled nanoseconds per abstract interpreter op for host fallback steps
+/// (the scheduler's default, so one constant backs both).
+pub use simgpu::schedule::HOST_NS_PER_OP;

@@ -8,7 +8,7 @@ use downscaler::frames::FrameGenerator;
 use downscaler::pipelines::{build_gaspard, build_sac, PipelineError};
 use downscaler::sac_src::{Part, Variant};
 use downscaler::Scenario;
-use sac_cuda::exec::run_on_device_opts;
+use sac_cuda::exec::run_on_device;
 use sac_lang::opt::OptConfig;
 use simgpu::device::Device;
 use simgpu::Calibration;
@@ -37,7 +37,7 @@ pub fn totals_with_calibration(
     let route = build_sac(s, Variant::NonGeneric, Part::Full, &Default::default())?;
     let mut device = Device::gtx480();
     device.set_calibration(calib);
-    run_on_device_opts(&route.cuda, &mut device, &[test_frame(s)], default_exec(s))?;
+    run_on_device(&route.cuda, &mut device, &[test_frame(s)], default_exec(s))?;
     let sac_total = device.now_us() * s.frames as f64 / 1e6;
     Ok((sac_total, gaspard_total))
 }

@@ -7,11 +7,11 @@ use crate::record::Record;
 use downscaler::pipelines::{build_sac, PipelineError, SacRoute};
 use downscaler::sac_src::{Part, Variant};
 use downscaler::Scenario;
-use sac_cuda::exec::run_on_device_opts;
-use sac_cuda::PlanOp;
+use sac_cuda::exec::run_on_device;
 use simgpu::cost::Direction;
 use simgpu::device::Device;
 use simgpu::profiler::OpClass;
+use simgpu::PlanStep;
 
 /// The `fig9` command.
 pub const EXPERIMENT: Experiment = Experiment {
@@ -48,7 +48,7 @@ pub(crate) fn fig9_record(rows: &[Fig9Row]) -> Record {
 fn result_download_us(s: &Scenario, route: &SacRoute, device: &Device) -> f64 {
     let downloads_result = matches!(
         route.cuda.plan.last(),
-        Some(PlanOp::Download { array }) if *array == route.flat.result
+        Some(PlanStep::Download { array, .. }) if *array == route.flat.result
     );
     if !downloads_result {
         return 0.0;
@@ -76,7 +76,7 @@ fn part_input(s: &Scenario, part: Part) -> mdarray::NdArray<i64> {
 fn cuda_filter_time_s(s: &Scenario, variant: Variant, part: Part) -> Result<f64, PipelineError> {
     let route = build_sac(s, variant, part, &Default::default())?;
     let mut device = Device::gtx480();
-    run_on_device_opts(&route.cuda, &mut device, &[part_input(s, part)], default_exec(s))?;
+    run_on_device(&route.cuda, &mut device, &[part_input(s, part)], default_exec(s))?;
     let total = device.now_us();
     let h2d = device.profiler.class_total_us(OpClass::H2D);
     let result_d2h = result_download_us(s, &route, &device);

@@ -9,7 +9,7 @@ use downscaler::frames::FrameGenerator;
 use downscaler::pipelines::{build_gaspard, build_sac, run_sac_batch, ExecOptions, PipelineError};
 use downscaler::sac_src::{Part, Variant};
 use downscaler::Scenario;
-use sac_cuda::exec::run_on_device_opts;
+use sac_cuda::exec::run_on_device;
 use simgpu::device::Device;
 
 /// The `memory` command.
@@ -125,7 +125,7 @@ pub fn memory_ablation(s: &Scenario) -> Result<Vec<MemoryRow>, PipelineError> {
         sac_dev.set_calibration(simgpu::Calibration::gtx480_alloc());
         sac_dev.set_pool_enabled(pool);
         let sm = measure_memory(s, &mut sac_dev, |d, f| {
-            run_on_device_opts(&sac.cuda, d, &[gen.frame_rank3(f)], default_exec(s)).map(|_| ())
+            run_on_device(&sac.cuda, d, &[gen.frame_rank3(f)], default_exec(s)).map(|_| ())
         })?;
 
         let mut gasp_dev = Device::gtx480();

@@ -93,7 +93,7 @@ mod tests {
     use super::*;
     use crate::exp::default_exec;
     use downscaler::frames::FrameGenerator;
-    use sac_cuda::exec::run_on_device_opts;
+    use sac_cuda::exec::run_on_device;
 
     #[test]
     fn streams_ablation_overlap_strictly_beats_sync() {
@@ -128,7 +128,7 @@ mod tests {
         let mut device = Device::gtx480();
         let gen = FrameGenerator::new(s.channels, s.rows, s.cols, FRAME_SEED);
         for f in 0..s.frames {
-            run_on_device_opts(&route.cuda, &mut device, &[gen.frame_rank3(f)], default_exec(&s))
+            run_on_device(&route.cuda, &mut device, &[gen.frame_rank3(f)], default_exec(&s))
                 .unwrap();
         }
         assert_eq!(rows[0].sac_s, device.now_us() / 1e6);

@@ -7,7 +7,7 @@ use crate::record::Record;
 use downscaler::pipelines::{build_sac, PipelineError};
 use downscaler::sac_src::{Part, Variant};
 use downscaler::Scenario;
-use sac_cuda::exec::run_on_device_opts;
+use sac_cuda::exec::run_on_device;
 use simgpu::device::Device;
 use simgpu::profiler::OpClass;
 
@@ -78,12 +78,7 @@ pub fn sweep(channels: usize, scales: &[usize]) -> Result<Vec<SweepRow>, Pipelin
         let seq_us = ops as f64 * SEQ_CPU_NS_PER_OP / 1e3;
 
         let mut device = Device::gtx480();
-        run_on_device_opts(
-            &route.cuda,
-            &mut device,
-            std::slice::from_ref(&frame),
-            default_exec(&s),
-        )?;
+        run_on_device(&route.cuda, &mut device, std::slice::from_ref(&frame), default_exec(&s))?;
         let gpu_total_us = device.now_us();
         let gpu_kernels_us = device.profiler.class_total_us(OpClass::Kernel);
         out.push(SweepRow { rows, cols, seq_us, gpu_kernels_us, gpu_total_us });

@@ -5,7 +5,7 @@ use super::{default_exec, test_frame, Experiment};
 use downscaler::pipelines::{build_sac, PipelineError};
 use downscaler::sac_src::{Part, Variant};
 use downscaler::Scenario;
-use sac_cuda::exec::run_on_device_opts;
+use sac_cuda::exec::run_on_device;
 use simgpu::device::Device;
 
 /// The `table2` command.
@@ -19,7 +19,7 @@ pub const EXPERIMENT: Experiment = Experiment {
 pub fn table2(s: &Scenario) -> Result<ProfileTable, PipelineError> {
     let route = build_sac(s, Variant::NonGeneric, Part::Full, &Default::default())?;
     let mut device = Device::gtx480();
-    run_on_device_opts(&route.cuda, &mut device, &[test_frame(s)], default_exec(s))?;
+    run_on_device(&route.cuda, &mut device, &[test_frame(s)], default_exec(s))?;
     Ok(ProfileTable::of_frame(s, &mut device))
 }
 

@@ -18,13 +18,12 @@ pub struct FrameGenerator {
     rows: usize,
     cols: usize,
     seed: u64,
-    next_frame: usize,
 }
 
 impl FrameGenerator {
     /// A generator for `channels` planes of `rows × cols` pixels.
     pub fn new(channels: usize, rows: usize, cols: usize, seed: u64) -> Self {
-        FrameGenerator { channels, rows, cols, seed, next_frame: 0 }
+        FrameGenerator { channels, rows, cols, seed }
     }
 
     /// Pixel function: gradient + per-frame moving feature, per channel.
@@ -63,13 +62,6 @@ impl FrameGenerator {
         NdArray::from_fn([self.channels, self.rows, self.cols], |ix| {
             self.pixel(index, ix[0], ix[1], ix[2])
         })
-    }
-
-    /// Iterator-style: next frame as channel planes.
-    pub fn next_channels(&mut self) -> Vec<NdArray<i64>> {
-        let f = self.frame_channels(self.next_frame);
-        self.next_frame += 1;
-        f
     }
 
     /// Stack channel planes into a rank-3 array.

@@ -4,7 +4,6 @@ use crate::frames::FrameGenerator;
 use crate::sac_src::{program_src, Part, Variant};
 use crate::scenario::Scenario;
 use gaspard::codegen::{generate_opencl, OpenClProgram};
-use gaspard::exec::run_opencl_frames;
 use gaspard::transform::{deploy, schedule, ScheduledModel};
 use gaspard::Platform;
 use mdarray::NdArray;
@@ -128,16 +127,6 @@ pub fn fused_gaspard_plan<'a>(
     Ok(plan)
 }
 
-/// Frames executed functionally for a scenario under `opts`: the remaining
-/// frames are timing-replayed from the first frame's measured schedule.
-fn executed_frames(opts: &ExecOptions, s: &Scenario) -> usize {
-    if opts.executed == 0 {
-        s.frames
-    } else {
-        opts.executed.min(s.frames)
-    }
-}
-
 /// Drive the whole scenario (all `s.frames` frames) through the SaC→CUDA
 /// route's stream pipeline. Returns the functionally executed frames'
 /// results; `device.now_us()` afterwards is the batch makespan.
@@ -152,7 +141,7 @@ pub fn run_sac_batch(
     device.set_pool_enabled(opts.pool);
     let gen = FrameGenerator::new(s.channels, s.rows, s.cols, seed);
     let frames: Vec<Vec<NdArray<i64>>> =
-        (0..executed_frames(&opts, s)).map(|f| vec![gen.frame_rank3(f)]).collect();
+        (0..opts.executed_of(s.frames)).map(|f| vec![gen.frame_rank3(f)]).collect();
     // The scenario decides frame chunking and batch length; everything else
     // (streams, host cost, pool, degradation) flows through from the caller.
     let (outs, _) = run_frames_pipelined(
@@ -174,17 +163,8 @@ pub fn run_gaspard_batch(
     seed: u64,
     opts: ExecOptions,
 ) -> Result<Vec<Vec<NdArray<i64>>>, PipelineError> {
-    opts.validate().map_err(PipelineError::Config)?;
-    device.set_pool_enabled(opts.pool);
-    let gen = FrameGenerator::new(s.channels, s.rows, s.cols, seed);
-    let frames: Vec<Vec<NdArray<i64>>> =
-        (0..executed_frames(&opts, s)).map(|f| gen.frame_channels(f)).collect();
-    let outs = run_opencl_frames(
-        &route.opencl,
-        device,
-        &frames,
-        ExecOptions { total_frames: s.frames, ..opts },
-    )?;
+    let (outs, _) =
+        run_gaspard_batch_placed(s, route, device, seed, opts, gaspard::Placement::Resident)?;
     Ok(outs)
 }
 
@@ -206,7 +186,7 @@ pub fn run_gaspard_batch_placed(
     device.set_pool_enabled(opts.pool);
     let gen = FrameGenerator::new(s.channels, s.rows, s.cols, seed);
     let frames: Vec<Vec<NdArray<i64>>> =
-        (0..executed_frames(&opts, s)).map(|f| gen.frame_channels(f)).collect();
+        (0..opts.executed_of(s.frames)).map(|f| gen.frame_channels(f)).collect();
     let out = gaspard::run_opencl_frames_placed(
         &route.opencl,
         device,
@@ -238,7 +218,7 @@ pub fn reference_horizontal(s: &Scenario, frame: &NdArray<i64>) -> NdArray<i64> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sac_cuda::exec::{run_on_device, HostCost};
+    use sac_cuda::exec::{run_on_device, ExecOptions};
     use simgpu::device::Device;
 
     #[test]
@@ -267,7 +247,7 @@ mod tests {
         assert!(g.cuda.host_steps_per_run() == 2);
         // The host fallback forces device-to-host downloads mid-pipeline.
         let downloads =
-            g.cuda.plan.iter().filter(|op| matches!(op, sac_cuda::PlanOp::Download { .. })).count();
+            g.cuda.plan.iter().filter(|op| matches!(op, simgpu::PlanStep::Download { .. })).count();
         assert!(downloads >= 2, "{:?}", g.cuda.plan);
     }
 
@@ -284,7 +264,7 @@ mod tests {
                 &route.cuda,
                 &mut device,
                 std::slice::from_ref(&frame),
-                HostCost::default(),
+                ExecOptions::default(),
             )
             .unwrap();
             assert_eq!(got, expect, "variant {variant:?}");
@@ -448,7 +428,7 @@ mod tests {
         let sac = build_sac(&s, Variant::NonGeneric, Part::Full, &OptConfig::default()).unwrap();
         let mut dev1 = Device::gtx480();
         let (sac_out, _) =
-            run_on_device(&sac.cuda, &mut dev1, &[frame3], HostCost::default()).unwrap();
+            run_on_device(&sac.cuda, &mut dev1, &[frame3], ExecOptions::default()).unwrap();
 
         let gasp = build_gaspard(&s).unwrap();
         let mut dev2 = Device::gtx480();

@@ -48,9 +48,6 @@ pub struct OpenClProgram {
     pub model: ScheduledModel,
     /// Kernels in execution order (one per scheduled task).
     pub kernels: Vec<OpenClKernel>,
-    /// Observations from optimising passes (e.g. fusion refusals); surfaced
-    /// as profiler notes once per batch run.
-    pub notes: Vec<String>,
 }
 
 impl OpenClProgram {
@@ -70,7 +67,7 @@ impl OpenClProgram {
 pub fn generate_opencl(sm: &ScheduledModel) -> Result<OpenClProgram, GaspardError> {
     let kernels =
         sm.kernels.iter().map(|k| generate_kernel(sm, k)).collect::<Result<Vec<_>, _>>()?;
-    Ok(OpenClProgram { model: sm.clone(), kernels, notes: Vec::new() })
+    Ok(OpenClProgram { model: sm.clone(), kernels })
 }
 
 /// The route-neutral tiled-access description of one scheduled task — the

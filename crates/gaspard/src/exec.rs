@@ -143,11 +143,7 @@ pub fn run_opencl(
     device: &mut Device,
     inputs: &[NdArray<i64>],
 ) -> Result<Vec<NdArray<i64>>, GaspardError> {
-    let plan = lower_plan(prog);
-    let frames = [inputs.to_vec()];
-    let (mut outs, _) = BatchScheduler::new(&plan)
-        .run(device, &frames, &ExecOptions::default())
-        .map_err(from_schedule)?;
+    let mut outs = run_opencl_frames(prog, device, &[inputs.to_vec()], ExecOptions::default())?;
     Ok(outs.pop().expect("one frame in, one frame out"))
 }
 
@@ -189,16 +185,9 @@ pub fn run_opencl_frames_placed(
     if frames.is_empty() {
         return Ok((Vec::new(), RunStats::default()));
     }
-    // Surface pass-level observations (fusion decisions, refusal fallbacks)
-    // once per batch, so ablation reports can show them next to the timings.
-    for note in &prog.notes {
-        device.profiler.note(note.clone());
-    }
     let mut plan = lower_plan_with(prog, placement);
-    let report = simgpu::planopt::optimize(&mut plan, opts.optimize).map_err(from_schedule)?;
-    for note in report.notes {
-        device.profiler.note(note);
-    }
+    simgpu::optimize_noted(&mut plan, opts.optimize, &mut device.profiler)
+        .map_err(from_schedule)?;
     BatchScheduler::new(&plan).run(device, frames, &opts).map_err(from_schedule)
 }
 

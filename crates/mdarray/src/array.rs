@@ -79,11 +79,6 @@ impl<T: Clone> NdArray<T> {
         &mut self.data
     }
 
-    /// Consume the array, returning its flat buffer.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
     /// Checked element access.
     pub fn get(&self, index: &[usize]) -> Result<&T, MdError> {
         let off = self.shape.offset_of(index)?;

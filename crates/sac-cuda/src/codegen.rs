@@ -16,6 +16,7 @@ use sac_lang::ast::BinKind;
 use sac_lang::wir::{FlatGen, FlatProgram, Step, SymExpr};
 use simgpu::exec::LaunchConfig;
 use simgpu::kir::{BinOp, Kernel, KernelBuilder, KernelFlavor, Reg, Special};
+use simgpu::schedule::PlanStep;
 
 /// Default threads per block for generated kernels (a typical CUDA choice).
 pub const BLOCK_SIZE: u32 = 256;
@@ -40,41 +41,6 @@ pub struct CompiledKernel {
     pub config: LaunchConfig,
 }
 
-/// One operation of the host-side execution plan.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PlanOp {
-    /// Allocate + `host2device` an array that currently lives on the host.
-    Upload {
-        /// Array id.
-        array: usize,
-    },
-    /// Allocate a device buffer for a kernel output.
-    Alloc {
-        /// Array id.
-        array: usize,
-    },
-    /// Device-to-device seed copy for a `modarray` WITH-loop.
-    SeedCopy {
-        /// Kernel index (a generated dense copy kernel).
-        kernel: usize,
-    },
-    /// Launch a compiled kernel.
-    Launch {
-        /// Kernel index.
-        kernel: usize,
-    },
-    /// `device2host` an array a host step (or the caller) needs.
-    Download {
-        /// Array id.
-        array: usize,
-    },
-    /// Run a host step (interpreted on the CPU).
-    HostStep {
-        /// Step index in the flat program.
-        step: usize,
-    },
-}
-
 /// A fully compiled SaC→CUDA program: kernels + transfer/launch plan.
 #[derive(Debug, Clone)]
 pub struct CudaProgram {
@@ -82,22 +48,24 @@ pub struct CudaProgram {
     pub flat: FlatProgram,
     /// All generated kernels.
     pub kernels: Vec<CompiledKernel>,
-    /// Execution plan with explicit transfers.
-    pub plan: Vec<PlanOp>,
+    /// Execution plan with explicit transfers, as launch-plan steps. A
+    /// modarray seed copy or default fill is an ordinary `Launch` of its
+    /// generated kernel. Two fields are left for [`crate::exec::lower_plan`]
+    /// to resolve: transfers are one chunk each (per-channel chunking depends
+    /// on the run's options), and `Host { op }` names the host step's index
+    /// in [`CudaProgram::flat`], not a host-op table entry.
+    pub plan: Vec<PlanStep>,
 }
 
 impl CudaProgram {
     /// Number of kernel-launch operations in one execution.
     pub fn launches_per_run(&self) -> usize {
-        self.plan
-            .iter()
-            .filter(|op| matches!(op, PlanOp::Launch { .. } | PlanOp::SeedCopy { .. }))
-            .count()
+        self.plan.iter().filter(|op| matches!(op, PlanStep::Launch { .. })).count()
     }
 
     /// Number of host-step operations in one execution.
     pub fn host_steps_per_run(&self) -> usize {
-        self.plan.iter().filter(|op| matches!(op, PlanOp::HostStep { .. })).count()
+        self.plan.iter().filter(|op| matches!(op, PlanStep::Host { .. })).count()
     }
 
     /// Emit all kernels as CUDA C source (the inspectable artefact).
@@ -115,7 +83,7 @@ impl CudaProgram {
 /// Compile a flat program into kernels and an execution plan.
 pub fn compile_flat_program(flat: &FlatProgram) -> Result<CudaProgram, CudaError> {
     let mut kernels: Vec<CompiledKernel> = Vec::new();
-    let mut plan: Vec<PlanOp> = Vec::new();
+    let mut plan: Vec<PlanStep> = Vec::new();
 
     // Location tracking: true = current value lives on the device.
     let mut on_device = vec![false; flat.arrays.len()];
@@ -136,27 +104,27 @@ pub fn compile_flat_program(flat: &FlatProgram) -> Result<CudaProgram, CudaError
                 reads.dedup();
                 for r in reads {
                     if !on_device[r] {
-                        plan.push(PlanOp::Upload { array: r });
+                        plan.push(PlanStep::Upload { array: r, chunks: 1 });
                         on_device[r] = true;
                         allocated[r] = true;
                     }
                 }
                 if !allocated[*target] {
-                    plan.push(PlanOp::Alloc { array: *target });
+                    plan.push(PlanStep::Alloc { array: *target });
                     allocated[*target] = true;
                 }
                 // Seed copy for modarray.
                 if let Some(src) = with.modarray_src {
                     let k = compile_copy_kernel(flat, si, src, *target)?;
                     kernels.push(k);
-                    plan.push(PlanOp::SeedCopy { kernel: kernels.len() - 1 });
+                    plan.push(PlanStep::Launch { kernel: kernels.len() - 1 });
                 } else if with.default != 0 && !generators_cover(with) {
                     // A genarray with uncovered cells and a non-zero default
                     // needs an initialising fill (a real backend's cudaMemset
                     // cannot write arbitrary ints, so it is a tiny kernel).
                     let k = compile_fill_kernel(flat, si, *target, with.default)?;
                     kernels.push(k);
-                    plan.push(PlanOp::SeedCopy { kernel: kernels.len() - 1 });
+                    plan.push(PlanStep::Launch { kernel: kernels.len() - 1 });
                 }
                 for (gi, g) in with.generators.iter().enumerate() {
                     if g.is_empty() {
@@ -164,7 +132,7 @@ pub fn compile_flat_program(flat: &FlatProgram) -> Result<CudaProgram, CudaError
                     }
                     let k = compile_generator(flat, si, gi, *target, g)?;
                     kernels.push(k);
-                    plan.push(PlanOp::Launch { kernel: kernels.len() - 1 });
+                    plan.push(PlanStep::Launch { kernel: kernels.len() - 1 });
                 }
                 on_device[*target] = true;
             }
@@ -174,18 +142,18 @@ pub fn compile_flat_program(flat: &FlatProgram) -> Result<CudaProgram, CudaError
                 for b in bindings {
                     if let sac_lang::wir::HostBinding::Array(a) = b {
                         if on_device[*a] {
-                            plan.push(PlanOp::Download { array: *a });
+                            plan.push(PlanStep::Download { array: *a, chunks: 1 });
                             on_device[*a] = false;
                         }
                     }
                 }
-                plan.push(PlanOp::HostStep { step: si });
+                plan.push(PlanStep::Host { op: si });
                 on_device[*target] = false;
             }
         }
     }
     if on_device[flat.result] {
-        plan.push(PlanOp::Download { array: flat.result });
+        plan.push(PlanStep::Download { array: flat.result, chunks: 1 });
     }
     Ok(CudaProgram { flat: flat.clone(), kernels, plan })
 }
@@ -479,10 +447,10 @@ mod tests {
         assert_eq!(
             prog.plan,
             vec![
-                PlanOp::Upload { array: 0 },
-                PlanOp::Alloc { array: 1 },
-                PlanOp::Launch { kernel: 0 },
-                PlanOp::Download { array: 1 },
+                PlanStep::Upload { array: 0, chunks: 1 },
+                PlanStep::Alloc { array: 1 },
+                PlanStep::Launch { kernel: 0 },
+                PlanStep::Download { array: 1, chunks: 1 },
             ]
         );
         assert_eq!(prog.launches_per_run(), 1);
@@ -526,14 +494,13 @@ mod tests {
         });
         let prog = compile_flat_program(&p).unwrap();
         // The device-resident intermediate must come back before the host step.
-        assert!(
-            prog.plan
-                .windows(2)
-                .any(|w| w[0] == PlanOp::Download { array: 1 }
-                    && w[1] == PlanOp::HostStep { step: 1 })
-        );
+        assert!(prog.plan.windows(2).any(|w| w[0] == PlanStep::Download { array: 1, chunks: 1 }
+            && w[1] == PlanStep::Host { op: 1 }));
         // The host-produced result is not downloaded again.
-        assert_eq!(prog.plan.iter().filter(|op| matches!(op, PlanOp::Download { .. })).count(), 1);
+        assert_eq!(
+            prog.plan.iter().filter(|op| matches!(op, PlanStep::Download { .. })).count(),
+            1
+        );
     }
 
     #[test]
@@ -559,7 +526,15 @@ mod tests {
             },
         });
         let prog = compile_flat_program(&p).unwrap();
-        assert!(prog.plan.iter().any(|op| matches!(op, PlanOp::SeedCopy { .. })));
+        // The seed copy is the first launch, of a generated (non-generator)
+        // kernel.
+        let first = prog.plan.iter().find_map(|op| match op {
+            PlanStep::Launch { kernel } => Some(*kernel),
+            _ => None,
+        });
+        assert_eq!(first, Some(0));
+        assert_eq!(prog.kernels[0].gen_index, usize::MAX);
+        assert!(prog.kernels[0].kernel.name.ends_with("_seed"));
         assert_eq!(prog.launches_per_run(), 2); // seed copy + generator
     }
 

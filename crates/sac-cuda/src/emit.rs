@@ -6,8 +6,9 @@
 //! operation, one `<<<grid, block>>>` launch per kernel, host-fallback stubs
 //! for unlowerable steps — plus a makefile, completing the artefact set.
 
-use crate::codegen::{CudaProgram, PlanOp};
+use crate::codegen::CudaProgram;
 use sac_lang::wir::Step;
+use simgpu::schedule::PlanStep;
 use std::fmt::Write as _;
 
 /// Render the host program (`main.cu`) for a compiled plan.
@@ -33,9 +34,9 @@ pub fn emit_host_source(prog: &CudaProgram) -> String {
     let mut declared = vec![false; flat.arrays.len()];
     for op in &prog.plan {
         let id = match op {
-            PlanOp::Upload { array } | PlanOp::Alloc { array } | PlanOp::Download { array } => {
-                Some(*array)
-            }
+            PlanStep::Upload { array, .. }
+            | PlanStep::Alloc { array }
+            | PlanStep::Download { array, .. } => Some(*array),
             _ => None,
         };
         if let Some(id) = id {
@@ -56,7 +57,7 @@ pub fn emit_host_source(prog: &CudaProgram) -> String {
 
     for op in &prog.plan {
         match op {
-            PlanOp::Upload { array } => {
+            PlanStep::Upload { array, .. } => {
                 let len: usize = flat.arrays[*array].shape.iter().product();
                 let n = name(prog, *array);
                 let _ = writeln!(
@@ -64,8 +65,8 @@ pub fn emit_host_source(prog: &CudaProgram) -> String {
                     "    cudaMemcpyAsync(d_{n}, h_{n}, {len}u * sizeof(int), cudaMemcpyHostToDevice);"
                 );
             }
-            PlanOp::Alloc { .. } => {} // declared above
-            PlanOp::SeedCopy { kernel } | PlanOp::Launch { kernel } => {
+            PlanStep::Alloc { .. } => {} // declared above
+            PlanStep::Launch { kernel } => {
                 let ck = &prog.kernels[*kernel];
                 let args: Vec<String> =
                     ck.buffers.iter().map(|&a| format!("d_{}", name(prog, a))).collect();
@@ -78,7 +79,7 @@ pub fn emit_host_source(prog: &CudaProgram) -> String {
                     args.join(", ")
                 );
             }
-            PlanOp::Download { array } => {
+            PlanStep::Download { array, .. } => {
                 let len: usize = flat.arrays[*array].shape.iter().product();
                 let n = name(prog, *array);
                 let _ = writeln!(out, "    int* h_{n} = (int*)malloc({len}u * sizeof(int));");
@@ -87,12 +88,14 @@ pub fn emit_host_source(prog: &CudaProgram) -> String {
                     "    cudaMemcpyAsync(h_{n}, d_{n}, {len}u * sizeof(int), cudaMemcpyDeviceToHost);"
                 );
             }
-            PlanOp::HostStep { step } => {
-                if let Step::Host { fun, reason, .. } = &flat.steps[*step] {
+            PlanStep::Host { op } => {
+                if let Step::Host { fun, reason, .. } = &flat.steps[*op] {
                     let _ = writeln!(out, "    cudaDeviceSynchronize();");
                     let _ = writeln!(out, "    {}(/* {} */);", fun.name, reason);
                 }
             }
+            // Batched transfers are a planopt rewrite; codegen never emits them.
+            PlanStep::UploadBatch { .. } | PlanStep::DownloadBatch { .. } => {}
         }
     }
     out.push_str("    cudaDeviceSynchronize();\n    return 0;\n}\n");

@@ -9,7 +9,7 @@
 //! stream pipelining, buffer sets, OOM degradation and replay for both
 //! compilation routes.
 
-use crate::codegen::{CudaProgram, PlanOp};
+use crate::codegen::CudaProgram;
 use crate::CudaError;
 use mdarray::NdArray;
 use sac_lang::ast::Program;
@@ -19,27 +19,9 @@ use sac_lang::wir::{HostBinding, Step};
 use simgpu::schedule::{
     chunks_for, ArrayDecl, BatchScheduler, HostOp, LaunchPlan, PlanKernel, PlanStep, ScheduleError,
 };
-use simgpu::Device;
+use simgpu::{optimize_noted, Device};
 
 pub use simgpu::schedule::{ExecOptions, RunStats};
-
-/// Cost model for work that stays on the host CPU (the generic output
-/// tiler). Charged as simulated time so Figure 9's generic-variant numbers
-/// include the host scatter the paper describes.
-#[derive(Debug, Clone, Copy)]
-pub struct HostCost {
-    /// Simulated nanoseconds per abstract interpreter operation.
-    pub ns_per_op: f64,
-}
-
-impl Default for HostCost {
-    fn default() -> Self {
-        // Calibrated alongside the sequential cost model (see the bench
-        // crate's `calibration` module): one abstract op of the scatter nest
-        // corresponds to a fraction of a compiled-C nanosecond.
-        HostCost { ns_per_op: 0.12 }
-    }
-}
 
 /// Map a scheduler error back onto this route's error type.
 fn from_schedule(e: ScheduleError) -> CudaError {
@@ -55,13 +37,12 @@ fn from_schedule(e: ScheduleError) -> CudaError {
 
 /// Lower a compiled CUDA program to the route-agnostic launch-plan IR.
 ///
-/// The lowering is 1:1 with the program's transfer-annotated plan: `Upload`
-/// and `Download` steps carry the per-channel chunking decision (see
-/// [`chunks_for`]) resolved against each array's shape, `SeedCopy` and
-/// `Launch` both become plan launches (a seed copy *is* a kernel launch in
-/// this backend), and each `HostStep` becomes a [`HostOp`] closure that runs
-/// the step's function in a fresh `sac-lang` interpreter and reports the
-/// abstract op count for host-time accounting.
+/// The program's plan already is a list of launch-plan steps; lowering only
+/// resolves what depends on the run: each `Upload` and `Download` gets the
+/// per-channel chunking decision (see [`chunks_for`]) for its array's shape,
+/// and each `Host` step becomes a [`HostOp`] closure that runs the step's
+/// function in a fresh `sac-lang` interpreter and reports the abstract op
+/// count for host-time accounting.
 pub fn lower_plan(prog: &CudaProgram, channel_chunks: usize) -> Result<LaunchPlan<'_>, CudaError> {
     let flat = &prog.flat;
     let arrays: Vec<ArrayDecl> = flat
@@ -92,22 +73,18 @@ pub fn lower_plan(prog: &CudaProgram, channel_chunks: usize) -> Result<LaunchPla
         .collect();
     let mut host_ops: Vec<HostOp<'_>> = Vec::new();
     let mut steps = Vec::with_capacity(prog.plan.len());
-    for op in &prog.plan {
-        match op {
-            PlanOp::Upload { array } => steps.push(PlanStep::Upload {
-                array: *array,
-                chunks: chunks_for(&flat.arrays[*array].shape, channel_chunks),
+    for &step in &prog.plan {
+        match step {
+            PlanStep::Upload { array, .. } => steps.push(PlanStep::Upload {
+                array,
+                chunks: chunks_for(&flat.arrays[array].shape, channel_chunks),
             }),
-            PlanOp::Alloc { array } => steps.push(PlanStep::Alloc { array: *array }),
-            PlanOp::SeedCopy { kernel } | PlanOp::Launch { kernel } => {
-                steps.push(PlanStep::Launch { kernel: *kernel })
-            }
-            PlanOp::Download { array } => steps.push(PlanStep::Download {
-                array: *array,
-                chunks: chunks_for(&flat.arrays[*array].shape, channel_chunks),
+            PlanStep::Download { array, .. } => steps.push(PlanStep::Download {
+                array,
+                chunks: chunks_for(&flat.arrays[array].shape, channel_chunks),
             }),
-            PlanOp::HostStep { step } => {
-                let Step::Host { target, fun, bindings, .. } = &flat.steps[*step] else {
+            PlanStep::Host { op: step } => {
+                let Step::Host { target, fun, bindings, .. } = &flat.steps[step] else {
                     return Err(CudaError::Host("plan points at a non-host step".into()));
                 };
                 let reads: Vec<usize> = bindings
@@ -140,6 +117,7 @@ pub fn lower_plan(prog: &CudaProgram, channel_chunks: usize) -> Result<LaunchPla
                 host_ops.push(HostOp { name: fun.name.clone(), target: *target, reads, run });
                 steps.push(PlanStep::Host { op: host_ops.len() - 1 });
             }
+            other => steps.push(other),
         }
     }
     Ok(LaunchPlan {
@@ -157,60 +135,22 @@ pub fn lower_plan(prog: &CudaProgram, channel_chunks: usize) -> Result<LaunchPla
     })
 }
 
-/// Run the `opts.optimize` planopt passes over a freshly lowered plan,
-/// surfacing each pass's change note in the device profiler.
-fn optimize_plan(
-    plan: &mut LaunchPlan<'_>,
-    device: &mut Device,
-    opts: &ExecOptions,
-) -> Result<(), CudaError> {
-    let report = simgpu::planopt::optimize(plan, opts.optimize).map_err(from_schedule)?;
-    for note in report.notes {
-        device.profiler.note(note);
-    }
-    Ok(())
-}
-
 /// Execute `prog` once on `device` with the given input arrays.
 ///
 /// All timing is simulated and recorded in the device's profiler; the
 /// returned array is the program result (bit-exact with the interpreter).
+/// Executes exactly once, serially, on the default stream: the batch fields
+/// of `opts` are overridden. The paper's per-frame runtime also releases its
+/// buffers after each frame, which the scheduler does on return.
 pub fn run_on_device(
-    prog: &CudaProgram,
-    device: &mut Device,
-    inputs: &[NdArray<i64>],
-    host_cost: HostCost,
-) -> Result<(NdArray<i64>, RunStats), CudaError> {
-    run_on_device_opts(
-        prog,
-        device,
-        inputs,
-        ExecOptions { host_ns_per_op: host_cost.ns_per_op, ..Default::default() },
-    )
-}
-
-/// [`run_on_device`] with explicit [`ExecOptions`].
-///
-/// Executes exactly once, serially, on the default stream (only
-/// [`ExecOptions::host_ns_per_op`] and [`ExecOptions::channel_chunks`] are
-/// honoured; batch fields are overridden). The paper's per-frame runtime
-/// also releases its buffers after each frame, which the scheduler does on
-/// return.
-pub fn run_on_device_opts(
     prog: &CudaProgram,
     device: &mut Device,
     inputs: &[NdArray<i64>],
     opts: ExecOptions,
 ) -> Result<(NdArray<i64>, RunStats), CudaError> {
-    let mut plan = lower_plan(prog, opts.channel_chunks)?;
-    optimize_plan(&mut plan, device, &opts)?;
-    let frames = [inputs.to_vec()];
     let serial = ExecOptions { streams: 1, total_frames: 0, ..opts };
-    let (mut outs, stats) =
-        BatchScheduler::new(&plan).run(device, &frames, &serial).map_err(from_schedule)?;
-    let mut frame = outs.pop().expect("one frame in, one frame out");
-    let result = frame.pop().expect("sac plans have exactly one output");
-    Ok((result, stats))
+    let (mut outs, stats) = run_frames_pipelined(prog, device, &[inputs.to_vec()], serial)?;
+    Ok((outs.pop().expect("one frame in, one frame out"), stats))
 }
 
 /// Execute a batch of frames with multi-stream double buffering.
@@ -232,7 +172,7 @@ pub fn run_frames_pipelined(
         return Ok((Vec::new(), RunStats::default()));
     }
     let mut plan = lower_plan(prog, opts.channel_chunks)?;
-    optimize_plan(&mut plan, device, &opts)?;
+    optimize_noted(&mut plan, opts.optimize, &mut device.profiler).map_err(from_schedule)?;
     let (outs, stats) =
         BatchScheduler::new(&plan).run(device, frames, &opts).map_err(from_schedule)?;
     let outs = outs
@@ -268,7 +208,8 @@ mod tests {
         let (flat, _) = optimize(&prog, "main", &args, cfg).unwrap();
         let cuda = compile_flat_program(&flat).unwrap();
         let mut device = Device::gtx480();
-        let (out, stats) = run_on_device(&cuda, &mut device, inputs, HostCost::default()).unwrap();
+        let (out, stats) =
+            run_on_device(&cuda, &mut device, inputs, ExecOptions::default()).unwrap();
         assert!(device.now_us() > 0.0);
         (out, stats, cuda)
     }
@@ -380,7 +321,7 @@ int[*] main(int[2] a)
         let cuda = compile_flat_program(&flat).unwrap();
         let mut device = Device::gtx480();
         let too_big = NdArray::from_vec([2usize], vec![1, i64::from(i32::MAX) + 1]).unwrap();
-        let err = run_on_device(&cuda, &mut device, &[too_big], HostCost::default());
+        let err = run_on_device(&cuda, &mut device, &[too_big], ExecOptions::default());
         assert!(matches!(err, Err(CudaError::Overflow { .. })));
     }
 
@@ -421,8 +362,7 @@ int[*] main(int[8,16] a)
         let mut serial = Device::gtx480();
         let mut serial_outs = Vec::new();
         for f in &frames {
-            let (out, _) =
-                run_on_device_opts(&prog, &mut serial, f, ExecOptions::default()).unwrap();
+            let (out, _) = run_on_device(&prog, &mut serial, f, ExecOptions::default()).unwrap();
             serial_outs.push(out);
         }
 
@@ -618,7 +558,7 @@ int[*] main(int[32] a)
         let cuda = compile_flat_program(&flat).unwrap();
         let mut device = Device::gtx480();
         let a = NdArray::from_fn([32usize], |ix| ix[0] as i64);
-        run_on_device(&cuda, &mut device, &[a], HostCost::default()).unwrap();
+        run_on_device(&cuda, &mut device, &[a], ExecOptions::default()).unwrap();
         let names: Vec<String> = device.profiler.records().map(|r| r.name.clone()).collect();
         assert!(names.iter().any(|n| n == "memcpyHtoDasync"), "{names:?}");
         assert!(names.iter().any(|n| n == "memcpyDtoHasync"), "{names:?}");

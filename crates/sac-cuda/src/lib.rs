@@ -30,11 +30,8 @@ pub mod emit;
 pub mod exec;
 pub mod identify;
 
-pub use codegen::{compile_flat_program, CompiledKernel, CudaProgram, PlanOp};
-pub use exec::{
-    lower_plan, run_frames_pipelined, run_on_device, run_on_device_opts, ExecOptions, HostCost,
-    RunStats,
-};
+pub use codegen::{compile_flat_program, CompiledKernel, CudaProgram};
+pub use exec::{lower_plan, run_frames_pipelined, run_on_device, ExecOptions, RunStats};
 
 /// Errors from the CUDA backend.
 #[derive(Debug, Clone, PartialEq)]

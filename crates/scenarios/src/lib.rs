@@ -535,13 +535,8 @@ impl BuiltWorkload {
         placement: gaspard::Placement,
     ) -> Result<(Vec<NdArray<i64>>, RunStats), ScenarioError> {
         let mut plan = self.plan_placed(route, channel_chunks, placement)?;
-        let report = simgpu::planopt::optimize(&mut plan, opts.optimize)?;
-        for note in report.notes {
-            device.profiler.note(note);
-        }
-        let executed =
-            if opts.executed == 0 { self.spec.frames } else { opts.executed.min(self.spec.frames) };
-        let frames = self.frames(route, executed);
+        simgpu::optimize_noted(&mut plan, opts.optimize, &mut device.profiler)?;
+        let frames = self.frames(route, opts.executed_of(self.spec.frames));
         self.run_plan(&plan, device, opts, &frames)
     }
 

@@ -15,7 +15,7 @@ use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::fmt;
 
 use mdarray::NdArray;
-use simgpu::{BatchScheduler, ExecOptions, Fleet, LaunchPlan, RunStats, ScheduleError, StreamId};
+use simgpu::{Fleet, LaunchPlan, RunStats, ScheduleError, StreamId};
 
 use crate::config::{ServeConfig, ShardPolicy};
 use crate::report::{ServeReport, TenantStats};
@@ -431,29 +431,10 @@ fn start_job(
         let st = tpl.replay(device, &mut states[d].replay_streams)?;
         (Vec::new(), st)
     } else {
-        let span_mark = device.profiler.spans().count();
-        let opts = ExecOptions { total_frames: job.charged_frames(), ..cfg.exec };
-        let (outs, st) = BatchScheduler::new(plan).run(device, &job.frames, &opts)?;
+        let ((outs, st), template) =
+            JobTemplate::run(plan, device, &cfg.exec, &job.frames, job.charged_frames())?;
         // The first functional job of a shape doubles as its template.
-        templates.entry(job.charged_frames()).or_insert_with(|| {
-            let spans = device
-                .profiler
-                .spans()
-                .skip(span_mark)
-                .map(|sp| crate::template::TemplateSpan {
-                    name: sp.name.clone(),
-                    class: sp.class,
-                    stream: sp.stream,
-                    dur_us: sp.duration_us(),
-                })
-                .collect();
-            JobTemplate {
-                total_frames: job.charged_frames(),
-                dur_us: device.now_us() - t0,
-                spans,
-                stats: st.clone(),
-            }
-        });
+        templates.entry(job.charged_frames()).or_insert(template);
         (outs, st)
     };
     let dur = fleet.device(d).now_us() - t0;
@@ -468,7 +449,9 @@ fn start_job(
 mod tests {
     use super::*;
     use simgpu::kir::{BinOp, Kernel, KernelBuilder, KernelFlavor, Special};
-    use simgpu::{ArrayDecl, Device, Fleet, LaunchConfig, PlanKernel, PlanStep};
+    use simgpu::{
+        ArrayDecl, BatchScheduler, Device, ExecOptions, Fleet, LaunchConfig, PlanKernel, PlanStep,
+    };
 
     const N: usize = 32;
 

@@ -30,11 +30,11 @@
 //!
 //! Traces with thousands of jobs stay cheap through *replay templates*
 //! ([`JobTemplate`]): one functional job per distinct job shape measures the
-//! exact span schedule once, and replay-only jobs (no frame payload) re-run
-//! that schedule through [`Device::replay_on`](simgpu::Device::replay_on)
-//! for exact timing at zero compute — the same mechanism the
-//! `BatchScheduler` already uses to extend a batch past its functional
-//! frames.
+//! exact span schedule once as a
+//! [`ScheduleWitness`](simgpu::ScheduleWitness), and replay-only jobs (no
+//! frame payload) replay that witness for exact timing at zero compute — the
+//! same witness the `BatchScheduler` uses to extend a batch past its
+//! functional frames.
 
 #![warn(missing_docs)]
 

@@ -4,30 +4,20 @@
 //! The simulator's cost model is content-independent — a frame's simulated
 //! cost depends on shapes and calibration, never on pixel values — and
 //! every fleet device is configured identically. So the full span schedule
-//! of one *functional* job (names, op classes, stream assignment, charged
-//! durations, in enqueue order) is an exact timing witness for every other
-//! job of the same shape. A [`JobTemplate`] captures that witness;
-//! replaying it through [`Device::replay_on`] on a synchronized device
-//! advances clocks, engines and the profiler exactly as the functional run
-//! would, at zero compute cost. This is the serving-scale version of the
-//! `BatchScheduler`'s own warm-frame timing replay.
+//! of one *functional* job is an exact timing witness for every other job of
+//! the same shape. A [`JobTemplate`] holds that [`ScheduleWitness`];
+//! replaying it on a synchronized device advances clocks, engines and the
+//! profiler exactly as the functional run would, at zero compute cost. This
+//! is the serving-scale version of the `BatchScheduler`'s own warm-frame
+//! timing replay, through the same witness type.
 
 use mdarray::NdArray;
 use simgpu::{
-    BatchScheduler, Device, ExecOptions, LaunchPlan, OpClass, RunStats, ScheduleError, StreamId,
+    BatchOutput, BatchScheduler, Device, ExecOptions, LaunchPlan, RunStats, ScheduleError,
+    ScheduleWitness, StreamId,
 };
 
 use crate::engine::ServeError;
-
-/// One span of a captured job schedule: operation name, class (engine),
-/// the capture-time stream index, and the exact charged duration.
-#[derive(Debug, Clone)]
-pub(crate) struct TemplateSpan {
-    pub name: String,
-    pub class: OpClass,
-    pub stream: usize,
-    pub dur_us: f64,
-}
 
 /// The measured schedule of one job shape, keyed by its frame count.
 #[derive(Debug, Clone)]
@@ -36,8 +26,7 @@ pub struct JobTemplate {
     pub total_frames: usize,
     /// Simulated duration of the job on an idle device, µs.
     pub dur_us: f64,
-    pub(crate) spans: Vec<TemplateSpan>,
-    pub(crate) stats: RunStats,
+    witness: ScheduleWitness,
 }
 
 impl JobTemplate {
@@ -59,65 +48,50 @@ impl JobTemplate {
                 "template capture needs at least one functional probe frame".into(),
             ));
         }
+        let (_, template) = JobTemplate::run(plan, device, exec, probe_frames, total_frames)?;
+        Ok(template)
+    }
+
+    /// Run a `total_frames`-frame job functionally on `device`, returning
+    /// its outputs and counters together with the template its measured
+    /// schedule witnesses.
+    pub(crate) fn run(
+        plan: &LaunchPlan<'_>,
+        device: &mut Device,
+        exec: &ExecOptions,
+        frames: &[Vec<NdArray<i64>>],
+        total_frames: usize,
+    ) -> Result<(BatchOutput, JobTemplate), ScheduleError> {
         let span_mark = device.profiler.spans().count();
         let t0 = device.now_us();
         let opts = ExecOptions { total_frames, ..*exec };
-        let (_, stats) = BatchScheduler::new(plan)
-            .run(device, probe_frames, &opts)
-            .map_err(ServeError::Schedule)?;
-        let dur_us = device.now_us() - t0;
-        let spans = device
-            .profiler
-            .spans()
-            .skip(span_mark)
-            .map(|sp| TemplateSpan {
-                name: sp.name.clone(),
-                class: sp.class,
-                stream: sp.stream,
-                dur_us: sp.duration_us(),
-            })
-            .collect();
-        Ok(JobTemplate { total_frames, dur_us, spans, stats })
+        let (outputs, stats) = BatchScheduler::new(plan).run(device, frames, &opts)?;
+        let witness = ScheduleWitness::capture(&device.profiler, span_mark, stats.clone());
+        let template = JobTemplate { total_frames, dur_us: device.now_us() - t0, witness };
+        Ok(((outputs, stats), template))
     }
 
     /// Replay the captured schedule on `device`, which must be idle
-    /// (synchronized). Capture-time stream indices are mapped, in order of
-    /// first appearance, onto `replay_streams` — the device's dedicated
-    /// replay stream set, grown on demand. Returns the per-job
-    /// [`RunStats`]; the device ends synchronized, its clock advanced by
-    /// [`JobTemplate::dur_us`] up to f64 accumulation ulps (the replay runs
-    /// at a different clock offset than the capture, and summation is not
-    /// shift-invariant at the last bit). The drift is deterministic —
-    /// pure IEEE arithmetic, no libm — so replayed traces remain
-    /// golden-able byte for byte.
+    /// (synchronized). The witness's lane slots run on `replay_streams` —
+    /// the device's dedicated replay stream set, grown on demand. Returns
+    /// the per-job [`RunStats`]; the device ends synchronized, its clock
+    /// advanced by [`JobTemplate::dur_us`] up to f64 accumulation ulps (the
+    /// replay runs at a different clock offset than the capture, and
+    /// summation is not shift-invariant at the last bit). The drift is
+    /// deterministic — pure IEEE arithmetic, no libm — so replayed traces
+    /// remain golden-able byte for byte.
     pub(crate) fn replay(
         &self,
         device: &mut Device,
         replay_streams: &mut Vec<StreamId>,
     ) -> Result<RunStats, ScheduleError> {
-        // Map capture-time stream indices -> dense replay-stream slots.
-        let mut slot_of: Vec<(usize, usize)> = Vec::new();
-        for sp in &self.spans {
-            let slot = match slot_of.iter().find(|(s, _)| *s == sp.stream) {
-                Some(&(_, slot)) => slot,
-                None => {
-                    let slot = slot_of.len();
-                    slot_of.push((sp.stream, slot));
-                    slot
-                }
-            };
-            while replay_streams.len() <= slot {
-                if replay_streams.is_empty() {
-                    replay_streams.push(StreamId::DEFAULT);
-                } else {
-                    replay_streams.push(device.create_stream());
-                }
-            }
-            device
-                .replay_on(&sp.name, sp.class, sp.dur_us, replay_streams[slot])
-                .map_err(|e| ScheduleError::Plan(format!("template replay: {e}")))?;
+        while replay_streams.len() < self.witness.lanes() {
+            let stream =
+                if replay_streams.is_empty() { StreamId::DEFAULT } else { device.create_stream() };
+            replay_streams.push(stream);
         }
+        let stats = self.witness.replay(device, replay_streams)?.clone();
         device.synchronize();
-        Ok(self.stats.clone())
+        Ok(stats)
     }
 }

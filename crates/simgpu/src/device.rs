@@ -123,11 +123,6 @@ impl MemPool {
         self.cached_bytes
     }
 
-    /// Number of cached blocks across all bins.
-    pub fn cached_blocks(&self) -> usize {
-        self.bins.values().map(Vec::len).sum()
-    }
-
     /// Pop a cached block of exactly `class_len` elements, if any.
     fn take(&mut self, class_len: usize) -> Option<Vec<i32>> {
         let bin = self.bins.get_mut(&class_len)?;
@@ -359,7 +354,7 @@ impl Device {
     /// completion. With a single stream every `max` resolves to the stream
     /// tail, so the timeline degenerates to exactly the serial clock the
     /// synchronous API always had.
-    fn schedule_on(
+    pub(crate) fn schedule_on(
         &mut self,
         name: &str,
         class: OpClass,
@@ -591,59 +586,34 @@ impl Device {
     }
 
     /// Copy host data into a device buffer — the `host2device` instruction
-    /// the SaC backend inserts, or OpenCL's `clEnqueueWriteBuffer`. Blocks
-    /// the host clock (the default-stream special case).
-    ///
-    /// Recorded under `memcpyHtoDasync` like the paper's profiles.
+    /// the SaC backend inserts, or OpenCL's `clEnqueueWriteBuffer`: a
+    /// one-chunk [`Device::host2device_on`] on the default stream that then
+    /// blocks the host clock.
     pub fn host2device(&mut self, host: &[i32], id: BufferId) -> Result<(), SimError> {
-        self.host2device_on(host, id, StreamId::DEFAULT)?;
+        self.host2device_on(host, id, 1, StreamId::DEFAULT)?;
         self.sim_time_us = self.stream_tail_us[StreamId::DEFAULT.0];
         Ok(())
     }
 
-    /// Asynchronous [`Device::host2device`]: enqueue the upload on `stream`
-    /// and return without advancing the host clock (`cudaMemcpyAsync`).
-    ///
-    /// The copy itself is performed eagerly — buffers always hold the result
-    /// of every enqueued operation in enqueue order, so correctness of an
-    /// overlapped schedule is the *timing* model's concern only, exactly as
-    /// when double-buffering keeps real streams race-free.
-    pub fn host2device_on(
-        &mut self,
-        host: &[i32],
-        id: BufferId,
-        stream: StreamId,
-    ) -> Result<(), SimError> {
-        self.host2device_chunked_on(host, id, 1, stream)?;
-        Ok(())
-    }
-
-    /// Like [`Device::host2device`] but performed (and profiled) as `chunks`
-    /// back-to-back transfers of equal size — the per-plane streaming a host
-    /// runtime does for multi-channel frames (each chunk pays the transfer
-    /// latency, and each is one `memcpyHtoDasync` profiler call).
-    pub fn host2device_chunked(
-        &mut self,
-        host: &[i32],
-        id: BufferId,
-        chunks: usize,
-    ) -> Result<(), SimError> {
-        self.host2device_chunked_on(host, id, chunks, StreamId::DEFAULT)?;
-        self.sim_time_us = self.stream_tail_us[StreamId::DEFAULT.0];
-        Ok(())
-    }
-
-    /// Asynchronous chunked upload on `stream`. Returns the number of
-    /// transfers actually issued (after the chunk-fallback rule), so callers
-    /// accounting transfer counts report what the engine saw, not what was
-    /// requested.
+    /// Enqueue an upload on `stream` as `chunks` back-to-back transfers of
+    /// equal size — the per-plane streaming a host runtime does for
+    /// multi-channel frames (each chunk pays the transfer latency and is one
+    /// `memcpyHtoDasync` profiler call) — and return without advancing the
+    /// host clock (`cudaMemcpyAsync`). Returns the number of transfers
+    /// actually issued, so callers accounting transfer counts report what
+    /// the engine saw, not what was requested.
     ///
     /// Chunking rule: `chunks` is honoured only when it is greater than 1
     /// *and* divides `host.len()` exactly; any other request degrades to a
     /// single chunk. Because that changes the profiled op count, the
     /// downgrade is recorded as a profiler note rather than happening
     /// silently.
-    pub fn host2device_chunked_on(
+    ///
+    /// The copy itself is performed eagerly — buffers always hold the result
+    /// of every enqueued operation in enqueue order, so correctness of an
+    /// overlapped schedule is the *timing* model's concern only, exactly as
+    /// when double-buffering keeps real streams race-free.
+    pub fn host2device_on(
         &mut self,
         host: &[i32],
         id: BufferId,
@@ -746,27 +716,25 @@ impl Device {
         }
     }
 
-    /// Chunked counterpart of [`Device::device2host`].
-    pub fn device2host_chunked(
-        &mut self,
-        id: BufferId,
-        chunks: usize,
-    ) -> Result<Vec<i32>, SimError> {
-        let (out, _) = self.device2host_chunked_on(id, chunks, StreamId::DEFAULT)?;
+    /// Copy a device buffer back to the host — `device2host` /
+    /// `clEnqueueReadBuffer`: a one-chunk [`Device::device2host_on`] on the
+    /// default stream that then blocks the host clock.
+    pub fn device2host(&mut self, id: BufferId) -> Result<Vec<i32>, SimError> {
+        let (out, _) = self.device2host_on(id, 1, StreamId::DEFAULT)?;
         self.sim_time_us = self.stream_tail_us[StreamId::DEFAULT.0];
         Ok(out)
     }
 
-    /// Asynchronous chunked readback on `stream`. The returned data is the
-    /// buffer contents at enqueue time paired with the number of transfers
-    /// actually issued (after the chunk-fallback rule); the host clock is not
-    /// advanced — synchronise the stream before *using* the data at a
-    /// simulated time.
+    /// Enqueue a readback on `stream` as `chunks` transfers, recorded under
+    /// `memcpyDtoHasync`. The returned data is the buffer contents at
+    /// enqueue time paired with the number of transfers actually issued; the
+    /// host clock is not advanced — synchronise the stream before *using*
+    /// the data at a simulated time.
     ///
-    /// Chunking follows the same rule as [`Device::host2device_chunked_on`]:
+    /// Chunking follows the same rule as [`Device::host2device_on`]:
     /// honoured only when `chunks > 1` divides the length exactly, with the
     /// downgrade to a single chunk recorded as a profiler note.
-    pub fn device2host_chunked_on(
+    pub fn device2host_on(
         &mut self,
         id: BufferId,
         chunks: usize,
@@ -789,53 +757,31 @@ impl Device {
         Ok((out, chunks))
     }
 
-    /// Copy a device buffer back to the host — `device2host` /
-    /// `clEnqueueReadBuffer`. Recorded under `memcpyDtoHasync`. Blocks the
-    /// host clock.
-    pub fn device2host(&mut self, id: BufferId) -> Result<Vec<i32>, SimError> {
-        self.device2host_chunked(id, 1)
-    }
-
-    /// Asynchronous [`Device::device2host`] on `stream`.
-    pub fn device2host_on(&mut self, id: BufferId, stream: StreamId) -> Result<Vec<i32>, SimError> {
-        let (out, _) = self.device2host_chunked_on(id, 1, stream)?;
-        Ok(out)
-    }
-
-    /// Launch a kernel. Execution is functional (buffers are updated) and the
-    /// simulated clock advances by the cost model applied to the dynamic
-    /// counters. Stats are returned for inspection. Blocks the host clock
-    /// (the default-stream special case).
+    /// Launch a kernel: a [`Device::launch_on`] on the default stream, with
+    /// no access description, that then blocks the host clock.
     pub fn launch(
         &mut self,
         kernel: &Kernel,
         cfg: LaunchConfig,
         args: &[KernelArg],
     ) -> Result<LaunchStats, SimError> {
-        let stats = self.launch_on(kernel, cfg, args, StreamId::DEFAULT)?;
+        let stats = self.launch_on(kernel, cfg, args, StreamId::DEFAULT, None)?;
         self.sim_time_us = self.stream_tail_us[StreamId::DEFAULT.0];
         Ok(stats)
     }
 
-    /// Asynchronous kernel launch on `stream` (`kernel<<<grid, block, 0,
-    /// stream>>>`): the kernel runs functionally now, its simulated time is
-    /// scheduled on the compute engine, and the host clock is not advanced.
+    /// Enqueue a kernel launch on `stream` (`kernel<<<grid, block, 0,
+    /// stream>>>`): the kernel runs functionally now (buffers are updated),
+    /// its simulated time — the cost model applied to the dynamic counters —
+    /// is scheduled on the compute engine, and the host clock is not
+    /// advanced. Stats are returned for inspection.
+    ///
+    /// `access` is the launch's tiled-access description, when the caller
+    /// (the plan scheduler) knows it. It is advisory context for
+    /// occupancy/coalescing-aware cost models — the paper-faithful
+    /// [`Calibration`] ignores it, so passing it is observationally
+    /// invisible under the default model.
     pub fn launch_on(
-        &mut self,
-        kernel: &Kernel,
-        cfg: LaunchConfig,
-        args: &[KernelArg],
-        stream: StreamId,
-    ) -> Result<LaunchStats, SimError> {
-        self.launch_with_access(kernel, cfg, args, stream, None)
-    }
-
-    /// [`Device::launch_on`] with the launch's tiled-access description,
-    /// when the caller (the plan scheduler) knows it. The description is
-    /// advisory context for occupancy/coalescing-aware cost models — the
-    /// paper-faithful [`Calibration`] ignores it, so passing it is
-    /// observationally invisible under the default model.
-    pub fn launch_with_access(
         &mut self,
         kernel: &Kernel,
         cfg: LaunchConfig,
@@ -860,22 +806,6 @@ impl Device {
         let us = self.model.kernel_time_us(&stats, &ctx);
         self.schedule_on(&kernel.name, OpClass::Kernel, stream, us)?;
         Ok(stats)
-    }
-
-    /// Replay a previously measured operation on the timeline without any
-    /// functional work: charge `us` of `class` time under `name` on
-    /// `stream`. Per-frame costs are content-independent under the cost
-    /// model, so executors use this to extend a measured frame schedule to
-    /// N-frame runs exactly.
-    pub fn replay_on(
-        &mut self,
-        name: &str,
-        class: OpClass,
-        us: f64,
-        stream: StreamId,
-    ) -> Result<(), SimError> {
-        self.schedule_on(name, class, stream, us)?;
-        Ok(())
     }
 }
 
@@ -1035,7 +965,7 @@ mod tests {
         d.poke(buf, &[9, 9, 9, 9]).unwrap();
         // Size mismatch and unknown stream both fail before any mutation.
         assert!(d.host2device(&[1, 2, 3], buf).is_err());
-        assert!(d.host2device_on(&[1, 2, 3, 4], buf, StreamId(7)).is_err());
+        assert!(d.host2device_on(&[1, 2, 3, 4], buf, 1, StreamId(7)).is_err());
         assert_eq!(d.peek(buf).unwrap(), &[9, 9, 9, 9]);
         assert_eq!(d.profiler.records().count(), 0);
         assert_eq!(d.now_us(), 0.0);
@@ -1046,14 +976,14 @@ mod tests {
         let mut d = Device::gtx480();
         let buf = d.malloc(10).unwrap();
         // 10 elements cannot split into 3 equal chunks: one transfer, one note.
-        d.host2device_chunked(&[0; 10], buf, 3).unwrap();
+        d.host2device_on(&[0; 10], buf, 3, StreamId::DEFAULT).unwrap();
         let rec = d.profiler.records().find(|r| r.name == "memcpyHtoDasync").unwrap();
         assert_eq!(rec.calls, 1);
         let notes: Vec<&str> = d.profiler.notes().collect();
         assert_eq!(notes.len(), 1);
         assert!(notes[0].contains("fell back to 1 chunk"), "{notes:?}");
         // The divisible case is honoured without a note.
-        d.device2host_chunked(buf, 2).unwrap();
+        d.device2host_on(buf, 2, StreamId::DEFAULT).unwrap();
         assert_eq!(d.profiler.notes().count(), 1);
     }
 
@@ -1062,10 +992,10 @@ mod tests {
         let mut d = Device::gtx480();
         let buf = d.malloc(12).unwrap();
         // Divisible: honoured.
-        assert_eq!(d.host2device_chunked_on(&[1; 12], buf, 3, StreamId::DEFAULT).unwrap(), 3);
+        assert_eq!(d.host2device_on(&[1; 12], buf, 3, StreamId::DEFAULT).unwrap(), 3);
         // Not divisible: falls back to one transfer, and says so.
-        assert_eq!(d.host2device_chunked_on(&[2; 12], buf, 5, StreamId::DEFAULT).unwrap(), 1);
-        let (out, issued) = d.device2host_chunked_on(buf, 5, StreamId::DEFAULT).unwrap();
+        assert_eq!(d.host2device_on(&[2; 12], buf, 5, StreamId::DEFAULT).unwrap(), 1);
+        let (out, issued) = d.device2host_on(buf, 5, StreamId::DEFAULT).unwrap();
         assert_eq!(out, vec![2; 12]);
         assert_eq!(issued, 1);
         d.synchronize();
@@ -1189,7 +1119,7 @@ mod tests {
         let mut d = Device::gtx480();
         let buf = d.malloc(1000).unwrap();
         let s = d.create_stream();
-        d.host2device_on(&vec![7; 1000], buf, s).unwrap();
+        d.host2device_on(&vec![7; 1000], buf, 1, s).unwrap();
         assert_eq!(d.now_us(), 0.0);
         let t = d.sync_stream(s).unwrap();
         assert!(t > 0.0);
@@ -1211,8 +1141,8 @@ mod tests {
         serial.device2host(sa).unwrap();
         let serial_total = serial.now_us();
         // Overlapped: upload and download on different streams/engines.
-        d.host2device_on(&data, a, up).unwrap();
-        d.device2host_on(b, down).unwrap();
+        d.host2device_on(&data, a, 1, up).unwrap();
+        d.device2host_on(b, 1, down).unwrap();
         let makespan = d.synchronize();
         assert!(makespan < serial_total, "{makespan} !< {serial_total}");
         // Both engines were busy; makespan is the slower of the two.
@@ -1229,8 +1159,8 @@ mod tests {
         let s1 = d.create_stream();
         let s2 = d.create_stream();
         let data = vec![3; 50_000];
-        d.host2device_on(&data, a, s1).unwrap();
-        d.host2device_on(&data, b, s2).unwrap();
+        d.host2device_on(&data, a, 1, s1).unwrap();
+        d.host2device_on(&data, b, 1, s2).unwrap();
         let makespan = d.synchronize();
         // Two uploads share the H2D engine: no overlap possible.
         assert!((makespan - d.profiler.class_total_us(OpClass::H2D)).abs() < 1e-9);
@@ -1246,7 +1176,7 @@ mod tests {
         // Without the wait, s2's op would start at t=0 on its own engine...
         d.wait_event(s2, ev).unwrap();
         let buf = d.malloc(10).unwrap();
-        d.host2device_on(&[0; 10], buf, s2).unwrap();
+        d.host2device_on(&[0; 10], buf, 1, s2).unwrap();
         let spans: Vec<_> = d.profiler.spans().collect();
         // ...but the event forces it to start at the producer's end.
         assert!(spans[1].start_us >= 100.0);
@@ -1262,7 +1192,7 @@ mod tests {
         ));
         let buf = d.malloc(4).unwrap();
         assert!(matches!(
-            d.host2device_on(&[1, 2, 3, 4], buf, StreamId(5)),
+            d.host2device_on(&[1, 2, 3, 4], buf, 1, StreamId(5)),
             Err(SimError::UnknownStream { id: 5 })
         ));
     }
@@ -1287,15 +1217,16 @@ mod tests {
 
         let mut strm = Device::gtx480();
         let ab = strm.malloc(256).unwrap();
-        strm.host2device_on(&data, ab, StreamId::DEFAULT).unwrap();
+        strm.host2device_on(&data, ab, 1, StreamId::DEFAULT).unwrap();
         strm.launch_on(
             &k,
             LaunchConfig::cover_1d(256, 64),
             &[KernelArg::Buffer(ab.0), KernelArg::Scalar(256)],
             StreamId::DEFAULT,
+            None,
         )
         .unwrap();
-        let strm_back = strm.device2host_on(ab, StreamId::DEFAULT).unwrap();
+        let (strm_back, _) = strm.device2host_on(ab, 1, StreamId::DEFAULT).unwrap();
         strm.synchronize();
 
         assert_eq!(sync_back, strm_back);
@@ -1307,16 +1238,14 @@ mod tests {
 
     #[test]
     fn replay_matches_measured_schedule() {
+        use crate::schedule::{RunStats, ScheduleWitness};
         let mut real = Device::gtx480();
         let buf = real.malloc(1024).unwrap();
         real.host2device(&vec![1; 1024], buf).unwrap();
-        let spans: Vec<(String, OpClass, f64)> =
-            real.profiler.spans().map(|s| (s.name.clone(), s.class, s.duration_us())).collect();
+        let witness = ScheduleWitness::capture(&real.profiler, 0, RunStats::default());
 
         let mut replayed = Device::gtx480();
-        for (name, class, us) in &spans {
-            replayed.replay_on(name, *class, *us, StreamId::DEFAULT).unwrap();
-        }
+        witness.replay(&mut replayed, &[StreamId::DEFAULT]).unwrap();
         assert_eq!(replayed.synchronize(), real.now_us());
     }
 }

@@ -52,31 +52,6 @@ impl Fleet {
         Ok(Fleet { devices: (0..n).map(|_| Device::new(config.clone(), calib.clone())).collect() })
     }
 
-    /// A fleet of `n` identical devices pricing time through clones of one
-    /// [`CostModel`] — the model-generic counterpart of
-    /// [`Fleet::homogeneous`].
-    pub fn homogeneous_with_model(
-        n: usize,
-        config: DeviceConfig,
-        model: &dyn crate::cost::CostModel,
-    ) -> Result<Fleet, ScheduleError> {
-        if n == 0 {
-            return Err(ScheduleError::Config(
-                "devices must be >= 1 (1 = the single-device baseline)".into(),
-            ));
-        }
-        Ok(Fleet {
-            devices: (0..n)
-                .map(|_| {
-                    Device::with_model(
-                        config.clone(),
-                        crate::cost::BoxedCostModel(model.clone_model()),
-                    )
-                })
-                .collect(),
-        })
-    }
-
     /// A fleet of `n` simulated GTX480s at the paper calibration.
     pub fn gtx480(n: usize) -> Result<Fleet, ScheduleError> {
         Fleet::homogeneous(n, DeviceConfig::gtx480(), Calibration::gtx480())
@@ -123,11 +98,6 @@ impl Fleet {
     /// when all devices started at zero together.
     pub fn makespan_us(&self) -> f64 {
         self.devices.iter().map(Device::now_us).fold(0.0, f64::max)
-    }
-
-    /// Total busy time across the fleet, µs (the sum of device clocks).
-    pub fn total_busy_us(&self) -> f64 {
-        self.devices.iter().map(Device::now_us).sum()
     }
 
     /// Fold every device's profiler into one fleet-level [`Profiler`]: the

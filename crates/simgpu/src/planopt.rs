@@ -71,6 +71,7 @@
 //! and defaults to [`PlanOptLevel::OFF`] — a strict no-op, so every
 //! paper-faithful number is untouched unless an experiment opts in.
 
+use crate::profiler::Profiler;
 use crate::schedule::{LaunchPlan, PlanStep, ScheduleError};
 
 /// Which planopt passes to run. Each pass is independently toggleable so
@@ -166,7 +167,7 @@ impl Default for PlanOptLevel {
 }
 
 /// What [`optimize`] changed: one human-readable note per pass that rewrote
-/// something, in pass order. Route wrappers push these into the device
+/// something, in pass order. [`optimize_noted`] pushes these into a
 /// profiler's notes.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PlanOptReport {
@@ -211,6 +212,20 @@ pub fn optimize(
         }
     }
     Ok(report)
+}
+
+/// [`optimize`], then push each pass's note into `profiler` — how a route
+/// runs planopt over a plan it is about to execute, so the rewrites show up
+/// next to the timings they changed.
+pub fn optimize_noted(
+    plan: &mut LaunchPlan<'_>,
+    level: PlanOptLevel,
+    profiler: &mut Profiler,
+) -> Result<(), ScheduleError> {
+    for note in optimize(plan, level)?.notes {
+        profiler.note(note);
+    }
+    Ok(())
 }
 
 /// Array ids a launch may modify (its writable buffer parameters).

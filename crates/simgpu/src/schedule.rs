@@ -15,8 +15,8 @@
 //!   owns everything the routes used to duplicate: multi-stream lane
 //!   assignment with double-buffered frame pipelining, per-lane buffer sets,
 //!   the out-of-memory degradation ladder (halve lanes, free, note, retry),
-//!   chunked transfers, timing replay of measured frames, and
-//!   [`RunStats`]/profiler accounting.
+//!   chunked transfers, timing replay of measured frames
+//!   ([`ScheduleWitness`]), and [`RunStats`]/profiler accounting.
 //!
 //! A route front end builds a `LaunchPlan` from its own program
 //! representation (a compiled WITH-loop plan, a scheduled component model)
@@ -27,7 +27,7 @@
 use crate::device::{BufferId, Device, EventId, StreamId};
 use crate::exec::LaunchConfig;
 use crate::kir::{Kernel, KernelArg, Param};
-use crate::profiler::OpClass;
+use crate::profiler::{Profiler, Span};
 use crate::SimError;
 use mdarray::NdArray;
 
@@ -603,6 +603,82 @@ impl RunStats {
     }
 }
 
+/// The measured span schedule of one run: the timing witness every replay
+/// in the workspace charges.
+///
+/// Per-frame cost is content-independent under the cost model (fixed
+/// shapes, data-independent trip counts), so the spans a functional run
+/// charged — names, op classes and exact durations, in enqueue order — time
+/// every other run of the same shape exactly. [`ScheduleWitness::capture`]
+/// takes them from a profiler together with the run's [`RunStats`], mapping
+/// each capture-time stream onto a dense lane slot (in order of first
+/// appearance) once; [`ScheduleWitness::replay`] charges them again, slot
+/// `k` on the `k`-th stream it is given, at zero compute cost. The
+/// [`BatchScheduler`] replays its warm frame this way, and the serving layer
+/// replays whole jobs.
+#[derive(Debug, Clone, Default)]
+pub struct ScheduleWitness {
+    /// The captured spans, each `stream` rewritten to its lane slot.
+    spans: Vec<Span>,
+    /// Number of distinct lane slots.
+    lanes: usize,
+    stats: RunStats,
+}
+
+impl ScheduleWitness {
+    /// Capture the spans `profiler` recorded after its first `span_mark`,
+    /// paired with the `stats` of the run that charged them.
+    pub fn capture(profiler: &Profiler, span_mark: usize, stats: RunStats) -> Self {
+        let mut slot_streams: Vec<usize> = Vec::new();
+        let spans = profiler
+            .spans()
+            .skip(span_mark)
+            .map(|sp| {
+                let slot = slot_streams.iter().position(|&s| s == sp.stream).unwrap_or_else(|| {
+                    slot_streams.push(sp.stream);
+                    slot_streams.len() - 1
+                });
+                Span { stream: slot, ..sp.clone() }
+            })
+            .collect();
+        ScheduleWitness { spans, lanes: slot_streams.len(), stats }
+    }
+
+    /// Number of lane slots (distinct capture-time streams).
+    pub fn lanes(&self) -> usize {
+        self.lanes
+    }
+
+    /// Charge every captured span on `device` without functional work, slot
+    /// `k` on `streams[k]`, and return the captured run's counters. The
+    /// device is left unsynchronized, like any other enqueue.
+    pub fn replay(
+        &self,
+        device: &mut Device,
+        streams: &[StreamId],
+    ) -> Result<&RunStats, ScheduleError> {
+        if streams.len() < self.lanes {
+            return Err(ScheduleError::Config(format!(
+                "replaying a {}-lane schedule witness needs {} streams, got {}",
+                self.lanes,
+                self.lanes,
+                streams.len()
+            )));
+        }
+        for sp in &self.spans {
+            device.schedule_on(&sp.name, sp.class, streams[sp.stream], sp.dur_us)?;
+        }
+        Ok(&self.stats)
+    }
+}
+
+/// Simulated nanoseconds per abstract host-fallback operation: the default
+/// [`ExecOptions::host_ns_per_op`]. Calibrated alongside the sequential cost
+/// model (see the bench crate's `calibration` module): one abstract op of the
+/// generic output tiler's scatter nest corresponds to a fraction of a
+/// compiled-C nanosecond.
+pub const HOST_NS_PER_OP: f64 = 0.12;
+
 /// The one options struct shared by every executor and batch driver — the
 /// unification of what used to be `sac_cuda::PipelineOptions`,
 /// `gaspard::OpenClPipelineOptions`, and `downscaler::BatchOptions`.
@@ -678,10 +754,7 @@ impl Default for ExecOptions {
             executed: 0,
             total_frames: 0,
             channel_chunks: 0,
-            // Calibrated alongside the sequential cost model (see the bench
-            // crate's `calibration` module): one abstract op of the scatter
-            // nest corresponds to a fraction of a compiled-C nanosecond.
-            host_ns_per_op: 0.12,
+            host_ns_per_op: HOST_NS_PER_OP,
             pool: false,
             degrade_on_oom: false,
             optimize: crate::planopt::PlanOptLevel::OFF,
@@ -691,6 +764,17 @@ impl Default for ExecOptions {
 }
 
 impl ExecOptions {
+    /// Frames a batch driver executes functionally out of a `total`-frame
+    /// batch: [`ExecOptions::executed`] capped at `total`, or all of them
+    /// when it is `0`. The rest are timing-replayed.
+    pub fn executed_of(&self, total: usize) -> usize {
+        if self.executed == 0 {
+            total
+        } else {
+            self.executed.min(total)
+        }
+    }
+
     /// Reject configurations the executors cannot honour. `streams: 0`
     /// previously slipped through one route's entry point and hit a
     /// `max(1)` deep inside the executor, silently meaning something
@@ -850,8 +934,7 @@ impl<'a> BatchScheduler<'a> {
     ) -> Result<BatchOutput, ScheduleError> {
         let mut outputs = Vec::with_capacity(frames.len());
         let mut stats = RunStats::default();
-        let mut frame_ops: Vec<(String, OpClass, f64)> = Vec::new();
-        let mut frame_stats = RunStats::default();
+        let mut warm = ScheduleWitness::default();
         // Cross-frame carries: each frame's carried host values override the
         // next frame's carry-target bindings, and an event recorded on each
         // frame's stream gates the next frame's stream — frame `f+1` cannot
@@ -882,17 +965,15 @@ impl<'a> BatchScheduler<'a> {
                 carried = run.carried.into_iter().map(Some).collect();
             }
             if f == 0 {
-                // The replay template is the *warm* frame schedule: spans
+                // The replay witness is the *warm* frame schedule: spans
                 // recorded after the prologue finished, and the per-step
                 // counters only. The prologue runs once per lane, so a
                 // replayed frame never repeats it.
-                frame_ops = device
-                    .profiler
-                    .spans()
-                    .skip(run.warm_span_mark)
-                    .map(|sp| (sp.name.clone(), sp.class, sp.duration_us()))
-                    .collect();
-                frame_stats = run.step_stats.clone();
+                warm = ScheduleWitness::capture(
+                    &device.profiler,
+                    run.warm_span_mark,
+                    run.step_stats.clone(),
+                );
             }
             stats.accumulate(&run.prologue_stats);
             stats.accumulate(&run.step_stats);
@@ -908,13 +989,10 @@ impl<'a> BatchScheduler<'a> {
             if let Some(ev) = prev_frame_done {
                 device.wait_event(streams[lane], ev)?;
             }
-            for (name, class, us) in &frame_ops {
-                device.replay_on(name, *class, *us, streams[lane])?;
-            }
+            stats.accumulate(warm.replay(device, &streams[lane..=lane])?);
             if has_carries {
                 prev_frame_done = Some(device.record_event(streams[lane])?);
             }
-            stats.accumulate(&frame_stats);
         }
         Ok((outputs, stats))
     }
@@ -1032,23 +1110,8 @@ impl<'a> BatchScheduler<'a> {
         for step in steps {
             match *step {
                 PlanStep::Upload { array, chunks } => {
-                    let arr = host[array].as_ref().ok_or_else(|| {
-                        ScheduleError::Plan(format!(
-                            "upload of uncomputed array '{}'",
-                            plan.arrays[array].name
-                        ))
-                    })?;
-                    let data = to_i32(arr.as_slice())?;
-                    let buf = match buffers[array] {
-                        Some(b) => b,
-                        None => {
-                            let b = device.malloc(data.len())?;
-                            buffers[array] = Some(b);
-                            b
-                        }
-                    };
-                    let issued = device.host2device_chunked_on(&data, buf, chunks, stream)?;
-                    stats.h2d += issued;
+                    let (data, buf) = self.stage_upload(device, host, buffers, array)?;
+                    stats.h2d += device.host2device_on(&data, buf, chunks, stream)?;
                     stats.h2d_bytes += data.len() * 4;
                 }
                 PlanStep::Alloc { array } => {
@@ -1061,40 +1124,17 @@ impl<'a> BatchScheduler<'a> {
                     let args: Vec<KernelArg> = pk
                         .args
                         .iter()
-                        .map(|&a| {
-                            buffers[a].map(|b| KernelArg::Buffer(b.0)).ok_or_else(|| {
-                                ScheduleError::Plan(format!(
-                                    "array '{}' not on device for kernel '{}'",
-                                    plan.arrays[a].name, pk.kernel.name
-                                ))
-                            })
-                        })
+                        .map(|&a| self.resident(buffers, a).map(|b| KernelArg::Buffer(b.0)))
                         .collect::<Result<_, _>>()?;
-                    device.launch_with_access(
-                        &pk.kernel,
-                        pk.config,
-                        &args,
-                        stream,
-                        pk.access.as_ref(),
-                    )?;
+                    device.launch_on(&pk.kernel, pk.config, &args, stream, pk.access.as_ref())?;
                     stats.launches += 1;
                 }
                 PlanStep::Download { array, chunks } => {
-                    let buf = buffers[array].ok_or_else(|| {
-                        ScheduleError::Plan(format!(
-                            "array '{}' not on device",
-                            plan.arrays[array].name
-                        ))
-                    })?;
-                    let (data, issued) = device.device2host_chunked_on(buf, chunks, stream)?;
+                    let buf = self.resident(buffers, array)?;
+                    let (data, issued) = device.device2host_on(buf, chunks, stream)?;
                     stats.d2h += issued;
                     stats.d2h_bytes += data.len() * 4;
-                    let arr = NdArray::from_vec(
-                        plan.arrays[array].shape.clone(),
-                        data.into_iter().map(i64::from).collect(),
-                    )
-                    .map_err(|e| ScheduleError::Plan(e.to_string()))?;
-                    host[array] = Some(arr);
+                    host[array] = Some(self.host_array(array, data)?);
                 }
                 PlanStep::Host { op } => {
                     let h = &plan.host_ops[op];
@@ -1121,60 +1161,73 @@ impl<'a> BatchScheduler<'a> {
                     host[h.target] = Some(out);
                 }
                 PlanStep::UploadBatch { batch } => {
-                    let ids = &plan.batches[batch];
-                    let mut parts_data: Vec<(Vec<i32>, BufferId)> = Vec::with_capacity(ids.len());
-                    for &array in ids {
-                        let arr = host[array].as_ref().ok_or_else(|| {
-                            ScheduleError::Plan(format!(
-                                "batched upload of uncomputed array '{}'",
-                                plan.arrays[array].name
-                            ))
-                        })?;
-                        let data = to_i32(arr.as_slice())?;
-                        let buf = match buffers[array] {
-                            Some(b) => b,
-                            None => {
-                                let b = device.malloc(data.len())?;
-                                buffers[array] = Some(b);
-                                b
-                            }
-                        };
-                        parts_data.push((data, buf));
-                    }
+                    let staged = plan.batches[batch]
+                        .iter()
+                        .map(|&array| self.stage_upload(device, host, buffers, array))
+                        .collect::<Result<Vec<_>, _>>()?;
                     let parts: Vec<(&[i32], BufferId)> =
-                        parts_data.iter().map(|(d, b)| (d.as_slice(), *b)).collect();
+                        staged.iter().map(|(d, b)| (d.as_slice(), *b)).collect();
                     device.host2device_batch_on(&parts, stream)?;
                     stats.h2d += 1;
-                    stats.h2d_bytes += parts_data.iter().map(|(d, _)| d.len() * 4).sum::<usize>();
+                    stats.h2d_bytes += staged.iter().map(|(d, _)| d.len() * 4).sum::<usize>();
                 }
                 PlanStep::DownloadBatch { batch } => {
                     let ids = &plan.batches[batch];
-                    let bufs: Vec<BufferId> = ids
-                        .iter()
-                        .map(|&a| {
-                            buffers[a].ok_or_else(|| {
-                                ScheduleError::Plan(format!(
-                                    "array '{}' not on device",
-                                    plan.arrays[a].name
-                                ))
-                            })
-                        })
-                        .collect::<Result<_, _>>()?;
+                    let bufs: Vec<BufferId> =
+                        ids.iter().map(|&a| self.resident(buffers, a)).collect::<Result<_, _>>()?;
                     let outs = device.device2host_batch_on(&bufs, stream)?;
                     stats.d2h += 1;
                     for (&array, data) in ids.iter().zip(outs) {
                         stats.d2h_bytes += data.len() * 4;
-                        let arr = NdArray::from_vec(
-                            plan.arrays[array].shape.clone(),
-                            data.into_iter().map(i64::from).collect(),
-                        )
-                        .map_err(|e| ScheduleError::Plan(e.to_string()))?;
-                        host[array] = Some(arr);
+                        host[array] = Some(self.host_array(array, data)?);
                     }
                 }
             }
         }
         Ok(())
+    }
+
+    /// The host value of `array` converted to device ints, and the lane's
+    /// buffer for it (allocated on first upload).
+    fn stage_upload(
+        &self,
+        device: &mut Device,
+        host: &[Option<NdArray<i64>>],
+        buffers: &mut [Option<BufferId>],
+        array: usize,
+    ) -> Result<(Vec<i32>, BufferId), ScheduleError> {
+        let arr = host[array].as_ref().ok_or_else(|| {
+            ScheduleError::Plan(format!(
+                "upload of uncomputed array '{}'",
+                self.plan.arrays[array].name
+            ))
+        })?;
+        let data = to_i32(arr.as_slice())?;
+        let buf = match buffers[array] {
+            Some(b) => b,
+            None => *buffers[array].insert(device.malloc(data.len())?),
+        };
+        Ok((data, buf))
+    }
+
+    /// The lane's device buffer holding `array`.
+    fn resident(
+        &self,
+        buffers: &[Option<BufferId>],
+        array: usize,
+    ) -> Result<BufferId, ScheduleError> {
+        buffers[array].ok_or_else(|| {
+            ScheduleError::Plan(format!("array '{}' not on device", self.plan.arrays[array].name))
+        })
+    }
+
+    /// Downloaded device ints as the host value of `array`.
+    fn host_array(&self, array: usize, data: Vec<i32>) -> Result<NdArray<i64>, ScheduleError> {
+        NdArray::from_vec(
+            self.plan.arrays[array].shape.clone(),
+            data.into_iter().map(i64::from).collect(),
+        )
+        .map_err(|e| ScheduleError::Plan(e.to_string()))
     }
 }
 
@@ -1198,6 +1251,7 @@ mod tests {
     use crate::cost::Calibration;
     use crate::device::DeviceConfig;
     use crate::kir::{BinOp, KernelBuilder, KernelFlavor, Special};
+    use crate::profiler::OpClass;
 
     #[test]
     fn chunks_for_splits_only_matching_leading_dimension() {
@@ -1340,6 +1394,54 @@ mod tests {
         assert_eq!(stats.launches, 5);
         assert_eq!(replayed.now_us(), full.now_us());
         assert_eq!(replayed.profiler.spans().count(), full.profiler.spans().count());
+    }
+
+    #[test]
+    fn witness_replays_a_two_lane_job_at_a_shifted_clock() {
+        let n = 512;
+        let (kernel, config) = double_kernel(n);
+        let plan = double_plan(&kernel, config, n);
+        let mut real = Device::gtx480();
+        let opts = ExecOptions { streams: 2, total_frames: 5, ..Default::default() };
+        let (_, stats) = BatchScheduler::new(&plan).run(&mut real, &frames(2, n), &opts).unwrap();
+        let witness = ScheduleWitness::capture(&real.profiler, 0, stats.clone());
+        assert_eq!(witness.lanes(), 2);
+        assert_eq!(witness.spans.len(), real.profiler.spans().count());
+
+        // Replay on a fresh device whose clock is already shifted, then
+        // capture the replayed spans as a witness of their own.
+        let shift_us = 1234.5;
+        let mut replayed = Device::gtx480();
+        replayed.charge_host("shift", shift_us);
+        let mark = replayed.profiler.spans().count();
+        let streams = [StreamId::DEFAULT, replayed.create_stream()];
+        let replay_stats = witness.replay(&mut replayed, &streams).unwrap().clone();
+        replayed.synchronize();
+        assert_eq!(replay_stats, stats);
+        let again = ScheduleWitness::capture(&replayed.profiler, mark, replay_stats);
+        assert_eq!(again.lanes(), 2);
+        assert_eq!(again.spans.len(), witness.spans.len());
+        for (a, b) in witness.spans.iter().zip(&again.spans) {
+            assert_eq!(
+                (&a.name, a.class, a.stream, a.dur_us.to_bits()),
+                (&b.name, b.class, b.stream, b.dur_us.to_bits())
+            );
+        }
+        for class in [OpClass::H2D, OpClass::Kernel, OpClass::D2H] {
+            assert_eq!(
+                replayed.profiler.engine_busy_us(class),
+                real.profiler.engine_busy_us(class)
+            );
+        }
+        assert_eq!(replayed.profiler.engine_busy_us(OpClass::Host), shift_us);
+        assert!((replayed.now_us() - shift_us - real.now_us()).abs() < 1e-9 * real.now_us());
+
+        // Too few streams for the witness's lanes is a typed error, not a
+        // panic, and charges nothing.
+        let before = replayed.profiler.spans().count();
+        let err = witness.replay(&mut replayed, &[StreamId::DEFAULT]).unwrap_err();
+        assert!(matches!(err, ScheduleError::Config(_)), "{err:?}");
+        assert_eq!(replayed.profiler.spans().count(), before);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use gpu_abstractions::{mdarray, sac_cuda, sac_lang, simgpu};
 use mdarray::NdArray;
-use sac_cuda::exec::{run_on_device, HostCost};
+use sac_cuda::exec::{run_on_device, ExecOptions};
 use sac_lang::opt::{optimize, ArgDesc, OptConfig};
 use simgpu::device::Device;
 use simgpu::profiler::{Group, OpClass};
@@ -49,7 +49,7 @@ fn main() {
     let img = NdArray::from_fn([64usize, 64], |ix| ((ix[0] * ix[1]) % 200) as i64);
     let mut device = Device::gtx480();
     let (result, stats) =
-        run_on_device(&cuda, &mut device, &[img], HostCost::default()).expect("run");
+        run_on_device(&cuda, &mut device, &[img], ExecOptions::default()).expect("run");
     println!(
         "ran {} kernel launch(es), {} H2D / {} D2H transfer(s)",
         stats.launches, stats.h2d, stats.d2h

@@ -14,7 +14,7 @@ use gpu_abstractions::{downscaler, sac_cuda, sac_lang, simgpu};
 use downscaler::pipelines::build_sac;
 use downscaler::sac_src::{Part, Variant};
 use downscaler::{FrameGenerator, Scenario};
-use sac_cuda::exec::{run_on_device, HostCost};
+use sac_cuda::exec::{run_on_device, ExecOptions};
 use sac_lang::opt::OptConfig;
 use simgpu::device::Device;
 
@@ -61,10 +61,11 @@ fn main() {
     // Execute both on fresh devices and compare simulated time + memory.
     let mut d1 = Device::gtx480();
     let (out1, _) =
-        run_on_device(&folded.cuda, &mut d1, std::slice::from_ref(&frame), HostCost::default())
+        run_on_device(&folded.cuda, &mut d1, std::slice::from_ref(&frame), ExecOptions::default())
             .unwrap();
     let mut d2 = Device::gtx480();
-    let (out2, _) = run_on_device(&unfolded.cuda, &mut d2, &[frame], HostCost::default()).unwrap();
+    let (out2, _) =
+        run_on_device(&unfolded.cuda, &mut d2, &[frame], ExecOptions::default()).unwrap();
     assert_eq!(out1, out2, "folding must not change results");
 
     println!("simulated GPU time per frame:");

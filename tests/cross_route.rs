@@ -7,7 +7,7 @@ use downscaler::pipelines::{build_gaspard, build_sac, reference_downscale};
 use downscaler::sac_src::{program_src, Part, Variant};
 use downscaler::Scenario;
 use mdarray::NdArray;
-use sac_cuda::exec::{run_on_device_opts, ExecOptions};
+use sac_cuda::exec::{run_on_device, ExecOptions};
 use sac_lang::value::Value;
 use sac_lang::Interp;
 use simgpu::device::Device;
@@ -37,7 +37,7 @@ fn five_implementations_one_result() {
 
     // 4. The CUDA route on the simulated device.
     let mut device = Device::gtx480();
-    let (cuda_out, _) = run_on_device_opts(
+    let (cuda_out, _) = run_on_device(
         &route.cuda,
         &mut device,
         std::slice::from_ref(&frame),
@@ -62,7 +62,7 @@ fn generic_variant_agrees_end_to_end() {
     let route = build_sac(&s, Variant::Generic, Part::Full, &Default::default()).unwrap();
     assert!(route.cuda.host_steps_per_run() > 0, "generic route must fall back to the host");
     let mut device = Device::gtx480();
-    let (out, stats) = run_on_device_opts(
+    let (out, stats) = run_on_device(
         &route.cuda,
         &mut device,
         std::slice::from_ref(&frame),
@@ -87,8 +87,7 @@ fn multi_frame_stream_is_deterministic() {
         for f in 0..3 {
             let frame = gen.frame_rank3(f);
             let (out, _) =
-                run_on_device_opts(&route.cuda, &mut device, &[frame], ExecOptions::default())
-                    .unwrap();
+                run_on_device(&route.cuda, &mut device, &[frame], ExecOptions::default()).unwrap();
             sink.consume(&FrameGenerator::unstack(&out));
         }
         (sink.digest, device.now_us())
@@ -110,9 +109,9 @@ fn per_filter_and_full_pipelines_compose() {
 
     let mut d = Device::gtx480();
     let opts = ExecOptions::default();
-    let (hf, _) = run_on_device_opts(&h.cuda, &mut d, std::slice::from_ref(&frame), opts).unwrap();
-    let (vf, _) = run_on_device_opts(&v.cuda, &mut d, &[hf], opts).unwrap();
-    let (direct, _) = run_on_device_opts(&full.cuda, &mut d, &[frame], opts).unwrap();
+    let (hf, _) = run_on_device(&h.cuda, &mut d, std::slice::from_ref(&frame), opts).unwrap();
+    let (vf, _) = run_on_device(&v.cuda, &mut d, &[hf], opts).unwrap();
+    let (direct, _) = run_on_device(&full.cuda, &mut d, &[frame], opts).unwrap();
     assert_eq!(vf, direct);
 }
 
@@ -255,7 +254,7 @@ fn gaspard_and_sac_kernel_structure_differs_as_published() {
     let planes = FrameGenerator::new(s.channels, s.rows, s.cols, 1).frame_channels(0);
     gaspard::run_opencl(&gasp.opencl, &mut d1, &planes).unwrap();
     let mut d2 = Device::gtx480();
-    run_on_device_opts(
+    run_on_device(
         &sac.cuda,
         &mut d2,
         &[FrameGenerator::stack(&planes)],

@@ -7,7 +7,7 @@ use downscaler::pipelines::{
 use downscaler::sac_src::{Part, Variant};
 use downscaler::{FrameGenerator, Scenario};
 use proptest::prelude::*;
-use sac_cuda::exec::{run_on_device, HostCost};
+use sac_cuda::exec::run_on_device;
 use sac_lang::wir::{FlatGen, FlatProgram, FlatWith, Step, SymExpr};
 use simgpu::device::{BufferId, Device, DeviceConfig};
 use simgpu::Calibration;
@@ -22,8 +22,12 @@ fn device_oom_is_reported() {
     let frame = FrameGenerator::new(s.channels, s.rows, s.cols, 1).frame_rank3(0);
     // Frame alone needs 3*18*32*4 = 6912 bytes; give the device less.
     let mut device = Device::new(DeviceConfig::toy(4096), Calibration::gtx480());
-    let err =
-        run_on_device(&route.cuda, &mut device, std::slice::from_ref(&frame), HostCost::default());
+    let err = run_on_device(
+        &route.cuda,
+        &mut device,
+        std::slice::from_ref(&frame),
+        ExecOptions::default(),
+    );
     match err {
         Err(sac_cuda::CudaError::Sim(simgpu::SimError::OutOfMemory { .. })) => {}
         other => panic!("expected OutOfMemory, got {other:?}"),
@@ -211,7 +215,7 @@ fn kernel_oob_load_faults() {
     // …and so does the simulated device.
     let cuda = sac_cuda::compile_flat_program(&p).unwrap();
     let mut device = Device::gtx480();
-    let err = run_on_device(&cuda, &mut device, &[frame], HostCost::default());
+    let err = run_on_device(&cuda, &mut device, &[frame], ExecOptions::default());
     assert!(
         matches!(err, Err(sac_cuda::CudaError::Sim(simgpu::SimError::OutOfBounds { .. }))),
         "{err:?}"
@@ -260,7 +264,7 @@ int[*] main(int[4] a)
     assert!(flat.run(std::slice::from_ref(&frame), &mut 0).is_err());
     let cuda = sac_cuda::compile_flat_program(&flat).unwrap();
     let mut device = Device::gtx480();
-    let err = run_on_device(&cuda, &mut device, &[frame], HostCost::default());
+    let err = run_on_device(&cuda, &mut device, &[frame], ExecOptions::default());
     assert!(
         matches!(err, Err(sac_cuda::CudaError::Sim(simgpu::SimError::DivByZero { .. }))),
         "{err:?}"

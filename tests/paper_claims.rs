@@ -47,10 +47,10 @@ fn generic_output_tiler_stays_on_host_and_forces_transfer() {
     let plan = &g.cuda.plan;
     let host_at = plan
         .iter()
-        .position(|op| matches!(op, sac_cuda::PlanOp::HostStep { .. }))
+        .position(|op| matches!(op, simgpu::PlanStep::Host { .. }))
         .expect("host step present");
     assert!(
-        plan[..host_at].iter().any(|op| matches!(op, sac_cuda::PlanOp::Download { .. })),
+        plan[..host_at].iter().any(|op| matches!(op, simgpu::PlanStep::Download { .. })),
         "{plan:?}"
     );
 }
@@ -131,7 +131,7 @@ fn wlf_shrinks_device_footprint() {
             &route.cuda,
             &mut device,
             std::slice::from_ref(&frame),
-            sac_cuda::exec::HostCost::default(),
+            sac_cuda::ExecOptions::default(),
         )
         .unwrap();
         peaks.push(device.peak_allocated_bytes());

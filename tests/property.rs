@@ -321,7 +321,7 @@ int[*] main(int[{rows},{cols}] a)
             &cuda,
             &mut device,
             &[frame],
-            sac_cuda::exec::HostCost::default(),
+            sac_cuda::ExecOptions::default(),
         )
         .unwrap();
         prop_assert_eq!(got, expect);

@@ -5,7 +5,7 @@
 //! in the toolchain is downscaler-specific.
 
 use mdarray::NdArray;
-use sac_cuda::exec::{run_on_device, HostCost};
+use sac_cuda::exec::{run_on_device, ExecOptions};
 use sac_lang::opt::{optimize, ArgDesc, OptConfig};
 use simgpu::device::Device;
 
@@ -64,7 +64,7 @@ int[*] main(int[{ROWS},{COLS}] f)
     let cuda = sac_cuda::compile_flat_program(&flat).unwrap();
     let mut device = Device::gtx480();
     let (got, stats) =
-        run_on_device(&cuda, &mut device, std::slice::from_ref(&frame), HostCost::default())
+        run_on_device(&cuda, &mut device, std::slice::from_ref(&frame), ExecOptions::default())
             .unwrap();
     assert_eq!(got, expect);
     assert_eq!(stats.launches, 1, "fused pipeline is a single kernel");

@@ -20,25 +20,28 @@ use downscaler::sac_src::{Part, Variant};
 use downscaler::Scenario;
 use proptest::prelude::*;
 use simgpu::device::{Device, StreamId};
-use simgpu::profiler::OpClass;
+use simgpu::profiler::{OpClass, Profiler};
+use simgpu::schedule::{RunStats, ScheduleWitness};
 
 const CLASSES: [OpClass; 4] = [OpClass::H2D, OpClass::Kernel, OpClass::D2H, OpClass::Host];
 
-/// Schedule a random op sequence over `stream_count` streams; return the
-/// device for inspection.
+/// Schedule a random op sequence over `stream_count` streams by building a
+/// schedule witness from it and replaying that on a fresh device; return
+/// the device for inspection.
 fn schedule_random(ops: &[(u8, u8, u16)], stream_count: usize) -> Device {
+    let mut recorded = Profiler::new();
+    for (i, &(stream, class, dur)) in ops.iter().enumerate() {
+        let class = CLASSES[class as usize % CLASSES.len()];
+        let us = f64::from(dur) + 1.0;
+        recorded.record_span(&format!("op{i}"), class, stream as usize % stream_count, 0.0, us);
+    }
+    let witness = ScheduleWitness::capture(&recorded, 0, RunStats::default());
     let mut device = Device::gtx480();
     let mut streams = vec![StreamId::DEFAULT];
     for _ in 1..stream_count {
         streams.push(device.create_stream());
     }
-    for (i, &(stream, class, dur)) in ops.iter().enumerate() {
-        let class = CLASSES[class as usize % CLASSES.len()];
-        let us = f64::from(dur) + 1.0;
-        device
-            .replay_on(&format!("op{i}"), class, us, streams[stream as usize % streams.len()])
-            .unwrap();
-    }
+    witness.replay(&mut device, &streams).unwrap();
     device.synchronize();
     device
 }
@@ -83,7 +86,7 @@ fn one_stream_batches_reproduce_serialized_profiles_exactly() {
     // The pre-stream serialized executors, one frame at a time.
     let mut sac_serial = Device::gtx480();
     for f in 0..s.frames {
-        sac_cuda::exec::run_on_device_opts(
+        sac_cuda::exec::run_on_device(
             &sac.cuda,
             &mut sac_serial,
             &[gen.frame_rank3(f)],
@@ -98,17 +101,7 @@ fn one_stream_batches_reproduce_serialized_profiles_exactly() {
 
     // The batch executors in 1-stream mode.
     let mut sac_batch = Device::gtx480();
-    run_sac_batch(
-        &s,
-        &sac,
-        &mut sac_batch,
-        seed,
-        ExecOptions {
-            host_ns_per_op: sac_cuda::HostCost::default().ns_per_op,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    run_sac_batch(&s, &sac, &mut sac_batch, seed, ExecOptions::default()).unwrap();
     let mut gasp_batch = Device::gtx480();
     run_gaspard_batch(&s, &gasp, &mut gasp_batch, seed, ExecOptions::default()).unwrap();
 
