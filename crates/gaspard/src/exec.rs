@@ -16,9 +16,7 @@
 use crate::codegen::OpenClProgram;
 use crate::GaspardError;
 use mdarray::NdArray;
-use simgpu::schedule::{
-    ArrayDecl, BatchScheduler, LaunchPlan, PlanKernel, PlanStep, RunStats, ScheduleError,
-};
+use simgpu::schedule::{ArrayDecl, BatchScheduler, LaunchPlan, PlanKernel, PlanStep, RunStats};
 use simgpu::Device;
 
 pub use simgpu::schedule::ExecOptions;
@@ -38,20 +36,6 @@ pub enum Placement {
     /// Every kernel's input is uploaded and its output downloaded — the
     /// maximally redundant placement used as the planopt ablation baseline.
     PerKernelRoundTrip,
-}
-
-/// Map a scheduler error back onto this route's error type.
-fn from_schedule(e: ScheduleError) -> GaspardError {
-    match e {
-        ScheduleError::Sim(e) => GaspardError::Sim(e),
-        ScheduleError::Overflow { value } => {
-            GaspardError::BadInput { msg: format!("value {value} does not fit a device int") }
-        }
-        ScheduleError::Input(msg) | ScheduleError::Plan(msg) | ScheduleError::Host(msg) => {
-            GaspardError::BadInput { msg }
-        }
-        ScheduleError::Config(msg) => GaspardError::Config(msg),
-    }
 }
 
 /// Lower a generated OpenCL program to the route-agnostic launch-plan IR.
@@ -186,9 +170,8 @@ pub fn run_opencl_frames_placed(
         return Ok((Vec::new(), RunStats::default()));
     }
     let mut plan = lower_plan_with(prog, placement);
-    simgpu::optimize_noted(&mut plan, opts.optimize, &mut device.profiler)
-        .map_err(from_schedule)?;
-    BatchScheduler::new(&plan).run(device, frames, &opts).map_err(from_schedule)
+    simgpu::optimize_noted(&mut plan, opts.optimize, &mut device.profiler)?;
+    Ok(BatchScheduler::new(&plan).run(device, frames, &opts)?)
 }
 
 #[cfg(test)]
@@ -199,6 +182,7 @@ mod tests {
     use crate::model::Platform;
     use crate::transform::{deploy, schedule, to_arrayol};
     use arrayol::exec::{execute, ExecOptions as ArrayOlExecOptions};
+    use simgpu::ScheduleError;
     use std::collections::HashMap;
 
     fn compiled() -> OpenClProgram {
@@ -244,12 +228,11 @@ mod tests {
     fn input_validation() {
         let prog = compiled();
         let mut device = Device::gtx480();
-        assert!(matches!(run_opencl(&prog, &mut device, &[]), Err(GaspardError::BadInput { .. })));
+        let err = run_opencl(&prog, &mut device, &[]);
+        assert!(matches!(err, Err(GaspardError::Schedule(ScheduleError::Input(_)))), "{err:?}");
         let wrong = NdArray::filled([3usize, 3], 0i64);
-        assert!(matches!(
-            run_opencl(&prog, &mut device, &[wrong]),
-            Err(GaspardError::BadInput { .. })
-        ));
+        let err = run_opencl(&prog, &mut device, &[wrong]);
+        assert!(matches!(err, Err(GaspardError::Schedule(ScheduleError::Input(_)))), "{err:?}");
     }
 
     #[test]
@@ -262,7 +245,7 @@ mod tests {
             &queue_frames(2),
             ExecOptions { streams: 0, ..Default::default() },
         );
-        assert!(matches!(err, Err(GaspardError::Config(_))), "{err:?}");
+        assert!(matches!(err, Err(GaspardError::Schedule(ScheduleError::Config(_)))), "{err:?}");
         assert_eq!(device.now_us(), 0.0);
         assert_eq!(device.profiler.records().count(), 0);
     }
@@ -432,7 +415,12 @@ mod tests {
             ExecOptions { streams: 4, ..Default::default() },
         );
         assert!(
-            matches!(err, Err(GaspardError::Sim(simgpu::SimError::OutOfMemory { .. }))),
+            matches!(
+                err,
+                Err(GaspardError::Schedule(ScheduleError::Sim(
+                    simgpu::SimError::OutOfMemory { .. }
+                )))
+            ),
             "{err:?}"
         );
 

@@ -62,12 +62,10 @@ pub enum GaspardError {
     Unallocated { component: String },
     /// The scheduler found a cycle.
     Cyclic { involving: String },
-    /// Simulator failure during execution.
-    Sim(simgpu::SimError),
     /// Execution input mismatch.
     BadInput { msg: String },
-    /// Invalid execution options (rejected before touching the device).
-    Config(String),
+    /// Plan rewriting or batch execution failed in the shared scheduler.
+    Schedule(simgpu::ScheduleError),
 }
 
 impl std::fmt::Display for GaspardError {
@@ -79,17 +77,16 @@ impl std::fmt::Display for GaspardError {
                 write!(f, "component '{component}' not allocated to a resource")
             }
             GaspardError::Cyclic { involving } => write!(f, "cyclic model at '{involving}'"),
-            GaspardError::Sim(e) => write!(f, "simulator: {e}"),
             GaspardError::BadInput { msg } => write!(f, "bad input: {msg}"),
-            GaspardError::Config(m) => write!(f, "bad execution options: {m}"),
+            GaspardError::Schedule(e) => write!(f, "{e}"),
         }
     }
 }
 
 impl std::error::Error for GaspardError {}
 
-impl From<simgpu::SimError> for GaspardError {
-    fn from(e: simgpu::SimError) -> Self {
-        GaspardError::Sim(e)
+impl From<simgpu::ScheduleError> for GaspardError {
+    fn from(e: simgpu::ScheduleError) -> Self {
+        GaspardError::Schedule(e)
     }
 }

@@ -17,23 +17,11 @@ use sac_lang::eval::Interp;
 use sac_lang::value::Value;
 use sac_lang::wir::{HostBinding, Step};
 use simgpu::schedule::{
-    chunks_for, ArrayDecl, BatchScheduler, HostOp, LaunchPlan, PlanKernel, PlanStep, ScheduleError,
+    chunks_for, ArrayDecl, BatchScheduler, HostOp, LaunchPlan, PlanKernel, PlanStep,
 };
 use simgpu::{optimize_noted, Device};
 
 pub use simgpu::schedule::{ExecOptions, RunStats};
-
-/// Map a scheduler error back onto this route's error type.
-fn from_schedule(e: ScheduleError) -> CudaError {
-    match e {
-        ScheduleError::Sim(e) => CudaError::Sim(e),
-        ScheduleError::Overflow { value } => CudaError::Overflow { value },
-        ScheduleError::Input(m) | ScheduleError::Plan(m) | ScheduleError::Host(m) => {
-            CudaError::Host(m)
-        }
-        ScheduleError::Config(m) => CudaError::Config(m),
-    }
-}
 
 /// Lower a compiled CUDA program to the route-agnostic launch-plan IR.
 ///
@@ -172,9 +160,8 @@ pub fn run_frames_pipelined(
         return Ok((Vec::new(), RunStats::default()));
     }
     let mut plan = lower_plan(prog, opts.channel_chunks)?;
-    optimize_noted(&mut plan, opts.optimize, &mut device.profiler).map_err(from_schedule)?;
-    let (outs, stats) =
-        BatchScheduler::new(&plan).run(device, frames, &opts).map_err(from_schedule)?;
+    optimize_noted(&mut plan, opts.optimize, &mut device.profiler)?;
+    let (outs, stats) = BatchScheduler::new(&plan).run(device, frames, &opts)?;
     let outs = outs
         .into_iter()
         .map(|mut frame| frame.pop().expect("sac plans have exactly one output"))
@@ -188,6 +175,7 @@ mod tests {
     use crate::codegen::compile_flat_program;
     use sac_lang::opt::{optimize, ArgDesc, OptConfig};
     use sac_lang::parser::parse_program;
+    use simgpu::ScheduleError;
 
     /// End-to-end: SaC source -> optimiser -> CUDA backend -> simulator,
     /// checked against the AST interpreter.
@@ -322,7 +310,7 @@ int[*] main(int[2] a)
         let mut device = Device::gtx480();
         let too_big = NdArray::from_vec([2usize], vec![1, i64::from(i32::MAX) + 1]).unwrap();
         let err = run_on_device(&cuda, &mut device, &[too_big], ExecOptions::default());
-        assert!(matches!(err, Err(CudaError::Overflow { .. })));
+        assert!(matches!(err, Err(CudaError::Schedule(ScheduleError::Overflow { .. }))), "{err:?}");
     }
 
     fn compile(src: &str, shapes: &[Vec<usize>]) -> CudaProgram {
@@ -501,7 +489,10 @@ int[*] main(int[8,16] a)
             ExecOptions { streams: 4, ..Default::default() },
         );
         assert!(
-            matches!(err, Err(CudaError::Sim(simgpu::SimError::OutOfMemory { .. }))),
+            matches!(
+                err,
+                Err(CudaError::Schedule(ScheduleError::Sim(simgpu::SimError::OutOfMemory { .. })))
+            ),
             "{err:?}"
         );
 
@@ -534,7 +525,7 @@ int[*] main(int[8,16] a)
             &pipe_frames(2),
             ExecOptions { streams: 0, ..Default::default() },
         );
-        assert!(matches!(err, Err(CudaError::Config(_))), "{err:?}");
+        assert!(matches!(err, Err(CudaError::Schedule(ScheduleError::Config(_)))), "{err:?}");
         assert_eq!(device.now_us(), 0.0);
     }
 

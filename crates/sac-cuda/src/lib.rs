@@ -39,34 +39,26 @@ pub use exec::{lower_plan, run_frames_pipelined, run_on_device, ExecOptions, Run
 pub enum CudaError {
     /// The flat program references an array with an empty shape product.
     EmptyArray { name: String },
-    /// Simulator failure.
-    Sim(simgpu::SimError),
     /// Host-step interpretation failure.
     Host(String),
-    /// Value did not fit device `int`.
-    Overflow { value: i64 },
-    /// Invalid execution options (rejected before touching the device).
-    Config(String),
+    /// Plan rewriting or batch execution failed in the shared scheduler.
+    Schedule(simgpu::ScheduleError),
 }
 
 impl std::fmt::Display for CudaError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CudaError::EmptyArray { name } => write!(f, "array '{name}' has no elements"),
-            CudaError::Sim(e) => write!(f, "simulator: {e}"),
             CudaError::Host(m) => write!(f, "host step: {m}"),
-            CudaError::Overflow { value } => {
-                write!(f, "value {value} does not fit a device int")
-            }
-            CudaError::Config(m) => write!(f, "bad execution options: {m}"),
+            CudaError::Schedule(e) => write!(f, "{e}"),
         }
     }
 }
 
 impl std::error::Error for CudaError {}
 
-impl From<simgpu::SimError> for CudaError {
-    fn from(e: simgpu::SimError) -> Self {
-        CudaError::Sim(e)
+impl From<simgpu::ScheduleError> for CudaError {
+    fn from(e: simgpu::ScheduleError) -> Self {
+        CudaError::Schedule(e)
     }
 }

@@ -15,7 +15,7 @@ use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::fmt;
 
 use mdarray::NdArray;
-use simgpu::{Fleet, LaunchPlan, RunStats, ScheduleError, StreamId};
+use simgpu::{Fleet, LaunchPlan, RunStats, ScheduleError};
 
 use crate::config::{ServeConfig, ShardPolicy};
 use crate::report::{ServeReport, TenantStats};
@@ -181,8 +181,6 @@ struct DeviceState {
     busy: bool,
     /// Trace-timeline instant at which the device last became free.
     free_at_us: f64,
-    /// Dedicated replay stream set, reused across replayed jobs.
-    replay_streams: Vec<StreamId>,
 }
 
 /// Serve `jobs` (an open-loop arrival trace) on `fleet`, executing every
@@ -248,7 +246,6 @@ pub fn serve_with_templates(
             outstanding: 0,
             busy: false,
             free_at_us: 0.0,
-            replay_streams: Vec::new(),
         })
         .collect();
 
@@ -428,7 +425,7 @@ fn start_job(
                 job.id, job.total_frames
             ))
         })?;
-        let st = tpl.replay(device, &mut states[d].replay_streams)?;
+        let st = tpl.replay(device)?;
         (Vec::new(), st)
     } else {
         let ((outs, st), template) =
@@ -606,6 +603,31 @@ mod tests {
         assert!((durs[1] - durs[2]).abs() <= durs[0] * 1e-12, "{durs:?}");
         // Stats triple too: replay clones the template's counters.
         assert_eq!(report.stats.launches, 3 * 2);
+    }
+
+    #[test]
+    fn functional_and_replay_jobs_share_one_stream_set() {
+        let (kernel, config) = triple_kernel();
+        let plan = triple_plan(&kernel, config);
+        // 2-lane functional jobs interleaved with replays of their
+        // template: lane k is stream k for both, so the device never grows
+        // past its two lane streams.
+        let jobs: Vec<Job> = (0..8)
+            .map(|j| {
+                if j % 2 == 0 {
+                    Job::functional(j, 0, j as f64, vec![frame(j), frame(j + 1)])
+                } else {
+                    Job::replay(j, 0, j as f64, 2)
+                }
+            })
+            .collect();
+        let mut cfg = ServeConfig::new(ShardPolicy::RoundRobin);
+        cfg.queue_capacity = jobs.len();
+        cfg.exec.streams = 2;
+        let mut fleet = Fleet::gtx480(1).unwrap();
+        let report = serve(&mut fleet, &plan, &jobs, &cfg).unwrap();
+        assert_eq!(report.completed, jobs.len());
+        assert_eq!(fleet.device(0).stream_count(), 2);
     }
 
     #[test]

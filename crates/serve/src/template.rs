@@ -14,7 +14,7 @@
 use mdarray::NdArray;
 use simgpu::{
     BatchOutput, BatchScheduler, Device, ExecOptions, LaunchPlan, RunStats, ScheduleError,
-    ScheduleWitness, StreamId,
+    ScheduleWitness,
 };
 
 use crate::engine::ServeError;
@@ -72,25 +72,18 @@ impl JobTemplate {
     }
 
     /// Replay the captured schedule on `device`, which must be idle
-    /// (synchronized). The witness's lane slots run on `replay_streams` —
-    /// the device's dedicated replay stream set, grown on demand. Returns
-    /// the per-job [`RunStats`]; the device ends synchronized, its clock
-    /// advanced by [`JobTemplate::dur_us`] up to f64 accumulation ulps (the
-    /// replay runs at a different clock offset than the capture, and
-    /// summation is not shift-invariant at the last bit). The drift is
-    /// deterministic — pure IEEE arithmetic, no libm — so replayed traces
-    /// remain golden-able byte for byte.
-    pub(crate) fn replay(
-        &self,
-        device: &mut Device,
-        replay_streams: &mut Vec<StreamId>,
-    ) -> Result<RunStats, ScheduleError> {
-        while replay_streams.len() < self.witness.lanes() {
-            let stream =
-                if replay_streams.is_empty() { StreamId::DEFAULT } else { device.create_stream() };
-            replay_streams.push(stream);
-        }
-        let stats = self.witness.replay(device, replay_streams)?.clone();
+    /// (synchronized). Lane slot `k` runs on the device's stream `k`, the
+    /// same stream set its functional jobs use, and the witness holds every
+    /// ordering the job had (a carry plan is one lane), so the replay is
+    /// exact by construction. Returns the per-job [`RunStats`]; the device
+    /// ends synchronized, its clock advanced by [`JobTemplate::dur_us`] up
+    /// to f64 accumulation ulps (the replay runs at a different clock
+    /// offset than the capture, and summation is not shift-invariant at the
+    /// last bit). The drift is deterministic — pure IEEE arithmetic, no
+    /// libm — so replayed traces remain golden-able byte for byte.
+    pub(crate) fn replay(&self, device: &mut Device) -> Result<RunStats, ScheduleError> {
+        let streams = device.lane_streams(self.witness.lanes());
+        let stats = self.witness.replay(device, &streams)?.clone();
         device.synchronize();
         Ok(stats)
     }

@@ -80,10 +80,6 @@ impl StreamId {
     pub const DEFAULT: StreamId = StreamId(0);
 }
 
-/// Handle to a recorded timeline event (`cudaEventRecord` / `clEvent`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventId(pub usize);
-
 /// Size-class pooling allocator over device memory.
 ///
 /// Freed buffers are cached in bins keyed by their power-of-two size class
@@ -196,8 +192,6 @@ pub struct Device {
     stream_tail_us: Vec<f64>,
     /// Time each engine becomes free (engines serialize their operations).
     engine_free_us: [f64; ENGINE_COUNT],
-    /// Completion timestamps of recorded events.
-    events: Vec<f64>,
     host_workers: usize,
     /// Launch memo shared with other devices, when one is installed.
     memo: Option<LaunchMemo>,
@@ -228,7 +222,6 @@ impl Device {
             sim_time_us: 0.0,
             stream_tail_us: vec![0.0],
             engine_free_us: [0.0; ENGINE_COUNT],
-            events: Vec::new(),
             host_workers,
             memo: None,
             profiler: Profiler::new(),
@@ -291,13 +284,18 @@ impl Device {
     }
 
     // ------------------------------------------------------------------
-    // Stream & event management
+    // Stream management
     // ------------------------------------------------------------------
 
-    /// Create a new stream (`cudaStreamCreate` / `clCreateCommandQueue`).
-    pub fn create_stream(&mut self) -> StreamId {
-        self.stream_tail_us.push(self.sim_time_us);
-        StreamId(self.stream_tail_us.len() - 1)
+    /// Streams `0..n` (the default stream first), creating only the ones
+    /// that do not exist yet (`cudaStreamCreate` / `clCreateCommandQueue`):
+    /// lane `k` of every batch and every replay runs on stream `k`, so a
+    /// device keeps one stream set however many jobs it serves.
+    pub fn lane_streams(&mut self, n: usize) -> Vec<StreamId> {
+        if self.stream_tail_us.len() < n {
+            self.stream_tail_us.resize(n, self.sim_time_us);
+        }
+        (0..n).map(StreamId).collect()
     }
 
     /// Number of streams, including the default stream.
@@ -307,24 +305,6 @@ impl Device {
 
     fn stream_tail(&self, stream: StreamId) -> Result<f64, SimError> {
         self.stream_tail_us.get(stream.0).copied().ok_or(SimError::UnknownStream { id: stream.0 })
-    }
-
-    /// Record an event capturing the completion of all work enqueued on
-    /// `stream` so far (`cudaEventRecord`).
-    pub fn record_event(&mut self, stream: StreamId) -> Result<EventId, SimError> {
-        let at = self.stream_tail(stream)?;
-        self.events.push(at);
-        Ok(EventId(self.events.len() - 1))
-    }
-
-    /// Make subsequent work on `stream` wait for `event`
-    /// (`cudaStreamWaitEvent`): the stream's clock is lifted to the event's
-    /// completion time.
-    pub fn wait_event(&mut self, stream: StreamId, event: EventId) -> Result<(), SimError> {
-        let at = *self.events.get(event.0).ok_or(SimError::UnknownEvent { id: event.0 })?;
-        let tail = self.stream_tail(stream)?;
-        self.stream_tail_us[stream.0] = tail.max(at);
-        Ok(())
     }
 
     /// Block the host until `stream` drains (`cudaStreamSynchronize`);
@@ -915,7 +895,7 @@ mod tests {
         let mut d = Device::new(DeviceConfig::gtx480(), Calibration::gtx480_alloc());
         let malloc_us = d.calibration().malloc_us;
         // Pending async work on a second stream...
-        let s = d.create_stream();
+        let s = d.lane_streams(2)[1];
         d.charge_host_on("producer", 500.0, s).unwrap();
         assert_eq!(d.now_us(), 0.0);
         // ...is drained by the Fermi-style device-sync in cudaMalloc.
@@ -1118,7 +1098,7 @@ mod tests {
     fn async_enqueue_does_not_advance_host_clock() {
         let mut d = Device::gtx480();
         let buf = d.malloc(1000).unwrap();
-        let s = d.create_stream();
+        let s = d.lane_streams(2)[1];
         d.host2device_on(&vec![7; 1000], buf, 1, s).unwrap();
         assert_eq!(d.now_us(), 0.0);
         let t = d.sync_stream(s).unwrap();
@@ -1131,8 +1111,8 @@ mod tests {
         let mut d = Device::gtx480();
         let a = d.malloc(100_000).unwrap();
         let b = d.malloc(100_000).unwrap();
-        let up = d.create_stream();
-        let down = d.create_stream();
+        let streams = d.lane_streams(3);
+        let (up, down) = (streams[1], streams[2]);
         let data = vec![1; 100_000];
         // Serial baseline: same ops on one stream.
         let mut serial = Device::gtx480();
@@ -1156,8 +1136,8 @@ mod tests {
         let mut d = Device::gtx480();
         let a = d.malloc(50_000).unwrap();
         let b = d.malloc(50_000).unwrap();
-        let s1 = d.create_stream();
-        let s2 = d.create_stream();
+        let streams = d.lane_streams(3);
+        let (s1, s2) = (streams[1], streams[2]);
         let data = vec![3; 50_000];
         d.host2device_on(&data, a, 1, s1).unwrap();
         d.host2device_on(&data, b, 1, s2).unwrap();
@@ -1167,29 +1147,8 @@ mod tests {
     }
 
     #[test]
-    fn events_order_cross_stream_work() {
-        let mut d = Device::new(DeviceConfig::gtx480(), Calibration::gtx480());
-        let s1 = d.create_stream();
-        let s2 = d.create_stream();
-        d.charge_host_on("producer", 100.0, s1).unwrap();
-        let ev = d.record_event(s1).unwrap();
-        // Without the wait, s2's op would start at t=0 on its own engine...
-        d.wait_event(s2, ev).unwrap();
-        let buf = d.malloc(10).unwrap();
-        d.host2device_on(&[0; 10], buf, 1, s2).unwrap();
-        let spans: Vec<_> = d.profiler.spans().collect();
-        // ...but the event forces it to start at the producer's end.
-        assert!(spans[1].start_us >= 100.0);
-    }
-
-    #[test]
-    fn stream_and_event_ids_validated() {
+    fn stream_ids_validated() {
         let mut d = Device::gtx480();
-        assert!(matches!(d.record_event(StreamId(9)), Err(SimError::UnknownStream { id: 9 })));
-        assert!(matches!(
-            d.wait_event(StreamId::DEFAULT, EventId(3)),
-            Err(SimError::UnknownEvent { id: 3 })
-        ));
         let buf = d.malloc(4).unwrap();
         assert!(matches!(
             d.host2device_on(&[1, 2, 3, 4], buf, 1, StreamId(5)),

@@ -42,7 +42,7 @@ pub use cost::{
     BoxedCostModel, Calibration, CostModel, CostModelSpec, Direction, Engine, LaunchContext,
     WarpTileModel,
 };
-pub use device::{BufferId, Device, DeviceConfig, EventId, MemPool, StreamId};
+pub use device::{BufferId, Device, DeviceConfig, MemPool, StreamId};
 pub use exec::{LaunchConfig, LaunchStats};
 pub use fleet::Fleet;
 pub use kir::{BinOp, Instr, Kernel, KernelArg, KernelFlavor, Param, Reg, Special};
@@ -87,8 +87,6 @@ pub enum SimError {
     TransferSize { host: usize, device: usize },
     /// A stream id was never created on this device.
     UnknownStream { id: usize },
-    /// An event id was never recorded on this device.
-    UnknownEvent { id: usize },
 }
 
 impl std::fmt::Display for SimError {
@@ -123,7 +121,6 @@ impl std::fmt::Display for SimError {
                 write!(f, "transfer size mismatch: host {host} elements, device {device}")
             }
             SimError::UnknownStream { id } => write!(f, "unknown device stream {id}"),
-            SimError::UnknownEvent { id } => write!(f, "unknown device event {id}"),
         }
     }
 }

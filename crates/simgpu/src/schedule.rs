@@ -24,7 +24,7 @@
 //! stream pipelining, pooled allocation and OOM degradation land once and
 //! apply to every route.
 
-use crate::device::{BufferId, Device, EventId, StreamId};
+use crate::device::{BufferId, Device, StreamId};
 use crate::exec::LaunchConfig;
 use crate::kir::{Kernel, KernelArg, Param};
 use crate::profiler::{Profiler, Span};
@@ -193,8 +193,10 @@ impl std::fmt::Debug for HostOp<'_> {
 /// where frame `f` reads a value produced while processing frame `f-1`.
 /// They come at a pipelining cost the scheduler models honestly: a frame
 /// with an incoming carry cannot start before its predecessor finishes, so
-/// the scheduler chains an event from each frame's stream to the next and
-/// multi-lane overlap collapses to the serial schedule.
+/// a plan with carries runs every frame on one lane, whatever
+/// [`ExecOptions::streams`] asks for. Stream order then keeps each frame
+/// behind its predecessor, and a [`ScheduleWitness`] replays that order
+/// exactly.
 ///
 /// [`LaunchPlan::validate`] requires `from`/`to` to be declared arrays of
 /// equal shape, `to` to be a frame input that is not frame-invariant, at
@@ -249,7 +251,7 @@ pub struct LaunchPlan<'a> {
     /// Cross-frame dependencies: each frame's end-of-frame host value of
     /// [`Carry::from`] becomes the next frame's binding for the input
     /// [`Carry::to`]. Empty for the ordinary stateless-frame plans; when
-    /// non-empty, frames serialize (see [`Carry`]).
+    /// non-empty, frames run on one lane (see [`Carry`]).
     pub carries: Vec<Carry>,
     /// What a pipeline lane is called in this route's vocabulary ("stream
     /// lanes" for CUDA, "command queues" for OpenCL) — used verbatim in the
@@ -526,7 +528,7 @@ impl LaunchPlan<'_> {
 }
 
 /// Errors from plan construction, validation, or execution.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ScheduleError {
     /// Simulator failure (out of memory, bad launch, …).
     Sim(SimError),
@@ -616,6 +618,13 @@ impl RunStats {
 /// `k` on the `k`-th stream it is given, at zero compute cost. The
 /// [`BatchScheduler`] replays its warm frame this way, and the serving layer
 /// replays whole jobs.
+///
+/// Replay is exact by construction because the only orderings a scheduled
+/// run has are stream order (within a lane slot) and engine order (across
+/// slots), and re-enqueueing the spans in capture order on a synchronized
+/// device reproduces both. Cross-frame dependencies are no exception: a
+/// plan with [`Carry`]s runs on one lane, so its frame order is stream
+/// order.
 #[derive(Debug, Clone, Default)]
 pub struct ScheduleWitness {
     /// The captured spans, each `stream` rewritten to its lane slot.
@@ -697,7 +706,9 @@ pub struct ExecOptions {
     /// number of device buffer sets. `1` runs fully serialized on the
     /// default stream, reproducing the one-frame-at-a-time executors
     /// exactly; `2` double-buffers so frame `f+1`'s upload overlaps frame
-    /// `f`'s kernels and frame `f-1`'s download. Must be `>= 1`
+    /// `f`'s kernels and frame `f-1`'s download. Lane `k` runs on the
+    /// device's stream `k`. A plan with [`Carry`]s ignores this and runs on
+    /// one lane, since its frames cannot overlap. Must be `>= 1`
     /// ([`ExecOptions::validate`]).
     pub streams: usize,
     /// Batch drivers only: frames executed functionally; the scenario's
@@ -816,15 +827,15 @@ pub type BatchOutput = (Vec<Vec<NdArray<i64>>>, RunStats);
 /// with multi-stream double buffering, timing replay, and optional OOM
 /// degradation.
 ///
-/// Frame `f` is assigned lane `f % lanes` — a stream plus that stream's
-/// private buffer set — so same-buffer reuse is protected by same-stream
-/// ordering while adjacent frames overlap their H2D / compute / D2H phases
-/// on the device's three engines: the classic CUDA async-stream frame
-/// pipeline, which is also exactly what in-order OpenCL command queues give
-/// the other route. Buffer sets are allocated on demand and reused across
-/// frames (allocation is free in simulated time at the paper calibration,
-/// so the 1-lane case still matches the serial executors' clock
-/// bit-for-bit).
+/// Frame `f` is assigned lane `f % lanes` — the device's stream `f % lanes`
+/// plus that lane's private buffer set — so same-buffer reuse is protected
+/// by same-stream ordering while adjacent frames overlap their H2D /
+/// compute / D2H phases on the device's three engines: the classic CUDA
+/// async-stream frame pipeline, which is also exactly what in-order OpenCL
+/// command queues give the other route. Buffer sets are allocated on demand
+/// and reused across frames (allocation is free in simulated time at the
+/// paper calibration, so the 1-lane case still matches the serial
+/// executors' clock bit-for-bit).
 #[derive(Debug)]
 pub struct BatchScheduler<'a> {
     plan: &'a LaunchPlan<'a>,
@@ -868,7 +879,10 @@ impl<'a> BatchScheduler<'a> {
         if frames.is_empty() {
             return Ok((Vec::new(), RunStats::default()));
         }
-        let mut lanes = opts.streams;
+        // Stream order is the only cross-frame ordering: a plan with carries
+        // runs every frame on one lane, so frame `f+1` queues behind frame
+        // `f` on the same stream.
+        let mut lanes = if self.plan.carries.is_empty() { opts.streams } else { 1 };
         loop {
             match self.attempt(device, frames, opts, lanes) {
                 Err(ScheduleError::Sim(SimError::OutOfMemory { .. }))
@@ -897,10 +911,7 @@ impl<'a> BatchScheduler<'a> {
         opts: &ExecOptions,
         lanes: usize,
     ) -> Result<BatchOutput, ScheduleError> {
-        let mut streams = vec![StreamId::DEFAULT];
-        while streams.len() < lanes {
-            streams.push(device.create_stream());
-        }
+        let streams = device.lane_streams(lanes);
         let mut buffer_sets: Vec<Vec<Option<BufferId>>> =
             vec![vec![None; self.plan.arrays.len()]; lanes];
 
@@ -936,18 +947,10 @@ impl<'a> BatchScheduler<'a> {
         let mut stats = RunStats::default();
         let mut warm = ScheduleWitness::default();
         // Cross-frame carries: each frame's carried host values override the
-        // next frame's carry-target bindings, and an event recorded on each
-        // frame's stream gates the next frame's stream — frame `f+1` cannot
-        // start before frame `f` finished producing the carried value, so
-        // multi-lane overlap honestly collapses to the serial schedule.
-        let has_carries = !self.plan.carries.is_empty();
+        // next frame's carry-target bindings.
         let mut carried: Vec<Option<NdArray<i64>>> = vec![None; self.plan.carries.len()];
-        let mut prev_frame_done: Option<EventId> = None;
         for (f, inputs) in frames.iter().enumerate() {
             let lane = f % lanes;
-            if let Some(ev) = prev_frame_done {
-                device.wait_event(streams[lane], ev)?;
-            }
             // The first frame on each lane is "cold": it runs the plan's
             // prologue (invariant uploads) before the per-frame steps.
             let cold = f < lanes;
@@ -960,10 +963,7 @@ impl<'a> BatchScheduler<'a> {
                 cold,
                 &carried,
             )?;
-            if has_carries {
-                prev_frame_done = Some(device.record_event(streams[lane])?);
-                carried = run.carried.into_iter().map(Some).collect();
-            }
+            carried = run.carried.into_iter().map(Some).collect();
             if f == 0 {
                 // The replay witness is the *warm* frame schedule: spans
                 // recorded after the prologue finished, and the per-step
@@ -983,16 +983,7 @@ impl<'a> BatchScheduler<'a> {
         let total = if opts.total_frames == 0 { frames.len() } else { opts.total_frames };
         for f in frames.len()..total {
             let lane = f % lanes;
-            // Replayed frames keep the carry serialization: the timing of a
-            // carried batch must not overlap frames the functional run
-            // could not have overlapped.
-            if let Some(ev) = prev_frame_done {
-                device.wait_event(streams[lane], ev)?;
-            }
             stats.accumulate(warm.replay(device, &streams[lane..=lane])?);
-            if has_carries {
-                prev_frame_done = Some(device.record_event(streams[lane])?);
-            }
         }
         Ok((outputs, stats))
     }
@@ -1414,7 +1405,7 @@ mod tests {
         let mut replayed = Device::gtx480();
         replayed.charge_host("shift", shift_us);
         let mark = replayed.profiler.spans().count();
-        let streams = [StreamId::DEFAULT, replayed.create_stream()];
+        let streams = replayed.lane_streams(2);
         let replay_stats = witness.replay(&mut replayed, &streams).unwrap().clone();
         replayed.synchronize();
         assert_eq!(replay_stats, stats);
@@ -1951,10 +1942,13 @@ mod tests {
             .run(&mut piped, &carry_frames(6, n), &ExecOptions { streams: 2, ..Default::default() })
             .unwrap();
 
-        // Same values regardless of lane count, and no dishonest overlap:
-        // the event chain collapses the 2-lane schedule to the serial clock.
+        // Same values regardless of lane count, and no dishonest overlap: a
+        // carry plan runs on one lane, so asking for two changes neither the
+        // clock nor the footprint (one buffer set, one stream).
         assert_eq!(got, expect);
         assert_eq!(piped.now_us(), serial.now_us());
+        assert_eq!(piped.peak_allocated_bytes(), serial.peak_allocated_bytes());
+        assert_eq!(piped.stream_count(), 1);
     }
 
     #[test]

@@ -11,6 +11,7 @@ use sac_cuda::exec::run_on_device;
 use sac_lang::wir::{FlatGen, FlatProgram, FlatWith, Step, SymExpr};
 use simgpu::device::{BufferId, Device, DeviceConfig};
 use simgpu::Calibration;
+use simgpu::ScheduleError::Sim;
 use std::collections::HashMap;
 
 /// A device too small for the frames: the run must fail with OutOfMemory and
@@ -29,7 +30,7 @@ fn device_oom_is_reported() {
         ExecOptions::default(),
     );
     match err {
-        Err(sac_cuda::CudaError::Sim(simgpu::SimError::OutOfMemory { .. })) => {}
+        Err(sac_cuda::CudaError::Schedule(Sim(simgpu::SimError::OutOfMemory { .. }))) => {}
         other => panic!("expected OutOfMemory, got {other:?}"),
     }
 }
@@ -43,7 +44,10 @@ fn gaspard_oom_is_reported() {
     let mut device = Device::new(DeviceConfig::toy(1024), Calibration::gtx480());
     let err = gaspard::run_opencl(&route.opencl, &mut device, &channels);
     assert!(
-        matches!(err, Err(gaspard::GaspardError::Sim(simgpu::SimError::OutOfMemory { .. }))),
+        matches!(
+            err,
+            Err(gaspard::GaspardError::Schedule(Sim(simgpu::SimError::OutOfMemory { .. })))
+        ),
         "{err:?}"
     );
 }
@@ -95,9 +99,9 @@ fn mid_batch_oom_degrades_to_fewer_lanes() {
     assert!(
         matches!(
             err,
-            Err(PipelineError::Cuda(sac_cuda::CudaError::Sim(
+            Err(PipelineError::Cuda(sac_cuda::CudaError::Schedule(Sim(
                 simgpu::SimError::OutOfMemory { .. }
-            )))
+            ))))
         ),
         "{err:?}"
     );
@@ -119,9 +123,9 @@ fn mid_batch_oom_degrades_to_fewer_lanes() {
     assert!(
         matches!(
             err,
-            Err(PipelineError::Gaspard(gaspard::GaspardError::Sim(
+            Err(PipelineError::Gaspard(gaspard::GaspardError::Schedule(Sim(
                 simgpu::SimError::OutOfMemory { .. }
-            )))
+            ))))
         ),
         "{err:?}"
     );
@@ -217,7 +221,10 @@ fn kernel_oob_load_faults() {
     let mut device = Device::gtx480();
     let err = run_on_device(&cuda, &mut device, &[frame], ExecOptions::default());
     assert!(
-        matches!(err, Err(sac_cuda::CudaError::Sim(simgpu::SimError::OutOfBounds { .. }))),
+        matches!(
+            err,
+            Err(sac_cuda::CudaError::Schedule(Sim(simgpu::SimError::OutOfBounds { .. })))
+        ),
         "{err:?}"
     );
 }
@@ -266,7 +273,7 @@ int[*] main(int[4] a)
     let mut device = Device::gtx480();
     let err = run_on_device(&cuda, &mut device, &[frame], ExecOptions::default());
     assert!(
-        matches!(err, Err(sac_cuda::CudaError::Sim(simgpu::SimError::DivByZero { .. }))),
+        matches!(err, Err(sac_cuda::CudaError::Schedule(Sim(simgpu::SimError::DivByZero { .. })))),
         "{err:?}"
     );
 }

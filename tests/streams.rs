@@ -19,7 +19,7 @@ use downscaler::pipelines::{
 use downscaler::sac_src::{Part, Variant};
 use downscaler::Scenario;
 use proptest::prelude::*;
-use simgpu::device::{Device, StreamId};
+use simgpu::device::Device;
 use simgpu::profiler::{OpClass, Profiler};
 use simgpu::schedule::{RunStats, ScheduleWitness};
 
@@ -37,10 +37,7 @@ fn schedule_random(ops: &[(u8, u8, u16)], stream_count: usize) -> Device {
     }
     let witness = ScheduleWitness::capture(&recorded, 0, RunStats::default());
     let mut device = Device::gtx480();
-    let mut streams = vec![StreamId::DEFAULT];
-    for _ in 1..stream_count {
-        streams.push(device.create_stream());
-    }
+    let streams = device.lane_streams(stream_count);
     witness.replay(&mut device, &streams).unwrap();
     device.synchronize();
     device
