@@ -10,9 +10,10 @@ use downscaler::frames::FrameGenerator;
 use downscaler::pipelines::build_sac;
 use downscaler::sac_src::{Part, Variant};
 use downscaler::Scenario;
-use sac_cuda::exec::{run_on_device, ExecOptions};
+use sac_cuda::exec::lower_plan;
 use sac_lang::opt::OptConfig;
 use simgpu::device::Device;
+use simgpu::{run_plan, ExecOptions};
 use std::hint::black_box;
 
 fn configs() -> [(&'static str, OptConfig); 2] {
@@ -44,14 +45,11 @@ fn bench_ablation(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("gpu_run", name), &route, |b, route| {
             b.iter(|| {
                 let mut device = Device::gtx480();
+                let plan = lower_plan(&route.cuda, 0).unwrap();
+                let frames = [vec![frame.clone()]];
                 black_box(
-                    run_on_device(
-                        &route.cuda,
-                        &mut device,
-                        black_box(std::slice::from_ref(&frame)),
-                        ExecOptions::default(),
-                    )
-                    .unwrap(),
+                    run_plan(plan, &mut device, black_box(&frames), &ExecOptions::default())
+                        .unwrap(),
                 )
             })
         });

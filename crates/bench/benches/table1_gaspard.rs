@@ -24,8 +24,11 @@ fn bench_gaspard(c: &mut Criterion) {
     group.bench_function("opencl_frame_cif", |b| {
         b.iter(|| {
             let mut device = Device::gtx480();
+            let plan = gaspard::lower_plan(&route.opencl);
+            let frames = [channels.clone()];
             black_box(
-                gaspard::run_opencl(&route.opencl, &mut device, black_box(&channels)).unwrap(),
+                simgpu::run_plan(plan, &mut device, black_box(&frames), &Default::default())
+                    .unwrap(),
             )
         })
     });

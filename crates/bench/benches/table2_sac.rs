@@ -7,8 +7,9 @@ use downscaler::frames::FrameGenerator;
 use downscaler::pipelines::build_sac;
 use downscaler::sac_src::{Part, Variant};
 use downscaler::Scenario;
-use sac_cuda::exec::{run_on_device, ExecOptions};
+use sac_cuda::exec::lower_plan;
 use simgpu::device::Device;
+use simgpu::{run_plan, ExecOptions};
 use std::hint::black_box;
 
 fn bench_sac(c: &mut Criterion) {
@@ -27,19 +28,13 @@ fn bench_sac(c: &mut Criterion) {
     });
 
     let route = build_sac(&s, Variant::NonGeneric, Part::Full, &Default::default()).unwrap();
-    let opts = ExecOptions { channel_chunks: s.channels, ..Default::default() };
+    let opts = ExecOptions::default();
+    let frames = [vec![frame.clone()]];
     group.bench_function("cuda_frame_cif", |b| {
         b.iter(|| {
             let mut device = Device::gtx480();
-            black_box(
-                run_on_device(
-                    &route.cuda,
-                    &mut device,
-                    black_box(std::slice::from_ref(&frame)),
-                    opts,
-                )
-                .unwrap(),
-            )
+            let plan = lower_plan(&route.cuda, s.channels).unwrap();
+            black_box(run_plan(plan, &mut device, black_box(&frames), &opts).unwrap())
         })
     });
 
@@ -50,18 +45,12 @@ fn bench_sac(c: &mut Criterion) {
         } else {
             frame.clone()
         };
+        let inputs = [vec![input]];
         group.bench_function(name, |b| {
             b.iter(|| {
                 let mut device = Device::gtx480();
-                black_box(
-                    run_on_device(
-                        &r.cuda,
-                        &mut device,
-                        black_box(std::slice::from_ref(&input)),
-                        opts,
-                    )
-                    .unwrap(),
-                )
+                let plan = lower_plan(&r.cuda, s.channels).unwrap();
+                black_box(run_plan(plan, &mut device, black_box(&inputs), &opts).unwrap())
             })
         });
     }

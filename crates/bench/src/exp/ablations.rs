@@ -1,17 +1,18 @@
 //! Cost-model sensitivity of the Table I/II totals, and WITH-loop folding
 //! on/off kernel counts.
 
-use super::{default_exec, test_frame, Experiment, FRAME_SEED};
+use super::{test_frame, Experiment, FRAME_SEED};
 use crate::record;
 use crate::record::Record;
 use downscaler::frames::FrameGenerator;
 use downscaler::pipelines::{build_gaspard, build_sac, PipelineError};
 use downscaler::sac_src::{Part, Variant};
 use downscaler::Scenario;
-use sac_cuda::exec::run_on_device;
+use gaspard::GaspardError;
+use sac_cuda::{lower_plan, CudaError};
 use sac_lang::opt::OptConfig;
 use simgpu::device::Device;
-use simgpu::Calibration;
+use simgpu::{run_plan, Calibration, ExecOptions};
 
 /// The `ablations` command.
 pub const EXPERIMENT: Experiment = Experiment {
@@ -31,13 +32,17 @@ pub fn totals_with_calibration(
     let mut device = Device::gtx480();
     device.set_calibration(calib.clone());
     let channels = FrameGenerator::new(s.channels, s.rows, s.cols, FRAME_SEED).frame_channels(0);
-    gaspard::run_opencl(&route.opencl, &mut device, &channels)?;
+    let plan = gaspard::lower_plan(&route.opencl);
+    run_plan(plan, &mut device, &[channels], &ExecOptions::default())
+        .map_err(GaspardError::from)?;
     let gaspard_total = device.now_us() * s.frames as f64 / 1e6;
     // SaC non-generic.
     let route = build_sac(s, Variant::NonGeneric, Part::Full, &Default::default())?;
     let mut device = Device::gtx480();
     device.set_calibration(calib);
-    run_on_device(&route.cuda, &mut device, &[test_frame(s)], default_exec(s))?;
+    let plan = lower_plan(&route.cuda, s.channels)?;
+    run_plan(plan, &mut device, &[vec![test_frame(s)]], &ExecOptions::default())
+        .map_err(CudaError::from)?;
     let sac_total = device.now_us() * s.frames as f64 / 1e6;
     Ok((sac_total, gaspard_total))
 }

@@ -1,17 +1,18 @@
 //! Figure 9: filter execution times of the four SaC configurations.
 
-use super::{default_exec, test_frame, Experiment};
+use super::{test_frame, Experiment};
 use crate::calibration::SEQ_CPU_NS_PER_OP;
 use crate::record;
 use crate::record::Record;
 use downscaler::pipelines::{build_sac, PipelineError, SacRoute};
 use downscaler::sac_src::{Part, Variant};
 use downscaler::Scenario;
-use sac_cuda::exec::run_on_device;
+use sac_cuda::{lower_plan, CudaError};
 use simgpu::cost::Direction;
 use simgpu::device::Device;
 use simgpu::profiler::OpClass;
 use simgpu::PlanStep;
+use simgpu::{run_plan, ExecOptions};
 
 /// The `fig9` command.
 pub const EXPERIMENT: Experiment = Experiment {
@@ -76,7 +77,9 @@ fn part_input(s: &Scenario, part: Part) -> mdarray::NdArray<i64> {
 fn cuda_filter_time_s(s: &Scenario, variant: Variant, part: Part) -> Result<f64, PipelineError> {
     let route = build_sac(s, variant, part, &Default::default())?;
     let mut device = Device::gtx480();
-    run_on_device(&route.cuda, &mut device, &[part_input(s, part)], default_exec(s))?;
+    let plan = lower_plan(&route.cuda, s.channels)?;
+    run_plan(plan, &mut device, &[vec![part_input(s, part)]], &ExecOptions::default())
+        .map_err(CudaError::from)?;
     let total = device.now_us();
     let h2d = device.profiler.class_total_us(OpClass::H2D);
     let result_d2h = result_download_us(s, &route, &device);

@@ -2,16 +2,16 @@
 //! plan-level tiler-composition pass on the Gaspard2 route.
 
 use super::{Experiment, FRAME_SEED};
-use crate::calibration::HOST_NS_PER_OP;
 use crate::record;
 use crate::record::Record;
 use downscaler::pipelines::{
-    build_gaspard, build_sac, run_gaspard_batch, run_sac_batch, ExecOptions, PipelineError,
+    build_gaspard, build_sac, run_gaspard_batch, run_sac_batch, PipelineError,
 };
 use downscaler::sac_src::{Part, Variant};
 use downscaler::Scenario;
 use simgpu::device::Device;
 use simgpu::profiler::OpClass;
+use simgpu::ExecOptions;
 
 /// The `fusion` command.
 pub const EXPERIMENT: Experiment = Experiment {
@@ -105,13 +105,7 @@ pub fn fusion_ablation(s: &Scenario) -> Result<FusionAblation, PipelineError> {
     let mut rows = Vec::new();
     let mut fused_outputs_match = true;
     for (streams, pool) in [(1usize, false), (2, true)] {
-        let opts = ExecOptions {
-            streams,
-            pool,
-            executed: 1,
-            host_ns_per_op: HOST_NS_PER_OP,
-            ..Default::default()
-        };
+        let opts = ExecOptions { streams, pool, executed: 1, ..Default::default() };
         for (label, route, is_fused) in
             [("SaC (WLF off)", &wlf_off, false), ("SaC (WLF on)", &wlf_on, true)]
         {

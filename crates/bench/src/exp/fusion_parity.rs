@@ -2,13 +2,13 @@
 //! pass against each route's own fusion stage.
 
 use super::{config_err, Experiment};
-use crate::calibration::HOST_NS_PER_OP;
 use crate::record;
 use crate::record::Record;
-use downscaler::pipelines::{ExecOptions, PipelineError};
+use downscaler::pipelines::PipelineError;
 use downscaler::Scenario;
 use simgpu::device::Device;
 use simgpu::profiler::OpClass;
+use simgpu::ExecOptions;
 
 /// The `fusion-parity` command.
 pub const EXPERIMENT: Experiment = Experiment {
@@ -150,7 +150,7 @@ pub fn fusion_parity_ablation(s: &Scenario) -> Result<FusionParityAblation, Pipe
         })
         .map_err(config_err)?;
 
-    let base = ExecOptions { executed: 1, host_ns_per_op: HOST_NS_PER_OP, ..Default::default() };
+    let base = ExecOptions { executed: 1, ..Default::default() };
     let launch_steps = |plan: &simgpu::LaunchPlan<'_>| {
         plan.steps.iter().filter(|st| matches!(st, simgpu::PlanStep::Launch { .. })).count()
     };

@@ -1,16 +1,17 @@
 //! Memory-allocator ablation (naive vs pooled) and the OOM graceful
 //! degradation demonstration.
 
-use super::{default_exec, Experiment, FRAME_SEED};
-use crate::calibration::HOST_NS_PER_OP;
+use super::{Experiment, FRAME_SEED};
 use crate::record;
 use crate::record::Record;
 use downscaler::frames::FrameGenerator;
-use downscaler::pipelines::{build_gaspard, build_sac, run_sac_batch, ExecOptions, PipelineError};
+use downscaler::pipelines::{build_gaspard, build_sac, run_sac_batch, PipelineError};
 use downscaler::sac_src::{Part, Variant};
 use downscaler::Scenario;
-use sac_cuda::exec::run_on_device;
+use gaspard::GaspardError;
+use sac_cuda::CudaError;
 use simgpu::device::Device;
+use simgpu::{run_plan, ExecOptions};
 
 /// The `memory` command.
 pub const EXPERIMENT: Experiment = Experiment {
@@ -121,20 +122,23 @@ pub fn memory_ablation(s: &Scenario) -> Result<Vec<MemoryRow>, PipelineError> {
 
     let mut rows = Vec::new();
     for (label, pool) in [("naive", false), ("pooled", true)] {
+        let opts = ExecOptions { pool, ..Default::default() };
         let mut sac_dev = Device::gtx480();
         sac_dev.set_calibration(simgpu::Calibration::gtx480_alloc());
-        sac_dev.set_pool_enabled(pool);
         let sm = measure_memory(s, &mut sac_dev, |d, f| {
-            run_on_device(&sac.cuda, d, &[gen.frame_rank3(f)], default_exec(s)).map(|_| ())
+            let plan = sac_cuda::lower_plan(&sac.cuda, s.channels)?;
+            run_plan(plan, d, &[vec![gen.frame_rank3(f)]], &opts)
+                .map(|_| ())
+                .map_err(CudaError::from)
         })?;
 
         let mut gasp_dev = Device::gtx480();
         gasp_dev.set_calibration(simgpu::Calibration::gtx480_alloc());
-        gasp_dev.set_pool_enabled(pool);
         let gm = measure_memory(s, &mut gasp_dev, |d, f| {
-            gaspard::run_opencl(&gasp.opencl, d, &gen.frame_channels(f)).map(|_| ())
+            let plan = gaspard::lower_plan(&gasp.opencl);
+            run_plan(plan, d, &[gen.frame_channels(f)], &opts).map(|_| ())
         })
-        .map_err(PipelineError::Gaspard)?;
+        .map_err(GaspardError::from)?;
 
         rows.push(MemoryRow {
             config: label.into(),
@@ -178,8 +182,7 @@ pub fn oom_degradation_demo(s: &Scenario) -> Result<DegradationDemo, PipelineErr
     // functional frame per requested lane to actually exercise the capacity.
     // Scenarios with fewer frames than lanes exercise fewer lanes.
     let exercised = streams.min(s.frames);
-    let opts =
-        ExecOptions { executed: exercised, host_ns_per_op: HOST_NS_PER_OP, ..Default::default() };
+    let opts = ExecOptions { executed: exercised, ..Default::default() };
 
     // Baseline 1-stream run doubles as the per-lane footprint probe.
     let mut probe = Device::gtx480();

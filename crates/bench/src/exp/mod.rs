@@ -5,11 +5,10 @@
 //! one `EXPERIMENT` entry. Adding an experiment is one new file plus one
 //! line in [`REGISTRY`].
 
-use crate::calibration::HOST_NS_PER_OP;
 use crate::record;
 use crate::record::Record;
 use downscaler::frames::FrameGenerator;
-use downscaler::pipelines::{ExecOptions, PipelineError};
+use downscaler::pipelines::PipelineError;
 use downscaler::Scenario;
 use mdarray::NdArray;
 
@@ -99,12 +98,6 @@ impl Experiment {
 
 /// Seed of the synthetic frames every downscaler experiment runs on.
 pub(crate) const FRAME_SEED: u64 = 0xD05C;
-
-/// The serial executors' options: the calibrated host cost, and one
-/// transfer per channel as the paper's generated host code issues them.
-pub(crate) fn default_exec(s: &Scenario) -> ExecOptions {
-    ExecOptions { host_ns_per_op: HOST_NS_PER_OP, channel_chunks: s.channels, ..Default::default() }
-}
 
 /// Frame 0 of the scenario as one rank-3 array.
 pub(crate) fn test_frame(s: &Scenario) -> NdArray<i64> {

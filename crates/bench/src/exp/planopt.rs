@@ -2,12 +2,14 @@
 //! bytes moved and makespan.
 
 use super::{Experiment, FRAME_SEED};
-use crate::calibration::HOST_NS_PER_OP;
 use crate::record;
 use crate::record::Record;
-use downscaler::pipelines::{build_gaspard, run_gaspard_batch_placed, ExecOptions, PipelineError};
+use downscaler::frames::FrameGenerator;
+use downscaler::pipelines::{build_gaspard, PipelineError};
 use downscaler::Scenario;
+use gaspard::GaspardError;
 use simgpu::device::Device;
+use simgpu::{run_plan, ExecOptions};
 
 /// The `planopt` command.
 pub const EXPERIMENT: Experiment = Experiment {
@@ -99,6 +101,9 @@ const PLANOPT_LEVELS: [(&str, simgpu::PlanOptLevel); 6] = [
 pub fn planopt_ablation(s: &Scenario) -> Result<PlanoptAblation, PipelineError> {
     let unfused = build_gaspard(s)?;
     let frames = s.frames as f64;
+    // One functional frame per run; the rest of the batch timing-replays.
+    let functional =
+        [FrameGenerator::new(s.channels, s.rows, s.cols, FRAME_SEED).frame_channels(0)];
 
     let mut rows = Vec::new();
     let mut outputs_match = true;
@@ -114,14 +119,14 @@ pub fn planopt_ablation(s: &Scenario) -> Result<PlanoptAblation, PipelineError> 
                 let opts = ExecOptions {
                     streams,
                     pool,
-                    executed: 1,
-                    host_ns_per_op: HOST_NS_PER_OP,
+                    total_frames: s.frames,
                     optimize: *level,
                     ..Default::default()
                 };
+                let plan = gaspard::lower_plan_with(&route.opencl, placement);
                 let mut dev = Device::gtx480();
                 let (outs, stats) =
-                    run_gaspard_batch_placed(s, route, &mut dev, FRAME_SEED, opts, placement)?;
+                    run_plan(plan, &mut dev, &functional, &opts).map_err(GaspardError::from)?;
                 match &baseline {
                     None => baseline = Some(outs),
                     Some(base) => outputs_match &= *base == outs,

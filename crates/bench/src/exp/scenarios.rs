@@ -3,13 +3,13 @@
 
 use super::{config_err, Experiment};
 use crate::arrivals::arrival_trace;
-use crate::calibration::HOST_NS_PER_OP;
 use crate::record;
 use crate::record::Record;
-use downscaler::pipelines::{ExecOptions, PipelineError};
+use downscaler::pipelines::PipelineError;
 use downscaler::Scenario;
 use mdarray::NdArray;
 use simgpu::device::Device;
+use simgpu::ExecOptions;
 
 /// The `scenarios` command.
 pub const EXPERIMENT: Experiment = Experiment {
@@ -46,7 +46,7 @@ pub fn scenarios_ablation(s: &Scenario) -> Result<Record, PipelineError> {
         // bit-checks (per-frame cost is content-independent); the temporal
         // entry executes three so the carry chain is actually exercised.
         let executed = if w.temporal() { 3.min(w.frames) } else { 1 };
-        let base = ExecOptions { executed, host_ns_per_op: HOST_NS_PER_OP, ..Default::default() };
+        let base = ExecOptions { executed, ..Default::default() };
         let configs: [(&str, ExecOptions); 3] = [
             ("serial", base),
             ("pipelined", ExecOptions { streams: 2, pool: true, ..base }),
@@ -88,16 +88,9 @@ pub fn scenarios_ablation(s: &Scenario) -> Result<Record, PipelineError> {
         // job (bit-checked), the rest replaying a captured template.
         let plan = built.plan(scenarios::Route::Gaspard).map_err(config_err)?;
         let mix = w.mix;
-        let exec = ExecOptions {
-            streams: 2,
-            executed: 1,
-            pool: true,
-            host_ns_per_op: HOST_NS_PER_OP,
-            ..Default::default()
-        };
+        let exec = ExecOptions { streams: 2, executed: 1, pool: true, ..Default::default() };
         let mut templates = BTreeMap::new();
         let mut probe = Device::gtx480();
-        probe.set_pool_enabled(true);
         let probe_frames = built.frames(scenarios::Route::Gaspard, 1);
         let tpl = serve::JobTemplate::capture(
             &plan,

@@ -3,14 +3,14 @@
 
 use super::{config_err, Experiment, FRAME_SEED};
 use crate::arrivals::arrival_trace;
-use crate::calibration::HOST_NS_PER_OP;
 use crate::record;
 use crate::record::Record;
 use downscaler::frames::FrameGenerator;
-use downscaler::pipelines::{build_gaspard, reference_downscale, ExecOptions, PipelineError};
+use downscaler::pipelines::{build_gaspard, reference_downscale, PipelineError};
 use downscaler::Scenario;
 use mdarray::NdArray;
 use simgpu::device::Device;
+use simgpu::ExecOptions;
 
 /// The `serve` command.
 pub const EXPERIMENT: Experiment = Experiment {
@@ -46,20 +46,13 @@ pub fn serve_ablation(s: &Scenario) -> Result<Record, PipelineError> {
     // jobs; smaller scenarios shrink proportionally (min 4 jobs, 1 frame).
     let fpj = (s.frames / 60).max(1);
     let jobs_n = (s.frames / fpj).max(4);
-    let exec = ExecOptions {
-        streams: 2,
-        executed: 1,
-        pool: true,
-        host_ns_per_op: HOST_NS_PER_OP,
-        ..Default::default()
-    };
+    let exec = ExecOptions { streams: 2, executed: 1, pool: true, ..Default::default() };
 
     // Measure the job shape once on a scratch device; every serving run
     // (any width, any policy) replays this same template, which is what
     // makes the cross-width comparison exact.
     let mut templates = BTreeMap::new();
     let mut probe = Device::gtx480();
-    probe.set_pool_enabled(true);
     let tpl = serve::JobTemplate::capture(&plan, &mut probe, &exec, &[gen.frame_channels(0)], fpj)
         .map_err(config_err)?;
     let job_us = tpl.dur_us;

@@ -2,15 +2,15 @@
 //! pipelining.
 
 use super::{Experiment, FRAME_SEED};
-use crate::calibration::HOST_NS_PER_OP;
 use crate::record;
 use crate::record::Record;
 use downscaler::pipelines::{
-    build_gaspard, build_sac, run_gaspard_batch, run_sac_batch, ExecOptions, PipelineError,
+    build_gaspard, build_sac, run_gaspard_batch, run_sac_batch, PipelineError,
 };
 use downscaler::sac_src::{Part, Variant};
 use downscaler::Scenario;
 use simgpu::device::Device;
+use simgpu::ExecOptions;
 
 /// The `streams` command.
 pub const EXPERIMENT: Experiment = Experiment {
@@ -67,12 +67,7 @@ pub fn streams_ablation(
     let gasp = build_gaspard(s)?;
     let mut rows = Vec::new();
     for &streams in stream_counts {
-        let opts = ExecOptions {
-            streams,
-            executed: 1,
-            host_ns_per_op: HOST_NS_PER_OP,
-            ..Default::default()
-        };
+        let opts = ExecOptions { streams, executed: 1, ..Default::default() };
         let mut sac_dev = Device::gtx480();
         run_sac_batch(s, &sac, &mut sac_dev, FRAME_SEED, opts)?;
         let mut gasp_dev = Device::gtx480();
@@ -91,9 +86,8 @@ pub fn streams_ablation(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exp::default_exec;
     use downscaler::frames::FrameGenerator;
-    use sac_cuda::exec::run_on_device;
+    use simgpu::run_plan;
 
     #[test]
     fn streams_ablation_overlap_strictly_beats_sync() {
@@ -128,7 +122,8 @@ mod tests {
         let mut device = Device::gtx480();
         let gen = FrameGenerator::new(s.channels, s.rows, s.cols, FRAME_SEED);
         for f in 0..s.frames {
-            run_on_device(&route.cuda, &mut device, &[gen.frame_rank3(f)], default_exec(&s))
+            let plan = sac_cuda::lower_plan(&route.cuda, s.channels).unwrap();
+            run_plan(plan, &mut device, &[vec![gen.frame_rank3(f)]], &ExecOptions::default())
                 .unwrap();
         }
         assert_eq!(rows[0].sac_s, device.now_us() / 1e6);

@@ -1,15 +1,16 @@
 //! Frame-size sweep: where does the GPU overtake sequential execution?
 
-use super::{default_exec, test_frame, Experiment};
+use super::{test_frame, Experiment};
 use crate::calibration::SEQ_CPU_NS_PER_OP;
 use crate::record;
 use crate::record::Record;
 use downscaler::pipelines::{build_sac, PipelineError};
 use downscaler::sac_src::{Part, Variant};
 use downscaler::Scenario;
-use sac_cuda::exec::run_on_device;
+use sac_cuda::{lower_plan, CudaError};
 use simgpu::device::Device;
 use simgpu::profiler::OpClass;
+use simgpu::{run_plan, ExecOptions};
 
 /// The `sweep` command. It grows the frame up to the scenario's own size,
 /// with the scenario's channel count.
@@ -78,7 +79,9 @@ pub fn sweep(channels: usize, scales: &[usize]) -> Result<Vec<SweepRow>, Pipelin
         let seq_us = ops as f64 * SEQ_CPU_NS_PER_OP / 1e3;
 
         let mut device = Device::gtx480();
-        run_on_device(&route.cuda, &mut device, std::slice::from_ref(&frame), default_exec(&s))?;
+        let plan = lower_plan(&route.cuda, s.channels)?;
+        run_plan(plan, &mut device, &[vec![frame]], &ExecOptions::default())
+            .map_err(CudaError::from)?;
         let gpu_total_us = device.now_us();
         let gpu_kernels_us = device.profiler.class_total_us(OpClass::Kernel);
         out.push(SweepRow { rows, cols, seq_us, gpu_kernels_us, gpu_total_us });

@@ -64,7 +64,9 @@ pub fn table1(s: &Scenario) -> Result<ProfileTable, PipelineError> {
     let route = build_gaspard(s)?;
     let mut device = Device::gtx480();
     let channels = FrameGenerator::new(s.channels, s.rows, s.cols, FRAME_SEED).frame_channels(0);
-    gaspard::run_opencl(&route.opencl, &mut device, &channels)?;
+    let plan = gaspard::lower_plan(&route.opencl);
+    simgpu::run_plan(plan, &mut device, &[channels], &simgpu::ExecOptions::default())
+        .map_err(gaspard::GaspardError::from)?;
     Ok(ProfileTable::of_frame(s, &mut device))
 }
 

@@ -1,12 +1,13 @@
 //! Table II: the non-generic SaC implementation's profile over the full run.
 
 use super::table1::ProfileTable;
-use super::{default_exec, test_frame, Experiment};
+use super::{test_frame, Experiment};
 use downscaler::pipelines::{build_sac, PipelineError};
 use downscaler::sac_src::{Part, Variant};
 use downscaler::Scenario;
-use sac_cuda::exec::run_on_device;
+use sac_cuda::{lower_plan, CudaError};
 use simgpu::device::Device;
+use simgpu::{run_plan, ExecOptions};
 
 /// The `table2` command.
 pub const EXPERIMENT: Experiment = Experiment {
@@ -19,7 +20,9 @@ pub const EXPERIMENT: Experiment = Experiment {
 pub fn table2(s: &Scenario) -> Result<ProfileTable, PipelineError> {
     let route = build_sac(s, Variant::NonGeneric, Part::Full, &Default::default())?;
     let mut device = Device::gtx480();
-    run_on_device(&route.cuda, &mut device, &[test_frame(s)], default_exec(s))?;
+    let plan = lower_plan(&route.cuda, s.channels)?;
+    run_plan(plan, &mut device, &[vec![test_frame(s)]], &ExecOptions::default())
+        .map_err(CudaError::from)?;
     Ok(ProfileTable::of_frame(s, &mut device))
 }
 

@@ -27,8 +27,8 @@
 //! preset, builds the functional frames once, and shares one
 //! [`simgpu::LaunchMemo`] across the candidates' fresh devices, so a kernel
 //! launch already run on the same loaded contents is not interpreted again.
-//! Scores stay bit-identical to a plain [`BuiltWorkload::run_placed`] on a
-//! memo-free device. Every candidate's functional outputs are compared with
+//! Scores stay bit-identical to lowering with [`BuiltWorkload::plan_placed`]
+//! and running through [`simgpu::run_plan`] on a memo-free device. Every candidate's functional outputs are compared with
 //! the entry's CPU reference, and a divergence is an error.
 //!
 //! Every winner is re-checked functionally against the entry's CPU
@@ -46,11 +46,10 @@ use gaspard::Placement;
 use mdarray::NdArray;
 use scenarios::{BuiltWorkload, JobMix, Kind, Route, ScenarioError, Workload};
 use simgpu::cost::CostModelSpec;
-use simgpu::schedule::ExecOptions;
+use simgpu::schedule::{BatchScheduler, ExecOptions};
 use simgpu::{Device, LaunchMemo, LaunchPlan};
 
 use super::{config_err, Experiment};
-use crate::calibration::HOST_NS_PER_OP;
 use crate::record;
 use crate::record::Record;
 
@@ -281,7 +280,6 @@ impl<'a> Tuner<'a> {
             streams: STREAMS[cand.streams_ix],
             executed: Self::executed(self.built),
             channel_chunks: self.chunk_domains[cand.route_ix][cand.chunk_ix],
-            host_ns_per_op: HOST_NS_PER_OP,
             pool: POOLS[cand.pool_ix],
             optimize: presets()[cand.opt_ix].1,
             cost,
@@ -291,8 +289,9 @@ impl<'a> Tuner<'a> {
 
     /// One oracle run: simulated full-batch makespan in seconds, plus the
     /// launch count and a reference bit-check of the functional frames.
-    /// Equal, bit for bit, to [`BuiltWorkload::run_placed`] on a fresh
-    /// memo-free device; only the host work is staged and memoised.
+    /// Equal, bit for bit, to [`simgpu::run_plan`] over
+    /// [`BuiltWorkload::plan_placed`] on a fresh memo-free device; only the
+    /// host work is staged and memoised.
     fn run(
         &mut self,
         cand: Cand,
@@ -314,10 +313,11 @@ impl<'a> Tuner<'a> {
         let key = stage.prepare(self.built, opts.channel_chunks, cand).map_err(config_err)?;
         let mut device = Device::gtx480();
         device.set_launch_memo(stage.memo.clone());
-        let (outs, stats) = self
-            .built
-            .run_plan(&stage.plans[&key], &mut device, &opts, &stage.frames)
+        let batch = ExecOptions { total_frames: self.built.spec.frames, ..opts };
+        let (outs, stats) = BatchScheduler::new(&stage.plans[&key])
+            .run(&mut device, &stage.frames, &batch)
             .map_err(config_err)?;
+        let outs: Vec<NdArray<i64>> = outs.into_iter().map(|o| self.built.canon(o)).collect();
         Ok((device.now_us() / 1e6, stats.launches, outs == self.references))
     }
 
@@ -551,16 +551,14 @@ mod tests {
                 for cand in tuner.candidates(route_ix) {
                     let got = tuner.score(cand).unwrap();
                     let opts = tuner.opts(cand, CostModelSpec::Inherit);
-                    let mut device = Device::gtx480();
-                    built
-                        .run_placed(
-                            Route::BOTH[route_ix],
-                            &mut device,
-                            &opts,
-                            opts.channel_chunks,
-                            PLACEMENTS[cand.place_ix],
-                        )
+                    let route = Route::BOTH[route_ix];
+                    let plan = built
+                        .plan_placed(route, opts.channel_chunks, PLACEMENTS[cand.place_ix])
                         .unwrap();
+                    let frames = built.frames(route, opts.executed);
+                    let opts = ExecOptions { total_frames: built.spec.frames, ..opts };
+                    let mut device = Device::gtx480();
+                    simgpu::run_plan(plan, &mut device, &frames, &opts).unwrap();
                     let want = device.now_us() / 1e6;
                     assert_eq!(got.to_bits(), want.to_bits(), "{}: {cand:?}", w.name);
                 }

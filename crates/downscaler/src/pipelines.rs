@@ -8,11 +8,9 @@ use gaspard::transform::{deploy, schedule, ScheduledModel};
 use gaspard::Platform;
 use mdarray::NdArray;
 use sac_cuda::codegen::{compile_flat_program, CudaProgram};
-use sac_cuda::exec::run_frames_pipelined;
 use sac_lang::opt::{optimize, ArgDesc, OptConfig, OptReport};
 use sac_lang::wir::FlatProgram;
-
-pub use simgpu::schedule::ExecOptions;
+use simgpu::{run_plan, ExecOptions};
 
 /// Errors from route construction.
 #[derive(Debug)]
@@ -23,7 +21,7 @@ pub enum PipelineError {
     Cuda(sac_cuda::CudaError),
     /// MDE chain failure.
     Gaspard(gaspard::GaspardError),
-    /// Invalid batch configuration, rejected before reaching an executor.
+    /// Invalid configuration or plan rewrite outside the two routes.
     Config(String),
 }
 
@@ -128,8 +126,9 @@ pub fn fused_gaspard_plan<'a>(
 }
 
 /// Drive the whole scenario (all `s.frames` frames) through the SaC→CUDA
-/// route's stream pipeline. Returns the functionally executed frames'
-/// results; `device.now_us()` afterwards is the batch makespan.
+/// route's stream pipeline, chunking transfers per colour channel. Returns
+/// the functionally executed frames' results; `device.now_us()` afterwards
+/// is the batch makespan.
 pub fn run_sac_batch(
     s: &Scenario,
     route: &SacRoute,
@@ -137,20 +136,13 @@ pub fn run_sac_batch(
     seed: u64,
     opts: ExecOptions,
 ) -> Result<Vec<NdArray<i64>>, PipelineError> {
-    opts.validate().map_err(PipelineError::Config)?;
-    device.set_pool_enabled(opts.pool);
     let gen = FrameGenerator::new(s.channels, s.rows, s.cols, seed);
     let frames: Vec<Vec<NdArray<i64>>> =
         (0..opts.executed_of(s.frames)).map(|f| vec![gen.frame_rank3(f)]).collect();
-    // The scenario decides frame chunking and batch length; everything else
-    // (streams, host cost, pool, degradation) flows through from the caller.
-    let (outs, _) = run_frames_pipelined(
-        &route.cuda,
-        device,
-        &frames,
-        ExecOptions { channel_chunks: s.channels, total_frames: s.frames, ..opts },
-    )?;
-    Ok(outs)
+    let plan = sac_cuda::exec::lower_plan(&route.cuda, s.channels)?;
+    let opts = ExecOptions { total_frames: s.frames, ..opts };
+    let (outs, _) = run_plan(plan, device, &frames, &opts).map_err(sac_cuda::CudaError::from)?;
+    Ok(outs.into_iter().map(|mut frame| frame.pop().expect("one output")).collect())
 }
 
 /// Drive the whole scenario through the GASPARD→OpenCL route's command-queue
@@ -163,38 +155,13 @@ pub fn run_gaspard_batch(
     seed: u64,
     opts: ExecOptions,
 ) -> Result<Vec<Vec<NdArray<i64>>>, PipelineError> {
-    let (outs, _) =
-        run_gaspard_batch_placed(s, route, device, seed, opts, gaspard::Placement::Resident)?;
-    Ok(outs)
-}
-
-/// [`run_gaspard_batch`] with an explicit intermediate placement; also
-/// returns the run's transfer counters (including bytes moved), which the
-/// planopt ablation reports. [`gaspard::Placement::PerKernelRoundTrip`] is
-/// the maximally redundant baseline — with `opts.optimize` enabling the
-/// residency and dead-transfer passes, the executed schedule collapses back
-/// to the device-resident placement.
-pub fn run_gaspard_batch_placed(
-    s: &Scenario,
-    route: &GaspardRoute,
-    device: &mut simgpu::Device,
-    seed: u64,
-    opts: ExecOptions,
-    placement: gaspard::Placement,
-) -> Result<simgpu::schedule::BatchOutput, PipelineError> {
-    opts.validate().map_err(PipelineError::Config)?;
-    device.set_pool_enabled(opts.pool);
     let gen = FrameGenerator::new(s.channels, s.rows, s.cols, seed);
     let frames: Vec<Vec<NdArray<i64>>> =
         (0..opts.executed_of(s.frames)).map(|f| gen.frame_channels(f)).collect();
-    let out = gaspard::run_opencl_frames_placed(
-        &route.opencl,
-        device,
-        &frames,
-        ExecOptions { total_frames: s.frames, ..opts },
-        placement,
-    )?;
-    Ok(out)
+    let plan = gaspard::exec::lower_plan(&route.opencl);
+    let opts = ExecOptions { total_frames: s.frames, ..opts };
+    let (outs, _) = run_plan(plan, device, &frames, &opts).map_err(gaspard::GaspardError::from)?;
+    Ok(outs)
 }
 
 /// Golden-model downscale of a rank-3 `[channels, rows, cols]` frame.
@@ -218,8 +185,25 @@ pub fn reference_horizontal(s: &Scenario, frame: &NdArray<i64>) -> NdArray<i64> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sac_cuda::exec::{run_on_device, ExecOptions};
     use simgpu::device::Device;
+
+    /// One frame through the SaC route, chunked per channel.
+    fn run_sac_frame(s: &Scenario, route: &SacRoute, frame: NdArray<i64>) -> NdArray<i64> {
+        let plan = sac_cuda::exec::lower_plan(&route.cuda, s.channels).unwrap();
+        let mut device = Device::gtx480();
+        let (mut outs, _) =
+            run_plan(plan, &mut device, &[vec![frame]], &ExecOptions::default()).unwrap();
+        outs.pop().unwrap().pop().unwrap()
+    }
+
+    /// One frame of channel planes through the GASPARD2 route.
+    fn run_gaspard_frame(route: &GaspardRoute, channels: Vec<NdArray<i64>>) -> Vec<NdArray<i64>> {
+        let plan = gaspard::exec::lower_plan(&route.opencl);
+        let mut device = Device::gtx480();
+        let (mut outs, _) =
+            run_plan(plan, &mut device, &[channels], &ExecOptions::default()).unwrap();
+        outs.pop().unwrap()
+    }
 
     #[test]
     fn nongeneric_route_reproduces_paper_kernel_counts() {
@@ -259,14 +243,7 @@ mod tests {
         let expect = reference_downscale(&s, &frame);
         for variant in [Variant::Generic, Variant::NonGeneric] {
             let route = build_sac(&s, variant, Part::Full, &OptConfig::default()).unwrap();
-            let mut device = Device::gtx480();
-            let (got, _) = run_on_device(
-                &route.cuda,
-                &mut device,
-                std::slice::from_ref(&frame),
-                ExecOptions::default(),
-            )
-            .unwrap();
+            let got = run_sac_frame(&s, &route, frame.clone());
             assert_eq!(got, expect, "variant {variant:?}");
         }
     }
@@ -294,8 +271,7 @@ mod tests {
 
         let gen = FrameGenerator::new(s.channels, s.rows, s.cols, 123);
         let channels = gen.frame_channels(0);
-        let mut device = Device::gtx480();
-        let outs = gaspard::run_opencl(&route.opencl, &mut device, &channels).unwrap();
+        let outs = run_gaspard_frame(&route, channels.clone());
         for (c, ch) in channels.iter().enumerate() {
             let expect = crate::filter::downscale_channel(ch, &s.h, &s.v);
             assert_eq!(outs[c], expect, "channel {c}");
@@ -373,6 +349,7 @@ mod tests {
 
     #[test]
     fn zero_streams_is_a_typed_config_error() {
+        use simgpu::ScheduleError::Config;
         let s = Scenario::tiny();
         let sac = build_sac(&s, Variant::NonGeneric, Part::Full, &OptConfig::default()).unwrap();
         let gasp = build_gaspard(&s).unwrap();
@@ -380,9 +357,15 @@ mod tests {
 
         let mut d = Device::gtx480();
         let err = run_sac_batch(&s, &sac, &mut d, 1, bad);
-        assert!(matches!(err, Err(PipelineError::Config(_))), "{err:?}");
+        assert!(
+            matches!(err, Err(PipelineError::Cuda(sac_cuda::CudaError::Schedule(Config(_))))),
+            "{err:?}"
+        );
         let err = run_gaspard_batch(&s, &gasp, &mut d, 1, bad);
-        assert!(matches!(err, Err(PipelineError::Config(_))), "{err:?}");
+        assert!(
+            matches!(err, Err(PipelineError::Gaspard(gaspard::GaspardError::Schedule(Config(_))))),
+            "{err:?}"
+        );
         // Rejected before anything touched the device.
         assert_eq!(d.now_us(), 0.0);
         assert_eq!(d.profiler.records().count(), 0);
@@ -426,13 +409,10 @@ mod tests {
         let frame3 = FrameGenerator::stack(&frame_planes);
 
         let sac = build_sac(&s, Variant::NonGeneric, Part::Full, &OptConfig::default()).unwrap();
-        let mut dev1 = Device::gtx480();
-        let (sac_out, _) =
-            run_on_device(&sac.cuda, &mut dev1, &[frame3], ExecOptions::default()).unwrap();
+        let sac_out = run_sac_frame(&s, &sac, frame3);
 
         let gasp = build_gaspard(&s).unwrap();
-        let mut dev2 = Device::gtx480();
-        let gasp_out = gaspard::run_opencl(&gasp.opencl, &mut dev2, &frame_planes).unwrap();
+        let gasp_out = run_gaspard_frame(&gasp, frame_planes);
         let gasp_stacked = FrameGenerator::stack(&gasp_out);
         assert_eq!(sac_out, gasp_stacked);
     }

@@ -1,4 +1,4 @@
-//! Host-side execution of generated OpenCL programs on the simulator.
+//! Lowering of generated OpenCL programs for the simulator.
 //!
 //! The generated host code's behaviour (per the paper's profile in Table I):
 //! per frame, every source array is written to the device
@@ -6,20 +6,19 @@
 //! back with intermediates staying in device memory, and every sink array is
 //! read back (`memcpyDtoHasync`).
 //!
-//! Since the launch-plan refactor this module contains no executor of its
-//! own: [`lower_plan`] projects a scheduled model's kernel list onto the
-//! route-agnostic [`simgpu::schedule::LaunchPlan`] IR, and both entry points
-//! are thin wrappers over [`simgpu::schedule::BatchScheduler`] — the same
-//! engine that executes the SaC→CUDA route, so command-queue pipelining,
-//! OOM degradation and timing replay are shared code, not reimplementations.
+//! This module contains no executor: [`lower_plan`] projects a scheduled
+//! model's kernel list onto the route-agnostic
+//! [`simgpu::schedule::LaunchPlan`] IR, and [`simgpu::run_plan`] runs it —
+//! the same engine that runs the SaC→CUDA route, so command-queue
+//! pipelining, OOM degradation and timing replay are shared code, not
+//! reimplementations. Frame `f` of a batch runs on command queue
+//! `f % streams` (an OpenCL command queue is the simulator's stream) with
+//! that queue's private buffer set; the plan's inputs bind positionally to
+//! the scheduled model's source arrays and its outputs are the sink arrays,
+//! in model order.
 
 use crate::codegen::OpenClProgram;
-use crate::GaspardError;
-use mdarray::NdArray;
-use simgpu::schedule::{ArrayDecl, BatchScheduler, LaunchPlan, PlanKernel, PlanStep, RunStats};
-use simgpu::Device;
-
-pub use simgpu::schedule::ExecOptions;
+use simgpu::schedule::{ArrayDecl, LaunchPlan, PlanKernel, PlanStep};
 
 /// Where the generated host loop keeps intermediate arrays.
 ///
@@ -116,64 +115,6 @@ pub fn lower_plan_with(prog: &OpenClProgram, placement: Placement) -> LaunchPlan
     }
 }
 
-/// Execute the program once (one frame set) on `device`.
-///
-/// `inputs` are bound positionally to the scheduled model's source arrays;
-/// the returned vector holds one array per sink, in model order. Buffers are
-/// released before returning (per-frame cleanup, as the generated host loop
-/// does).
-pub fn run_opencl(
-    prog: &OpenClProgram,
-    device: &mut Device,
-    inputs: &[NdArray<i64>],
-) -> Result<Vec<NdArray<i64>>, GaspardError> {
-    let mut outs = run_opencl_frames(prog, device, &[inputs.to_vec()], ExecOptions::default())?;
-    Ok(outs.pop().expect("one frame in, one frame out"))
-}
-
-/// Execute a batch of frames with multi-queue double buffering.
-///
-/// A thin wrapper: lowers `prog` with [`lower_plan`] and hands the batch to
-/// [`BatchScheduler`]. Frame `f` runs on command queue `f % streams` (an
-/// OpenCL command queue is the simulator's stream) with that queue's private
-/// buffer set; in-order queues protect in-place buffer reuse while adjacent
-/// frames overlap upload, kernels, and readback on the device's three
-/// engines. Returns one sink-array vector per functionally executed frame.
-/// The device is synchronized on return, so `device.now_us()` is the batch
-/// makespan. Timing replay ([`ExecOptions::total_frames`]) and the
-/// OOM-degradation ladder ([`ExecOptions::degrade_on_oom`]) behave exactly
-/// as on the SaC route — they are the same code.
-pub fn run_opencl_frames(
-    prog: &OpenClProgram,
-    device: &mut Device,
-    frames: &[Vec<NdArray<i64>>],
-    opts: ExecOptions,
-) -> Result<Vec<Vec<NdArray<i64>>>, GaspardError> {
-    let (outs, _) = run_opencl_frames_placed(prog, device, frames, opts, Placement::Resident)?;
-    Ok(outs)
-}
-
-/// [`run_opencl_frames`] with an explicit intermediate [`Placement`]; also
-/// returns the run's transfer/launch counters.
-///
-/// When `opts.optimize` enables any `simgpu::planopt` pass, the lowered plan
-/// is rewritten before scheduling and each pass's change note is surfaced as
-/// a profiler note next to the timings.
-pub fn run_opencl_frames_placed(
-    prog: &OpenClProgram,
-    device: &mut Device,
-    frames: &[Vec<NdArray<i64>>],
-    opts: ExecOptions,
-    placement: Placement,
-) -> Result<simgpu::schedule::BatchOutput, GaspardError> {
-    if frames.is_empty() {
-        return Ok((Vec::new(), RunStats::default()));
-    }
-    let mut plan = lower_plan_with(prog, placement);
-    simgpu::optimize_noted(&mut plan, opts.optimize, &mut device.profiler)?;
-    Ok(BatchScheduler::new(&plan).run(device, frames, &opts)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,8 +123,42 @@ mod tests {
     use crate::model::Platform;
     use crate::transform::{deploy, schedule, to_arrayol};
     use arrayol::exec::{execute, ExecOptions as ArrayOlExecOptions};
-    use simgpu::ScheduleError;
+    use mdarray::NdArray;
+    use simgpu::{run_plan, Device, ExecOptions, ScheduleError};
     use std::collections::HashMap;
+
+    type Frames = Vec<Vec<NdArray<i64>>>;
+
+    /// Lower `prog` with `placement` and run `frames` through [`run_plan`].
+    fn run_with_placement(
+        prog: &OpenClProgram,
+        device: &mut Device,
+        frames: &[Vec<NdArray<i64>>],
+        opts: ExecOptions,
+        placement: Placement,
+    ) -> Result<simgpu::BatchOutput, ScheduleError> {
+        run_plan(lower_plan_with(prog, placement), device, frames, &opts)
+    }
+
+    /// [`run_with_placement`] at the paper's resident placement, outputs only.
+    fn run(
+        prog: &OpenClProgram,
+        device: &mut Device,
+        frames: &[Vec<NdArray<i64>>],
+        opts: ExecOptions,
+    ) -> Result<Frames, ScheduleError> {
+        Ok(run_with_placement(prog, device, frames, opts, Placement::Resident)?.0)
+    }
+
+    /// [`run`] on one frame with the default options.
+    fn run_once(
+        prog: &OpenClProgram,
+        device: &mut Device,
+        inputs: &[NdArray<i64>],
+    ) -> Result<Vec<NdArray<i64>>, ScheduleError> {
+        let mut outs = run(prog, device, &[inputs.to_vec()], ExecOptions::default())?;
+        Ok(outs.pop().expect("one frame"))
+    }
 
     fn compiled() -> OpenClProgram {
         let (model, alloc) = mini_two_stage_model();
@@ -206,7 +181,7 @@ mod tests {
 
         // Generated OpenCL on the simulator.
         let mut device = Device::gtx480();
-        let got = run_opencl(&prog, &mut device, &[frame]).unwrap();
+        let got = run_once(&prog, &mut device, &[frame]).unwrap();
         assert_eq!(&got[0], expect);
         assert!(device.now_us() > 0.0);
     }
@@ -216,7 +191,7 @@ mod tests {
         let prog = compiled();
         let frame = NdArray::filled([4usize, 16], 9i64);
         let mut device = Device::gtx480();
-        run_opencl(&prog, &mut device, &[frame]).unwrap();
+        run_once(&prog, &mut device, &[frame]).unwrap();
         let names: Vec<&str> = device.profiler.records().map(|r| r.name.as_str()).collect();
         assert!(names.contains(&"memcpyHtoDasync"));
         assert!(names.contains(&"memcpyDtoHasync"));
@@ -228,24 +203,24 @@ mod tests {
     fn input_validation() {
         let prog = compiled();
         let mut device = Device::gtx480();
-        let err = run_opencl(&prog, &mut device, &[]);
-        assert!(matches!(err, Err(GaspardError::Schedule(ScheduleError::Input(_)))), "{err:?}");
+        let err = run_once(&prog, &mut device, &[]);
+        assert!(matches!(err, Err(ScheduleError::Input(_))), "{err:?}");
         let wrong = NdArray::filled([3usize, 3], 0i64);
-        let err = run_opencl(&prog, &mut device, &[wrong]);
-        assert!(matches!(err, Err(GaspardError::Schedule(ScheduleError::Input(_)))), "{err:?}");
+        let err = run_once(&prog, &mut device, &[wrong]);
+        assert!(matches!(err, Err(ScheduleError::Input(_))), "{err:?}");
     }
 
     #[test]
     fn zero_queues_is_rejected_by_the_unified_validation() {
         let prog = compiled();
         let mut device = Device::gtx480();
-        let err = run_opencl_frames(
+        let err = run(
             &prog,
             &mut device,
             &queue_frames(2),
             ExecOptions { streams: 0, ..Default::default() },
         );
-        assert!(matches!(err, Err(GaspardError::Schedule(ScheduleError::Config(_)))), "{err:?}");
+        assert!(matches!(err, Err(ScheduleError::Config(_))), "{err:?}");
         assert_eq!(device.now_us(), 0.0);
         assert_eq!(device.profiler.records().count(), 0);
     }
@@ -268,17 +243,13 @@ mod tests {
         let mut serial = Device::gtx480();
         let mut serial_outs = Vec::new();
         for f in &frames {
-            serial_outs.push(run_opencl(&prog, &mut serial, f).unwrap());
+            serial_outs.push(run_once(&prog, &mut serial, f).unwrap());
         }
 
         let mut piped = Device::gtx480();
-        let outs = run_opencl_frames(
-            &prog,
-            &mut piped,
-            &frames,
-            ExecOptions { streams: 1, ..Default::default() },
-        )
-        .unwrap();
+        let outs =
+            run(&prog, &mut piped, &frames, ExecOptions { streams: 1, ..Default::default() })
+                .unwrap();
 
         assert_eq!(outs, serial_outs);
         assert_eq!(piped.now_us(), serial.now_us());
@@ -293,22 +264,13 @@ mod tests {
         let frames = queue_frames(6);
 
         let mut sync = Device::gtx480();
-        let expect = run_opencl_frames(
-            &prog,
-            &mut sync,
-            &frames,
-            ExecOptions { streams: 1, ..Default::default() },
-        )
-        .unwrap();
+        let expect =
+            run(&prog, &mut sync, &frames, ExecOptions { streams: 1, ..Default::default() })
+                .unwrap();
 
         let mut db = Device::gtx480();
-        let got = run_opencl_frames(
-            &prog,
-            &mut db,
-            &frames,
-            ExecOptions { streams: 2, ..Default::default() },
-        )
-        .unwrap();
+        let got =
+            run(&prog, &mut db, &frames, ExecOptions { streams: 2, ..Default::default() }).unwrap();
 
         assert_eq!(got, expect);
         assert!(db.now_us() < sync.now_us(), "{} !< {}", db.now_us(), sync.now_us());
@@ -323,24 +285,19 @@ mod tests {
         let opts = ExecOptions { streams: 2, ..Default::default() };
 
         let mut resident = Device::gtx480();
-        let expect = run_opencl_frames(&prog, &mut resident, &frames, opts).unwrap();
+        let expect = run(&prog, &mut resident, &frames, opts).unwrap();
 
         // The per-kernel round-trip placement is correct but moves more data.
         let mut naive = Device::gtx480();
-        let (naive_outs, naive_stats) = run_opencl_frames_placed(
-            &prog,
-            &mut naive,
-            &frames,
-            opts,
-            Placement::PerKernelRoundTrip,
-        )
-        .unwrap();
+        let (naive_outs, naive_stats) =
+            run_with_placement(&prog, &mut naive, &frames, opts, Placement::PerKernelRoundTrip)
+                .unwrap();
         assert_eq!(naive_outs, expect);
         assert!(naive.now_us() > resident.now_us());
 
         // planopt strips the round trips back out of the naive placement.
         let mut opt = Device::gtx480();
-        let (opt_outs, opt_stats) = run_opencl_frames_placed(
+        let (opt_outs, opt_stats) = run_with_placement(
             &prog,
             &mut opt,
             &frames,
@@ -365,16 +322,11 @@ mod tests {
         let prog = compiled();
 
         let mut full = Device::gtx480();
-        run_opencl_frames(
-            &prog,
-            &mut full,
-            &queue_frames(6),
-            ExecOptions { streams: 2, ..Default::default() },
-        )
-        .unwrap();
+        run(&prog, &mut full, &queue_frames(6), ExecOptions { streams: 2, ..Default::default() })
+            .unwrap();
 
         let mut replay = Device::gtx480();
-        let outs = run_opencl_frames(
+        let outs = run(
             &prog,
             &mut replay,
             &queue_frames(2),
@@ -394,13 +346,9 @@ mod tests {
 
         // Per-queue footprint, measured on an unconstrained device.
         let mut probe = Device::gtx480();
-        let expect = run_opencl_frames(
-            &prog,
-            &mut probe,
-            &frames,
-            ExecOptions { streams: 1, ..Default::default() },
-        )
-        .unwrap();
+        let expect =
+            run(&prog, &mut probe, &frames, ExecOptions { streams: 1, ..Default::default() })
+                .unwrap();
         let per_queue = probe.peak_allocated_bytes();
         assert!(per_queue > 0);
 
@@ -408,24 +356,14 @@ mod tests {
         // with bit-identical outputs and a recorded downgrade.
         let cfg = simgpu::DeviceConfig::toy(per_queue * 2);
         let mut naive = Device::new(cfg.clone(), simgpu::Calibration::gtx480());
-        let err = run_opencl_frames(
-            &prog,
-            &mut naive,
-            &frames,
-            ExecOptions { streams: 4, ..Default::default() },
-        );
+        let err = run(&prog, &mut naive, &frames, ExecOptions { streams: 4, ..Default::default() });
         assert!(
-            matches!(
-                err,
-                Err(GaspardError::Schedule(ScheduleError::Sim(
-                    simgpu::SimError::OutOfMemory { .. }
-                )))
-            ),
+            matches!(err, Err(ScheduleError::Sim(simgpu::SimError::OutOfMemory { .. }))),
             "{err:?}"
         );
 
         let mut degraded = Device::new(cfg, simgpu::Calibration::gtx480());
-        let outs = run_opencl_frames(
+        let outs = run(
             &prog,
             &mut degraded,
             &frames,
@@ -446,7 +384,7 @@ mod tests {
         let mut device = Device::gtx480();
         let frame = NdArray::filled([4usize, 16], 1i64);
         for _ in 0..5 {
-            run_opencl(&prog, &mut device, std::slice::from_ref(&frame)).unwrap();
+            run_once(&prog, &mut device, std::slice::from_ref(&frame)).unwrap();
         }
         let h2d = device.profiler.records().find(|r| r.name == "memcpyHtoDasync").unwrap();
         assert_eq!(h2d.calls, 5);

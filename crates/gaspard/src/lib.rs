@@ -40,10 +40,7 @@ pub mod openmp;
 pub mod transform;
 
 pub use codegen::{generate_opencl, OpenClProgram};
-pub use exec::{
-    lower_plan, lower_plan_with, run_opencl, run_opencl_frames, run_opencl_frames_placed,
-    ExecOptions, Placement,
-};
+pub use exec::{lower_plan, lower_plan_with, Placement};
 pub use model::{
     Allocation, Component, ComponentKind, Connection, ElementaryOp, HwKind, Model, PartRef,
     Platform, Port, PortDir, Stereotype, TilerSpec, WindowSpec,

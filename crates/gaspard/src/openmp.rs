@@ -160,9 +160,11 @@ mod tests {
 
         let opencl = generate_opencl(&sm).unwrap();
         let mut device = Device::gtx480();
-        let ocl =
-            crate::exec::run_opencl(&opencl, &mut device, std::slice::from_ref(&frame)).unwrap();
-        assert_eq!(omp, ocl, "two targets, one model, one result");
+        let plan = crate::exec::lower_plan(&opencl);
+        let (mut ocl, _) =
+            simgpu::run_plan(plan, &mut device, &[vec![frame]], &simgpu::ExecOptions::default())
+                .unwrap();
+        assert_eq!(omp, ocl.pop().unwrap(), "two targets, one model, one result");
     }
 
     #[test]

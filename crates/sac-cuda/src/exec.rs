@@ -1,27 +1,18 @@
-//! Execution of compiled SaC→CUDA programs on the simulated device.
+//! Lowering of compiled SaC→CUDA programs for the simulated device.
 //!
-//! Since the launch-plan refactor this module contains no executor of its
-//! own: [`lower_plan`] flattens a [`CudaProgram`] into the route-agnostic
-//! [`simgpu::schedule::LaunchPlan`] IR (uploads and downloads chunked per
-//! colour channel, one `Launch` per compiled kernel, host-fallback steps
-//! wrapped as interpreter closures), and every entry point is a thin wrapper
-//! over [`simgpu::schedule::BatchScheduler`] — the shared engine that owns
-//! stream pipelining, buffer sets, OOM degradation and replay for both
-//! compilation routes.
+//! This module contains no executor: [`lower_plan`] flattens a
+//! [`CudaProgram`] into the route-agnostic [`simgpu::schedule::LaunchPlan`]
+//! IR (uploads and downloads chunked per colour channel, one `Launch` per
+//! compiled kernel, host-fallback steps wrapped as interpreter closures),
+//! and [`simgpu::run_plan`] runs it — the shared engine that owns planopt,
+//! stream pipelining, buffer sets, pooling, OOM degradation and replay for
+//! both compilation routes.
 
 use crate::codegen::CudaProgram;
 use crate::CudaError;
 use mdarray::NdArray;
-use sac_lang::ast::Program;
-use sac_lang::eval::Interp;
-use sac_lang::value::Value;
-use sac_lang::wir::{HostBinding, Step};
-use simgpu::schedule::{
-    chunks_for, ArrayDecl, BatchScheduler, HostOp, LaunchPlan, PlanKernel, PlanStep,
-};
-use simgpu::{optimize_noted, Device};
-
-pub use simgpu::schedule::{ExecOptions, RunStats};
+use sac_lang::wir::{run_host_step, HostBinding, Step};
+use simgpu::schedule::{chunks_for, ArrayDecl, HostOp, LaunchPlan, PlanKernel, PlanStep};
 
 /// Lower a compiled CUDA program to the route-agnostic launch-plan IR.
 ///
@@ -83,24 +74,14 @@ pub fn lower_plan(prog: &CudaProgram, channel_chunks: usize) -> Result<LaunchPla
                     })
                     .collect();
                 let run = std::rc::Rc::new(move |arrs: &[NdArray<i64>]| {
-                    let wrapper = Program { funs: vec![fun.clone()] };
-                    let mut interp = Interp::new(&wrapper);
                     let mut supplied = arrs.iter();
-                    let args: Vec<Value> = bindings
-                        .iter()
-                        .map(|b| match b {
-                            HostBinding::Array(_) => Value::Arr(
-                                supplied
-                                    .next()
-                                    .expect("scheduler supplies one array per declared read")
-                                    .clone(),
-                            ),
-                            HostBinding::Const(v) => v.clone(),
-                        })
-                        .collect();
-                    let out = interp.call(&fun.name, args).map_err(|e| e.to_string())?;
-                    let out = out.as_array().map_err(|e| e.to_string())?.clone();
-                    Ok((out, interp.ops))
+                    run_host_step(fun, bindings, |_| {
+                        Ok(supplied
+                            .next()
+                            .expect("scheduler supplies one array per declared read")
+                            .clone())
+                    })
+                    .map_err(|e| e.to_string())
                 });
                 host_ops.push(HostOp { name: fun.name.clone(), target: *target, reads, run });
                 steps.push(PlanStep::Host { op: host_ops.len() - 1 });
@@ -123,59 +104,38 @@ pub fn lower_plan(prog: &CudaProgram, channel_chunks: usize) -> Result<LaunchPla
     })
 }
 
-/// Execute `prog` once on `device` with the given input arrays.
-///
-/// All timing is simulated and recorded in the device's profiler; the
-/// returned array is the program result (bit-exact with the interpreter).
-/// Executes exactly once, serially, on the default stream: the batch fields
-/// of `opts` are overridden. The paper's per-frame runtime also releases its
-/// buffers after each frame, which the scheduler does on return.
-pub fn run_on_device(
-    prog: &CudaProgram,
-    device: &mut Device,
-    inputs: &[NdArray<i64>],
-    opts: ExecOptions,
-) -> Result<(NdArray<i64>, RunStats), CudaError> {
-    let serial = ExecOptions { streams: 1, total_frames: 0, ..opts };
-    let (mut outs, stats) = run_frames_pipelined(prog, device, &[inputs.to_vec()], serial)?;
-    Ok((outs.pop().expect("one frame in, one frame out"), stats))
-}
-
-/// Execute a batch of frames with multi-stream double buffering.
-///
-/// A thin wrapper: lowers `prog` with [`lower_plan`] and hands the batch to
-/// [`BatchScheduler`], which assigns frame `f` to stream lane `f % streams`
-/// with a private buffer set, replays timing out to
-/// [`ExecOptions::total_frames`], and (with [`ExecOptions::degrade_on_oom`])
-/// walks the lane-halving degradation ladder on `OutOfMemory`. See the
-/// scheduler docs for the full contract; results, simulated clock and
-/// profiler records are identical to the pre-refactor route-local executor.
-pub fn run_frames_pipelined(
-    prog: &CudaProgram,
-    device: &mut Device,
-    frames: &[Vec<NdArray<i64>>],
-    opts: ExecOptions,
-) -> Result<(Vec<NdArray<i64>>, RunStats), CudaError> {
-    if frames.is_empty() {
-        return Ok((Vec::new(), RunStats::default()));
-    }
-    let mut plan = lower_plan(prog, opts.channel_chunks)?;
-    optimize_noted(&mut plan, opts.optimize, &mut device.profiler)?;
-    let (outs, stats) = BatchScheduler::new(&plan).run(device, frames, &opts)?;
-    let outs = outs
-        .into_iter()
-        .map(|mut frame| frame.pop().expect("sac plans have exactly one output"))
-        .collect();
-    Ok((outs, stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::codegen::compile_flat_program;
+    use sac_lang::eval::Interp;
     use sac_lang::opt::{optimize, ArgDesc, OptConfig};
     use sac_lang::parser::parse_program;
-    use simgpu::ScheduleError;
+    use sac_lang::value::Value;
+    use simgpu::{run_plan, Device, ExecOptions, RunStats, ScheduleError};
+
+    /// Lower `prog` and run `frames` through [`run_plan`]; one output array
+    /// per functionally executed frame.
+    fn run(
+        prog: &CudaProgram,
+        device: &mut Device,
+        frames: &[Vec<NdArray<i64>>],
+        opts: ExecOptions,
+    ) -> Result<(Vec<NdArray<i64>>, RunStats), ScheduleError> {
+        let plan = lower_plan(prog, opts.channel_chunks).unwrap();
+        let (outs, stats) = run_plan(plan, device, frames, &opts)?;
+        Ok((outs.into_iter().map(|mut f| f.pop().expect("one output")).collect(), stats))
+    }
+
+    /// [`run`] on one frame with the default options.
+    fn run_once(
+        prog: &CudaProgram,
+        device: &mut Device,
+        inputs: &[NdArray<i64>],
+    ) -> Result<(NdArray<i64>, RunStats), ScheduleError> {
+        let (mut outs, stats) = run(prog, device, &[inputs.to_vec()], ExecOptions::default())?;
+        Ok((outs.pop().expect("one frame"), stats))
+    }
 
     /// End-to-end: SaC source -> optimiser -> CUDA backend -> simulator,
     /// checked against the AST interpreter.
@@ -196,8 +156,7 @@ mod tests {
         let (flat, _) = optimize(&prog, "main", &args, cfg).unwrap();
         let cuda = compile_flat_program(&flat).unwrap();
         let mut device = Device::gtx480();
-        let (out, stats) =
-            run_on_device(&cuda, &mut device, inputs, ExecOptions::default()).unwrap();
+        let (out, stats) = run_once(&cuda, &mut device, inputs).unwrap();
         assert!(device.now_us() > 0.0);
         (out, stats, cuda)
     }
@@ -309,8 +268,8 @@ int[*] main(int[2] a)
         let cuda = compile_flat_program(&flat).unwrap();
         let mut device = Device::gtx480();
         let too_big = NdArray::from_vec([2usize], vec![1, i64::from(i32::MAX) + 1]).unwrap();
-        let err = run_on_device(&cuda, &mut device, &[too_big], ExecOptions::default());
-        assert!(matches!(err, Err(CudaError::Schedule(ScheduleError::Overflow { .. }))), "{err:?}");
+        let err = run_once(&cuda, &mut device, &[too_big]);
+        assert!(matches!(err, Err(ScheduleError::Overflow { .. })), "{err:?}");
     }
 
     fn compile(src: &str, shapes: &[Vec<usize>]) -> CudaProgram {
@@ -350,18 +309,14 @@ int[*] main(int[8,16] a)
         let mut serial = Device::gtx480();
         let mut serial_outs = Vec::new();
         for f in &frames {
-            let (out, _) = run_on_device(&prog, &mut serial, f, ExecOptions::default()).unwrap();
+            let (out, _) = run_once(&prog, &mut serial, f).unwrap();
             serial_outs.push(out);
         }
 
         let mut piped = Device::gtx480();
-        let (outs, _) = run_frames_pipelined(
-            &prog,
-            &mut piped,
-            &frames,
-            ExecOptions { streams: 1, ..Default::default() },
-        )
-        .unwrap();
+        let (outs, _) =
+            run(&prog, &mut piped, &frames, ExecOptions { streams: 1, ..Default::default() })
+                .unwrap();
 
         assert_eq!(outs, serial_outs);
         // Bit-identical simulated clock and profiler records.
@@ -377,22 +332,13 @@ int[*] main(int[8,16] a)
         let frames = pipe_frames(6);
 
         let mut sync = Device::gtx480();
-        let (expect, _) = run_frames_pipelined(
-            &prog,
-            &mut sync,
-            &frames,
-            ExecOptions { streams: 1, ..Default::default() },
-        )
-        .unwrap();
+        let (expect, _) =
+            run(&prog, &mut sync, &frames, ExecOptions { streams: 1, ..Default::default() })
+                .unwrap();
 
         let mut db = Device::gtx480();
-        let (got, stats) = run_frames_pipelined(
-            &prog,
-            &mut db,
-            &frames,
-            ExecOptions { streams: 2, ..Default::default() },
-        )
-        .unwrap();
+        let (got, stats) =
+            run(&prog, &mut db, &frames, ExecOptions { streams: 2, ..Default::default() }).unwrap();
 
         assert_eq!(got, expect);
         assert_eq!(stats.launches, 6);
@@ -409,11 +355,11 @@ int[*] main(int[8,16] a)
         let opts = ExecOptions { streams: 2, channel_chunks: 8, ..Default::default() };
 
         let mut base = Device::gtx480();
-        let (expect, base_stats) = run_frames_pipelined(&prog, &mut base, &frames, opts).unwrap();
+        let (expect, base_stats) = run(&prog, &mut base, &frames, opts).unwrap();
         assert_eq!(base_stats.h2d, 4 * 8, "per-channel chunking baseline");
 
         let mut opt = Device::gtx480();
-        let (got, stats) = run_frames_pipelined(
+        let (got, stats) = run(
             &prog,
             &mut opt,
             &frames,
@@ -437,17 +383,12 @@ int[*] main(int[8,16] a)
 
         // Full functional run of 6 frames...
         let mut full = Device::gtx480();
-        run_frames_pipelined(
-            &prog,
-            &mut full,
-            &pipe_frames(6),
-            ExecOptions { streams: 2, ..Default::default() },
-        )
-        .unwrap();
+        run(&prog, &mut full, &pipe_frames(6), ExecOptions { streams: 2, ..Default::default() })
+            .unwrap();
 
         // ...vs 2 functional frames replayed out to 6.
         let mut replay = Device::gtx480();
-        let (outs, stats) = run_frames_pipelined(
+        let (outs, stats) = run(
             &prog,
             &mut replay,
             &pipe_frames(2),
@@ -468,13 +409,9 @@ int[*] main(int[8,16] a)
 
         // Measure the per-lane device footprint on an unconstrained device.
         let mut probe = Device::gtx480();
-        let (expect, _) = run_frames_pipelined(
-            &prog,
-            &mut probe,
-            &frames,
-            ExecOptions { streams: 1, ..Default::default() },
-        )
-        .unwrap();
+        let (expect, _) =
+            run(&prog, &mut probe, &frames, ExecOptions { streams: 1, ..Default::default() })
+                .unwrap();
         let per_lane = probe.peak_allocated_bytes();
         assert!(per_lane > 0);
 
@@ -482,24 +419,16 @@ int[*] main(int[8,16] a)
         // batch dies with OutOfMemory...
         let cfg = simgpu::DeviceConfig::toy(per_lane * 2);
         let mut naive = Device::new(cfg.clone(), simgpu::Calibration::gtx480());
-        let err = run_frames_pipelined(
-            &prog,
-            &mut naive,
-            &frames,
-            ExecOptions { streams: 4, ..Default::default() },
-        );
+        let err = run(&prog, &mut naive, &frames, ExecOptions { streams: 4, ..Default::default() });
         assert!(
-            matches!(
-                err,
-                Err(CudaError::Schedule(ScheduleError::Sim(simgpu::SimError::OutOfMemory { .. })))
-            ),
+            matches!(err, Err(ScheduleError::Sim(simgpu::SimError::OutOfMemory { .. }))),
             "{err:?}"
         );
 
         // ...while the degrading batch completes at reduced lanes with
         // bit-identical outputs, and reports the downgrade.
         let mut degraded = Device::new(cfg, simgpu::Calibration::gtx480());
-        let (outs, _) = run_frames_pipelined(
+        let (outs, _) = run(
             &prog,
             &mut degraded,
             &frames,
@@ -519,13 +448,13 @@ int[*] main(int[8,16] a)
     fn zero_streams_is_rejected_by_the_unified_validation() {
         let prog = compile(PIPE_SRC, &[vec![8, 16]]);
         let mut device = Device::gtx480();
-        let err = run_frames_pipelined(
+        let err = run(
             &prog,
             &mut device,
             &pipe_frames(2),
             ExecOptions { streams: 0, ..Default::default() },
         );
-        assert!(matches!(err, Err(CudaError::Schedule(ScheduleError::Config(_)))), "{err:?}");
+        assert!(matches!(err, Err(ScheduleError::Config(_))), "{err:?}");
         assert_eq!(device.now_us(), 0.0);
     }
 
@@ -549,7 +478,7 @@ int[*] main(int[32] a)
         let cuda = compile_flat_program(&flat).unwrap();
         let mut device = Device::gtx480();
         let a = NdArray::from_fn([32usize], |ix| ix[0] as i64);
-        run_on_device(&cuda, &mut device, &[a], ExecOptions::default()).unwrap();
+        run_once(&cuda, &mut device, &[a]).unwrap();
         let names: Vec<String> = device.profiler.records().map(|r| r.name.clone()).collect();
         assert!(names.iter().any(|n| n == "memcpyHtoDasync"), "{names:?}");
         assert!(names.iter().any(|n| n == "memcpyDtoHasync"), "{names:?}");

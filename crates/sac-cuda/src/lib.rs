@@ -31,7 +31,7 @@ pub mod exec;
 pub mod identify;
 
 pub use codegen::{compile_flat_program, CompiledKernel, CudaProgram};
-pub use exec::{lower_plan, run_frames_pipelined, run_on_device, ExecOptions, RunStats};
+pub use exec::lower_plan;
 
 /// Errors from the CUDA backend.
 #[derive(Debug, Clone, PartialEq)]

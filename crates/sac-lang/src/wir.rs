@@ -347,15 +347,15 @@ impl FlatProgram {
             .sum()
     }
 
-    /// Execute sequentially. Returns the result array; `ops` accumulates the
-    /// abstract op count that models SAC-Seq execution cost.
-    pub fn run(&self, inputs: &[NdArray<i64>], ops: &mut u64) -> Result<NdArray<i64>, SacError> {
-        let mut store: Vec<Option<NdArray<i64>>> = vec![None; self.arrays.len()];
+    /// A fresh evaluation store with the caller's inputs bound, after
+    /// checking their count and shapes against the declared inputs.
+    fn bind_inputs(&self, inputs: &[NdArray<i64>]) -> Result<Vec<Option<NdArray<i64>>>, SacError> {
         if inputs.len() != self.inputs.len() {
             return Err(SacError::Eval {
                 msg: format!("expected {} inputs, got {}", self.inputs.len(), inputs.len()),
             });
         }
+        let mut store: Vec<Option<NdArray<i64>>> = vec![None; self.arrays.len()];
         for (&id, arr) in self.inputs.iter().zip(inputs) {
             if arr.shape().dims() != self.arrays[id].shape.as_slice() {
                 return Err(SacError::Eval {
@@ -369,6 +369,13 @@ impl FlatProgram {
             }
             store[id] = Some(arr.clone());
         }
+        Ok(store)
+    }
+
+    /// Execute sequentially. Returns the result array; `ops` accumulates the
+    /// abstract op count that models SAC-Seq execution cost.
+    pub fn run(&self, inputs: &[NdArray<i64>], ops: &mut u64) -> Result<NdArray<i64>, SacError> {
+        let mut store = self.bind_inputs(inputs)?;
 
         for step in &self.steps {
             match step {
@@ -403,23 +410,9 @@ impl FlatProgram {
                     store[*target] = Some(out);
                 }
                 Step::Host { target, fun, bindings, .. } => {
-                    let prog = crate::ast::Program { funs: vec![fun.clone()] };
-                    let mut interp = Interp::new(&prog);
-                    let args: Result<Vec<Value>, SacError> = bindings
-                        .iter()
-                        .map(|b| match b {
-                            HostBinding::Array(id) => store[*id]
-                                .as_ref()
-                                .map(|a| Value::Arr(a.clone()))
-                                .ok_or_else(|| SacError::Eval {
-                                    msg: format!("host step input {id} not computed"),
-                                }),
-                            HostBinding::Const(v) => Ok(v.clone()),
-                        })
-                        .collect();
-                    let out = interp.call(&fun.name, args?)?;
-                    *ops += interp.ops;
-                    store[*target] = Some(out.as_array()?.clone());
+                    let (out, host_ops) = run_host_step(fun, bindings, |id| stored(&store, id))?;
+                    *ops += host_ops;
+                    store[*target] = Some(out);
                 }
             }
         }
@@ -452,20 +445,7 @@ impl FlatProgram {
         } else {
             workers
         };
-        let mut store: Vec<Option<NdArray<i64>>> = vec![None; self.arrays.len()];
-        if inputs.len() != self.inputs.len() {
-            return Err(SacError::Eval {
-                msg: format!("expected {} inputs, got {}", self.inputs.len(), inputs.len()),
-            });
-        }
-        for (&id, arr) in self.inputs.iter().zip(inputs) {
-            if arr.shape().dims() != self.arrays[id].shape.as_slice() {
-                return Err(SacError::Eval {
-                    msg: format!("input '{}' has the wrong shape", self.arrays[id].name),
-                });
-            }
-            store[id] = Some(arr.clone());
-        }
+        let mut store = self.bind_inputs(inputs)?;
 
         for step in &self.steps {
             match step {
@@ -522,22 +502,8 @@ impl FlatProgram {
                     store[*target] = Some(out);
                 }
                 Step::Host { target, fun, bindings, .. } => {
-                    let prog = crate::ast::Program { funs: vec![fun.clone()] };
-                    let mut interp = Interp::new(&prog);
-                    let args: Result<Vec<Value>, SacError> = bindings
-                        .iter()
-                        .map(|b| match b {
-                            HostBinding::Array(id) => store[*id]
-                                .as_ref()
-                                .map(|a| Value::Arr(a.clone()))
-                                .ok_or_else(|| SacError::Eval {
-                                    msg: format!("host step input {id} not computed"),
-                                }),
-                            HostBinding::Const(v) => Ok(v.clone()),
-                        })
-                        .collect();
-                    let out = interp.call(&fun.name, args?)?;
-                    store[*target] = Some(out.as_array()?.clone());
+                    let (out, _) = run_host_step(fun, bindings, |id| stored(&store, id))?;
+                    store[*target] = Some(out);
                 }
             }
         }
@@ -545,6 +511,36 @@ impl FlatProgram {
             .take()
             .ok_or_else(|| SacError::Eval { msg: "result array never computed".into() })
     }
+}
+
+/// Run one host step: call `fun` in a fresh interpreter with its
+/// parameters bound per `bindings`, fetching each bound program array
+/// through `array`. Returns the new contents of the step's target and the
+/// interpreter's abstract op count. The flat evaluators and the CUDA
+/// route's host fallback both run host steps through this one function.
+pub fn run_host_step(
+    fun: &FunDef,
+    bindings: &[HostBinding],
+    mut array: impl FnMut(usize) -> Result<NdArray<i64>, SacError>,
+) -> Result<(NdArray<i64>, u64), SacError> {
+    let args = bindings
+        .iter()
+        .map(|b| match b {
+            HostBinding::Array(id) => array(*id).map(Value::Arr),
+            HostBinding::Const(v) => Ok(v.clone()),
+        })
+        .collect::<Result<Vec<Value>, SacError>>()?;
+    let prog = crate::ast::Program { funs: vec![fun.clone()] };
+    let mut interp = Interp::new(&prog);
+    let out = interp.call(&fun.name, args)?;
+    Ok((out.as_array()?.clone(), interp.ops))
+}
+
+/// The computed contents of array `id` in an evaluation store.
+fn stored(store: &[Option<NdArray<i64>>], id: usize) -> Result<NdArray<i64>, SacError> {
+    store[id]
+        .clone()
+        .ok_or_else(|| SacError::Eval { msg: format!("host step input {id} not computed") })
 }
 
 impl std::fmt::Display for FlatProgram {

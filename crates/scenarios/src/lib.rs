@@ -42,7 +42,7 @@ use gaspard::Platform;
 use mdarray::NdArray;
 use sac_cuda::codegen::{compile_flat_program, CudaProgram};
 use sac_lang::opt::{optimize as sac_optimize, ArgDesc, OptConfig};
-use simgpu::schedule::{BatchScheduler, ExecOptions, LaunchPlan, RunStats, ScheduleError};
+use simgpu::schedule::{run_plan, ExecOptions, LaunchPlan, RunStats, ScheduleError};
 use simgpu::Device;
 
 /// Which pipeline family a registry entry instantiates.
@@ -510,50 +510,21 @@ impl BuiltWorkload {
     /// Run a batch of the workload's frames on `device` over `route`.
     ///
     /// `opts.executed` bounds the functionally executed frames (0 = all of
-    /// [`Workload::frames`]); the rest are timing-replayed. Planopt passes
-    /// run per `opts.optimize` before scheduling, with pass notes surfaced
-    /// in the device profiler. Returns the canonical per-frame outputs of
-    /// the functional frames plus the run counters.
+    /// [`Workload::frames`]); the rest are timing-replayed. The plan runs
+    /// through [`simgpu::run_plan`], so planopt passes run per
+    /// `opts.optimize` with their notes in the device profiler. Returns the
+    /// canonical per-frame outputs of the functional frames plus the run
+    /// counters.
     pub fn run(
         &self,
         route: Route,
         device: &mut Device,
         opts: &ExecOptions,
     ) -> Result<(Vec<NdArray<i64>>, RunStats), ScenarioError> {
-        self.run_placed(route, device, opts, self.channels(), gaspard::Placement::Resident)
-    }
-
-    /// [`BuiltWorkload::run`] over a plan lowered with explicit
-    /// `channel_chunks` / `placement` knobs ([`BuiltWorkload::plan_placed`])
-    /// — the autotuner's oracle entry point.
-    pub fn run_placed(
-        &self,
-        route: Route,
-        device: &mut Device,
-        opts: &ExecOptions,
-        channel_chunks: usize,
-        placement: gaspard::Placement,
-    ) -> Result<(Vec<NdArray<i64>>, RunStats), ScenarioError> {
-        let mut plan = self.plan_placed(route, channel_chunks, placement)?;
-        simgpu::optimize_noted(&mut plan, opts.optimize, &mut device.profiler)?;
+        let plan = self.plan(route)?;
         let frames = self.frames(route, opts.executed_of(self.spec.frames));
-        self.run_plan(&plan, device, opts, &frames)
-    }
-
-    /// The last stage of [`BuiltWorkload::run_placed`], for callers that
-    /// cache the stages before it: run an already lowered and optimised
-    /// `plan` over the functional `frames` (a prefix of
-    /// [`BuiltWorkload::frames`]) and timing-replay the rest of the batch.
-    pub fn run_plan(
-        &self,
-        plan: &LaunchPlan<'_>,
-        device: &mut Device,
-        opts: &ExecOptions,
-        frames: &[Vec<NdArray<i64>>],
-    ) -> Result<(Vec<NdArray<i64>>, RunStats), ScenarioError> {
-        device.set_pool_enabled(opts.pool);
-        let run_opts = ExecOptions { total_frames: self.spec.frames, ..*opts };
-        let (outs, stats) = BatchScheduler::new(plan).run(device, frames, &run_opts)?;
+        let opts = ExecOptions { total_frames: self.spec.frames, ..*opts };
+        let (outs, stats) = run_plan(plan, device, &frames, &opts)?;
         Ok((outs.into_iter().map(|o| self.canon(o)).collect(), stats))
     }
 }

@@ -239,7 +239,6 @@ pub fn serve_with_templates(
     }
 
     let n = fleet.len();
-    fleet.set_pool_enabled(cfg.exec.pool);
     let mut states: Vec<DeviceState> = (0..n)
         .map(|_| DeviceState {
             waiting: VecDeque::new(),
@@ -557,7 +556,6 @@ mod tests {
         let report = serve(&mut fleet, &plan, &jobs, &cfg).unwrap();
 
         let mut direct = Device::gtx480();
-        direct.set_pool_enabled(cfg.exec.pool);
         let mut direct_stats = RunStats::default();
         for job in &jobs {
             let (outs, st) =

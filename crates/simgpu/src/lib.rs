@@ -47,10 +47,10 @@ pub use exec::{LaunchConfig, LaunchStats};
 pub use fleet::Fleet;
 pub use kir::{BinOp, Instr, Kernel, KernelArg, KernelFlavor, Param, Reg, Special};
 pub use memo::LaunchMemo;
-pub use planopt::{optimize, optimize_noted, PlanOptLevel, PlanOptReport};
+pub use planopt::{optimize, PlanOptLevel, PlanOptReport};
 pub use profiler::{AllocStats, OpClass, Profiler, Record, Span};
 pub use schedule::{
-    chunks_for, ArrayDecl, BatchOutput, BatchScheduler, ExecOptions, HostOp, LaunchPlan,
+    chunks_for, run_plan, ArrayDecl, BatchOutput, BatchScheduler, ExecOptions, HostOp, LaunchPlan,
     PlanKernel, PlanStep, RunStats, ScheduleError, ScheduleWitness,
 };
 pub use tiled::{

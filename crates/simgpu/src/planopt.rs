@@ -65,13 +65,13 @@
 //! validate`], which since the residency fixes also tracks stale host/device
 //! copies), so an unsound rewrite fails loudly instead of corrupting
 //! outputs. What each pass changed is reported as [`PlanOptReport`] notes,
-//! which the route wrappers surface as profiler notes next to the timings.
+//! which [`crate::schedule::run_plan`] surfaces as profiler notes next to the
+//! timings.
 //!
 //! The knob rides in [`ExecOptions::optimize`](crate::schedule::ExecOptions)
 //! and defaults to [`PlanOptLevel::OFF`] — a strict no-op, so every
 //! paper-faithful number is untouched unless an experiment opts in.
 
-use crate::profiler::Profiler;
 use crate::schedule::{LaunchPlan, PlanStep, ScheduleError};
 
 /// Which planopt passes to run. Each pass is independently toggleable so
@@ -167,8 +167,8 @@ impl Default for PlanOptLevel {
 }
 
 /// What [`optimize`] changed: one human-readable note per pass that rewrote
-/// something, in pass order. [`optimize_noted`] pushes these into a
-/// profiler's notes.
+/// something, in pass order. [`crate::schedule::run_plan`] pushes these
+/// into the device profiler's notes.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PlanOptReport {
     /// One note per pass that changed the plan.
@@ -212,20 +212,6 @@ pub fn optimize(
         }
     }
     Ok(report)
-}
-
-/// [`optimize`], then push each pass's note into `profiler` — how a route
-/// runs planopt over a plan it is about to execute, so the rewrites show up
-/// next to the timings they changed.
-pub fn optimize_noted(
-    plan: &mut LaunchPlan<'_>,
-    level: PlanOptLevel,
-    profiler: &mut Profiler,
-) -> Result<(), ScheduleError> {
-    for note in optimize(plan, level)?.notes {
-        profiler.note(note);
-    }
-    Ok(())
 }
 
 /// Array ids a launch may modify (its writable buffer parameters).

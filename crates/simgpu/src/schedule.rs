@@ -18,11 +18,11 @@
 //!   chunked transfers, timing replay of measured frames
 //!   ([`ScheduleWitness`]), and [`RunStats`]/profiler accounting.
 //!
-//! A route front end builds a `LaunchPlan` from its own program
-//! representation (a compiled WITH-loop plan, a scheduled component model)
-//! and hands it to the scheduler; everything below the plan is shared, so
-//! stream pipelining, pooled allocation and OOM degradation land once and
-//! apply to every route.
+//! A route front end only builds a `LaunchPlan` from its own program
+//! representation (a compiled WITH-loop plan, a scheduled component model);
+//! [`run_plan`] runs it (planopt, then the scheduler). Everything below the
+//! plan is shared, so stream pipelining, pooled allocation and OOM
+//! degradation land once and apply to every route.
 
 use crate::device::{BufferId, Device, StreamId};
 use crate::exec::LaunchConfig;
@@ -688,18 +688,16 @@ impl ScheduleWitness {
 /// compiled-C nanosecond.
 pub const HOST_NS_PER_OP: f64 = 0.12;
 
-/// The one options struct shared by every executor and batch driver — the
-/// unification of what used to be `sac_cuda::PipelineOptions`,
-/// `gaspard::OpenClPipelineOptions`, and `downscaler::BatchOptions`.
+/// The one options struct every batch runs under.
 ///
-/// The scheduler itself consumes `streams`, `total_frames`,
-/// `host_ns_per_op`, and `degrade_on_oom`; `channel_chunks` is consumed by
-/// the route lowerings when they build a [`LaunchPlan`]; `executed` and
-/// `pool` are consumed by the scenario batch drivers
-/// (`downscaler::pipelines`) before the scheduler is reached. Carrying them
-/// in one struct means an option set composed for an experiment (streams ×
-/// pool × degradation × replay) is a single value that flows through every
-/// layer unchanged.
+/// Each field has one reader. [`BatchScheduler::run`] reads `streams`,
+/// `total_frames`, `host_ns_per_op`, `pool`, `degrade_on_oom` and `cost`;
+/// [`run_plan`] reads `optimize` before handing the plan to it;
+/// [`ExecOptions::executed_of`] reads `executed` for the batch drivers that
+/// build the frame list; and whoever lowers the SaC route passes
+/// `channel_chunks` to its `lower_plan`. Carrying them in one struct means
+/// an option set composed for an experiment (streams × pool × degradation ×
+/// replay) is a single value that flows through every layer unchanged.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecOptions {
     /// Number of pipeline lanes: streams (CUDA) / command queues (OpenCL) =
@@ -711,8 +709,9 @@ pub struct ExecOptions {
     /// one lane, since its frames cannot overlap. Must be `>= 1`
     /// ([`ExecOptions::validate`]).
     pub streams: usize,
-    /// Batch drivers only: frames executed functionally; the scenario's
-    /// remaining frames are timing-replayed. `0` executes every frame.
+    /// Frames a batch driver executes functionally, read through
+    /// [`ExecOptions::executed_of`]; the scenario's remaining frames are
+    /// timing-replayed. `0` executes every frame.
     pub executed: usize,
     /// When greater than the number of supplied frames, the timing of the
     /// remaining frames is *replayed* from the first frame's measured
@@ -721,7 +720,7 @@ pub struct ExecOptions {
     /// content-independent (fixed shapes; host steps whose trip counts do
     /// not depend on data). `0` means "the supplied frames".
     pub total_frames: usize,
-    /// Route lowerings only: when non-zero, arrays whose leading dimension
+    /// SaC route lowering only: when non-zero, arrays whose leading dimension
     /// equals this value are transferred as one chunk per leading slice
     /// (per colour channel), the way the paper's runtimes stream frames —
     /// Tables I/II count 900 transfers for 300 three-channel frames. See
@@ -730,9 +729,11 @@ pub struct ExecOptions {
     /// Simulated nanoseconds per abstract host-fallback operation (the SaC
     /// generic output tiler's cost model).
     pub host_ns_per_op: f64,
-    /// Batch drivers only: enable the device's size-class memory pool for
-    /// the batch. Off by default — the naive allocator is what the paper's
-    /// profiles were calibrated against.
+    /// Enable the device's size-class memory pool for the batch:
+    /// [`BatchScheduler::run`] applies it with [`Device::set_pool_enabled`]
+    /// before the first frame, so turning it off trims the pool. Off by
+    /// default — the naive allocator is what the paper's profiles were
+    /// calibrated against.
     pub pool: bool,
     /// When a batch attempt fails with [`SimError::OutOfMemory`], release
     /// that attempt's device buffers, halve the number of lanes and retry
@@ -743,7 +744,7 @@ pub struct ExecOptions {
     /// bit-identical at any lane count, so degradation only trades makespan
     /// for footprint. Off by default.
     pub degrade_on_oom: bool,
-    /// Which [`crate::planopt`] passes the route lowerings run over the plan
+    /// Which [`crate::planopt`] passes [`run_plan`] runs over the plan
     /// before scheduling. [`crate::planopt::PlanOptLevel::OFF`] (the
     /// default) leaves the plan exactly as lowered, so every paper-faithful
     /// number is untouched unless an experiment opts in.
@@ -847,11 +848,6 @@ impl<'a> BatchScheduler<'a> {
         BatchScheduler { plan }
     }
 
-    /// The plan being scheduled.
-    pub fn plan(&self) -> &LaunchPlan<'a> {
-        self.plan
-    }
-
     /// Execute a batch of frames.
     ///
     /// Returns one result-array vector per *functionally executed* frame
@@ -859,6 +855,10 @@ impl<'a> BatchScheduler<'a> {
     /// `total_frames` — timing-replayed frames contribute their counters
     /// and profiler records but no arrays. The device is synchronized on
     /// return, so `device.now_us()` is the batch makespan.
+    ///
+    /// The plan runs exactly as given: [`ExecOptions::optimize`] is
+    /// [`run_plan`]'s business. [`ExecOptions::pool`] is applied to the
+    /// device before the first frame.
     ///
     /// With [`ExecOptions::degrade_on_oom`] set, an `OutOfMemory` failure
     /// frees the attempt's buffers and restarts the batch at half the lanes
@@ -876,6 +876,7 @@ impl<'a> BatchScheduler<'a> {
             device.profiler.note(format!("cost model: {}", model.describe()));
             device.set_cost_model(crate::cost::BoxedCostModel(model));
         }
+        device.set_pool_enabled(opts.pool);
         if frames.is_empty() {
             return Ok((Vec::new(), RunStats::default()));
         }
@@ -1220,6 +1221,22 @@ impl<'a> BatchScheduler<'a> {
         )
         .map_err(|e| ScheduleError::Plan(e.to_string()))
     }
+}
+
+/// Run `plan` over `frames` on `device`: the planopt passes `opts.optimize`
+/// selects, each pass's note pushed into `device.profiler` so the rewrites
+/// show up next to the timings they changed, then [`BatchScheduler::run`].
+/// This is the one way a lowered route runs a batch.
+pub fn run_plan(
+    mut plan: LaunchPlan<'_>,
+    device: &mut Device,
+    frames: &[Vec<NdArray<i64>>],
+    opts: &ExecOptions,
+) -> Result<BatchOutput, ScheduleError> {
+    for note in crate::planopt::optimize(&mut plan, opts.optimize)?.notes {
+        device.profiler.note(note);
+    }
+    BatchScheduler::new(&plan).run(device, frames, opts)
 }
 
 /// One executed frame's results: the collected outputs, the counters split
@@ -1615,6 +1632,51 @@ mod tests {
         assert_eq!((stats.h2d_bytes, stats.d2h_bytes), (n * 4, n * 4));
         let h2d = device.profiler.records().find(|r| r.name == "memcpyHtoDasync").unwrap();
         assert_eq!(h2d.calls, 3);
+    }
+
+    #[test]
+    fn run_plan_optimizes_and_notes_before_scheduling() {
+        let n = 12;
+        let (kernel, config) = double_kernel(n);
+        let mut plan = double_plan(&kernel, config, n);
+        plan.arrays[0].shape = vec![3, 4];
+        plan.steps[0] = PlanStep::Upload { array: 0, chunks: 3 };
+        plan.steps[2] = PlanStep::Download { array: 0, chunks: 3 };
+        let fr = vec![vec![NdArray::from_fn([3, 4], |ix| (ix[0] * 4 + ix[1]) as i64)]];
+
+        let mut base = Device::gtx480();
+        let (expect, _) = run_plan(plan.clone(), &mut base, &fr, &ExecOptions::default()).unwrap();
+        assert_eq!(base.profiler.notes().count(), 0);
+
+        let mut device = Device::gtx480();
+        let opts = ExecOptions { optimize: crate::PlanOptLevel::COALESCE, ..Default::default() };
+        let (outs, stats) = run_plan(plan, &mut device, &fr, &opts).unwrap();
+        assert_eq!(outs, expect);
+        // The chunked transfers were coalesced, and the pass says so.
+        assert_eq!((stats.h2d, stats.d2h), (1, 1));
+        assert!(device.profiler.notes().any(|nt| nt.starts_with("planopt coalesce")));
+    }
+
+    #[test]
+    fn run_applies_the_pool_option_to_the_device() {
+        let n = 64;
+        let (kernel, config) = double_kernel(n);
+        let plan = double_plan(&kernel, config, n);
+        let mut device = Device::gtx480();
+        let pooled = ExecOptions { pool: true, ..Default::default() };
+        for _ in 0..2 {
+            BatchScheduler::new(&plan).run(&mut device, &frames(2, n), &pooled).unwrap();
+        }
+        assert!(device.pool().enabled());
+        // The first batch's end-of-run frees were cached and served the
+        // second batch's allocations.
+        assert!(device.profiler.alloc.pool_hits > 0);
+        assert!(device.pool().cached_bytes() > 0);
+
+        let naive = ExecOptions::default();
+        BatchScheduler::new(&plan).run(&mut device, &frames(2, n), &naive).unwrap();
+        assert!(!device.pool().enabled());
+        assert_eq!(device.pool().cached_bytes(), 0);
     }
 
     #[test]

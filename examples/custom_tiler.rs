@@ -162,9 +162,13 @@ fn main() {
     println!("GASPARD2 chain generated {} OpenCL kernel(s):\n", opencl.kernels.len());
     println!("{}", opencl.emit_opencl_source());
 
+    // Lower the generated host loop to a launch plan and run one frame.
     let mut device = Device::gtx480();
-    let outs =
-        gaspard::run_opencl(&opencl, &mut device, std::slice::from_ref(&image)).expect("GPU run");
+    let plan = gaspard::lower_plan(&opencl);
+    let (mut frames, _) =
+        simgpu::run_plan(plan, &mut device, &[vec![image.clone()]], &Default::default())
+            .expect("GPU run");
+    let outs = frames.pop().expect("one frame");
 
     // Row sums on the device must agree with a direct computation.
     for i in 0..N {

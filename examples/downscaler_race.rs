@@ -16,12 +16,13 @@ use gpu_abstractions::{downscaler, mdarray, simgpu};
 
 use downscaler::frames::{FrameGenerator, FrameSink};
 use downscaler::pipelines::{
-    build_gaspard, build_sac, reference_downscale, run_gaspard_batch, run_sac_batch, ExecOptions,
+    build_gaspard, build_sac, reference_downscale, run_gaspard_batch, run_sac_batch,
 };
 use downscaler::sac_src::{Part, Variant};
 use downscaler::Scenario;
 use simgpu::device::Device;
 use simgpu::profiler::{Group, OpClass};
+use simgpu::ExecOptions;
 
 fn main() {
     let mut frames: usize = 4;

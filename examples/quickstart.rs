@@ -10,10 +10,11 @@
 
 use gpu_abstractions::{mdarray, sac_cuda, sac_lang, simgpu};
 use mdarray::NdArray;
-use sac_cuda::exec::{run_on_device, ExecOptions};
+use sac_cuda::exec::lower_plan;
 use sac_lang::opt::{optimize, ArgDesc, OptConfig};
 use simgpu::device::Device;
 use simgpu::profiler::{Group, OpClass};
+use simgpu::{run_plan, ExecOptions};
 
 const SRC: &str = r#"
 int[*] brighten(int[*] img)
@@ -45,11 +46,13 @@ fn main() {
     let cuda = sac_cuda::compile_flat_program(&flat).expect("codegen");
     println!("{}", cuda.emit_cuda_source());
 
-    // 3. Execute on the simulated GTX480.
+    // 3. Lower to a launch plan and execute one frame on the simulated GTX480.
     let img = NdArray::from_fn([64usize, 64], |ix| ((ix[0] * ix[1]) % 200) as i64);
     let mut device = Device::gtx480();
-    let (result, stats) =
-        run_on_device(&cuda, &mut device, &[img], ExecOptions::default()).expect("run");
+    let plan = lower_plan(&cuda, 0).expect("lower");
+    let (mut frames, stats) =
+        run_plan(plan, &mut device, &[vec![img]], &ExecOptions::default()).expect("run");
+    let result = frames.pop().expect("one frame").pop().expect("one output");
     println!(
         "ran {} kernel launch(es), {} H2D / {} D2H transfer(s)",
         stats.launches, stats.h2d, stats.d2h

@@ -14,9 +14,10 @@ use gpu_abstractions::{downscaler, sac_cuda, sac_lang, simgpu};
 use downscaler::pipelines::build_sac;
 use downscaler::sac_src::{Part, Variant};
 use downscaler::{FrameGenerator, Scenario};
-use sac_cuda::exec::{run_on_device, ExecOptions};
+use sac_cuda::exec::lower_plan;
 use sac_lang::opt::OptConfig;
 use simgpu::device::Device;
+use simgpu::{run_plan, ExecOptions};
 
 fn main() {
     let s = Scenario::cif();
@@ -59,13 +60,14 @@ fn main() {
     println!();
 
     // Execute both on fresh devices and compare simulated time + memory.
+    let frames = [vec![frame]];
+    let opts = ExecOptions::default();
     let mut d1 = Device::gtx480();
     let (out1, _) =
-        run_on_device(&folded.cuda, &mut d1, std::slice::from_ref(&frame), ExecOptions::default())
-            .unwrap();
+        run_plan(lower_plan(&folded.cuda, 0).unwrap(), &mut d1, &frames, &opts).unwrap();
     let mut d2 = Device::gtx480();
     let (out2, _) =
-        run_on_device(&unfolded.cuda, &mut d2, &[frame], ExecOptions::default()).unwrap();
+        run_plan(lower_plan(&unfolded.cuda, 0).unwrap(), &mut d2, &frames, &opts).unwrap();
     assert_eq!(out1, out2, "folding must not change results");
 
     println!("simulated GPU time per frame:");

@@ -2,16 +2,18 @@
 //! flat evaluator and the reference filters must agree bit-exactly on the
 //! same video frames — the property underlying the paper's entire comparison.
 
+mod common;
+
 use downscaler::frames::{FrameGenerator, FrameSink};
 use downscaler::pipelines::{build_gaspard, build_sac, reference_downscale};
 use downscaler::sac_src::{program_src, Part, Variant};
 use downscaler::Scenario;
 use mdarray::NdArray;
-use sac_cuda::exec::{run_on_device, ExecOptions};
 use sac_lang::value::Value;
 use sac_lang::Interp;
 use simgpu::device::Device;
 use simgpu::profiler::OpClass;
+use simgpu::ExecOptions;
 
 #[test]
 fn five_implementations_one_result() {
@@ -37,7 +39,7 @@ fn five_implementations_one_result() {
 
     // 4. The CUDA route on the simulated device.
     let mut device = Device::gtx480();
-    let (cuda_out, _) = run_on_device(
+    let (cuda_out, _) = common::run_sac_once(
         &route.cuda,
         &mut device,
         std::slice::from_ref(&frame),
@@ -49,7 +51,7 @@ fn five_implementations_one_result() {
     // 5. The GASPARD2 OpenCL route.
     let gasp = build_gaspard(&s).unwrap();
     let mut device2 = Device::gtx480();
-    let outs = gaspard::run_opencl(&gasp.opencl, &mut device2, &planes).unwrap();
+    let outs = common::run_gaspard_once(&gasp.opencl, &mut device2, &planes).unwrap();
     assert_eq!(FrameGenerator::stack(&outs), expect, "GASPARD2 -> OpenCL route");
 }
 
@@ -62,7 +64,7 @@ fn generic_variant_agrees_end_to_end() {
     let route = build_sac(&s, Variant::Generic, Part::Full, &Default::default()).unwrap();
     assert!(route.cuda.host_steps_per_run() > 0, "generic route must fall back to the host");
     let mut device = Device::gtx480();
-    let (out, stats) = run_on_device(
+    let (out, stats) = common::run_sac_once(
         &route.cuda,
         &mut device,
         std::slice::from_ref(&frame),
@@ -87,7 +89,8 @@ fn multi_frame_stream_is_deterministic() {
         for f in 0..3 {
             let frame = gen.frame_rank3(f);
             let (out, _) =
-                run_on_device(&route.cuda, &mut device, &[frame], ExecOptions::default()).unwrap();
+                common::run_sac_once(&route.cuda, &mut device, &[frame], ExecOptions::default())
+                    .unwrap();
             sink.consume(&FrameGenerator::unstack(&out));
         }
         (sink.digest, device.now_us())
@@ -109,9 +112,10 @@ fn per_filter_and_full_pipelines_compose() {
 
     let mut d = Device::gtx480();
     let opts = ExecOptions::default();
-    let (hf, _) = run_on_device(&h.cuda, &mut d, std::slice::from_ref(&frame), opts).unwrap();
-    let (vf, _) = run_on_device(&v.cuda, &mut d, &[hf], opts).unwrap();
-    let (direct, _) = run_on_device(&full.cuda, &mut d, &[frame], opts).unwrap();
+    let (hf, _) =
+        common::run_sac_once(&h.cuda, &mut d, std::slice::from_ref(&frame), opts).unwrap();
+    let (vf, _) = common::run_sac_once(&v.cuda, &mut d, &[hf], opts).unwrap();
+    let (direct, _) = common::run_sac_once(&full.cuda, &mut d, &[frame], opts).unwrap();
     assert_eq!(vf, direct);
 }
 
@@ -131,12 +135,12 @@ fn fused_gaspard_route_agrees_with_unfused_and_reference() {
     let planes = FrameGenerator::new(s.channels, s.rows, s.cols, 77).frame_channels(0);
     let expect = reference_downscale(&s, &FrameGenerator::stack(&planes));
     let frames = vec![planes];
-    let opts = gaspard::ExecOptions::default();
+    let opts = simgpu::ExecOptions::default();
     let mut d_unf = Device::gtx480();
-    let out_unf = gaspard::run_opencl_frames(&route.opencl, &mut d_unf, &frames, opts).unwrap();
+    let out_unf = common::run_gaspard(&route.opencl, &mut d_unf, &frames, opts).unwrap();
     let mut d_fus = Device::gtx480();
-    let fus_opts = gaspard::ExecOptions { optimize: simgpu::PlanOptLevel::FUSION_FAITHFUL, ..opts };
-    let out_fus = gaspard::run_opencl_frames(&route.opencl, &mut d_fus, &frames, fus_opts).unwrap();
+    let fus_opts = simgpu::ExecOptions { optimize: simgpu::PlanOptLevel::FUSION_FAITHFUL, ..opts };
+    let out_fus = common::run_gaspard(&route.opencl, &mut d_fus, &frames, fus_opts).unwrap();
     assert_eq!(out_fus, out_unf, "fusion must preserve bits");
     assert_eq!(FrameGenerator::stack(&out_fus[0]), expect, "fused route vs golden filters");
     // Same bits for half the launches and strictly less simulated time.
@@ -149,7 +153,7 @@ fn fused_gaspard_route_agrees_with_unfused_and_reference() {
 #[test]
 fn fusion_refuses_multi_consumer_diamond() {
     use gaspard::transform::ScheduledArray;
-    use gaspard::{deploy, generate_opencl, run_opencl_frames, schedule, Platform};
+    use gaspard::{deploy, generate_opencl, schedule, Platform};
 
     let (model, alloc) = gaspard::fixtures::mini_two_stage_model();
     let mut sm = schedule(&deploy(model, Platform::cpu_gpu(), alloc).unwrap()).unwrap();
@@ -186,10 +190,10 @@ fn fusion_refuses_multi_consumer_diamond() {
         .collect();
     let opts = ExecOptions { streams: 2, ..Default::default() };
     let mut d_unf = Device::gtx480();
-    let base = run_opencl_frames(&prog, &mut d_unf, &frames, opts).unwrap();
+    let base = common::run_gaspard(&prog, &mut d_unf, &frames, opts).unwrap();
     let mut d_fus = Device::gtx480();
     let fus_opts = ExecOptions { optimize: simgpu::PlanOptLevel::FUSION, ..opts };
-    let got = run_opencl_frames(&prog, &mut d_fus, &frames, fus_opts).unwrap();
+    let got = common::run_gaspard(&prog, &mut d_fus, &frames, fus_opts).unwrap();
     assert_eq!(got, base, "refused fusion must fall back to unfused results");
     // The fallback is surfaced to the profiler for ablation reports.
     assert!(
@@ -252,9 +256,9 @@ fn gaspard_and_sac_kernel_structure_differs_as_published() {
     // Both routes transfer the same frame data.
     let mut d1 = Device::gtx480();
     let planes = FrameGenerator::new(s.channels, s.rows, s.cols, 1).frame_channels(0);
-    gaspard::run_opencl(&gasp.opencl, &mut d1, &planes).unwrap();
+    common::run_gaspard_once(&gasp.opencl, &mut d1, &planes).unwrap();
     let mut d2 = Device::gtx480();
-    run_on_device(
+    common::run_sac_once(
         &sac.cuda,
         &mut d2,
         &[FrameGenerator::stack(&planes)],
@@ -341,20 +345,18 @@ fn plan_fusion_matches_route_local_fusion_on_the_downscaler() {
     let unfused = build_gaspard(&s).unwrap();
     let gen = FrameGenerator::new(s.channels, s.rows, s.cols, 4242);
     let frames: Vec<Vec<NdArray<i64>>> = (0..2).map(|f| gen.frame_channels(f)).collect();
-    let opts = gaspard::ExecOptions::default();
+    let opts = simgpu::ExecOptions::default();
 
     // Faithful: the exact kernels the scheduled-model-level fuse_model
     // route generated (6 -> 3 kernels, same composed bodies).
     let mut d_legacy = Device::gtx480();
-    let legacy_opts = gaspard::ExecOptions { optimize: PlanOptLevel::FUSION_FAITHFUL, ..opts };
-    let legacy =
-        gaspard::run_opencl_frames(&unfused.opencl, &mut d_legacy, &frames, legacy_opts).unwrap();
+    let legacy_opts = simgpu::ExecOptions { optimize: PlanOptLevel::FUSION_FAITHFUL, ..opts };
+    let legacy = common::run_gaspard(&unfused.opencl, &mut d_legacy, &frames, legacy_opts).unwrap();
 
     // Default: the same pass with the lean fused codegen.
     let mut d_plan = Device::gtx480();
-    let plan_opts = gaspard::ExecOptions { optimize: PlanOptLevel::FUSION, ..opts };
-    let plan =
-        gaspard::run_opencl_frames(&unfused.opencl, &mut d_plan, &frames, plan_opts).unwrap();
+    let plan_opts = simgpu::ExecOptions { optimize: PlanOptLevel::FUSION, ..opts };
+    let plan = common::run_gaspard(&unfused.opencl, &mut d_plan, &frames, plan_opts).unwrap();
 
     assert_eq!(plan, legacy, "lean plan fusion must match the faithful mode bit-for-bit");
     let launches = |d: &Device| {

@@ -1,16 +1,18 @@
 //! Failure injection: every layer must surface faults as typed errors, never
 //! panics or silent corruption.
 
+mod common;
+
 use downscaler::pipelines::{
-    build_gaspard, build_sac, run_gaspard_batch, run_sac_batch, ExecOptions, PipelineError,
+    build_gaspard, build_sac, run_gaspard_batch, run_sac_batch, PipelineError,
 };
 use downscaler::sac_src::{Part, Variant};
 use downscaler::{FrameGenerator, Scenario};
 use proptest::prelude::*;
-use sac_cuda::exec::run_on_device;
 use sac_lang::wir::{FlatGen, FlatProgram, FlatWith, Step, SymExpr};
 use simgpu::device::{BufferId, Device, DeviceConfig};
 use simgpu::Calibration;
+use simgpu::ExecOptions;
 use simgpu::ScheduleError::Sim;
 use std::collections::HashMap;
 
@@ -23,14 +25,14 @@ fn device_oom_is_reported() {
     let frame = FrameGenerator::new(s.channels, s.rows, s.cols, 1).frame_rank3(0);
     // Frame alone needs 3*18*32*4 = 6912 bytes; give the device less.
     let mut device = Device::new(DeviceConfig::toy(4096), Calibration::gtx480());
-    let err = run_on_device(
+    let err = common::run_sac_once(
         &route.cuda,
         &mut device,
         std::slice::from_ref(&frame),
         ExecOptions::default(),
     );
     match err {
-        Err(sac_cuda::CudaError::Schedule(Sim(simgpu::SimError::OutOfMemory { .. }))) => {}
+        Err(Sim(simgpu::SimError::OutOfMemory { .. })) => {}
         other => panic!("expected OutOfMemory, got {other:?}"),
     }
 }
@@ -42,14 +44,8 @@ fn gaspard_oom_is_reported() {
     let route = build_gaspard(&s).unwrap();
     let channels = FrameGenerator::new(s.channels, s.rows, s.cols, 1).frame_channels(0);
     let mut device = Device::new(DeviceConfig::toy(1024), Calibration::gtx480());
-    let err = gaspard::run_opencl(&route.opencl, &mut device, &channels);
-    assert!(
-        matches!(
-            err,
-            Err(gaspard::GaspardError::Schedule(Sim(simgpu::SimError::OutOfMemory { .. })))
-        ),
-        "{err:?}"
-    );
+    let err = common::run_gaspard_once(&route.opencl, &mut device, &channels);
+    assert!(matches!(err, Err(Sim(simgpu::SimError::OutOfMemory { .. }))), "{err:?}");
 }
 
 /// Double free: the second `free` returns `UnknownBuffer` and the allocated
@@ -219,14 +215,8 @@ fn kernel_oob_load_faults() {
     // …and so does the simulated device.
     let cuda = sac_cuda::compile_flat_program(&p).unwrap();
     let mut device = Device::gtx480();
-    let err = run_on_device(&cuda, &mut device, &[frame], ExecOptions::default());
-    assert!(
-        matches!(
-            err,
-            Err(sac_cuda::CudaError::Schedule(Sim(simgpu::SimError::OutOfBounds { .. })))
-        ),
-        "{err:?}"
-    );
+    let err = common::run_sac_once(&cuda, &mut device, &[frame], ExecOptions::default());
+    assert!(matches!(err, Err(Sim(simgpu::SimError::OutOfBounds { .. }))), "{err:?}");
 }
 
 /// Malformed SaC programs are rejected with a line-numbered parse error or a
@@ -271,11 +261,8 @@ int[*] main(int[4] a)
     assert!(flat.run(std::slice::from_ref(&frame), &mut 0).is_err());
     let cuda = sac_cuda::compile_flat_program(&flat).unwrap();
     let mut device = Device::gtx480();
-    let err = run_on_device(&cuda, &mut device, &[frame], ExecOptions::default());
-    assert!(
-        matches!(err, Err(sac_cuda::CudaError::Schedule(Sim(simgpu::SimError::DivByZero { .. })))),
-        "{err:?}"
-    );
+    let err = common::run_sac_once(&cuda, &mut device, &[frame], ExecOptions::default());
+    assert!(matches!(err, Err(Sim(simgpu::SimError::DivByZero { .. }))), "{err:?}");
 }
 
 /// Deployment faults: a model whose filters are allocated to a nonexistent

@@ -1,6 +1,8 @@
 //! The paper's published observations, asserted as executable checks
 //! (scaled-down scenario; the HD numbers are in EXPERIMENTS.md).
 
+mod common;
+
 use downscaler::pipelines::{build_gaspard, build_sac};
 use downscaler::sac_src::{Part, Variant};
 use downscaler::Scenario;
@@ -127,11 +129,11 @@ fn wlf_shrinks_device_footprint() {
     {
         let route = build_sac(&s, Variant::NonGeneric, Part::Full, &cfg).unwrap();
         let mut device = simgpu::device::Device::gtx480();
-        sac_cuda::exec::run_on_device(
+        common::run_sac_once(
             &route.cuda,
             &mut device,
             std::slice::from_ref(&frame),
-            sac_cuda::ExecOptions::default(),
+            simgpu::ExecOptions::default(),
         )
         .unwrap();
         peaks.push(device.peak_allocated_bytes());

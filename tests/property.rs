@@ -1,10 +1,11 @@
 //! Property-based tests over the core invariants.
 
+mod common;
+
 use arrayol::{IMat, Tiler};
 use gaspard::{
-    deploy, generate_opencl, run_opencl_frames, schedule, to_arrayol, Allocation, Component,
-    ComponentKind, Connection, ExecOptions, Model, PartRef, Platform, Port, PortDir, Stereotype,
-    TilerSpec, WindowSpec,
+    deploy, generate_opencl, schedule, to_arrayol, Allocation, Component, ComponentKind,
+    Connection, Model, PartRef, Platform, Port, PortDir, Stereotype, TilerSpec, WindowSpec,
 };
 use mdarray::{NdArray, Shape};
 use proptest::prelude::*;
@@ -12,6 +13,7 @@ use sac_lang::opt::{optimize, ArgDesc, OptConfig};
 use sac_lang::value::Value;
 use sac_lang::Interp;
 use simgpu::device::Device;
+use simgpu::ExecOptions;
 
 /// Column-axis parameters of one repetitive filter stage (the row axis is
 /// always an untiled pass-through, like the downscaler's).
@@ -317,11 +319,11 @@ int[*] main(int[{rows},{cols}] a)
 
         let cuda = sac_cuda::compile_flat_program(&flat).unwrap();
         let mut device = simgpu::device::Device::gtx480();
-        let (got, _) = sac_cuda::exec::run_on_device(
+        let (got, _) = common::run_sac_once(
             &cuda,
             &mut device,
             &[frame],
-            sac_cuda::ExecOptions::default(),
+            simgpu::ExecOptions::default(),
         )
         .unwrap();
         prop_assert_eq!(got, expect);
@@ -421,7 +423,7 @@ int[*] main(int[{rows},{cols}] a)
         let run = |fuse: bool, queues, degrade, device: &mut Device| {
             let optimize =
                 if fuse { simgpu::PlanOptLevel::FUSION } else { simgpu::PlanOptLevel::OFF };
-            run_opencl_frames(
+            common::run_gaspard(
                 &prog,
                 device,
                 &frames,

@@ -1,16 +1,18 @@
-//! The shared launch-plan scheduler against its legacy entry points.
+//! The shared launch-plan scheduler against the scenario batch drivers.
 //!
-//! Both routes' public executors (`run_frames_pipelined`,
-//! `run_opencl_frames`) are thin wrappers over
-//! `simgpu::schedule::BatchScheduler`; these tests pin that equivalence
-//! down differentially — same outputs, same simulated clock, same per-engine
-//! busy time — and check the degradation ladder converges to a bit-identical
-//! result from any starting lane count.
+//! The downscaler's batch drivers (`run_sac_batch`, `run_gaspard_batch`)
+//! only build frames and lower a route before `simgpu::run_plan` hands the
+//! plan to `simgpu::schedule::BatchScheduler`; these tests pin that
+//! equivalence down differentially — same outputs, same simulated clock,
+//! same per-engine busy time — and check the degradation ladder converges
+//! to a bit-identical result from any starting lane count.
+
+mod common;
 
 use gpu_abstractions::{downscaler, gaspard, sac_cuda, simgpu};
 
 use downscaler::frames::FrameGenerator;
-use downscaler::pipelines::{build_gaspard, build_sac};
+use downscaler::pipelines::{build_gaspard, build_sac, run_gaspard_batch, run_sac_batch};
 use downscaler::sac_src::{Part, Variant};
 use downscaler::Scenario;
 use proptest::prelude::*;
@@ -32,7 +34,7 @@ fn assert_same_timeline(a: &Device, b: &Device, what: &str) {
     }
 }
 
-/// An HD-frame scenario through the legacy SaC wrapper and through a
+/// An HD-frame scenario through the SaC batch driver and through a
 /// hand-lowered plan on the scheduler: identical outputs, identical clock,
 /// identical per-engine busy totals.
 #[test]
@@ -42,22 +44,19 @@ fn sac_wrapper_is_the_scheduler_differentially() {
     let route = build_sac(&s, Variant::NonGeneric, Part::Full, &Default::default()).unwrap();
     let gen = FrameGenerator::new(s.channels, s.rows, s.cols, 0x5CED);
     let frames: Vec<_> = (0..s.frames).map(|f| vec![gen.frame_rank3(f)]).collect();
-    let opts = ExecOptions { streams: 2, channel_chunks: s.channels, ..Default::default() };
+    let opts = ExecOptions { streams: 2, ..Default::default() };
 
-    let mut legacy_dev = Device::gtx480();
-    let (legacy_outs, legacy_stats) =
-        sac_cuda::exec::run_frames_pipelined(&route.cuda, &mut legacy_dev, &frames, opts).unwrap();
+    let mut driver_dev = Device::gtx480();
+    let driver_outs = run_sac_batch(&s, &route, &mut driver_dev, 0x5CED, opts).unwrap();
 
     let mut direct_dev = Device::gtx480();
-    let plan = sac_cuda::exec::lower_plan(&route.cuda, opts.channel_chunks).unwrap();
-    let (direct_outs, direct_stats) =
-        BatchScheduler::new(&plan).run(&mut direct_dev, &frames, &opts).unwrap();
+    let plan = sac_cuda::exec::lower_plan(&route.cuda, s.channels).unwrap();
+    let (direct_outs, _) = BatchScheduler::new(&plan).run(&mut direct_dev, &frames, &opts).unwrap();
 
     let direct_outs: Vec<_> =
         direct_outs.into_iter().map(|mut frame| frame.pop().unwrap()).collect();
-    assert_eq!(legacy_outs, direct_outs);
-    assert_eq!(legacy_stats, direct_stats);
-    assert_same_timeline(&legacy_dev, &direct_dev, "SaC");
+    assert_eq!(driver_outs, direct_outs);
+    assert_same_timeline(&driver_dev, &direct_dev, "SaC");
 }
 
 /// Same differential check for the GASPARD2 route.
@@ -70,16 +69,15 @@ fn gaspard_wrapper_is_the_scheduler_differentially() {
     let frames: Vec<_> = (0..s.frames).map(|f| gen.frame_channels(f)).collect();
     let opts = ExecOptions { streams: 2, ..Default::default() };
 
-    let mut legacy_dev = Device::gtx480();
-    let legacy_outs =
-        gaspard::run_opencl_frames(&route.opencl, &mut legacy_dev, &frames, opts).unwrap();
+    let mut driver_dev = Device::gtx480();
+    let driver_outs = run_gaspard_batch(&s, &route, &mut driver_dev, 0x5CED, opts).unwrap();
 
     let mut direct_dev = Device::gtx480();
     let plan = gaspard::lower_plan(&route.opencl);
     let (direct_outs, _) = BatchScheduler::new(&plan).run(&mut direct_dev, &frames, &opts).unwrap();
 
-    assert_eq!(legacy_outs, direct_outs);
-    assert_same_timeline(&legacy_dev, &direct_dev, "Gaspard");
+    assert_eq!(driver_outs, direct_outs);
+    assert_same_timeline(&driver_dev, &direct_dev, "Gaspard");
 }
 
 /// When a plan requests a chunk count that does not divide the array length
@@ -316,17 +314,12 @@ fn degradation_fixture() -> &'static DegradationFixture {
         let base_opts = ExecOptions { channel_chunks: s.channels, ..Default::default() };
         let mut base_dev = Device::gtx480();
         let (sac_base, _) =
-            sac_cuda::exec::run_frames_pipelined(&sac.cuda, &mut base_dev, &sac_frames, base_opts)
-                .unwrap();
+            common::run_sac(&sac.cuda, &mut base_dev, &sac_frames, base_opts).unwrap();
         let sac_capacity = base_dev.peak_allocated_bytes() * 2;
         let mut base_dev = Device::gtx480();
-        let gasp_base = gaspard::run_opencl_frames(
-            &gasp.opencl,
-            &mut base_dev,
-            &gasp_frames,
-            ExecOptions::default(),
-        )
-        .unwrap();
+        let gasp_base =
+            common::run_gaspard(&gasp.opencl, &mut base_dev, &gasp_frames, ExecOptions::default())
+                .unwrap();
         let gasp_capacity = base_dev.peak_allocated_bytes() * 2;
         DegradationFixture {
             s,
@@ -358,12 +351,12 @@ proptest! {
         };
         let mut dev = Device::new(DeviceConfig::toy(fx.sac_capacity), Calibration::gtx480());
         let (sac_outs, _) =
-            sac_cuda::exec::run_frames_pipelined(&fx.sac.cuda, &mut dev, &fx.sac_frames, opts)
+            common::run_sac(&fx.sac.cuda, &mut dev, &fx.sac_frames, opts)
                 .unwrap();
         prop_assert_eq!(&sac_outs, &fx.sac_base, "SaC outputs diverged at {} lanes", lanes);
 
         let mut dev = Device::new(DeviceConfig::toy(fx.gasp_capacity), Calibration::gtx480());
-        let gasp_outs = gaspard::run_opencl_frames(
+        let gasp_outs = common::run_gaspard(
             &fx.gasp.opencl, &mut dev, &fx.gasp_frames,
             ExecOptions { channel_chunks: 0, ..opts },
         ).unwrap();

@@ -4,10 +4,12 @@
 //! generators) on a differently-shaped pipeline, demonstrating that nothing
 //! in the toolchain is downscaler-specific.
 
+mod common;
+
 use mdarray::NdArray;
-use sac_cuda::exec::{run_on_device, ExecOptions};
 use sac_lang::opt::{optimize, ArgDesc, OptConfig};
 use simgpu::device::Device;
+use simgpu::ExecOptions;
 
 const ROWS: usize = 24;
 const COLS: usize = 32;
@@ -63,9 +65,13 @@ int[*] main(int[{ROWS},{COLS}] f)
 
     let cuda = sac_cuda::compile_flat_program(&flat).unwrap();
     let mut device = Device::gtx480();
-    let (got, stats) =
-        run_on_device(&cuda, &mut device, std::slice::from_ref(&frame), ExecOptions::default())
-            .unwrap();
+    let (got, stats) = common::run_sac_once(
+        &cuda,
+        &mut device,
+        std::slice::from_ref(&frame),
+        ExecOptions::default(),
+    )
+    .unwrap();
     assert_eq!(got, expect);
     assert_eq!(stats.launches, 1, "fused pipeline is a single kernel");
 }
@@ -219,7 +225,8 @@ fn gaspard_route_thumbnailer() {
 
     // Generated OpenCL on the device == ArrayOL reference executor.
     let mut device = Device::gtx480();
-    let outs = gaspard::run_opencl(&opencl, &mut device, std::slice::from_ref(&frame)).unwrap();
+    let outs =
+        common::run_gaspard_once(&opencl, &mut device, std::slice::from_ref(&frame)).unwrap();
     assert_eq!(outs[0], expect);
 
     let g = to_arrayol(&scheduled).unwrap();

@@ -92,7 +92,6 @@ fn one_device_serve_is_the_scheduler_differentially() {
     assert_eq!(report.completed, 5);
 
     let mut direct = Device::gtx480();
-    direct.set_pool_enabled(cfg.exec.pool);
     let mut direct_stats = simgpu::RunStats::default();
     let mut direct_outs = Vec::new();
     for job in &jobs {
@@ -199,8 +198,8 @@ fn degenerate_serving_configs_are_typed_errors() {
 /// Every registry workload's default mix serves end to end: functional
 /// two-frame jobs on a 1-device fleet complete with outputs bit-identical
 /// to the entry's CPU reference. The temporal carry entry also serves on
-/// a *2-device* fleet — each job is its own batch, so fleets can shard
-/// carry plans that `Fleet::run_round_robin` must reject at width > 1.
+/// a *2-device* fleet — each job is its own batch, so sharding jobs never
+/// splits a carry chain.
 #[test]
 fn registry_mixes_serve_with_reference_outputs() {
     use gpu_abstractions::scenarios::{registry_small, Route};

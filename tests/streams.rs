@@ -10,11 +10,13 @@
 //!   compilation routes while leaving outputs bit-identical to the golden
 //!   CPU reference.
 
-use gpu_abstractions::{downscaler, gaspard, simgpu};
+mod common;
+
+use gpu_abstractions::{downscaler, simgpu};
 
 use downscaler::frames::FrameGenerator;
 use downscaler::pipelines::{
-    build_gaspard, build_sac, reference_downscale, run_gaspard_batch, run_sac_batch, ExecOptions,
+    build_gaspard, build_sac, reference_downscale, run_gaspard_batch, run_sac_batch,
 };
 use downscaler::sac_src::{Part, Variant};
 use downscaler::Scenario;
@@ -22,6 +24,7 @@ use proptest::prelude::*;
 use simgpu::device::Device;
 use simgpu::profiler::{OpClass, Profiler};
 use simgpu::schedule::{RunStats, ScheduleWitness};
+use simgpu::ExecOptions;
 
 const CLASSES: [OpClass; 4] = [OpClass::H2D, OpClass::Kernel, OpClass::D2H, OpClass::Host];
 
@@ -83,17 +86,17 @@ fn one_stream_batches_reproduce_serialized_profiles_exactly() {
     // The pre-stream serialized executors, one frame at a time.
     let mut sac_serial = Device::gtx480();
     for f in 0..s.frames {
-        sac_cuda::exec::run_on_device(
+        common::run_sac_once(
             &sac.cuda,
             &mut sac_serial,
             &[gen.frame_rank3(f)],
-            sac_cuda::ExecOptions { channel_chunks: s.channels, ..Default::default() },
+            simgpu::ExecOptions { channel_chunks: s.channels, ..Default::default() },
         )
         .unwrap();
     }
     let mut gasp_serial = Device::gtx480();
     for f in 0..s.frames {
-        gaspard::run_opencl(&gasp.opencl, &mut gasp_serial, &gen.frame_channels(f)).unwrap();
+        common::run_gaspard_once(&gasp.opencl, &mut gasp_serial, &gen.frame_channels(f)).unwrap();
     }
 
     // The batch executors in 1-stream mode.
