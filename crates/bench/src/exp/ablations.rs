@@ -11,7 +11,7 @@ use downscaler::Scenario;
 use gaspard::GaspardError;
 use sac_cuda::{lower_plan, CudaError};
 use sac_lang::opt::OptConfig;
-use simgpu::device::Device;
+use simgpu::device::{Device, DeviceConfig};
 use simgpu::{run_plan, Calibration, ExecOptions};
 
 /// The `ablations` command.
@@ -29,8 +29,7 @@ pub fn totals_with_calibration(
 ) -> Result<(f64, f64), PipelineError> {
     // Gaspard.
     let route = build_gaspard(s)?;
-    let mut device = Device::gtx480();
-    device.set_calibration(calib.clone());
+    let mut device = Device::new(DeviceConfig::gtx480(), calib);
     let channels = FrameGenerator::new(s.channels, s.rows, s.cols, FRAME_SEED).frame_channels(0);
     let plan = gaspard::lower_plan(&route.opencl);
     run_plan(plan, &mut device, &[channels], &ExecOptions::default())
@@ -38,8 +37,7 @@ pub fn totals_with_calibration(
     let gaspard_total = device.now_us() * s.frames as f64 / 1e6;
     // SaC non-generic.
     let route = build_sac(s, Variant::NonGeneric, Part::Full, &Default::default())?;
-    let mut device = Device::gtx480();
-    device.set_calibration(calib);
+    let mut device = Device::new(DeviceConfig::gtx480(), calib);
     let plan = lower_plan(&route.cuda, s.channels)?;
     run_plan(plan, &mut device, &[vec![test_frame(s)]], &ExecOptions::default())
         .map_err(CudaError::from)?;
@@ -50,26 +48,23 @@ pub fn totals_with_calibration(
 fn run(s: &Scenario) -> Result<Record, PipelineError> {
     let base = Calibration::gtx480();
     let variants = [
-        ("baseline", base.clone()),
+        ("baseline", base),
         (
             "launch x4 (SaC pays 12 launches/frame)",
-            Calibration { kernel_launch_us: base.kernel_launch_us * 4.0, ..base.clone() },
+            Calibration { kernel_launch_us: base.kernel_launch_us * 4.0, ..base },
         ),
-        ("launch = 0", Calibration { kernel_launch_us: 0.0, ..base.clone() }),
-        (
-            "free L1 (cross-kernel reuse irrelevant)",
-            Calibration { l1_access_ns: 0.0, ..base.clone() },
-        ),
+        ("launch = 0", Calibration { kernel_launch_us: 0.0, ..base }),
+        ("free L1 (cross-kernel reuse irrelevant)", Calibration { l1_access_ns: 0.0, ..base }),
         (
             "L1 = DRAM (no intra-kernel reuse)",
-            Calibration { l1_access_ns: base.dram_access_ns, ..base.clone() },
+            Calibration { l1_access_ns: base.dram_access_ns, ..base },
         ),
         (
             "2x PCIe bandwidth",
             Calibration {
                 h2d_bytes_per_us: base.h2d_bytes_per_us * 2.0,
                 d2h_bytes_per_us: base.d2h_bytes_per_us * 2.0,
-                ..base.clone()
+                ..base
             },
         ),
     ];

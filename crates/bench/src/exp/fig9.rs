@@ -57,8 +57,7 @@ fn result_download_us(s: &Scenario, route: &SacRoute, device: &Device) -> f64 {
     let shape = &route.flat.arrays[route.flat.result].shape;
     let len: usize = shape.iter().product();
     let chunks = if shape.first() == Some(&s.channels) && s.channels > 1 { s.channels } else { 1 };
-    let calib = device.calibration();
-    chunks as f64 * calib.transfer_time_us(len * 4 / chunks, Direction::DeviceToHost)
+    chunks as f64 * device.cost_model().transfer_time_us(len * 4 / chunks, Direction::DeviceToHost)
 }
 
 /// The input of one filter part: the frame, or the horizontal filter's

@@ -45,9 +45,8 @@ use downscaler::Scenario;
 use gaspard::Placement;
 use mdarray::NdArray;
 use scenarios::{BuiltWorkload, JobMix, Kind, Route, ScenarioError, Workload};
-use simgpu::cost::CostModelSpec;
 use simgpu::schedule::{BatchScheduler, ExecOptions};
-use simgpu::{Device, LaunchMemo, LaunchPlan};
+use simgpu::{Calibration, CostModel, Device, DeviceConfig, LaunchMemo, LaunchPlan, WarpTileModel};
 
 use super::{config_err, Experiment};
 use crate::record;
@@ -275,29 +274,28 @@ impl<'a> Tuner<'a> {
         }
     }
 
-    fn opts(&self, cand: Cand, cost: CostModelSpec) -> ExecOptions {
+    fn opts(&self, cand: Cand) -> ExecOptions {
         ExecOptions {
             streams: STREAMS[cand.streams_ix],
             executed: Self::executed(self.built),
             channel_chunks: self.chunk_domains[cand.route_ix][cand.chunk_ix],
             pool: POOLS[cand.pool_ix],
             optimize: presets()[cand.opt_ix].1,
-            cost,
             ..Default::default()
         }
     }
 
-    /// One oracle run: simulated full-batch makespan in seconds, plus the
-    /// launch count and a reference bit-check of the functional frames.
-    /// Equal, bit for bit, to [`simgpu::run_plan`] over
-    /// [`BuiltWorkload::plan_placed`] on a fresh memo-free device; only the
-    /// host work is staged and memoised.
+    /// One oracle run on a fresh GTX480 priced by `model`: simulated
+    /// full-batch makespan in seconds, plus the launch count and a
+    /// reference bit-check of the functional frames. Equal, bit for bit, to
+    /// [`simgpu::run_plan`] over [`BuiltWorkload::plan_placed`] on a fresh
+    /// memo-free device; only the host work is staged and memoised.
     fn run(
         &mut self,
         cand: Cand,
-        cost: CostModelSpec,
+        model: impl Into<CostModel>,
     ) -> Result<(f64, usize, bool), PipelineError> {
-        let opts = self.opts(cand, cost);
+        let opts = self.opts(cand);
         if self.stage.as_ref().is_none_or(|st| st.route_ix != cand.route_ix) {
             // Release the other route's stage before building this one.
             self.stage = None;
@@ -311,7 +309,7 @@ impl<'a> Tuner<'a> {
         }
         let stage = self.stage.as_mut().expect("stage set above");
         let key = stage.prepare(self.built, opts.channel_chunks, cand).map_err(config_err)?;
-        let mut device = Device::gtx480();
+        let mut device = Device::new(DeviceConfig::gtx480(), model);
         device.set_launch_memo(stage.memo.clone());
         let batch = ExecOptions { total_frames: self.built.spec.frames, ..opts };
         let (outs, stats) = BatchScheduler::new(&stage.plans[&key])
@@ -327,7 +325,7 @@ impl<'a> Tuner<'a> {
         if let Some(&s) = self.scores.get(&cand) {
             return Ok(s);
         }
-        let (s, _, ok) = self.run(cand, CostModelSpec::Inherit)?;
+        let (s, _, ok) = self.run(cand, Calibration::gtx480())?;
         if !ok {
             return Err(PipelineError::Config(format!(
                 "{}: candidate {:?} diverged from the CPU reference",
@@ -482,8 +480,8 @@ pub fn tune_ablation(s: &Scenario) -> Result<TuneAblation, PipelineError> {
 
         // Re-run the winner for its counters and reference bit-check, and
         // re-price the same schedule under the warp/occupancy model.
-        let (_, launches, outputs_ok) = tuner.run(cand, CostModelSpec::Inherit)?;
-        let (warp_tile_s, _, warp_ok) = tuner.run(cand, CostModelSpec::WarpTile)?;
+        let (_, launches, outputs_ok) = tuner.run(cand, Calibration::gtx480())?;
+        let (warp_tile_s, _, warp_ok) = tuner.run(cand, WarpTileModel::default())?;
 
         let chunk_domain = tuner.chunk_domains[cand.route_ix].clone();
         rows.push(TuneRow {
@@ -550,7 +548,7 @@ mod tests {
             for route_ix in 0..Route::BOTH.len() {
                 for cand in tuner.candidates(route_ix) {
                     let got = tuner.score(cand).unwrap();
-                    let opts = tuner.opts(cand, CostModelSpec::Inherit);
+                    let opts = tuner.opts(cand);
                     let route = Route::BOTH[route_ix];
                     let plan = built
                         .plan_placed(route, opts.channel_chunks, PLACEMENTS[cand.place_ix])

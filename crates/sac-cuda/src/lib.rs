@@ -5,11 +5,12 @@
 //! Implements the transformation described in §VII of the paper ("Compiling
 //! SAC to CUDA") against the flat WIR produced by `sac-lang`'s optimiser:
 //!
-//! 1. **Identifying CUDA-WITH-loops** ([`identify`]) — data-parallel `With`
-//!    steps are eligible; host steps (and anything that failed to lower) stay
-//!    on the CPU. Function invocations have been eliminated by inlining, so
-//!    the paper's "outermost WITH-loops containing no function invocations"
-//!    criterion is met by construction.
+//! 1. **Identifying CUDA-WITH-loops** — structural in the flat WIR: every
+//!    `With` step is an outermost, data-parallel loop and becomes kernels;
+//!    every `Host` step (anything that failed to lower) stays on the CPU.
+//!    Function invocations have been eliminated by inlining, so the paper's
+//!    "outermost WITH-loops containing no function invocations" criterion is
+//!    met by construction.
 //! 2. **Inserting data transfers** ([`exec`]) — `host2device` for external
 //!    inputs and for arrays a GPU step needs after a host step;
 //!    `device2host` for results and for arrays a host step consumes. The
@@ -28,7 +29,6 @@ pub mod access;
 pub mod codegen;
 pub mod emit;
 pub mod exec;
-pub mod identify;
 
 pub use codegen::{compile_flat_program, CompiledKernel, CudaProgram};
 pub use exec::lower_plan;

@@ -19,9 +19,14 @@
 //! * **PCIe transfers** — latency plus bytes over effective bandwidth,
 //!   asymmetric between host→device and device→host as measured in the paper
 //!   (Tables I/II imply ≈5.4 GB/s H2D and ≈6.3 GB/s D2H effective).
+//!
+//! A device prices through one [`CostModel`]: either a [`Calibration`] or the
+//! opt-in, occupancy-aware [`WarpTileModel`]. It is a plain `Copy` value,
+//! chosen once when the device is built (`Device::new(config, model)`) and
+//! named by [`CostModel::describe`].
 
 use crate::device::DeviceConfig;
-use crate::exec::{LaunchConfig, LaunchStats};
+use crate::exec::LaunchStats;
 use crate::profiler::OpClass;
 use arrayol::access::TiledAccess;
 
@@ -69,7 +74,7 @@ pub enum Direction {
 }
 
 /// Calibrated cost constants for a simulated device.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Calibration {
     /// Fixed overhead charged per kernel launch (µs).
     pub kernel_launch_us: f64,
@@ -186,7 +191,7 @@ impl Calibration {
     /// bits). Model *identity* therefore never goes through `PartialEq`
     /// anymore — [`CostModel::describe`] names models explicitly — and the
     /// one place that still wants "is this exactly that preset"
-    /// (the describe impl itself) compares bit patterns.
+    /// (`describe` itself) compares bit patterns.
     pub fn bit_eq(&self, other: &Calibration) -> bool {
         let fields = |c: &Calibration| {
             [
@@ -207,128 +212,93 @@ impl Calibration {
     }
 }
 
-/// Static context of a kernel launch, handed to [`CostModel::kernel_time_us`]
-/// alongside the dynamic [`LaunchStats`].
+/// The pricing model of a simulated device: a plain value a
+/// [`crate::device::Device`] is built with.
 ///
-/// The paper-faithful [`Calibration`] ignores it entirely (its pricing is
-/// device-wide and shape-blind, which is what the published numbers were
-/// calibrated against); occupancy-aware models like [`WarpTileModel`] read
-/// the device geometry, the launch configuration, and — when the launch came
-/// through a [`crate::schedule::PlanKernel`] that carries one — the kernel's
-/// [`TiledAccess`] description, whose paving/fitting structure determines
-/// memory coalescing.
+/// The simulator executes kernels functionally and charges time through
+/// this; [`Calibration`] is the paper-faithful model and every published
+/// golden number is produced under it. Both variants are pure functions of
+/// their inputs — the same stats and access description always price to the
+/// same duration — which is what keeps timing replay and the golden records
+/// exact.
 #[derive(Debug, Clone, Copy)]
-pub struct LaunchContext<'a> {
-    /// Static description of the device the launch runs on.
-    pub device: &'a DeviceConfig,
-    /// Grid/block geometry of the launch.
-    pub config: LaunchConfig,
-    /// The launch's tiled-access description, when the plan layer knows it.
-    pub access: Option<&'a TiledAccess>,
+pub enum CostModel {
+    /// The paper-faithful, device-wide amortised [`Calibration`].
+    Calibration(Calibration),
+    /// The occupancy/coalescing-aware [`WarpTileModel`].
+    WarpTile(WarpTileModel),
 }
 
-/// A pluggable pricing model for simulated device time.
-///
-/// The simulator executes kernels functionally and charges time through one
-/// of these; [`Calibration`] is the paper-faithful default implementation
-/// and every published golden number is produced under it. Implementations
-/// must be *pure functions of their inputs* — the same stats and context
-/// always price to the same duration — or timing replay and the golden
-/// records stop being exact.
-pub trait CostModel: std::fmt::Debug + Send + Sync {
-    /// Stable human-readable model name, used in profiler notes and bench
-    /// JSON records. Models are identified by this name — never by
-    /// comparing parameter structs (see [`Calibration::bit_eq`] for why
-    /// `PartialEq` on `f64` fields is not an identity test).
-    fn describe(&self) -> String;
-
-    /// Simulated duration of a PCIe transfer of `bytes` bytes (µs).
-    fn transfer_time_us(&self, bytes: usize, dir: Direction) -> f64;
-
-    /// Simulated duration of a kernel launch (µs) given its dynamic counts
-    /// and static context.
-    fn kernel_time_us(&self, stats: &LaunchStats, ctx: &LaunchContext<'_>) -> f64;
-
-    /// Cost of an allocation that reaches the driver (µs). Non-zero values
-    /// device-synchronize, modelling Fermi's `cudaMalloc`.
-    fn malloc_us(&self) -> f64 {
-        0.0
-    }
-
-    /// Cost of a free that reaches the driver (µs).
-    fn free_us(&self) -> f64 {
-        0.0
-    }
-
-    /// Clone into a box — lets [`crate::device::Device`] stay `Clone`.
-    fn clone_model(&self) -> Box<dyn CostModel>;
-
-    /// Downcast to the paper-faithful calibration, when this model is one.
-    /// Lets calibrated experiments read the raw constants without assuming
-    /// every device prices through a `Calibration`.
-    fn as_calibration(&self) -> Option<&Calibration> {
-        None
+impl From<Calibration> for CostModel {
+    fn from(c: Calibration) -> Self {
+        CostModel::Calibration(c)
     }
 }
 
-impl CostModel for Calibration {
-    fn describe(&self) -> String {
-        if self.bit_eq(&Calibration::gtx480()) {
-            "paper-gtx480".into()
-        } else if self.bit_eq(&Calibration::gtx480_alloc()) {
-            "paper-gtx480+alloc".into()
-        } else if self.bit_eq(&Calibration::zero()) {
-            "zero".into()
-        } else {
-            "calibration(custom)".into()
+impl From<WarpTileModel> for CostModel {
+    fn from(m: WarpTileModel) -> Self {
+        CostModel::WarpTile(m)
+    }
+}
+
+impl CostModel {
+    /// Stable human-readable model name, used in bench JSON records. Models
+    /// are identified by this name — never by comparing parameter structs
+    /// (see [`Calibration::bit_eq`] for why `PartialEq` on `f64` fields is
+    /// not an identity test).
+    pub fn describe(&self) -> String {
+        match self {
+            CostModel::Calibration(c) if c.bit_eq(&Calibration::gtx480()) => "paper-gtx480".into(),
+            CostModel::Calibration(c) if c.bit_eq(&Calibration::gtx480_alloc()) => {
+                "paper-gtx480+alloc".into()
+            }
+            CostModel::Calibration(c) if c.bit_eq(&Calibration::zero()) => "zero".into(),
+            CostModel::Calibration(_) => "calibration(custom)".into(),
+            CostModel::WarpTile(m) if m.bit_eq(&WarpTileModel::default()) => "warp-tile".into(),
+            CostModel::WarpTile(_) => "warp-tile(custom)".into(),
         }
     }
 
-    fn transfer_time_us(&self, bytes: usize, dir: Direction) -> f64 {
-        Calibration::transfer_time_us(self, bytes, dir)
+    /// Simulated duration of a PCIe transfer of `bytes` bytes (µs).
+    pub fn transfer_time_us(&self, bytes: usize, dir: Direction) -> f64 {
+        match self {
+            CostModel::Calibration(c) => c.transfer_time_us(bytes, dir),
+            CostModel::WarpTile(m) => m.transfer.transfer_time_us(bytes, dir),
+        }
     }
 
-    fn kernel_time_us(&self, stats: &LaunchStats, _ctx: &LaunchContext<'_>) -> f64 {
-        Calibration::kernel_time_us(self, stats)
+    /// Simulated duration of a kernel launch (µs) given its dynamic counts,
+    /// the device it runs on and — when the plan layer knows it — the
+    /// launch's tiled-access description. [`Calibration`] ignores the last
+    /// two (its pricing is device-wide and shape-blind, which is what the
+    /// published numbers were calibrated against).
+    pub fn kernel_time_us(
+        &self,
+        stats: &LaunchStats,
+        device: &DeviceConfig,
+        access: Option<&TiledAccess>,
+    ) -> f64 {
+        match self {
+            CostModel::Calibration(c) => c.kernel_time_us(stats),
+            CostModel::WarpTile(m) => m.kernel_time_us(stats, device, access),
+        }
     }
 
-    fn malloc_us(&self) -> f64 {
-        self.malloc_us
+    /// Cost of an allocation that reaches the driver (µs). Non-zero values
+    /// device-synchronize, modelling Fermi's `cudaMalloc`.
+    pub fn malloc_us(&self) -> f64 {
+        match self {
+            CostModel::Calibration(c) => c.malloc_us,
+            CostModel::WarpTile(_) => 0.0,
+        }
     }
 
-    fn free_us(&self) -> f64 {
-        self.free_us
-    }
-
-    fn clone_model(&self) -> Box<dyn CostModel> {
-        Box::new(self.clone())
-    }
-
-    fn as_calibration(&self) -> Option<&Calibration> {
-        Some(self)
-    }
-}
-
-/// A clonable boxed cost model — the form [`crate::device::Device`] carries.
-#[derive(Debug)]
-pub struct BoxedCostModel(pub Box<dyn CostModel>);
-
-impl Clone for BoxedCostModel {
-    fn clone(&self) -> Self {
-        BoxedCostModel(self.0.clone_model())
-    }
-}
-
-impl std::ops::Deref for BoxedCostModel {
-    type Target = dyn CostModel;
-    fn deref(&self) -> &Self::Target {
-        &*self.0
-    }
-}
-
-impl<M: CostModel + 'static> From<M> for BoxedCostModel {
-    fn from(m: M) -> Self {
-        BoxedCostModel(Box::new(m))
+    /// Cost of a free that reaches the driver (µs).
+    pub fn free_us(&self) -> f64 {
+        match self {
+            CostModel::Calibration(c) => c.free_us,
+            CostModel::WarpTile(_) => 0.0,
+        }
     }
 }
 
@@ -363,7 +333,7 @@ impl<M: CostModel + 'static> From<M> for BoxedCostModel {
 /// model-grounded reasons: fusing kernels raises per-launch work and thus
 /// occupancy, and composed accesses keep their innermost-stride structure
 /// visible to the replay term.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct WarpTileModel {
     /// Fixed overhead charged per kernel launch (µs).
     pub kernel_launch_us: f64,
@@ -432,19 +402,27 @@ impl WarpTileModel {
         }
         worst
     }
-}
 
-impl CostModel for WarpTileModel {
-    fn describe(&self) -> String {
-        "warp-tile".into()
+    /// Bit-exact equality against another model (see
+    /// [`Calibration::bit_eq`]).
+    pub fn bit_eq(&self, other: &WarpTileModel) -> bool {
+        let floats = |m: &WarpTileModel| {
+            [m.kernel_launch_us, m.dram_access_ns, m.l1_access_ns, m.default_replay]
+                .map(f64::to_bits)
+        };
+        floats(self) == floats(other)
+            && self.resident_warps_per_sm == other.resident_warps_per_sm
+            && self.transfer.bit_eq(&other.transfer)
     }
 
-    fn transfer_time_us(&self, bytes: usize, dir: Direction) -> f64 {
-        Calibration::transfer_time_us(&self.transfer, bytes, dir)
-    }
-
-    fn kernel_time_us(&self, stats: &LaunchStats, ctx: &LaunchContext<'_>) -> f64 {
-        let d = ctx.device;
+    /// Simulated duration of a kernel launch (µs) on `d`; see the type
+    /// docs for the terms.
+    pub fn kernel_time_us(
+        &self,
+        stats: &LaunchStats,
+        d: &DeviceConfig,
+        access: Option<&TiledAccess>,
+    ) -> f64 {
         let warp = d.warp_size.max(1);
         let threads = stats.threads.max(1) as usize;
         let warps = threads.div_ceil(warp);
@@ -454,62 +432,11 @@ impl CostModel for WarpTileModel {
         let lanes = (d.sm_count * d.cores_per_sm) as f64;
         let cycle_ns = 1.0 / d.clock_ghz;
         let issue_ns = stats.instructions as f64 * cycle_ns / (lanes * occupancy);
-        let replay = self.replay_factor(ctx.access, warp);
+        let replay = self.replay_factor(access, warp);
         let mem_ns = (stats.distinct_accesses as f64 * self.dram_access_ns * replay
             + stats.l1_hits as f64 * self.l1_access_ns)
             / (d.sm_count as f64 * occupancy);
         self.kernel_launch_us + (issue_ns + mem_ns) / 1000.0
-    }
-
-    fn clone_model(&self) -> Box<dyn CostModel> {
-        Box::new(self.clone())
-    }
-}
-
-/// A `Copy` selector for the stock cost models, carried by
-/// [`crate::schedule::ExecOptions`] (which must stay `Copy + PartialEq`,
-/// so it cannot hold a boxed model directly).
-///
-/// The default, [`CostModelSpec::Inherit`], leaves the device's current
-/// model untouched — the refactor is observationally invisible until an
-/// experiment or the autotuner opts into a non-default model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CostModelSpec {
-    /// Keep whatever model the device already has (the default).
-    #[default]
-    Inherit,
-    /// The paper-faithful [`Calibration::gtx480`].
-    Paper,
-    /// [`Calibration::gtx480_alloc`]: paper constants plus Fermi
-    /// allocation costs.
-    PaperAlloc,
-    /// [`Calibration::zero`]: free everything (functional testing).
-    Zero,
-    /// The occupancy/coalescing-aware [`WarpTileModel`].
-    WarpTile,
-}
-
-impl CostModelSpec {
-    /// Stable name for JSON records and notes (`Inherit` has none).
-    pub fn name(self) -> Option<&'static str> {
-        match self {
-            CostModelSpec::Inherit => None,
-            CostModelSpec::Paper => Some("paper-gtx480"),
-            CostModelSpec::PaperAlloc => Some("paper-gtx480+alloc"),
-            CostModelSpec::Zero => Some("zero"),
-            CostModelSpec::WarpTile => Some("warp-tile"),
-        }
-    }
-
-    /// Build the selected model; `None` for [`CostModelSpec::Inherit`].
-    pub fn instantiate(self) -> Option<Box<dyn CostModel>> {
-        match self {
-            CostModelSpec::Inherit => None,
-            CostModelSpec::Paper => Some(Box::new(Calibration::gtx480())),
-            CostModelSpec::PaperAlloc => Some(Box::new(Calibration::gtx480_alloc())),
-            CostModelSpec::Zero => Some(Box::new(Calibration::zero())),
-            CostModelSpec::WarpTile => Some(Box::new(WarpTileModel::default())),
-        }
     }
 }
 
@@ -583,5 +510,28 @@ mod tests {
         let split: f64 = (0..3).map(|_| c.kernel_time_us(&stats(3000, 300, 0))).sum();
         assert!(split > fused);
         assert!((split - fused - 2.0 * c.kernel_launch_us).abs() < 1e-9);
+    }
+
+    #[test]
+    fn every_model_names_its_preset_or_custom() {
+        let name = |m: CostModel| m.describe();
+        assert_eq!(name(Calibration::gtx480().into()), "paper-gtx480");
+        assert_eq!(name(Calibration::gtx480_alloc().into()), "paper-gtx480+alloc");
+        assert_eq!(name(Calibration::zero().into()), "zero");
+        assert_eq!(
+            name(Calibration { instr_ns: 0.02, ..Calibration::gtx480() }.into()),
+            "calibration(custom)"
+        );
+        assert_eq!(name(WarpTileModel::default().into()), "warp-tile");
+        // A fitted warp model is distinguishable from the default, whichever
+        // field moved — the transfer calibration included.
+        let base = WarpTileModel::default();
+        for fitted in [
+            WarpTileModel { dram_access_ns: 0.2, ..base },
+            WarpTileModel { resident_warps_per_sm: 32, ..base },
+            WarpTileModel { transfer: Calibration::gtx480_alloc(), ..base },
+        ] {
+            assert_eq!(name(fitted.into()), "warp-tile(custom)");
+        }
     }
 }

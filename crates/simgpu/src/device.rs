@@ -1,9 +1,7 @@
 //! The simulated device: configuration, memory, launches, simulated clock,
 //! and the asynchronous stream/engine timeline.
 
-use crate::cost::{
-    BoxedCostModel, Calibration, CostModel, Direction, Engine, LaunchContext, ENGINE_COUNT,
-};
+use crate::cost::{Calibration, CostModel, Direction, Engine, ENGINE_COUNT};
 use crate::exec::{run_kernel, LaunchConfig, LaunchStats};
 use crate::kir::{Kernel, KernelArg};
 use crate::memo::LaunchMemo;
@@ -176,7 +174,7 @@ impl MemPool {
 #[derive(Debug, Clone)]
 pub struct Device {
     config: DeviceConfig,
-    model: BoxedCostModel,
+    model: CostModel,
     buffers: Vec<Option<Vec<i32>>>,
     /// Bytes charged against device memory per slot (the size class with
     /// pooling on, the exact size otherwise).
@@ -200,19 +198,14 @@ pub struct Device {
 }
 
 impl Device {
-    /// Create a device with explicit configuration and the paper-faithful
-    /// calibrated cost model. Equivalent to
-    /// [`Device::with_model`]`(config, calib.into())`.
-    pub fn new(config: DeviceConfig, calib: Calibration) -> Self {
-        Device::with_model(config, calib.into())
-    }
-
-    /// Create a device pricing time through an arbitrary [`CostModel`].
-    pub fn with_model(config: DeviceConfig, model: BoxedCostModel) -> Self {
+    /// Create a device with explicit configuration, pricing simulated time
+    /// through `model` (a [`Calibration`] or a
+    /// [`crate::cost::WarpTileModel`]) for its whole life.
+    pub fn new(config: DeviceConfig, model: impl Into<CostModel>) -> Self {
         let host_workers = config.host_workers.max(1);
         Device {
             config,
-            model,
+            model: model.into(),
             buffers: Vec::new(),
             buffer_bytes: Vec::new(),
             free_slots: Vec::new(),
@@ -239,27 +232,8 @@ impl Device {
     }
 
     /// The cost model pricing this device's simulated time.
-    pub fn cost_model(&self) -> &dyn CostModel {
-        &*self.model
-    }
-
-    /// Replace the cost model.
-    pub fn set_cost_model(&mut self, model: BoxedCostModel) {
-        self.model = model;
-    }
-
-    /// The paper-faithful calibration in use.
-    ///
-    /// Panics when the device prices through a non-[`Calibration`] model —
-    /// calibrated experiments that read raw constants should only run on
-    /// calibrated devices. Use [`Device::cost_model`] for the general case.
-    pub fn calibration(&self) -> &Calibration {
-        self.model.as_calibration().expect("device prices through a non-Calibration cost model")
-    }
-
-    /// Replace the calibration (used by ablation benches).
-    pub fn set_calibration(&mut self, calib: Calibration) {
-        self.model = calib.into();
+    pub fn cost_model(&self) -> &CostModel {
+        &self.model
     }
 
     /// Number of host threads used to execute launches.
@@ -782,8 +756,7 @@ impl Device {
             Some(memo) => memo.launch(kernel, cfg, args, &mut self.buffers, self.host_workers)?,
             None => run_kernel(kernel, cfg, args, &mut self.buffers, self.host_workers)?,
         };
-        let ctx = LaunchContext { device: &self.config, config: cfg, access };
-        let us = self.model.kernel_time_us(&stats, &ctx);
+        let us = self.model.kernel_time_us(&stats, &self.config, access);
         self.schedule_on(&kernel.name, OpClass::Kernel, stream, us)?;
         Ok(stats)
     }
@@ -893,7 +866,7 @@ mod tests {
     #[test]
     fn malloc_charges_calibrated_cost_and_synchronizes() {
         let mut d = Device::new(DeviceConfig::gtx480(), Calibration::gtx480_alloc());
-        let malloc_us = d.calibration().malloc_us;
+        let malloc_us = d.cost_model().malloc_us();
         // Pending async work on a second stream...
         let s = d.lane_streams(2)[1];
         d.charge_host_on("producer", 500.0, s).unwrap();
@@ -905,7 +878,7 @@ mod tests {
         assert_eq!(rec.calls, 1);
         // cudaFree charges and records too.
         d.free(buf).unwrap();
-        assert_eq!(d.now_us(), 500.0 + malloc_us + d.calibration().free_us);
+        assert_eq!(d.now_us(), 500.0 + malloc_us + d.cost_model().free_us());
         assert!(d.profiler.records().any(|r| r.name == "cudaFree"));
     }
 
@@ -992,10 +965,10 @@ mod tests {
         let rec = d.profiler.records().find(|r| r.name == "memcpyHtoDbatched").unwrap();
         assert_eq!(rec.calls, 1);
         // One latency for the whole batch: cheaper than two separate uploads.
-        let calib = d.calibration().clone();
-        let separate = calib.transfer_time_us(4000, Direction::HostToDevice)
-            + calib.transfer_time_us(12000, Direction::HostToDevice);
-        let batched = calib.transfer_time_us(16000, Direction::HostToDevice);
+        let model = *d.cost_model();
+        let separate = model.transfer_time_us(4000, Direction::HostToDevice)
+            + model.transfer_time_us(12000, Direction::HostToDevice);
+        let batched = model.transfer_time_us(16000, Direction::HostToDevice);
         assert!((rec.total_us - batched).abs() < 1e-9);
         assert!(batched < separate);
         let outs = d.device2host_batch_on(&[a, b], StreamId::DEFAULT).unwrap();
@@ -1058,7 +1031,7 @@ mod tests {
             .unwrap();
         assert_eq!(stats.stores, 64);
         assert!(d.peek(buf).unwrap().iter().all(|&v| v == 6));
-        assert!(d.now_us() >= d.calibration().kernel_launch_us);
+        assert!(d.now_us() >= Calibration::gtx480().kernel_launch_us);
         let rec: Vec<_> = d.profiler.records().collect();
         assert_eq!(rec[0].name, "inc");
         assert_eq!(rec[0].calls, 1);

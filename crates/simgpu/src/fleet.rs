@@ -20,7 +20,7 @@
 //! fairness, sharding) lives above this module in the `serve` crate; this
 //! module only provides the device pool.
 
-use crate::cost::Calibration;
+use crate::cost::{Calibration, CostModel};
 use crate::device::{Device, DeviceConfig};
 use crate::profiler::Profiler;
 use crate::schedule::ScheduleError;
@@ -32,20 +32,21 @@ pub struct Fleet {
 }
 
 impl Fleet {
-    /// A fleet of `n` identical devices built from one config/calibration
-    /// pair. Rejects `n == 0` with a typed [`ScheduleError::Config`] — an
+    /// A fleet of `n` identical devices built from one config and cost
+    /// model. Rejects `n == 0` with a typed [`ScheduleError::Config`] — an
     /// empty fleet is a configuration mistake, not a degenerate run.
     pub fn homogeneous(
         n: usize,
         config: DeviceConfig,
-        calib: Calibration,
+        model: impl Into<CostModel>,
     ) -> Result<Fleet, ScheduleError> {
         if n == 0 {
             return Err(ScheduleError::Config(
                 "devices must be >= 1 (1 = the single-device baseline)".into(),
             ));
         }
-        Ok(Fleet { devices: (0..n).map(|_| Device::new(config.clone(), calib.clone())).collect() })
+        let model = model.into();
+        Ok(Fleet { devices: (0..n).map(|_| Device::new(config.clone(), model)).collect() })
     }
 
     /// A fleet of `n` simulated GTX480s at the paper calibration.

@@ -343,7 +343,7 @@ impl LaunchMemo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::{BoxedCostModel, WarpTileModel};
+    use crate::cost::WarpTileModel;
     use crate::device::{BufferId, Device, DeviceConfig};
     use crate::kir::{BinOp, KernelBuilder, KernelFlavor, Special};
 
@@ -571,12 +571,7 @@ mod tests {
         let l = Launch::base();
         let (_, _, paper_us) = l.run(&mut Device::gtx480());
         l.check(&memo).unwrap();
-        let warp_tile = || {
-            Device::with_model(
-                DeviceConfig::gtx480(),
-                BoxedCostModel(Box::new(WarpTileModel::default())),
-            )
-        };
+        let warp_tile = || Device::new(DeviceConfig::gtx480(), WarpTileModel::default());
         assert!(l.check_on(&memo, warp_tile).unwrap());
         let (_, _, warp_us) = l.run(&mut warp_tile());
         assert_ne!(warp_us.to_bits(), paper_us.to_bits(), "the re-price must be real");

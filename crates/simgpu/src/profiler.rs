@@ -400,31 +400,6 @@ impl Profiler {
         out
     }
 
-    /// Render the allocation report: event counters, pool hit rate,
-    /// current/peak footprint, and any notes recorded during the run.
-    pub fn memory_table(&self) -> String {
-        let a = &self.alloc;
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<10} {:>8} {:>8} {:>8} {:>8} {:>8}\n",
-            "Alloc", "mallocs", "frees", "hits", "misses", "evicted"
-        ));
-        out.push_str(&format!(
-            "{:<10} {:>8} {:>8} {:>8} {:>8} {:>8}\n",
-            "", a.mallocs, a.frees, a.pool_hits, a.pool_misses, a.evictions
-        ));
-        out.push_str(&format!(
-            "pool hit rate {:.1}%, current {} B, peak {} B\n",
-            a.hit_rate_percent(),
-            a.current_bytes,
-            a.peak_bytes
-        ));
-        for n in &self.notes {
-            out.push_str(&format!("note: {n}\n"));
-        }
-        out
-    }
-
     /// Aggregate records into the given groups.
     ///
     /// Each group row reports `calls` as *launches per distinct operation*
@@ -656,23 +631,6 @@ mod tests {
         p.reset();
         assert_eq!(p.alloc, AllocStats::default());
         assert_eq!(p.notes().count(), 0);
-    }
-
-    #[test]
-    fn memory_table_renders_counters_and_notes() {
-        let mut p = Profiler::new();
-        p.alloc = AllocStats {
-            mallocs: 4,
-            pool_hits: 12,
-            pool_misses: 4,
-            peak_bytes: 1024,
-            ..AllocStats::default()
-        };
-        p.note("chunked transfer fell back to 1 chunk");
-        let t = p.memory_table();
-        assert!(t.contains("mallocs"), "{t}");
-        assert!(t.contains("pool hit rate 75.0%"), "{t}");
-        assert!(t.contains("note: chunked transfer fell back"), "{t}");
     }
 
     #[test]

@@ -690,14 +690,16 @@ pub const HOST_NS_PER_OP: f64 = 0.12;
 
 /// The one options struct every batch runs under.
 ///
-/// Each field has one reader. [`BatchScheduler::run`] reads `streams`,
-/// `total_frames`, `host_ns_per_op`, `pool`, `degrade_on_oom` and `cost`;
+/// Each of its eight fields has one reader. [`BatchScheduler::run`] reads
+/// `streams`, `total_frames`, `host_ns_per_op`, `pool` and `degrade_on_oom`;
 /// [`run_plan`] reads `optimize` before handing the plan to it;
 /// [`ExecOptions::executed_of`] reads `executed` for the batch drivers that
 /// build the frame list; and whoever lowers the SaC route passes
 /// `channel_chunks` to its `lower_plan`. Carrying them in one struct means
 /// an option set composed for an experiment (streams × pool × degradation ×
-/// replay) is a single value that flows through every layer unchanged.
+/// replay) is a single value that flows through every layer unchanged. The
+/// cost model is not an option: it is fixed when the device is built
+/// ([`Device::new`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecOptions {
     /// Number of pipeline lanes: streams (CUDA) / command queues (OpenCL) =
@@ -749,14 +751,6 @@ pub struct ExecOptions {
     /// default) leaves the plan exactly as lowered, so every paper-faithful
     /// number is untouched unless an experiment opts in.
     pub optimize: crate::planopt::PlanOptLevel,
-    /// Which [`crate::cost::CostModel`] the batch prices time under.
-    /// [`crate::cost::CostModelSpec::Inherit`] (the default) keeps the
-    /// device's current model — every calibrated experiment is untouched;
-    /// any other value replaces the device's model before the batch runs
-    /// and surfaces the model name as a profiler note. Cost models change
-    /// *only* the simulated clock: outputs, launch counts and transfer
-    /// bytes are model-independent by construction.
-    pub cost: crate::cost::CostModelSpec,
 }
 
 impl Default for ExecOptions {
@@ -770,7 +764,6 @@ impl Default for ExecOptions {
             pool: false,
             degrade_on_oom: false,
             optimize: crate::planopt::PlanOptLevel::OFF,
-            cost: crate::cost::CostModelSpec::Inherit,
         }
     }
 }
@@ -872,10 +865,6 @@ impl<'a> BatchScheduler<'a> {
     ) -> Result<BatchOutput, ScheduleError> {
         opts.validate().map_err(ScheduleError::Config)?;
         self.plan.validate()?;
-        if let Some(model) = opts.cost.instantiate() {
-            device.profiler.note(format!("cost model: {}", model.describe()));
-            device.set_cost_model(crate::cost::BoxedCostModel(model));
-        }
         device.set_pool_enabled(opts.pool);
         if frames.is_empty() {
             return Ok((Vec::new(), RunStats::default()));

@@ -103,7 +103,7 @@ fn table_shapes() {
 fn gap_tracks_launch_overhead_and_reuse() {
     let s = scenario();
     let base = simgpu::Calibration::gtx480();
-    let (sac0, gas0) = bench::totals_with_calibration(&s, base.clone()).unwrap();
+    let (sac0, gas0) = bench::totals_with_calibration(&s, base).unwrap();
     let gap0 = sac0 - gas0;
     let kinder = simgpu::Calibration {
         kernel_launch_us: 0.0,

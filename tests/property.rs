@@ -470,13 +470,13 @@ int[*] main(int[{rows},{cols}] a)
         }
     }
 
-    /// Swapping the cost model changes *only* the simulated clock. Outputs,
-    /// launch counts, transfer counts and transfer byte totals are
-    /// bit-identical across the paper model, the zero model, the
-    /// alloc-charging model, the warp/occupancy model and a fully
-    /// randomized calibration — at 1 and 2 streams on every small-registry
-    /// workload, and through the OOM degradation ladder on a starved
-    /// device. Each opt-in model announces itself by name in the profiler.
+    /// The cost model a device is built with changes *only* the simulated
+    /// clock. Outputs, launch counts, transfer counts and transfer byte
+    /// totals are bit-identical across the paper model, the zero model, the
+    /// alloc-charging model, the default warp/occupancy model and fully
+    /// randomized calibration and warp models — at 1 and 2 streams on every
+    /// small-registry workload, and through the OOM degradation ladder on a
+    /// starved device. Each device names its model through `describe()`.
     #[test]
     fn cost_models_change_only_the_clock(
         entry_ix in 0usize..4,
@@ -490,8 +490,6 @@ int[*] main(int[{rows},{cols}] a)
         l1_ns in 0.0f64..0.5,
         malloc_us in 0.0f64..200.0,
     ) {
-        use simgpu::cost::CostModelSpec;
-
         let w = scenarios::registry_small().swap_remove(entry_ix);
         let built = w.build().unwrap();
         let route = scenarios::Route::Gaspard;
@@ -514,6 +512,14 @@ int[*] main(int[{rows},{cols}] a)
             malloc_us,
             free_us: malloc_us / 4.0,
         };
+        let random_warp = simgpu::WarpTileModel {
+            kernel_launch_us: launch_us,
+            transfer: random_calib,
+            resident_warps_per_sm: 1 + launch_us as usize % 64,
+            dram_access_ns: dram_ns,
+            l1_access_ns: l1_ns,
+            default_replay: 1.0 + 31.0 * instr_ns,
+        };
 
         // Baseline: the paper-calibrated model the device boots with.
         let mut base_dev = Device::gtx480();
@@ -528,26 +534,21 @@ int[*] main(int[{rows},{cols}] a)
             prop_assert_eq!(stats.d2h_bytes, base_stats.d2h_bytes, "{} d2h bytes", who);
         };
 
-        // Opt-in models selected by spec through `ExecOptions.cost` — each
-        // must surface its name as a profiler note (models are identified
-        // by `describe()`, never by float equality).
-        for spec in [CostModelSpec::Zero, CostModelSpec::PaperAlloc, CostModelSpec::WarpTile] {
-            let mut dev = Device::gtx480();
-            let (outs, stats) =
-                built.run(route, &mut dev, &ExecOptions { cost: spec, ..base }).unwrap();
-            let name = spec.name().expect("non-inherit spec has a name");
+        // Every model goes through the one construction path, and each is
+        // identified by `describe()`, never by float equality.
+        let models: [(simgpu::CostModel, &str); 5] = [
+            (simgpu::Calibration::zero().into(), "zero"),
+            (simgpu::Calibration::gtx480_alloc().into(), "paper-gtx480+alloc"),
+            (simgpu::WarpTileModel::default().into(), "warp-tile"),
+            (random_calib.into(), "calibration(custom)"),
+            (random_warp.into(), "warp-tile(custom)"),
+        ];
+        for (model, name) in models {
+            let mut dev = Device::new(simgpu::DeviceConfig::gtx480(), model);
+            let (outs, stats) = built.run(route, &mut dev, &base).unwrap();
             check(&outs, &stats, name);
-            prop_assert!(
-                dev.profiler.notes().any(|n| n == format!("cost model: {name}")),
-                "no '{}' model note", name
-            );
+            prop_assert_eq!(dev.cost_model().describe(), name);
         }
-
-        // A randomized calibration installed directly on the device.
-        let mut rand_dev =
-            Device::new(simgpu::DeviceConfig::gtx480(), random_calib.clone());
-        let (outs, stats) = built.run(route, &mut rand_dev, &base).unwrap();
-        check(&outs, &stats, "randomized calibration");
 
         // OOM degradation: starve the device to one lane's worth so a
         // 2-stream batch must walk the degradation ladder; the invariance
