@@ -30,6 +30,14 @@
 //! Boundary windows that step outside `M` are legal only when the producer's
 //! own input addressing is wrap-consistent: advancing a producer repetition
 //! axis by its full extent must be a no-op modulo the input array shape.
+//!
+//! The two exact-cover checks — the producer's output tiler over `M` before
+//! composing and the composed scatter tiler over the output after — are
+//! decided per dimension when the tiler is [separable](Tiler::is_separable),
+//! without walking `M` or the output. The producer's tiler is canonical and
+//! so always separable; the scatter is separable whenever the consumer's
+//! output tiler is, as for every pipeline in the workload registry. Composing
+//! such a pair costs the same at every frame size.
 
 use crate::linalg::{vadd, IMat};
 use crate::tiler::Tiler;

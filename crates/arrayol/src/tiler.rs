@@ -11,6 +11,13 @@
 //!
 //! All addressing is modulo the array shape, which makes every tiler total:
 //! boundary tiles wrap around (toroidal addressing), exactly as in ArrayOL.
+//!
+//! A tiler is an integer affine map per array dimension (Feautrier's view in
+//! *Elementary transformation analysis for Array-OL*). When each fitting and
+//! paving column moves the tile along at most one dimension, the tiler is
+//! *separable* and whole-array questions split by dimension: the exact-cover
+//! check ([`Tiler::check_exact_cover`]) then costs the sum of the dimension
+//! extents rather than their product.
 
 use crate::linalg::{to_signed, vadd, IMat, IVec};
 use crate::validate::ArrayOlError;
@@ -165,6 +172,20 @@ impl Tiler {
 
     /// Verify that tiling writes every element of `array` exactly once —
     /// the condition for an output tiler to define a single-assignment array.
+    ///
+    /// On failure the error names the first element in row-major order whose
+    /// write count is not 1, and that count.
+    ///
+    /// The answer is decided per array dimension whenever the tiler is
+    /// [separable](Tiler::is_separable): every fitting or paving column whose
+    /// extent is above 1 then moves the tile along at most one dimension, so
+    /// the write count of element `x` factors as `mult · Π_d c_d(x_d)`.
+    /// `mult` is the product of the extents of the columns that move nothing,
+    /// and `c_d` counts the writes along dimension `d` alone, found by
+    /// enumerating only the columns of `d`. The cost is the sum of those
+    /// per-dimension enumerations, not the array size. A non-separable tiler
+    /// counts every write into an array-sized buffer instead. An empty array
+    /// has no element to miswrite and is always covered.
     pub fn check_exact_cover(
         &self,
         array: &Shape,
@@ -172,6 +193,87 @@ impl Tiler {
         pattern: &Shape,
     ) -> Result<(), ArrayOlError> {
         self.validate(array, pattern, repetition)?;
+        if array.is_empty() {
+            return Ok(());
+        }
+        let Some((mult, axes)) = self.dim_axes(repetition, pattern) else {
+            return self.enumerate_cover(array, repetition, pattern);
+        };
+        let counts: Vec<Vec<u64>> = axes
+            .iter()
+            .enumerate()
+            .map(|(d, axes)| {
+                let mut c = vec![0u64; array.dim(d)];
+                count_dim(&mut c, self.origin[d], axes);
+                c
+            })
+            .collect();
+        // The first bad element in row-major order is the origin when any
+        // factor is already wrong there. Otherwise it lies on the axis of the
+        // last dimension with a bad coordinate, at the first such coordinate:
+        // every element before it has good coordinates only.
+        let mut element = vec![0usize; array.rank()];
+        if mult == 1 && counts.iter().all(|c| c[0] == 1) {
+            let Some(k) = counts.iter().rposition(|c| c.iter().any(|&n| n != 1)) else {
+                return Ok(());
+            };
+            element[k] = counts[k].iter().position(|&n| n != 1).expect("bad coordinate");
+        }
+        let writes = counts.iter().zip(&element).fold(mult, |w, (c, &x)| w.saturating_mul(c[x]));
+        Err(ArrayOlError::NotExactCover { element, writes: writes as usize })
+    }
+
+    /// Whether [`Tiler::check_exact_cover`] decides this tiler per array
+    /// dimension: every fitting or paving column whose extent is above 1 has
+    /// at most one non-zero row. The shapes must have the ranks the tiler's
+    /// matrices expect (see [`Tiler::validate`]); otherwise this is `false`.
+    pub fn is_separable(&self, repetition: &Shape, pattern: &Shape) -> bool {
+        let rank = self.origin.len();
+        self.paving.rows() == rank
+            && self.fitting.rows() == rank
+            && self.paving.cols() == repetition.rank()
+            && self.fitting.cols() == pattern.rank()
+            && self.dim_axes(repetition, pattern).is_some()
+    }
+
+    /// The per-dimension form of the tiler over the given index spaces: the
+    /// product of the extents of the columns that move no dimension (0 when
+    /// any extent is 0, since nothing is then written), and for each array
+    /// dimension the `(coefficient, extent)` of the columns that move only
+    /// it. `None` when a column with extent above 1 moves several dimensions.
+    fn dim_axes(&self, repetition: &Shape, pattern: &Shape) -> Option<(u64, DimColumns)> {
+        let rank = self.origin.len();
+        let mut mult = 1u64;
+        let mut axes = vec![Vec::new(); rank];
+        let columns = (0..self.paving.cols())
+            .map(|c| (&self.paving, c, repetition.dim(c)))
+            .chain((0..self.fitting.cols()).map(|c| (&self.fitting, c, pattern.dim(c))));
+        for (m, c, extent) in columns {
+            if extent == 0 {
+                mult = 0;
+                continue;
+            }
+            if extent == 1 {
+                continue;
+            }
+            let mut moved = (0..rank).filter(|&d| m.at(d, c) != 0);
+            match (moved.next(), moved.next()) {
+                (None, _) => mult = mult.saturating_mul(extent as u64),
+                (Some(d), None) => axes[d].push((m.at(d, c), extent)),
+                _ => return None,
+            }
+        }
+        Some((mult, axes))
+    }
+
+    /// Exact cover by counting every write into an array-sized buffer: the
+    /// decision procedure for non-separable tilers.
+    fn enumerate_cover(
+        &self,
+        array: &Shape,
+        repetition: &Shape,
+        pattern: &Shape,
+    ) -> Result<(), ArrayOlError> {
         let mut counts = vec![0u32; array.len()];
         IndexIter::for_each_index(repetition, |rep| {
             IndexIter::for_each_index(pattern, |pat| {
@@ -207,6 +309,23 @@ impl Tiler {
             IMat::from_rows(&[&[1, 0], &[0, step]])
         };
         Tiler { origin: vec![0, 0], fitting, paving }
+    }
+}
+
+/// Per array dimension, the `(coefficient, extent)` of the fitting and paving
+/// columns that move the tile along that dimension only.
+type DimColumns = Vec<Vec<(i64, usize)>>;
+
+/// Add one write at `(at + Σ step·i) mod counts.len()` for every index `i`
+/// of the given `(step, extent)` columns.
+fn count_dim(counts: &mut [u64], at: i64, axes: &[(i64, usize)]) {
+    match axes.split_first() {
+        None => counts[at.rem_euclid(counts.len() as i64) as usize] += 1,
+        Some((&(step, extent), rest)) => {
+            for i in 0..extent as i64 {
+                count_dim(counts, at + step * i, rest);
+            }
+        }
     }
 }
 
@@ -346,5 +465,100 @@ mod tests {
         let arr = Shape::new(vec![8, 32]);
         assert_eq!(t.element_index(&arr, &[0, 0], &[0]), vec![1, 2]);
         assert_eq!(t.element_index(&arr, &[1, 1], &[3]), vec![2, 13]);
+    }
+
+    /// A random tiler over a rank-1 or rank-2 array with rank-0 to rank-2
+    /// patterns and repetitions. Half the tilers have their columns cut down
+    /// to one non-zero row, so separable and non-separable ones both occur;
+    /// coefficients may be negative, zero or larger than the array (wrap).
+    fn random_tiler(rng: &mut proptest::TestRng) -> (Tiler, Shape, Shape, Shape) {
+        fn below(rng: &mut proptest::TestRng, n: u64) -> i64 {
+            rng.below(n) as i64
+        }
+        fn extents(rng: &mut proptest::TestRng) -> Vec<usize> {
+            let n = below(rng, 3);
+            (0..n)
+                .map(|_| if below(rng, 16) == 0 { 0 } else { 1 + below(rng, 4) as usize })
+                .collect()
+        }
+        fn matrix(rng: &mut proptest::TestRng, rank: usize, cols: usize, cut: bool) -> IMat {
+            let mut m = IMat::zeros(rank, cols);
+            for c in 0..cols {
+                let keep = below(rng, rank as u64) as usize;
+                for d in 0..rank {
+                    if !cut || d == keep {
+                        *m.at_mut(d, c) = below(rng, 15) - 7;
+                    }
+                }
+            }
+            m
+        }
+        let rank = 1 + below(rng, 2) as usize;
+        let array: Vec<usize> = (0..rank).map(|_| 1 + below(rng, 7) as usize).collect();
+        let pattern = extents(rng);
+        let repetition = extents(rng);
+        let cut = below(rng, 2) == 0;
+        let fitting = matrix(rng, rank, pattern.len(), cut);
+        let paving = matrix(rng, rank, repetition.len(), cut);
+        let origin = (0..rank).map(|_| below(rng, 11) - 5).collect();
+        let t = Tiler::new(origin, fitting, paving);
+        (t, Shape::new(array), Shape::new(repetition), Shape::new(pattern))
+    }
+
+    proptest::proptest! {
+        /// The per-dimension decision agrees with counting every write,
+        /// witness element and write count included.
+        #[test]
+        fn exact_cover_matches_enumeration(seed in proptest::prelude::any::<u64>()) {
+            let mut rng = proptest::TestRng::new(seed);
+            let (mut separable, mut covers) = (0, 0);
+            for _ in 0..64 {
+                let (t, array, rep, pat) = random_tiler(&mut rng);
+                let got = t.check_exact_cover(&array, &rep, &pat);
+                let want = t.enumerate_cover(&array, &rep, &pat);
+                proptest::prop_assert_eq!(&got, &want, "{:?} over {} rep {} pat {}", t, array, rep, pat);
+                separable += usize::from(t.is_separable(&rep, &pat));
+                covers += usize::from(got.is_ok());
+            }
+            proptest::prop_assert!(separable > 0 && separable < 64);
+            proptest::prop_assert!(covers < 64);
+        }
+    }
+
+    #[test]
+    fn separability_follows_the_columns() {
+        let rep = Shape::new(vec![4, 6]);
+        let pat = Shape::new(vec![3]);
+        assert!(hfilter_output_tiler().is_separable(&rep, &pat));
+        // A diagonal fitting column moves both dimensions at once.
+        let diagonal = Tiler::new(
+            vec![0, 0],
+            IMat::from_rows(&[&[1], &[1]]),
+            IMat::from_rows(&[&[1, 0], &[0, 3]]),
+        );
+        assert!(!diagonal.is_separable(&rep, &pat));
+        // ... unless the column has extent 1 and so never moves the tile.
+        assert!(diagonal.is_separable(&rep, &Shape::new(vec![1])));
+        // Shapes of the wrong rank are not separable, not a panic.
+        assert!(!diagonal.is_separable(&Shape::new(vec![4]), &pat));
+    }
+
+    #[test]
+    fn witness_is_first_bad_element_in_row_major_order() {
+        // Rows covered once; columns 0..6 once and 6..8 never: the first bad
+        // element is (0, 6), written 0 times.
+        let t = Tiler::new(
+            vec![0, 0],
+            IMat::from_rows(&[&[0], &[1]]),
+            IMat::from_rows(&[&[1, 0], &[0, 3]]),
+        );
+        let err = t
+            .check_exact_cover(
+                &Shape::new(vec![3, 8]),
+                &Shape::new(vec![3, 2]),
+                &Shape::new(vec![3]),
+            )
+            .unwrap_err();
+        assert_eq!(err, ArrayOlError::NotExactCover { element: vec![0, 6], writes: 0 });
     }
 }

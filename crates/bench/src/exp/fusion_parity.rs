@@ -294,5 +294,15 @@ mod tests {
         for r in &a.sweep {
             assert!(r.launches_fused <= r.launches_unfused, "{}/{}", r.scenario, r.route);
         }
+        // A route compiles the downscaler to the same launch count at every
+        // size: frame size changes extents, never the program's structure.
+        for r in &a.sweep {
+            let thumb = a
+                .sweep
+                .iter()
+                .find(|t| t.scenario == "downscale-thumb" && t.route == r.route)
+                .expect("thumb row");
+            assert_eq!(r.launches_unfused, thumb.launches_unfused, "{}/{}", r.scenario, r.route);
+        }
     }
 }

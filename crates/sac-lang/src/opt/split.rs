@@ -132,15 +132,27 @@ fn rewrite_resolvable(e: &SymExpr, g: &FlatGen) -> SymExpr {
 }
 
 /// Split `gen` along one dimension into runs of lattice points that share a
-/// signature. `sig` is evaluated on a copy of `gen` with the candidate
-/// dimension pinned to a single lattice point.
+/// signature. `sig` is evaluated on a pin of `gen`: its bounds with the
+/// candidate dimension pinned to a single lattice point, and a placeholder
+/// body (`Const(0)`). Signatures must therefore read bounds only — as
+/// [`interval`], [`congruence`] and the window and membership tests built on
+/// them do — and see exactly what they would on a full copy of `gen`. The
+/// one pin is updated in place per point instead of cloning `gen`, folded
+/// body included, for every point scanned.
 ///
 /// Returns `None` when no dimension yields more than one distinct signature
 /// (splitting would not make progress) or when scanning is infeasible.
-pub fn split_by_runs<S: PartialEq + Clone>(
+pub fn split_by_runs<S: PartialEq>(
     gen: &FlatGen,
     sig: impl Fn(&FlatGen) -> S,
 ) -> Option<Vec<FlatGen>> {
+    let mut pin = FlatGen {
+        lower: gen.lower.clone(),
+        upper: gen.upper.clone(),
+        step: gen.step.clone(),
+        width: gen.width.clone(),
+        body: SymExpr::Const(0),
+    };
     // Prefer later (faster-varying) dimensions: in the downscaler flows the
     // wrap variable is the column/tile dimension.
     for d in (0..gen.rank()).rev() {
@@ -157,20 +169,19 @@ pub fn split_by_runs<S: PartialEq + Clone>(
         }
         // Collect signature runs.
         let mut runs: Vec<(i64, i64, S)> = Vec::new(); // [start, end) lattice bounds
+        pin.step[d] = 1;
         let mut x = l;
         while x < u {
-            let mut pinned = gen.clone();
-            pinned.lower[d] = x;
-            pinned.upper[d] = x + 1;
-            pinned.step[d] = 1;
-            pinned.width[d] = 1;
-            let s_here = sig(&pinned);
+            pin.lower[d] = x;
+            pin.upper[d] = x + 1;
+            let s_here = sig(&pin);
             match runs.last_mut() {
                 Some((_, end, prev)) if *prev == s_here => *end = x + 1,
                 _ => runs.push((x, x + 1, s_here)),
             }
             x += s;
         }
+        (pin.lower[d], pin.upper[d], pin.step[d]) = (l, u, s);
         if runs.len() < 2 || runs.len() > MAX_RUNS {
             continue;
         }
@@ -323,6 +334,112 @@ mod tests {
             SymExpr::Bin(BinKind::Mod, ..) => true,
             SymExpr::Bin(_, l, r) => has_mod(l) || has_mod(r),
             SymExpr::Load { index, .. } => index.iter().any(has_mod),
+        }
+    }
+
+    /// The scan [`split_by_runs`] replaced: a full clone of `gen`, body
+    /// included, per lattice point.
+    fn split_by_runs_cloning<S: PartialEq>(
+        gen: &FlatGen,
+        sig: impl Fn(&FlatGen) -> S,
+    ) -> Option<Vec<FlatGen>> {
+        for d in (0..gen.rank()).rev() {
+            if gen.width[d] != 1 {
+                continue;
+            }
+            let (l, u, s) = (gen.lower[d], gen.upper[d], gen.step[d]);
+            if l >= u {
+                continue;
+            }
+            let points = (u - 1 - l) / s + 1;
+            if !(2..=MAX_SCAN).contains(&points) {
+                continue;
+            }
+            let mut runs: Vec<(i64, i64, S)> = Vec::new();
+            let mut x = l;
+            while x < u {
+                let mut pinned = gen.clone();
+                pinned.lower[d] = x;
+                pinned.upper[d] = x + 1;
+                pinned.step[d] = 1;
+                pinned.width[d] = 1;
+                let s_here = sig(&pinned);
+                match runs.last_mut() {
+                    Some((_, end, prev)) if *prev == s_here => *end = x + 1,
+                    _ => runs.push((x, x + 1, s_here)),
+                }
+                x += s;
+            }
+            if runs.len() < 2 || runs.len() > MAX_RUNS {
+                continue;
+            }
+            let mut pieces = Vec::with_capacity(runs.len());
+            for (start, end, _) in runs {
+                let mut p = gen.clone();
+                p.lower[d] = start;
+                p.upper[d] = end;
+                pieces.push(p);
+            }
+            return Some(pieces);
+        }
+        None
+    }
+
+    /// A random rank-1..3 generator whose body loads `(k·iv + c) % n` for a
+    /// few random affine index maps, the shape wrap-around folding leaves.
+    fn random_gen(rng: &mut proptest::TestRng) -> (FlatGen, Vec<(SymExpr, i64)>) {
+        let mut below = |n: u64| rng.below(n) as i64;
+        let rank = 1 + below(3) as usize;
+        let mut g = FlatGen {
+            lower: vec![],
+            upper: vec![],
+            step: vec![],
+            width: vec![],
+            body: SymExpr::Const(0),
+        };
+        for _ in 0..rank {
+            let lower = below(12) - 2;
+            let step = 1 + below(3);
+            g.lower.push(lower);
+            g.upper.push(lower + below(40));
+            g.step.push(step);
+            g.width.push(if below(4) == 0 { 1 + below(step as u64) } else { 1 });
+        }
+        let mut mods = Vec::new();
+        for _ in 0..1 + below(3) {
+            let mut e = SymExpr::Const(below(21) - 10);
+            for d in 0..rank {
+                e = SymExpr::bin(
+                    Add,
+                    e,
+                    SymExpr::bin(Mul, SymExpr::Const(below(9) - 4), SymExpr::Idx(d)),
+                );
+            }
+            let n = 1 + below(30);
+            let load = SymExpr::Load { array: 0, index: vec![modn(e.clone(), n)] };
+            g.body = SymExpr::bin(Add, g.body, load);
+            mods.push((e, n));
+        }
+        (g, mods)
+    }
+
+    proptest::proptest! {
+        /// Scanning with one body-less pin yields the same pieces, bodies
+        /// included, as cloning the generator per point, for the window
+        /// signature of modulo resolution and an interval signature.
+        #[test]
+        fn pinned_scan_matches_cloning_scan(seed in proptest::prelude::any::<u64>()) {
+            let mut rng = proptest::TestRng::new(seed);
+            for _ in 0..16 {
+                let (g, mods) = random_gen(&mut rng);
+                let (e, n) = mods[0].clone();
+                let window = |p: &FlatGen| window_of(&e, n, p);
+                proptest::prop_assert_eq!(split_by_runs(&g, window), split_by_runs_cloning(&g, window));
+                let range = |p: &FlatGen| {
+                    mods.iter().map(|(e, _)| interval(e, p).map(|iv| (iv.lo, iv.hi))).collect::<Vec<_>>()
+                };
+                proptest::prop_assert_eq!(split_by_runs(&g, range), split_by_runs_cloning(&g, range));
+            }
         }
     }
 }

@@ -333,32 +333,63 @@ fn replace_first_load(e: &SymExpr, target: usize, replacement: &SymExpr) -> (Sym
 pub fn elide_covered_modarray(p: &mut FlatProgram) {
     for step in &mut p.steps {
         let Step::With { with, .. } = step else { continue };
-        if with.modarray_src.is_none() {
-            continue;
-        }
-        let total: u64 = with.shape.iter().map(|&d| d as u64).product();
-        if total > (1 << 24) {
-            continue; // too large to verify cheaply
-        }
-        let mut seen = vec![false; total as usize];
-        let strides: Vec<u64> = {
-            let mut s = vec![1u64; with.shape.len()];
-            for d in (0..with.shape.len().saturating_sub(1)).rev() {
-                s[d] = s[d + 1] * with.shape[d + 1] as u64;
-            }
-            s
-        };
-        for g in &with.generators {
-            g.for_each_point(|iv| {
-                let off: u64 = iv.iter().zip(&strides).map(|(&x, &st)| x as u64 * st).sum();
-                seen[off as usize] = true;
-            });
-        }
-        if seen.into_iter().all(|b| b) {
+        if with.modarray_src.is_some() && covers_shape(&with.shape, &with.generators) {
             with.modarray_src = None;
             with.default = 0;
         }
     }
+}
+
+/// Does every index of `shape` lie in some generator of `gens`?
+///
+/// A generator's region is a product of per-dimension sets: coordinate `x`
+/// of dimension `d` is in it iff `lower ≤ x < upper` and
+/// `(x − lower) mod step < width`. So the question splits by dimension. For
+/// each coordinate, the set of generators containing it is a bitset with one
+/// bit per generator. The shape is covered iff every choice of one such set
+/// per dimension has a non-empty intersection. Only distinct sets matter, and
+/// the intersections are deduplicated dimension by dimension, so the cost is
+/// the sum of the extents times the generator count, not the array size.
+fn covers_shape(shape: &[usize], gens: &[FlatGen]) -> bool {
+    if shape.contains(&0) {
+        return true; // no index to miss
+    }
+    let words = gens.len().div_ceil(64);
+    let mut all = vec![0u64; words];
+    for k in 0..gens.len() {
+        all[k / 64] |= 1 << (k % 64);
+    }
+    let mut partial = vec![all];
+    for (d, &n) in shape.iter().enumerate() {
+        let mut sets: Vec<Vec<u64>> = (0..n as i64)
+            .map(|x| {
+                let mut set = vec![0u64; words];
+                for (k, g) in gens.iter().enumerate() {
+                    let (l, u, s, w) = (g.lower[d], g.upper[d], g.step[d], g.width[d]);
+                    if l <= x && x < u && (x - l).rem_euclid(s) < w {
+                        set[k / 64] |= 1 << (k % 64);
+                    }
+                }
+                set
+            })
+            .collect();
+        sets.sort_unstable();
+        sets.dedup();
+        let mut next = Vec::with_capacity(partial.len() * sets.len());
+        for p in &partial {
+            for s in &sets {
+                let meet: Vec<u64> = p.iter().zip(s).map(|(a, b)| a & b).collect();
+                if meet.iter().all(|&w| w == 0) {
+                    return false;
+                }
+                next.push(meet);
+            }
+        }
+        next.sort_unstable();
+        next.dedup();
+        partial = next;
+    }
+    partial.iter().all(|p| p.iter().any(|&w| w != 0))
 }
 
 #[cfg(test)]
@@ -672,5 +703,78 @@ mod tests {
             Step::With { with, .. } => assert_eq!(with.modarray_src, Some(seed)),
             _ => panic!(),
         }
+    }
+
+    /// The enumerative decision [`covers_shape`] replaced: mark every
+    /// generator point in an array-sized buffer.
+    fn covers_by_enumeration(shape: &[usize], gens: &[FlatGen]) -> bool {
+        let total: usize = shape.iter().product();
+        let mut seen = vec![false; total];
+        for g in gens {
+            g.for_each_point(|iv| {
+                let off = iv.iter().zip(shape).fold(0, |acc, (&x, &n)| acc * n + x as usize);
+                seen[off] = true;
+            });
+        }
+        seen.into_iter().all(|b| b)
+    }
+
+    /// A random in-shape generator over `shape`: a dense block or a strided
+    /// strip per dimension.
+    fn random_gen(rng: &mut proptest::TestRng, shape: &[usize]) -> FlatGen {
+        let mut g = FlatGen::dense(shape, SymExpr::Const(0));
+        for (d, &n) in shape.iter().enumerate() {
+            if rng.below(2) == 0 {
+                continue; // dense along d
+            }
+            let n = n as i64;
+            let lower = rng.below(n as u64 + 1) as i64;
+            g.lower[d] = lower;
+            g.upper[d] = lower + rng.below((n - lower) as u64 + 1) as i64;
+            g.step[d] = 1 + rng.below(3) as i64;
+            g.width[d] = 1 + rng.below(g.step[d] as u64) as i64;
+        }
+        g
+    }
+
+    proptest::proptest! {
+        /// Deciding coverage per dimension gives the same elision decision as
+        /// marking every point, on covering and non-covering sets alike.
+        #[test]
+        fn coverage_matches_enumeration(seed in proptest::prelude::any::<u64>()) {
+            let mut rng = proptest::TestRng::new(seed);
+            let mut covered = 0;
+            for _ in 0..32 {
+                let rank = rng.below(4) as usize;
+                let shape: Vec<usize> = (0..rank).map(|_| 1 + rng.below(6) as usize).collect();
+                let count = rng.below(7) as usize;
+                let gens: Vec<FlatGen> = (0..count).map(|_| random_gen(&mut rng, &shape)).collect();
+                let want = covers_by_enumeration(&shape, &gens);
+                proptest::prop_assert_eq!(covers_shape(&shape, &gens), want, "{:?} {:?}", shape, gens);
+                covered += usize::from(want);
+            }
+            proptest::prop_assert!(covered < 32);
+        }
+    }
+
+    #[test]
+    fn coverage_needs_every_combination_of_dimension_sets() {
+        // Rows 0..2 and 2..4 are each covered, and so are columns 0..2 and
+        // 2..4, but by the two diagonal blocks only: (0, 2) is missed.
+        let block = |r: i64, c: i64| FlatGen {
+            lower: vec![r, c],
+            upper: vec![r + 2, c + 2],
+            step: vec![1, 1],
+            width: vec![1, 1],
+            body: SymExpr::Const(0),
+        };
+        let diagonal = [block(0, 0), block(2, 2)];
+        assert!(!covers_shape(&[4, 4], &diagonal));
+        let all = [block(0, 0), block(2, 2), block(0, 2), block(2, 0)];
+        assert!(covers_shape(&[4, 4], &all));
+        // Far more generators than one bitset word holds.
+        let strips: Vec<FlatGen> = (0..130).map(|c| block(0, c)).collect();
+        assert!(covers_shape(&[2, 131], &strips));
+        assert!(!covers_shape(&[2, 133], &strips));
     }
 }

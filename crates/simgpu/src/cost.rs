@@ -73,6 +73,40 @@ pub enum Direction {
     DeviceToHost,
 }
 
+/// PCIe transfer pricing: a fixed latency plus bytes over effective
+/// bandwidth, per direction.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Pcie {
+    /// Fixed latency per host→device transfer (µs).
+    pub h2d_latency_us: f64,
+    /// Effective host→device bandwidth (bytes per µs).
+    pub h2d_bytes_per_us: f64,
+    /// Fixed latency per device→host transfer (µs).
+    pub d2h_latency_us: f64,
+    /// Effective device→host bandwidth (bytes per µs).
+    pub d2h_bytes_per_us: f64,
+}
+
+impl Pcie {
+    /// Simulated duration of a PCIe transfer of `bytes` bytes (µs).
+    pub fn transfer_time_us(&self, bytes: usize, dir: Direction) -> f64 {
+        let (lat, bw) = match dir {
+            Direction::HostToDevice => (self.h2d_latency_us, self.h2d_bytes_per_us),
+            Direction::DeviceToHost => (self.d2h_latency_us, self.d2h_bytes_per_us),
+        };
+        lat + bytes as f64 / bw
+    }
+
+    /// Bit-exact equality of the four fields (see [`Calibration::bit_eq`]).
+    pub fn bit_eq(&self, other: &Pcie) -> bool {
+        let fields = |p: &Pcie| {
+            [p.h2d_latency_us, p.h2d_bytes_per_us, p.d2h_latency_us, p.d2h_bytes_per_us]
+                .map(f64::to_bits)
+        };
+        fields(self) == fields(other)
+    }
+}
+
 /// Calibrated cost constants for a simulated device.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Calibration {
@@ -162,13 +196,19 @@ impl Calibration {
         }
     }
 
+    /// The PCIe constants of this calibration.
+    pub fn pcie(&self) -> Pcie {
+        Pcie {
+            h2d_latency_us: self.h2d_latency_us,
+            h2d_bytes_per_us: self.h2d_bytes_per_us,
+            d2h_latency_us: self.d2h_latency_us,
+            d2h_bytes_per_us: self.d2h_bytes_per_us,
+        }
+    }
+
     /// Simulated duration of a PCIe transfer of `bytes` bytes (µs).
     pub fn transfer_time_us(&self, bytes: usize, dir: Direction) -> f64 {
-        let (lat, bw) = match dir {
-            Direction::HostToDevice => (self.h2d_latency_us, self.h2d_bytes_per_us),
-            Direction::DeviceToHost => (self.d2h_latency_us, self.d2h_bytes_per_us),
-        };
-        lat + bytes as f64 / bw
+        self.pcie().transfer_time_us(bytes, dir)
     }
 
     /// Simulated duration of a kernel launch with the given dynamic counts (µs).
@@ -327,6 +367,8 @@ impl CostModel {
 ///   [`WarpTileModel::default_replay`].
 /// * **Transfers and launch overhead** keep the paper's calibrated PCIe and
 ///   launch constants — the model refines kernel pricing only.
+/// * **Allocation** is free: the model charges no `cudaMalloc`/`cudaFree`
+///   time, so it never device-synchronizes on allocation.
 ///
 /// The model is deliberately coarse (no bank conflicts, no dual issue), but
 /// it makes fusion and tiling decisions change simulated time for
@@ -337,8 +379,8 @@ impl CostModel {
 pub struct WarpTileModel {
     /// Fixed overhead charged per kernel launch (µs).
     pub kernel_launch_us: f64,
-    /// PCIe pricing (kept from the paper's calibration).
-    pub transfer: Calibration,
+    /// PCIe pricing (the paper's calibration by default).
+    pub transfer: Pcie,
     /// Resident-warp ceiling per SM (Fermi: 48).
     pub resident_warps_per_sm: usize,
     /// DRAM transaction latency per distinct access before replay (ns).
@@ -353,7 +395,7 @@ impl Default for WarpTileModel {
     fn default() -> Self {
         WarpTileModel {
             kernel_launch_us: Calibration::gtx480().kernel_launch_us,
-            transfer: Calibration::gtx480(),
+            transfer: Calibration::gtx480().pcie(),
             resident_warps_per_sm: 48,
             dram_access_ns: 0.105,
             l1_access_ns: 0.03,
@@ -468,6 +510,20 @@ mod tests {
     }
 
     #[test]
+    fn warp_tile_prices_transfers_like_the_paper_and_allocation_free() {
+        let paper: CostModel = Calibration::gtx480().into();
+        let warp: CostModel = WarpTileModel::default().into();
+        for dir in [Direction::HostToDevice, Direction::DeviceToHost] {
+            let bytes = 8_294_400;
+            assert_eq!(
+                warp.transfer_time_us(bytes, dir).to_bits(),
+                paper.transfer_time_us(bytes, dir).to_bits()
+            );
+        }
+        assert_eq!((warp.malloc_us(), warp.free_us()), (0.0, 0.0));
+    }
+
+    #[test]
     fn kernel_time_has_fixed_launch_floor() {
         let c = Calibration::gtx480();
         assert!((c.kernel_time_us(&stats(0, 0, 0)) - c.kernel_launch_us).abs() < 1e-12);
@@ -524,12 +580,16 @@ mod tests {
         );
         assert_eq!(name(WarpTileModel::default().into()), "warp-tile");
         // A fitted warp model is distinguishable from the default, whichever
-        // field moved — the transfer calibration included.
+        // field moved — each PCIe constant included.
         let base = WarpTileModel::default();
+        let pcie = base.transfer;
         for fitted in [
             WarpTileModel { dram_access_ns: 0.2, ..base },
             WarpTileModel { resident_warps_per_sm: 32, ..base },
-            WarpTileModel { transfer: Calibration::gtx480_alloc(), ..base },
+            WarpTileModel { transfer: Pcie { h2d_latency_us: 16.0, ..pcie }, ..base },
+            WarpTileModel { transfer: Pcie { h2d_bytes_per_us: 5000.0, ..pcie }, ..base },
+            WarpTileModel { transfer: Pcie { d2h_latency_us: 16.0, ..pcie }, ..base },
+            WarpTileModel { transfer: Pcie { d2h_bytes_per_us: 6000.0, ..pcie }, ..base },
         ] {
             assert_eq!(name(fitted.into()), "warp-tile(custom)");
         }

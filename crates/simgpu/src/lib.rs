@@ -38,7 +38,7 @@ pub mod profiler;
 pub mod schedule;
 pub mod tiled;
 
-pub use cost::{Calibration, CostModel, Direction, Engine, WarpTileModel};
+pub use cost::{Calibration, CostModel, Direction, Engine, Pcie, WarpTileModel};
 pub use device::{BufferId, Device, DeviceConfig, MemPool, StreamId};
 pub use exec::{LaunchConfig, LaunchStats};
 pub use fleet::Fleet;

@@ -17,6 +17,10 @@
 # To golden a new experiment, write its record once:
 #   ./target/release/reproduce <name> --scenario hd1080 --json expected/<name>_hd1080.json
 #
+# Each experiment's wall-clock seconds and the total go to stderr as
+# `time: <exp> <s>` lines, so the golden loop's cost can be tabulated from
+# one run.
+#
 # Usage: scripts/check_golden.sh [--bless]
 #   --bless  regenerate the existing expected/*_hd1080.json instead of diffing
 
@@ -34,12 +38,18 @@ out_dir=$(mktemp -d)
 trap 'rm -rf "$out_dir"' EXIT
 
 status=0
+loop_start=$(date +%s.%N)
 for golden in expected/*_hd1080.json; do
   record=$(basename "$golden")
   exp=${record%_hd1080.json}
   exp=${exp//_/-}
-  if ! ./target/release/reproduce "$exp" --scenario hd1080 --json "$out_dir/$record" \
-    > /dev/null; then
+  start=$(date +%s.%N)
+  ran=0
+  ./target/release/reproduce "$exp" --scenario hd1080 --json "$out_dir/$record" \
+    > /dev/null || ran=$?
+  awk -v e="$exp" -v a="$start" -v b="$(date +%s.%N)" \
+    'BEGIN { printf "time: %s %.1f s\n", e, b - a }' >&2
+  if [[ $ran -ne 0 ]]; then
     echo "FAIL: reproduce $exp exited non-zero" >&2
     status=1
     continue
@@ -54,4 +64,5 @@ for golden in expected/*_hd1080.json; do
     status=1
   fi
 done
+awk -v a="$loop_start" -v b="$(date +%s.%N)" 'BEGIN { printf "time: total %.1f s\n", b - a }' >&2
 exit $status

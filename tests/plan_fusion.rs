@@ -10,6 +10,11 @@
 //! An OOM sub-case re-runs the fused plan on a memory-starved toy device with
 //! lane degradation enabled, and a `Carry` regression pins the
 //! refusal-as-fallback behaviour at the integration level.
+//!
+//! A registry test pins that compile-time exact cover stays cheap: every
+//! output tiler of every registry entry's MARTE model, and every tiler the
+//! fusion pass checks for it, is separable, so `check_exact_cover` decides it
+//! per dimension instead of walking the array.
 
 use arrayol::access::{apply_access, ElementaryOp, TiledAccess, TilerSpec};
 use mdarray::NdArray;
@@ -255,5 +260,123 @@ fn carry_through_the_intermediate_blocks_fusion_and_stays_correct() {
     for (f, mul) in [(0usize, 6i64), (1, 12)] {
         let want = NdArray::from_fn(vec![rows, cols], |ix| (ix[0] * cols + ix[1]) as i64 * mul);
         assert_eq!(refused[f][0], want, "frame {f}");
+    }
+}
+
+/// The `(tiler, repetition, pattern)` triples whose exact cover the fusion
+/// pass checks on `plan`: the producer's output tiler before each
+/// composition and the composed scatter tiler after it. The pass's fixpoint
+/// is followed over every producer→consumer pair of access-described
+/// launches, a superset of the pairs it actually composes.
+fn fusion_checked_tilers(plan: &LaunchPlan<'_>) -> Vec<(TilerSpec, Vec<usize>, Vec<usize>)> {
+    let shape = |a: usize| plan.arrays[a].shape.clone();
+    // (output array, input array, access) per access-described launch.
+    let mut stages: Vec<(usize, usize, TiledAccess)> = plan
+        .steps
+        .iter()
+        .filter_map(|st| match st {
+            PlanStep::Launch { kernel } => Some(&plan.kernels[*kernel]),
+            _ => None,
+        })
+        .filter(|k| k.args.len() == 2)
+        .filter_map(|k| Some((k.args[0], k.args[1], k.access.clone()?)))
+        .collect();
+    let mut checked = Vec::new();
+    'fixpoint: loop {
+        for i in 0..stages.len() {
+            for j in 0..stages.len() {
+                let (mid, input, producer) = &stages[i];
+                let (out, consumer_in, consumer) = &stages[j];
+                if i == j || consumer_in != mid {
+                    continue;
+                }
+                checked.push((
+                    producer.out_tiler.clone(),
+                    producer.repetition.clone(),
+                    producer.out_pattern.clone(),
+                ));
+                let composed = arrayol::access::compose_access(
+                    producer,
+                    consumer,
+                    &shape(*input),
+                    &shape(*mid),
+                    &shape(*out),
+                );
+                if let Ok(fused) = composed {
+                    checked.push((
+                        fused.out_tiler.clone(),
+                        fused.repetition.clone(),
+                        fused.out_pattern.clone(),
+                    ));
+                    stages[j] = (*out, *input, fused);
+                    stages.remove(i);
+                    continue 'fixpoint;
+                }
+            }
+        }
+        return checked;
+    }
+}
+
+/// The MARTE model a registry entry's GASPARD2 route is built from.
+fn registry_model(w: &scenarios::Workload) -> gaspard::model::Model {
+    use scenarios::{models, Kind};
+    match w.kind {
+        Kind::Downscale => {
+            let s = downscaler::Scenario::new(w.name, 3, w.rows, w.cols, w.frames).unwrap();
+            downscaler::model::downscaler_model(&s).0
+        }
+        Kind::ImagePipe => models::imagepipe_model(w.rows, w.cols).0,
+        Kind::Delta => models::delta_model(w.rows, w.cols).0,
+        Kind::BlockMean => models::blockmean_model(w.rows, w.cols).0,
+    }
+}
+
+/// No registry entry, 8K included, sends MARTE validation or the fusion
+/// pass's exact-cover checks to the array-walking fallback.
+#[test]
+fn every_compile_time_exact_cover_is_decided_per_dimension() {
+    use gaspard::model::ComponentKind;
+    use mdarray::Shape;
+    let separable = |t: &TilerSpec, rep: &[usize], pat: &[usize]| {
+        t.to_tiler().is_separable(&Shape::new(rep.to_vec()), &Shape::new(pat.to_vec()))
+    };
+    for w in scenarios::registry_extended() {
+        let model = registry_model(&w);
+        let mut outputs = 0;
+        for c in &model.components {
+            if let ComponentKind::Repetitive { repetition, output_tilers, .. } = &c.kind {
+                for (pattern, tiler) in output_tilers {
+                    assert!(
+                        separable(tiler, repetition, pattern),
+                        "{}: {} {tiler:?}",
+                        w.name,
+                        c.name
+                    );
+                    outputs += 1;
+                }
+            }
+        }
+        assert!(outputs > 0, "{}: no output tiler", w.name);
+
+        // The SaC route offers the pass its per-stage kernels only when WLF
+        // is off; with WLF on it has nothing left to fuse.
+        let built = w.build().unwrap();
+        let no_wlf = sac_lang::opt::OptConfig { with_loop_folding: false, ..Default::default() };
+        let unfolded = w.build_with_sac_config(&no_wlf).unwrap();
+        let gaspard_unfused = gaspard::exec::lower_plan(&built.opencl);
+        let sac = built.plan(scenarios::Route::Sac).unwrap();
+        let sac_unfolded = unfolded.plan(scenarios::Route::Sac).unwrap();
+        let plans = [("gaspard", &gaspard_unfused), ("sac", &sac), ("sac no WLF", &sac_unfolded)];
+        for (route, plan) in plans {
+            let checked = fusion_checked_tilers(plan);
+            for (tiler, rep, pat) in &checked {
+                assert!(separable(tiler, rep, pat), "{}/{route}: {tiler:?}", w.name);
+            }
+            // Every GASPARD2 chain but delta's single stage offers a pair.
+            if route == "gaspard" && w.kind != scenarios::Kind::Delta {
+                assert!(!checked.is_empty(), "{}", w.name);
+            }
+        }
     }
 }

@@ -514,7 +514,7 @@ int[*] main(int[{rows},{cols}] a)
         };
         let random_warp = simgpu::WarpTileModel {
             kernel_launch_us: launch_us,
-            transfer: random_calib,
+            transfer: random_calib.pcie(),
             resident_warps_per_sm: 1 + launch_us as usize % 64,
             dram_access_ns: dram_ns,
             l1_access_ns: l1_ns,
