@@ -10,54 +10,13 @@
 //! tiler-composition algebra ([`crate::compose`]) without knowing which
 //! frontend produced them.
 //!
-//! [`TilerSpec`], [`WindowSpec`] and [`ElementaryOp`] moved here from
-//! `gaspard::model` (which re-exports them) so that `simgpu` and `sac-cuda`
-//! can speak the vocabulary without depending on the GASPARD2 crate.
+//! The tilers are plain [`Tiler`]s, and [`WindowSpec`] and [`ElementaryOp`]
+//! live here rather than in `gaspard`, so that `simgpu` and `sac-cuda` speak
+//! the model's vocabulary without depending on the GASPARD2 crate.
 
 use crate::compose::{compose, ComposeError, StagePorts};
 use crate::tiler::Tiler;
 use mdarray::{NdArray, Shape};
-
-/// A tiler specification as plain data (MARTE RSM on the model side, the
-/// recognised WITH-loop access on the SaC side).
-///
-/// Identical in meaning to [`crate::Tiler`]; kept as plain data because
-/// access descriptions are declarative documents attached to IR nodes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TilerSpec {
-    /// Origin vector.
-    pub origin: Vec<i64>,
-    /// Fitting matrix rows (array-space rank × pattern rank).
-    pub fitting: Vec<Vec<i64>>,
-    /// Paving matrix rows (array-space rank × repetition rank).
-    pub paving: Vec<Vec<i64>>,
-}
-
-impl TilerSpec {
-    /// Convert to an executable ArrayOL tiler.
-    pub fn to_tiler(&self) -> Tiler {
-        let rows = self.fitting.len();
-        let fcols = self.fitting.first().map_or(0, |r| r.len());
-        let pcols = self.paving.first().map_or(0, |r| r.len());
-        let fitting =
-            crate::IMat::new(rows, fcols, self.fitting.iter().flatten().copied().collect());
-        let paving = crate::IMat::new(
-            self.paving.len(),
-            pcols,
-            self.paving.iter().flatten().copied().collect(),
-        );
-        Tiler::new(self.origin.clone(), fitting, paving)
-    }
-
-    /// Convert an executable tiler back to plain data.
-    pub fn from_tiler(t: &Tiler) -> Self {
-        TilerSpec {
-            origin: t.origin.clone(),
-            fitting: (0..t.fitting.rows()).map(|r| t.fitting.row(r).to_vec()).collect(),
-            paving: (0..t.paving.rows()).map(|r| t.paving.row(r).to_vec()).collect(),
-        }
-    }
-}
 
 /// One interpolation window of an elementary filter task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -180,22 +139,22 @@ pub struct TiledAccess {
     /// Input pattern shape.
     pub in_pattern: Vec<usize>,
     /// Input tiler (gathers the pattern from the input array).
-    pub in_tiler: TilerSpec,
+    pub in_tiler: Tiler,
     /// Output pattern shape.
     pub out_pattern: Vec<usize>,
     /// Output tiler (scatters the pattern into the output array).
-    pub out_tiler: TilerSpec,
+    pub out_tiler: Tiler,
     /// The per-instance computation.
     pub op: ElementaryOp,
 }
 
 impl TiledAccess {
     /// The [`StagePorts`]-shaped view needed by the composition algebra.
-    fn ports<'a>(&'a self, in_tiler: &'a Tiler, out_tiler: &'a Tiler) -> StagePorts<'a> {
+    fn ports(&self) -> StagePorts<'_> {
         StagePorts {
-            in_tiler,
+            in_tiler: &self.in_tiler,
             in_pattern: &self.in_pattern,
-            out_tiler,
+            out_tiler: &self.out_tiler,
             out_pattern: &self.out_pattern,
             repetition: &self.repetition,
         }
@@ -217,11 +176,9 @@ pub fn compose_access(
     mid_shape: &[usize],
     out_shape: &[usize],
 ) -> Result<TiledAccess, ComposeError> {
-    let (p_in, p_out) = (producer.in_tiler.to_tiler(), producer.out_tiler.to_tiler());
-    let (c_in, c_out) = (consumer.in_tiler.to_tiler(), consumer.out_tiler.to_tiler());
     let fused = compose(
-        &producer.ports(&p_in, &p_out),
-        &consumer.ports(&c_in, &c_out),
+        &producer.ports(),
+        &consumer.ports(),
         &Shape::new(in_shape.to_vec()),
         &Shape::new(mid_shape.to_vec()),
         &Shape::new(out_shape.to_vec()),
@@ -229,9 +186,9 @@ pub fn compose_access(
     Ok(TiledAccess {
         repetition: fused.repetition,
         in_pattern: fused.gather_pattern,
-        in_tiler: TilerSpec::from_tiler(&fused.gather),
+        in_tiler: fused.gather,
         out_pattern: fused.scatter_pattern,
-        out_tiler: TilerSpec::from_tiler(&fused.scatter),
+        out_tiler: fused.scatter,
         op: ElementaryOp::Composed {
             inner: Box::new(producer.op.clone()),
             inner_count: fused.inner_count,
@@ -268,8 +225,6 @@ pub fn apply_access(
     input: &NdArray<i64>,
     out_shape: &[usize],
 ) -> NdArray<i64> {
-    let in_tiler = access.in_tiler.to_tiler();
-    let out_tiler = access.out_tiler.to_tiler();
     let out_sh = Shape::new(out_shape.to_vec());
     let mut out = NdArray::filled(out_shape.to_vec(), 0i64);
     let in_points = lattice_points(&access.in_pattern);
@@ -278,14 +233,14 @@ pub fn apply_access(
         let pattern: Vec<i64> = in_points
             .iter()
             .map(|p| {
-                let ix = in_tiler.element_index(input.shape(), &rep, p);
+                let ix = access.in_tiler.element_index(input.shape(), &rep, p);
                 *input.get(&ix).expect("gather index wraps in-bounds")
             })
             .collect();
         let result = access.op.apply(&pattern);
         debug_assert_eq!(result.len(), out_points.len());
         for (p, v) in out_points.iter().zip(result) {
-            let ix = out_tiler.element_index(&out_sh, &rep, p);
+            let ix = access.out_tiler.element_index(&out_sh, &rep, p);
             out.set(&ix, v).expect("scatter index wraps in-bounds");
         }
     }
@@ -295,34 +250,17 @@ pub fn apply_access(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::IMat;
 
     fn sliding(rows: usize, in_cols: usize, k: usize, weights: Vec<i64>) -> TiledAccess {
         TiledAccess {
             repetition: vec![rows, in_cols - k + 1],
             in_pattern: vec![k],
-            in_tiler: TilerSpec {
-                origin: vec![0, 0],
-                fitting: vec![vec![0], vec![1]],
-                paving: vec![vec![1, 0], vec![0, 1]],
-            },
+            in_tiler: Tiler::new(vec![0, 0], IMat::from_rows(&[&[0], &[1]]), IMat::identity(2)),
             out_pattern: vec![1],
-            out_tiler: TilerSpec {
-                origin: vec![0, 0],
-                fitting: vec![vec![0], vec![0]],
-                paving: vec![vec![1, 0], vec![0, 1]],
-            },
+            out_tiler: Tiler::new(vec![0, 0], IMat::from_rows(&[&[0], &[0]]), IMat::identity(2)),
             op: ElementaryOp::WeightedSum { weights },
         }
-    }
-
-    #[test]
-    fn spec_round_trips_through_tiler() {
-        let spec = TilerSpec {
-            origin: vec![0, 0],
-            fitting: vec![vec![0], vec![1]],
-            paving: vec![vec![1, 0], vec![0, 4]],
-        };
-        assert_eq!(TilerSpec::from_tiler(&spec.to_tiler()), spec);
     }
 
     #[test]
@@ -359,7 +297,7 @@ mod tests {
         // A non-canonical consumer fitting (one pattern axis touching two
         // array dims): the algebra must refuse rather than mis-compose.
         let mut b = sliding(2, 6, 3, vec![1, 0, 1]);
-        b.in_tiler.fitting = vec![vec![1], vec![1]];
+        b.in_tiler.fitting = IMat::from_rows(&[&[1], &[1]]);
         assert!(compose_access(&a, &b, &[2, 8], &[2, 6], &[2, 4]).is_err());
     }
 }

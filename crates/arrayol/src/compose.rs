@@ -39,6 +39,7 @@
 //! output tiler is, as for every pipeline in the workload registry. Composing
 //! such a pair costs the same at every frame size.
 
+use crate::access::lattice_points;
 use crate::linalg::{vadd, IMat};
 use crate::tiler::Tiler;
 use crate::validate::ArrayOlError;
@@ -207,23 +208,6 @@ fn decompose(
         }
     }
     Ok(views)
-}
-
-/// Row-major lattice of a small shape.
-fn lattice(shape: &[usize]) -> Vec<Vec<usize>> {
-    let mut out = vec![vec![]];
-    for &d in shape {
-        let mut next = Vec::with_capacity(out.len() * d);
-        for prefix in &out {
-            for x in 0..d {
-                let mut p = prefix.clone();
-                p.push(x);
-                next.push(p);
-            }
-        }
-        out = next;
-    }
-    out
 }
 
 /// Row-major flattening of `ix` under `shape`.
@@ -408,9 +392,9 @@ pub fn compose(
     // outputs each grouped consumer instance reads.
     let inner_out_len: usize = producer.out_pattern.iter().product();
     let mut outer_gathers = Vec::with_capacity(group_shape.iter().product());
-    for b in lattice(&group_shape) {
+    for b in lattice_points(&group_shape) {
         let mut row = Vec::with_capacity(consumer.in_pattern.iter().product());
-        for i in lattice(consumer.in_pattern) {
+        for i in lattice_points(consumer.in_pattern) {
             let mut u_ix = vec![0usize; m_rank];
             let mut j_ix = vec![0usize; producer.out_pattern.len()];
             for (d, dc) in dims.iter().enumerate() {
@@ -449,48 +433,48 @@ pub fn compose(
     })
 }
 
-/// CPU reference for a fused stage: evaluate it exactly as the generated
-/// kernel would, useful for testing the algebra without a code generator.
-///
-/// `inner` and `outer` are the producer and consumer elementary functions on
-/// flat patterns; `input` is the producer's input array (flat, row-major).
-pub fn apply_fused(
-    fused: &FusedTiling,
-    inner: impl Fn(&[i64]) -> Vec<i64>,
-    outer: impl Fn(&[i64]) -> Vec<i64>,
-    input: &[i64],
-    in_shape: &Shape,
-    out_shape: &Shape,
-) -> Vec<i64> {
-    let mut out = vec![0i64; out_shape.len()];
-    for rep in lattice(&fused.repetition) {
-        let mut pattern = Vec::with_capacity(fused.gather_pattern.iter().product());
-        for p in lattice(&fused.gather_pattern) {
-            let ix = fused.gather.element_index(in_shape, &rep, &p);
-            pattern.push(input[flatten(&ix, in_shape.dims())]);
-        }
-        let mut mid = Vec::with_capacity(fused.inner_count * fused.inner_out_len);
-        for chunk in pattern.chunks(fused.inner_in_len) {
-            mid.extend(inner(chunk));
-        }
-        let mut result = Vec::new();
-        for row in &fused.outer_gathers {
-            let gathered: Vec<i64> = row.iter().map(|&k| mid[k]).collect();
-            result.extend(outer(&gathered));
-        }
-        for (p, v) in lattice(&fused.scatter_pattern).iter().zip(result) {
-            let ix = fused.scatter.element_index(out_shape, &rep, p);
-            out[flatten(&ix, out_shape.dims())] = v;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::linalg::IMat;
     use mdarray::Shape;
+
+    /// CPU reference for a fused stage: evaluate it exactly as the generated
+    /// kernel would, useful for testing the algebra without a code generator.
+    ///
+    /// `inner` and `outer` are the producer and consumer elementary functions on
+    /// flat patterns; `input` is the producer's input array (flat, row-major).
+    fn apply_fused(
+        fused: &FusedTiling,
+        inner: impl Fn(&[i64]) -> Vec<i64>,
+        outer: impl Fn(&[i64]) -> Vec<i64>,
+        input: &[i64],
+        in_shape: &Shape,
+        out_shape: &Shape,
+    ) -> Vec<i64> {
+        let mut out = vec![0i64; out_shape.len()];
+        for rep in lattice_points(&fused.repetition) {
+            let mut pattern = Vec::with_capacity(fused.gather_pattern.iter().product());
+            for p in lattice_points(&fused.gather_pattern) {
+                let ix = fused.gather.element_index(in_shape, &rep, &p);
+                pattern.push(input[flatten(&ix, in_shape.dims())]);
+            }
+            let mut mid = Vec::with_capacity(fused.inner_count * fused.inner_out_len);
+            for chunk in pattern.chunks(fused.inner_in_len) {
+                mid.extend(inner(chunk));
+            }
+            let mut result = Vec::new();
+            for row in &fused.outer_gathers {
+                let gathered: Vec<i64> = row.iter().map(|&k| mid[k]).collect();
+                result.extend(outer(&gathered));
+            }
+            for (p, v) in lattice_points(&fused.scatter_pattern).iter().zip(result) {
+                let ix = fused.scatter.element_index(out_shape, &rep, p);
+                out[flatten(&ix, out_shape.dims())] = v;
+            }
+        }
+        out
+    }
 
     /// Reference (unfused) evaluation of one repetitive stage.
     fn run_stage(
@@ -501,13 +485,13 @@ mod tests {
         out_shape: &Shape,
     ) -> Vec<i64> {
         let mut out = vec![0i64; out_shape.len()];
-        for rep in lattice(ports.repetition) {
+        for rep in lattice_points(ports.repetition) {
             let mut pat = Vec::new();
-            for p in lattice(ports.in_pattern) {
+            for p in lattice_points(ports.in_pattern) {
                 let ix = ports.in_tiler.element_index(in_shape, &rep, &p);
                 pat.push(input[flatten(&ix, in_shape.dims())]);
             }
-            for (p, v) in lattice(ports.out_pattern).iter().zip(op(&pat)) {
+            for (p, v) in lattice_points(ports.out_pattern).iter().zip(op(&pat)) {
                 let ix = ports.out_tiler.element_index(out_shape, &rep, p);
                 out[flatten(&ix, out_shape.dims())] = v;
             }

@@ -5,46 +5,16 @@
 //! gather patterns through input tilers → run the body → scatter patterns
 //! through output tilers.
 //!
-//! Because ArrayOL repetitions are independent (output tilers are validated to
-//! be exact covers), the sweep can run in parallel. [`ExecOptions::parallel`]
-//! splits the repetition space across std::thread scoped threads; workers compute
-//! `(repetition, patterns)` results and the coordinator scatters them, so no
-//! two threads ever write one buffer.
+//! The sweep is sequential: it is the oracle the generated OpenCL kernels
+//! are checked against, not a fast path. ArrayOL repetitions are independent
+//! (output tilers are validated to be exact covers), so its result does not
+//! depend on the order it visits them in.
 
 use crate::graph::{ApplicationGraph, ArrayId};
 use crate::task::{RepetitiveTask, TaskBody};
 use crate::validate::ArrayOlError;
 use mdarray::{IndexIter, NdArray};
 use std::collections::HashMap;
-
-/// Execution configuration.
-#[derive(Debug, Clone, Default)]
-pub struct ExecOptions {
-    /// Run repetition sweeps across threads.
-    pub parallel: bool,
-    /// Worker count for parallel sweeps (0 = number of available cores).
-    pub workers: usize,
-}
-
-impl ExecOptions {
-    /// Sequential execution.
-    pub fn sequential() -> Self {
-        Self::default()
-    }
-
-    /// Parallel execution with the default worker count.
-    pub fn parallel() -> Self {
-        ExecOptions { parallel: true, workers: 0 }
-    }
-
-    fn effective_workers(&self) -> usize {
-        if self.workers > 0 {
-            self.workers
-        } else {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
-        }
-    }
-}
 
 /// Execute `graph` with the given external input arrays.
 ///
@@ -53,7 +23,6 @@ impl ExecOptions {
 pub fn execute(
     graph: &ApplicationGraph,
     inputs: &HashMap<ArrayId, NdArray<i64>>,
-    opts: &ExecOptions,
 ) -> Result<HashMap<ArrayId, NdArray<i64>>, ArrayOlError> {
     let mut store: Vec<Option<NdArray<i64>>> = vec![None; graph.arrays().len()];
     for &id in &graph.external_inputs {
@@ -73,7 +42,7 @@ pub fn execute(
 
     for tid in graph.schedule()? {
         let task = graph.task(tid)?;
-        run_task(graph, task, &mut store, opts)?;
+        run_task(graph, task, &mut store)?;
     }
 
     let mut out = HashMap::new();
@@ -90,7 +59,6 @@ fn run_task(
     graph: &ApplicationGraph,
     task: &RepetitiveTask,
     store: &mut [Option<NdArray<i64>>],
-    opts: &ExecOptions,
 ) -> Result<(), ArrayOlError> {
     // Snapshot input arrays (cheap clones of Vec-backed arrays; inputs are
     // immutable during the sweep so sharing would also be sound).
@@ -109,19 +77,17 @@ fn run_task(
         .map(|port| NdArray::filled(graph.arrays()[port.array.0].shape.clone(), 0i64))
         .collect();
 
-    let reps: Vec<Vec<usize>> = IndexIter::new(&task.repetition).collect();
-
-    let compute_one = |rep: &[usize]| -> Result<Vec<NdArray<i64>>, ArrayOlError> {
+    for rep in IndexIter::new(&task.repetition) {
         let mut patterns = Vec::with_capacity(task.inputs.len());
         for (port, arr) in task.inputs.iter().zip(&in_arrays) {
             // Gather a single tile: pattern-shaped array addressed by the tiler.
             let pat = NdArray::from_fn(port.pattern.clone(), |pix| {
-                let ix = port.tiler.element_index(arr.shape(), rep, pix);
+                let ix = port.tiler.element_index(arr.shape(), &rep, pix);
                 *arr.get_unchecked(&ix)
             });
             patterns.push(pat);
         }
-        let results = run_body(task, &patterns, opts)?;
+        let results = run_body(task, &patterns)?;
         if results.len() != task.outputs.len() {
             return Err(ArrayOlError::BadTaskOutput {
                 task: task.name.clone(),
@@ -140,41 +106,7 @@ fn run_task(
                 });
             }
         }
-        Ok(results)
-    };
-
-    if opts.parallel && reps.len() > 1 {
-        let workers = opts.effective_workers().min(reps.len());
-        let chunk = reps.len().div_ceil(workers);
-        type WorkerResult = Result<Vec<(usize, Vec<NdArray<i64>>)>, ArrayOlError>;
-        let results: Vec<WorkerResult> = std::thread::scope(|s| {
-            let handles: Vec<_> = reps
-                .chunks(chunk)
-                .enumerate()
-                .map(|(w, slice)| {
-                    let compute_one = &compute_one;
-                    s.spawn(move || {
-                        let base = w * chunk;
-                        let mut local = Vec::with_capacity(slice.len());
-                        for (k, rep) in slice.iter().enumerate() {
-                            local.push((base + k, compute_one(rep)?));
-                        }
-                        Ok(local)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-        });
-        for worker_result in results {
-            for (lin, patterns) in worker_result? {
-                scatter_patterns(task, &reps[lin], &patterns, &mut out_arrays);
-            }
-        }
-    } else {
-        for rep in &reps {
-            let patterns = compute_one(rep)?;
-            scatter_patterns(task, rep, &patterns, &mut out_arrays);
-        }
+        scatter_patterns(task, &rep, &results, &mut out_arrays);
     }
 
     for (port, arr) in task.outputs.iter().zip(out_arrays) {
@@ -205,7 +137,6 @@ fn scatter_patterns(
 fn run_body(
     task: &RepetitiveTask,
     patterns: &[NdArray<i64>],
-    opts: &ExecOptions,
 ) -> Result<Vec<NdArray<i64>>, ArrayOlError> {
     match &task.body {
         TaskBody::Elementary { f, .. } => Ok(f(patterns)),
@@ -224,9 +155,7 @@ fn run_body(
             for (&id, pat) in sub.external_inputs.iter().zip(patterns) {
                 inputs.insert(id, pat.clone());
             }
-            // Nested sweeps run sequentially; parallelism is applied at the top.
-            let produced = execute(sub, &inputs, &ExecOptions::sequential())?;
-            let _ = opts;
+            let produced = execute(sub, &inputs)?;
             sub.external_outputs
                 .iter()
                 .map(|id| {
@@ -279,26 +208,15 @@ mod tests {
         let input = NdArray::from_fn([32usize], |ix| ix[0] as i64);
         let mut inputs = HashMap::new();
         inputs.insert(a, input.clone());
-        let out = execute(&g, &inputs, &ExecOptions::sequential()).unwrap();
+        let out = execute(&g, &inputs).unwrap();
         let expect = input.map(|v| v * 2);
         assert_eq!(out[&b], expect);
     }
 
     #[test]
-    fn parallel_matches_sequential() {
-        let (g, a, b) = build_scale_graph(37);
-        let input = NdArray::from_fn([148usize], |ix| (ix[0] as i64) * 3 - 7);
-        let mut inputs = HashMap::new();
-        inputs.insert(a, input);
-        let seq = execute(&g, &inputs, &ExecOptions::sequential()).unwrap();
-        let par = execute(&g, &inputs, &ExecOptions { parallel: true, workers: 3 }).unwrap();
-        assert_eq!(seq[&b], par[&b]);
-    }
-
-    #[test]
     fn missing_input_is_reported() {
         let (g, _a, _b) = build_scale_graph(2);
-        let err = execute(&g, &HashMap::new(), &ExecOptions::sequential()).unwrap_err();
+        let err = execute(&g, &HashMap::new()).unwrap_err();
         assert!(matches!(err, ArrayOlError::BadInput { .. }));
     }
 
@@ -307,7 +225,7 @@ mod tests {
         let (g, a, _b) = build_scale_graph(2);
         let mut inputs = HashMap::new();
         inputs.insert(a, NdArray::filled([7usize], 0i64));
-        let err = execute(&g, &inputs, &ExecOptions::sequential()).unwrap_err();
+        let err = execute(&g, &inputs).unwrap_err();
         assert!(matches!(err, ArrayOlError::BadInput { .. }));
     }
 
@@ -327,7 +245,7 @@ mod tests {
         });
         let mut inputs = HashMap::new();
         inputs.insert(a, NdArray::filled([4usize], 1i64));
-        let err = execute(&g, &inputs, &ExecOptions::sequential()).unwrap_err();
+        let err = execute(&g, &inputs).unwrap_err();
         assert!(matches!(err, ArrayOlError::BadTaskOutput { .. }));
     }
 
@@ -368,7 +286,7 @@ mod tests {
 
         let mut inputs = HashMap::new();
         inputs.insert(a, NdArray::from_fn([8usize], |ix| ix[0] as i64));
-        let out = execute(&g, &inputs, &ExecOptions::sequential()).unwrap();
+        let out = execute(&g, &inputs).unwrap();
         let got = &out[&b];
         assert_eq!(got.as_slice(), &[10, 11, 12, 13, 14, 15, 16, 17]);
     }
@@ -424,13 +342,11 @@ mod multi_port_tests {
         let mut inputs = HashMap::new();
         inputs.insert(a, av.clone());
         inputs.insert(b, bv.clone());
-        for opts in [ExecOptions::sequential(), ExecOptions::parallel()] {
-            let out = execute(&g, &inputs, &opts).unwrap();
-            let esum = av.zip_with(&bv, |x, y| x + y).unwrap();
-            let ediff = av.zip_with(&bv, |x, y| x - y).unwrap();
-            assert_eq!(out[&sum], esum);
-            assert_eq!(out[&diff], ediff);
-        }
+        let out = execute(&g, &inputs).unwrap();
+        let esum = av.zip_with(&bv, |x, y| x + y).unwrap();
+        let ediff = av.zip_with(&bv, |x, y| x - y).unwrap();
+        assert_eq!(out[&sum], esum);
+        assert_eq!(out[&diff], ediff);
     }
 
     /// Diamond dependence: one producer feeding two consumers that merge.
@@ -474,7 +390,7 @@ mod multi_port_tests {
         let input = NdArray::from_fn([8usize], |ix| ix[0] as i64);
         let mut inputs = HashMap::new();
         inputs.insert(src, input.clone());
-        let out = execute(&g, &inputs, &ExecOptions::sequential()).unwrap();
+        let out = execute(&g, &inputs).unwrap();
         let expect = input.map(|&v| v * 2 + v * v);
         assert_eq!(out[&merged], expect);
     }

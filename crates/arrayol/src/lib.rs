@@ -16,13 +16,13 @@
 //!   scatter semantics, `e_i = o + F·i mod s_array`, `ref_r = o + P·r mod s_array`,
 //! * [`compose`] — tiler composition: fusing producer→consumer task pairs
 //!   into one task that never materialises the intermediate array,
-//! * [`access`] — plan-level tiled-access descriptions (plain-data tilers and
+//! * [`access`] — plan-level tiled-access descriptions (tilers and
 //!   elementary ops) that route frontends attach to kernel launches so the
 //!   composition algebra can fuse them after lowering,
 //! * [`task`] — elementary, repetitive and hierarchical tasks with tiled ports,
 //! * [`graph`] — application graphs, single-assignment validation and
 //!   dependence-respecting schedules,
-//! * [`exec`] — a reference executor (sequential and multi-threaded),
+//! * [`exec`] — a sequential reference executor,
 //! * [`validate`] — static well-formedness checks (shape compatibility,
 //!   exact-cover for output tilers, single assignment).
 //!
@@ -30,9 +30,9 @@
 //!
 //! ArrayOL is a single-assignment, first-order functional formalism: only true
 //! data dependences are expressed, so any schedule respecting them produces the
-//! same arrays. The executor exploits this by running repetitions in parallel;
-//! [`graph::ApplicationGraph::validate`] statically enforces the single
-//! assignment property that makes this safe.
+//! same arrays. [`graph::ApplicationGraph::validate`] statically enforces the
+//! single assignment property that makes repetitions independent, so the
+//! executor's sequential sweep and a generated parallel kernel agree.
 
 pub mod access;
 pub mod compose;
@@ -44,7 +44,7 @@ pub mod task;
 pub mod tiler;
 pub mod validate;
 
-pub use access::{compose_access, ElementaryOp, TiledAccess, TilerSpec, WindowSpec};
+pub use access::{compose_access, ElementaryOp, TiledAccess, WindowSpec};
 pub use compose::{compose, ComposeError, FusedTiling, StagePorts};
 pub use graph::{ApplicationGraph, ArrayDecl, ArrayId, TaskId};
 pub use linalg::{IMat, IVec};

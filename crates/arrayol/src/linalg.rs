@@ -126,17 +126,15 @@ pub fn vadd(a: &[i64], b: &[i64]) -> IVec {
     a.iter().zip(b).map(|(x, y)| x + y).collect()
 }
 
-/// Concatenate two index vectors (`rep ++ pat`).
-pub fn vcat(a: &[i64], b: &[i64]) -> IVec {
-    let mut v = Vec::with_capacity(a.len() + b.len());
-    v.extend_from_slice(a);
-    v.extend_from_slice(b);
-    v
-}
-
 /// Convert an unsigned index to a signed vector.
 pub fn to_signed(ix: &[usize]) -> IVec {
     ix.iter().map(|&x| x as i64).collect()
+}
+
+/// Concatenate two index vectors (`rep ++ pat`).
+#[cfg(test)]
+fn vcat(a: &[i64], b: &[i64]) -> IVec {
+    [a, b].concat()
 }
 
 #[cfg(test)]

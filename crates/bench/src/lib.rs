@@ -6,8 +6,8 @@
 //! [`exp::Experiment`] in [`exp::REGISTRY`]: a file under `src/exp/` whose
 //! run function reports a [`record::Record`]. The `reproduce` binary loops
 //! over the registry and derives the text, the `--json` file and the exit
-//! status from that one record; `cargo bench` adds wall-clock Criterion
-//! measurements of the underlying machinery.
+//! status from that one record. The host wall clock of the machinery is
+//! measured separately, by `perfbench/`.
 //!
 //! Timing methodology: kernels execute functionally on the simulator and the
 //! reported "GPU time" is simulated time from [`simgpu::Calibration`]

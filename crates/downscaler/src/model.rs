@@ -14,6 +14,7 @@
 
 use crate::filter::FilterSpec;
 use crate::scenario::Scenario;
+use arrayol::{ElementaryOp, IMat, Tiler, WindowSpec};
 use gaspard::model::*;
 
 /// Build the repetitive channel-filter component for one direction.
@@ -34,9 +35,9 @@ fn channel_filter(
     let repetition = if dim == 1 { vec![in_shape[0], tiles] } else { vec![tiles, in_shape[1]] };
     let unit = |d: usize| {
         if d == 0 {
-            vec![vec![1], vec![0]]
+            IMat::from_rows(&[&[1], &[0]])
         } else {
-            vec![vec![0], vec![1]]
+            IMat::from_rows(&[&[0], &[1]])
         }
     };
     let mut in_origin = vec![0i64, 0];
@@ -45,14 +46,14 @@ fn channel_filter(
     // repetition ordered (rows, tiles) or (tiles, cols), the filtered
     // dimension advances by `step` per tile and the other dimension by 1.
     let in_paving = if dim == 1 {
-        vec![vec![1, 0], vec![0, spec.step as i64]]
+        IMat::from_rows(&[&[1, 0], &[0, spec.step as i64]])
     } else {
-        vec![vec![spec.step as i64, 0], vec![0, 1]]
+        IMat::from_rows(&[&[spec.step as i64, 0], &[0, 1]])
     };
     let out_paving = if dim == 1 {
-        vec![vec![1, 0], vec![0, k as i64]]
+        IMat::from_rows(&[&[1, 0], &[0, k as i64]])
     } else {
-        vec![vec![k as i64, 0], vec![0, 1]]
+        IMat::from_rows(&[&[k as i64, 0], &[0, 1]])
     };
     Component {
         name: name.into(),
@@ -64,14 +65,8 @@ fn channel_filter(
         kind: ComponentKind::Repetitive {
             repetition,
             inner: task.into(),
-            input_tilers: vec![(
-                vec![spec.pattern],
-                TilerSpec { origin: in_origin, fitting: unit(dim), paving: in_paving },
-            )],
-            output_tilers: vec![(
-                vec![k],
-                TilerSpec { origin: vec![0, 0], fitting: unit(dim), paving: out_paving },
-            )],
+            input_tilers: vec![(vec![spec.pattern], Tiler::new(in_origin, unit(dim), in_paving))],
+            output_tilers: vec![(vec![k], Tiler::new(vec![0, 0], unit(dim), out_paving))],
         },
     }
 }
@@ -269,11 +264,11 @@ mod tests {
         // paving {{1,0},{0,8}}, repetition {1080,240}.
         assert_eq!(sm.arrays[bhf.input].shape, vec![1080, 1920]);
         assert_eq!(bhf.in_pattern, vec![11]);
-        assert_eq!(bhf.in_tiler.paving, vec![vec![1, 0], vec![0, 8]]);
+        assert_eq!(bhf.in_tiler.paving, IMat::from_rows(&[&[1, 0], &[0, 8]]));
         assert_eq!(bhf.repetition, vec![1080, 240]);
         // Output side: pattern {3}, paving {{1,0},{0,3}}, array {1080,720}.
         assert_eq!(bhf.out_pattern, vec![3]);
-        assert_eq!(bhf.out_tiler.paving, vec![vec![1, 0], vec![0, 3]]);
+        assert_eq!(bhf.out_tiler.paving, IMat::from_rows(&[&[1, 0], &[0, 3]]));
         assert_eq!(sm.arrays[bhf.output].shape, vec![1080, 720]);
     }
 
@@ -291,8 +286,7 @@ mod tests {
         for (i, ch) in channels.iter().enumerate() {
             inputs.insert(g.external_inputs[i], ch.clone());
         }
-        let out =
-            arrayol::exec::execute(&g, &inputs, &arrayol::exec::ExecOptions::sequential()).unwrap();
+        let out = arrayol::exec::execute(&g, &inputs).unwrap();
         for (c, ch) in channels.iter().enumerate() {
             let expect = crate::filter::downscale_channel(ch, &s.h, &s.v);
             assert_eq!(out[&g.external_outputs[c]], expect, "channel {c}");

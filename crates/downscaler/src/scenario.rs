@@ -102,11 +102,6 @@ impl Scenario {
     pub fn out_shape(&self) -> (usize, usize) {
         (self.v_out_rows(), self.h_out_cols())
     }
-
-    /// Bytes of one input frame (all channels, 32-bit pixels).
-    pub fn frame_bytes(&self) -> usize {
-        self.channels * self.rows * self.cols * 4
-    }
 }
 
 #[cfg(test)]
@@ -122,8 +117,6 @@ mod tests {
         assert_eq!(s.h_tiles(), 240);
         assert_eq!(s.v_tiles(), 120);
         assert_eq!(s.frames, 300);
-        // 1080*1920*4 bytes per channel ≈ 8.29 MB (Table I's H2D unit).
-        assert_eq!(s.frame_bytes(), 3 * 8_294_400);
     }
 
     #[test]

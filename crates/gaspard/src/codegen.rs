@@ -167,8 +167,8 @@ mod tests {
 #[cfg(test)]
 mod rank2_pattern_tests {
     use super::*;
-    use crate::model::{ElementaryOp, TilerSpec};
     use crate::transform::{ScheduledArray, ScheduledKernel, ScheduledModel};
+    use arrayol::{ElementaryOp, IMat, Tiler};
     use mdarray::NdArray;
     use simgpu::device::Device;
     use simgpu::kir::KernelArg;
@@ -189,18 +189,18 @@ mod rank2_pattern_tests {
                 repetition: vec![2, 2],
                 input: 0,
                 in_pattern: vec![2, 2],
-                in_tiler: TilerSpec {
-                    origin: vec![0, 0],
-                    fitting: vec![vec![1, 0], vec![0, 1]],
-                    paving: vec![vec![2, 0], vec![0, 2]],
-                },
+                in_tiler: Tiler::new(
+                    vec![0, 0],
+                    IMat::identity(2),
+                    IMat::from_rows(&[&[2, 0], &[0, 2]]),
+                ),
                 output: 1,
                 out_pattern: vec![2, 2],
-                out_tiler: TilerSpec {
-                    origin: vec![0, 0],
-                    fitting: vec![vec![1, 0], vec![0, 1]],
-                    paving: vec![vec![2, 0], vec![0, 2]],
-                },
+                out_tiler: Tiler::new(
+                    vec![0, 0],
+                    IMat::identity(2),
+                    IMat::from_rows(&[&[2, 0], &[0, 2]]),
+                ),
                 op: ElementaryOp::Copy,
             }],
             inputs: vec![0],

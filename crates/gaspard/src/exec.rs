@@ -122,7 +122,7 @@ mod tests {
     use crate::fixtures::mini_two_stage_model;
     use crate::model::Platform;
     use crate::transform::{deploy, schedule, to_arrayol};
-    use arrayol::exec::{execute, ExecOptions as ArrayOlExecOptions};
+    use arrayol::exec::execute;
     use mdarray::NdArray;
     use simgpu::{run_plan, Device, ExecOptions, ScheduleError};
     use std::collections::HashMap;
@@ -176,7 +176,7 @@ mod tests {
         let g = to_arrayol(&prog.model).unwrap();
         let mut inputs = HashMap::new();
         inputs.insert(g.external_inputs[0], frame.clone());
-        let expect = execute(&g, &inputs, &ArrayOlExecOptions::sequential()).unwrap();
+        let expect = execute(&g, &inputs).unwrap();
         let expect = &expect[&g.external_outputs[0]];
 
         // Generated OpenCL on the simulator.

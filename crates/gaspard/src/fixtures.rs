@@ -1,6 +1,7 @@
 //! Reusable model fixtures for tests, examples and benches.
 
 use crate::model::*;
+use arrayol::{ElementaryOp, IMat, Tiler, WindowSpec};
 
 /// A miniature two-stage filter application:
 ///
@@ -40,19 +41,19 @@ pub fn mini_two_stage_model() -> (Model, Allocation) {
                 inner: task.into(),
                 input_tilers: vec![(
                     vec![5],
-                    TilerSpec {
-                        origin: vec![0, 0],
-                        fitting: vec![vec![0], vec![1]],
-                        paving: vec![vec![1, 0], vec![0, 4]],
-                    },
+                    Tiler::new(
+                        vec![0, 0],
+                        IMat::from_rows(&[&[0], &[1]]),
+                        IMat::from_rows(&[&[1, 0], &[0, 4]]),
+                    ),
                 )],
                 output_tilers: vec![(
                     vec![2],
-                    TilerSpec {
-                        origin: vec![0, 0],
-                        fitting: vec![vec![0], vec![1]],
-                        paving: vec![vec![1, 0], vec![0, 2]],
-                    },
+                    Tiler::new(
+                        vec![0, 0],
+                        IMat::from_rows(&[&[0], &[1]]),
+                        IMat::from_rows(&[&[1, 0], &[0, 2]]),
+                    ),
                 )],
             },
         }

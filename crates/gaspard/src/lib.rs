@@ -18,9 +18,9 @@
 //! Crate layout, mirroring the tooling it reproduces:
 //!
 //! * [`model`] — the model elements: components with ports and
-//!   `HwResource`/`SwResource` stereotypes, repetitive components with tiler
-//!   connectors (MARTE's Repetitive Structure Modelling package), and the
-//!   elementary "IPs" tasks link against,
+//!   `HwResource`/`SwResource` stereotypes, and repetitive components whose
+//!   connectors carry [`arrayol::Tiler`]s (MARTE's Repetitive Structure
+//!   Modelling package) around an elementary [`arrayol::ElementaryOp`] "IP",
 //! * [`marte`] — stereotype validation: tiler/shape consistency checks,
 //! * [`transform`] — the transformation chain: *deploy* (allocate components
 //!   onto hardware resources) → *schedule* (flatten the hierarchy into an
@@ -28,7 +28,9 @@
 //!   [`arrayol::ApplicationGraph`] for reference execution,
 //! * [`codegen`] — model-to-text: one OpenCL kernel per elementary task
 //!   (the paper's Figure 11 artefact), plus the host-side plan,
-//! * [`exec`] — execution of the generated program on the [`simgpu`] device.
+//! * [`exec`] — lowering of the generated program to a [`simgpu`] launch plan,
+//! * [`openmp`] — the OpenMP C source of the same scheduled model, emitted
+//!   for inspection and never executed.
 
 pub mod codegen;
 pub mod emit;
@@ -42,8 +44,8 @@ pub mod transform;
 pub use codegen::{generate_opencl, OpenClProgram};
 pub use exec::{lower_plan, lower_plan_with, Placement};
 pub use model::{
-    Allocation, Component, ComponentKind, Connection, ElementaryOp, HwKind, Model, PartRef,
-    Platform, Port, PortDir, Stereotype, TilerSpec, WindowSpec,
+    Allocation, Component, ComponentKind, Connection, HwKind, Model, PartRef, Platform, Port,
+    PortDir, Stereotype,
 };
 pub use transform::{deploy, schedule, to_arrayol, DeployedModel, ScheduledKernel, ScheduledModel};
 
@@ -59,8 +61,6 @@ pub enum GaspardError {
     Unallocated { component: String },
     /// The scheduler found a cycle.
     Cyclic { involving: String },
-    /// Execution input mismatch.
-    BadInput { msg: String },
     /// Plan rewriting or batch execution failed in the shared scheduler.
     Schedule(simgpu::ScheduleError),
 }
@@ -74,7 +74,6 @@ impl std::fmt::Display for GaspardError {
                 write!(f, "component '{component}' not allocated to a resource")
             }
             GaspardError::Cyclic { involving } => write!(f, "cyclic model at '{involving}'"),
-            GaspardError::BadInput { msg } => write!(f, "bad input: {msg}"),
             GaspardError::Schedule(e) => write!(f, "{e}"),
         }
     }

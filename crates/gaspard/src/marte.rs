@@ -14,6 +14,7 @@
 
 use crate::model::*;
 use crate::GaspardError;
+use arrayol::ElementaryOp;
 use mdarray::Shape;
 
 /// Validate a whole model.
@@ -108,7 +109,7 @@ fn validate_component(model: &Model, c: &Component) -> Result<(), GaspardError> 
             if inner_ins.len() != ins.len() || inner_outs.len() != outs.len() {
                 return Err(invalid(&c.name, "inner port count does not match"));
             }
-            for ((port, (pattern, spec)), inner_port) in
+            for ((port, (pattern, tiler)), inner_port) in
                 ins.iter().zip(input_tilers).zip(&inner_ins)
             {
                 if &inner_port.shape != pattern {
@@ -120,17 +121,16 @@ fn validate_component(model: &Model, c: &Component) -> Result<(), GaspardError> 
                         ),
                     ));
                 }
-                spec.to_tiler()
+                tiler
                     .validate(&Shape::new(port.shape.clone()), &Shape::new(pattern.clone()), &rep)
                     .map_err(|e| invalid(&c.name, e.to_string()))?;
             }
-            for ((port, (pattern, spec)), inner_port) in
+            for ((port, (pattern, tiler)), inner_port) in
                 outs.iter().zip(output_tilers).zip(&inner_outs)
             {
                 if &inner_port.shape != pattern {
                     return Err(invalid(&c.name, "inner output pattern differs from tiler"));
                 }
-                let tiler = spec.to_tiler();
                 let arr = Shape::new(port.shape.clone());
                 let pat = Shape::new(pattern.clone());
                 tiler.validate(&arr, &pat, &rep).map_err(|e| invalid(&c.name, e.to_string()))?;
@@ -213,6 +213,7 @@ fn endpoint_shape(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use arrayol::{IMat, Tiler, WindowSpec};
 
     fn elementary(name: &str, in_len: usize, op: ElementaryOp) -> Component {
         let out_len = op.out_len(in_len);
@@ -245,19 +246,19 @@ mod tests {
                 inner: "interp".into(),
                 input_tilers: vec![(
                     vec![5],
-                    TilerSpec {
-                        origin: vec![0, 0],
-                        fitting: vec![vec![0], vec![1]],
-                        paving: vec![vec![1, 0], vec![0, 4]],
-                    },
+                    Tiler::new(
+                        vec![0, 0],
+                        IMat::from_rows(&[&[0], &[1]]),
+                        IMat::from_rows(&[&[1, 0], &[0, 4]]),
+                    ),
                 )],
                 output_tilers: vec![(
                     vec![2],
-                    TilerSpec {
-                        origin: vec![0, 0],
-                        fitting: vec![vec![0], vec![1]],
-                        paving: vec![vec![1, 0], vec![0, 2]],
-                    },
+                    Tiler::new(
+                        vec![0, 0],
+                        IMat::from_rows(&[&[0], &[1]]),
+                        IMat::from_rows(&[&[1, 0], &[0, 2]]),
+                    ),
                 )],
             },
         };
@@ -306,7 +307,7 @@ mod tests {
         let mut m = simple_model();
         if let ComponentKind::Repetitive { output_tilers, .. } = &mut m.components[1].kind {
             // Step 1 instead of 2: outputs overlap.
-            output_tilers[0].1.paving = vec![vec![1, 0], vec![0, 1]];
+            output_tilers[0].1.paving = IMat::identity(2);
         }
         assert!(matches!(validate(&m), Err(GaspardError::Invalid { .. })));
     }

@@ -1,7 +1,7 @@
 //! Model elements: a Rust rendering of the UML/MARTE models GASPARD2 takes
 //! as input (Papyrus being the graphical front end in the paper).
 
-pub use arrayol::access::{ElementaryOp, TiledAccess, TilerSpec, WindowSpec};
+use arrayol::{ElementaryOp, Tiler};
 
 /// Port direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,9 +48,9 @@ pub enum ComponentKind {
         /// Inner component (by name).
         inner: String,
         /// Input pattern shape and tiler, one per inner input port.
-        input_tilers: Vec<(Vec<usize>, TilerSpec)>,
+        input_tilers: Vec<(Vec<usize>, Tiler)>,
         /// Output pattern shape and tiler, one per inner output port.
-        output_tilers: Vec<(Vec<usize>, TilerSpec)>,
+        output_tilers: Vec<(Vec<usize>, Tiler)>,
     },
     /// A composite: parts wired by connections.
     Composite {
@@ -191,17 +191,7 @@ impl Model {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tiler_spec_converts_to_arrayol() {
-        let spec = TilerSpec {
-            origin: vec![0, 0],
-            fitting: vec![vec![0], vec![1]],
-            paving: vec![vec![1, 0], vec![0, 8]],
-        };
-        let t = spec.to_tiler();
-        assert_eq!(t.reference(&[2, 3]), vec![2, 24]);
-    }
+    use arrayol::WindowSpec;
 
     #[test]
     fn elementary_ops_reference_semantics() {

@@ -2,47 +2,14 @@
 //!
 //! GASPARD2 "allows us to generate code for a few target languages and
 //! platforms such as OpenMP, SystemC, VHDL, Pthread and OPENCL" (§V.C). This
-//! module implements the shared-memory CPU target: the scheduled model is
-//! executed with the ArrayOL executor's parallel repetition sweep (the moral
-//! equivalent of `#pragma omp parallel for` over the repetition space), and
-//! the corresponding C source is emitted for inspection.
+//! module emits the shared-memory CPU target as C source: one
+//! `#pragma omp parallel for` over each task's repetition space. The source
+//! is written for inspection and never executed; the OpenCL target is the
+//! one the simulator runs.
 
-use crate::model::ElementaryOp;
-use crate::transform::{to_arrayol, ScheduledKernel, ScheduledModel};
-use crate::GaspardError;
-use arrayol::exec::{execute, ExecOptions};
-use mdarray::NdArray;
-use std::collections::HashMap;
+use crate::transform::{ScheduledKernel, ScheduledModel};
+use arrayol::{ElementaryOp, IMat};
 use std::fmt::Write as _;
-
-/// Execute the scheduled model on the host with `workers` threads
-/// (0 = available cores). Returns one array per sink, in model order.
-pub fn run_openmp(
-    sm: &ScheduledModel,
-    inputs: &[NdArray<i64>],
-    workers: usize,
-) -> Result<Vec<NdArray<i64>>, GaspardError> {
-    if inputs.len() != sm.inputs.len() {
-        return Err(GaspardError::BadInput {
-            msg: format!("expected {} inputs, got {}", sm.inputs.len(), inputs.len()),
-        });
-    }
-    let g = to_arrayol(sm)?;
-    let mut bound = HashMap::new();
-    for (&id, arr) in g.external_inputs.iter().zip(inputs) {
-        bound.insert(id, arr.clone());
-    }
-    let outs = execute(&g, &bound, &ExecOptions { parallel: true, workers })
-        .map_err(|e| GaspardError::Invalid { element: "openmp run".into(), msg: e.to_string() })?;
-    g.external_outputs
-        .iter()
-        .map(|id| {
-            outs.get(id).cloned().ok_or_else(|| GaspardError::BadInput {
-                msg: "sink array missing after execution".into(),
-            })
-        })
-        .collect()
-}
 
 /// Emit the OpenMP C source for the scheduled model.
 pub fn emit_openmp_source(sm: &ScheduledModel) -> String {
@@ -78,7 +45,8 @@ fn emit_task(sm: &ScheduledModel, k: &ScheduledKernel, out: &mut String) {
     let _ = writeln!(
         out,
         "    gather_tile(pattern, {in_name} /* origin {:?}, paving {:?} */);",
-        k.in_tiler.origin, k.in_tiler.paving
+        k.in_tiler.origin,
+        rows(&k.in_tiler.paving)
     );
     match &k.op {
         ElementaryOp::InterpolateWindows { windows, divisor } => {
@@ -131,51 +99,28 @@ fn emit_task(sm: &ScheduledModel, k: &ScheduledKernel, out: &mut String) {
     let _ = writeln!(
         out,
         "    scatter_tile({out_name} /* origin {:?}, paving {:?} */);",
-        k.out_tiler.origin, k.out_tiler.paving
+        k.out_tiler.origin,
+        rows(&k.out_tiler.paving)
     );
     out.push_str("  }\n}\n");
+}
+
+/// A matrix as its list of rows, so `{:?}` prints `[[1, 0], [0, 8]]`.
+fn rows(m: &IMat) -> Vec<&[i64]> {
+    (0..m.rows()).map(|r| m.row(r)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codegen::generate_opencl;
     use crate::fixtures::mini_two_stage_model;
     use crate::model::Platform;
     use crate::transform::{deploy, schedule};
-    use simgpu::device::Device;
 
     fn scheduled() -> ScheduledModel {
         let (model, alloc) = mini_two_stage_model();
         let dep = deploy(model, Platform::cpu_gpu(), alloc).unwrap();
         schedule(&dep).unwrap()
-    }
-
-    #[test]
-    fn openmp_target_matches_opencl_target() {
-        let sm = scheduled();
-        let frame = NdArray::from_fn([4usize, 16], |ix| ((ix[0] * 7 + ix[1]) % 100) as i64);
-
-        let omp = run_openmp(&sm, std::slice::from_ref(&frame), 3).unwrap();
-
-        let opencl = generate_opencl(&sm).unwrap();
-        let mut device = Device::gtx480();
-        let plan = crate::exec::lower_plan(&opencl);
-        let (mut ocl, _) =
-            simgpu::run_plan(plan, &mut device, &[vec![frame]], &simgpu::ExecOptions::default())
-                .unwrap();
-        assert_eq!(omp, ocl.pop().unwrap(), "two targets, one model, one result");
-    }
-
-    #[test]
-    fn worker_counts_agree() {
-        let sm = scheduled();
-        let frame = NdArray::from_fn([4usize, 16], |ix| (ix[0] * 16 + ix[1]) as i64);
-        let one = run_openmp(&sm, std::slice::from_ref(&frame), 1).unwrap();
-        let many = run_openmp(&sm, std::slice::from_ref(&frame), 8).unwrap();
-        let auto = run_openmp(&sm, std::slice::from_ref(&frame), 0).unwrap();
-        assert_eq!(one, many);
-        assert_eq!(one, auto);
     }
 
     #[test]
@@ -185,11 +130,16 @@ mod tests {
         assert!(src.contains("void s1("), "{src}");
         assert!(src.contains("void s2("), "{src}");
         assert!(src.contains("t0 / 3 - t0 % 3"), "{src}");
-    }
-
-    #[test]
-    fn input_arity_checked() {
-        let sm = scheduled();
-        assert!(matches!(run_openmp(&sm, &[], 1), Err(GaspardError::BadInput { .. })));
+        // The tiler comments print each matrix as its list of rows.
+        let tile_lines: Vec<&str> = src.lines().filter(|l| l.contains("_tile(")).collect();
+        assert_eq!(
+            tile_lines,
+            [
+                "    gather_tile(pattern, src_frame /* origin [0, 0], paving [[1, 0], [0, 4]] */);",
+                "    scatter_tile(s1_fout /* origin [0, 0], paving [[1, 0], [0, 2]] */);",
+                "    gather_tile(pattern, s1_fout /* origin [0, 0], paving [[1, 0], [0, 4]] */);",
+                "    scatter_tile(s2_fout /* origin [0, 0], paving [[1, 0], [0, 2]] */);",
+            ]
+        );
     }
 }

@@ -17,6 +17,7 @@
 use crate::marte;
 use crate::model::*;
 use crate::GaspardError;
+use arrayol::{ElementaryOp, Tiler};
 use mdarray::Shape;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -80,13 +81,13 @@ pub struct ScheduledKernel {
     /// Input pattern shape.
     pub in_pattern: Vec<usize>,
     /// Input tiler.
-    pub in_tiler: TilerSpec,
+    pub in_tiler: Tiler,
     /// Output array id.
     pub output: usize,
     /// Output pattern shape.
     pub out_pattern: Vec<usize>,
     /// Output tiler.
-    pub out_tiler: TilerSpec,
+    pub out_tiler: Tiler,
     /// The elementary computation.
     pub op: ElementaryOp,
 }
@@ -308,13 +309,13 @@ pub fn to_arrayol(sm: &ScheduledModel) -> Result<arrayol::ApplicationGraph, Gasp
                 "in",
                 ids[k.input],
                 Shape::new(k.in_pattern.clone()),
-                k.in_tiler.to_tiler(),
+                k.in_tiler.clone(),
             )],
             outputs: vec![arrayol::Port::new(
                 "out",
                 ids[k.output],
                 Shape::new(k.out_pattern.clone()),
-                k.out_tiler.to_tiler(),
+                k.out_tiler.clone(),
             )],
             body: arrayol::TaskBody::Elementary { kernel_name: k.name.clone(), f },
         });
@@ -330,7 +331,7 @@ pub fn to_arrayol(sm: &ScheduledModel) -> Result<arrayol::ApplicationGraph, Gasp
 mod tests {
     use super::*;
     use crate::fixtures::mini_two_stage_model;
-    use arrayol::exec::{execute, ExecOptions};
+    use arrayol::exec::execute;
     use mdarray::NdArray;
     use std::collections::HashMap as Map;
 
@@ -379,7 +380,7 @@ mod tests {
         let input = NdArray::from_fn([4usize, 16], |ix| (ix[0] * 16 + ix[1]) as i64);
         let mut inputs = Map::new();
         inputs.insert(g.external_inputs[0], input);
-        let out = execute(&g, &inputs, &ExecOptions::sequential()).unwrap();
+        let out = execute(&g, &inputs).unwrap();
         let result = &out[&g.external_outputs[0]];
         assert_eq!(result.shape().dims(), &[4, 4]);
     }

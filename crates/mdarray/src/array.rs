@@ -127,18 +127,6 @@ impl<T: Clone> NdArray<T> {
         Ok(NdArray { shape: self.shape.clone(), data })
     }
 
-    /// Reinterpret the flat buffer under a new shape of equal length.
-    pub fn reshape(&self, shape: impl Into<Shape>) -> Result<NdArray<T>, MdError> {
-        let shape = shape.into();
-        if shape.len() != self.data.len() {
-            return Err(MdError::ShapeMismatch {
-                left: shape.dims().to_vec(),
-                right: self.shape.dims().to_vec(),
-            });
-        }
-        Ok(NdArray { shape, data: self.data.clone() })
-    }
-
     /// Extract the rank-(r-k) sub-array at a length-k index prefix.
     ///
     /// For a `[1080,240,11]` intermediate this selects e.g. the 11-element
@@ -223,14 +211,6 @@ mod tests {
         let c = NdArray::filled([2, 2], 2);
         let d = a.zip_with(&c, |x, y| x + y).unwrap();
         assert_eq!(d.as_slice(), &[3, 3, 3, 3]);
-    }
-
-    #[test]
-    fn reshape_roundtrip() {
-        let a = NdArray::from_fn([2, 6], |ix| ix[0] * 6 + ix[1]);
-        let b = a.reshape([3, 4]).unwrap();
-        assert_eq!(b[&[2, 3]], 11);
-        assert!(a.reshape([5, 5]).is_err());
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! * [`Shape`] — a rank-polymorphic extent descriptor with row-major strides,
 //! * [`NdArray`] — a dense, row-major, heap-backed array over any `Clone` element,
 //! * [`IndexIter`] — lexicographic iteration over all indices of a shape,
-//! * elementwise operations and reductions ([`ops`]),
-//! * lightweight borrowed [`view::ArrayView`]s for zero-copy sub-array access.
+//! * a positional checksum for comparing frames ([`ops::checksum`]).
 //!
 //! Both the ArrayOL executor and the SaC interpreter manipulate frames through this
 //! crate, and the GPU simulator's buffers are flat `Vec<i32>` images of these arrays,
@@ -33,12 +32,10 @@ pub mod array;
 pub mod iter;
 pub mod ops;
 pub mod shape;
-pub mod view;
 
 pub use array::NdArray;
 pub use iter::IndexIter;
 pub use shape::Shape;
-pub use view::ArrayView;
 
 /// Errors reported by shape-sensitive operations.
 #[derive(Debug, Clone, PartialEq, Eq)]

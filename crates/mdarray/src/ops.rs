@@ -1,52 +1,6 @@
-//! Elementwise operations and reductions over [`NdArray`]s of integers.
-//!
-//! The SaC subset in this workspace computes exclusively on machine integers
-//! (video pixels are 8-bit channel values widened to `i64` during filtering),
-//! so the operation set here is integer-flavoured: saturating/wrapping variants
-//! are not needed, but truncating division and Euclidean remainder are, because
-//! the downscaler's interpolation kernel is `tmp / 6 - tmp % 6`.
+//! Whole-array operations over [`NdArray`]s of integers.
 
-use crate::{MdError, NdArray};
-
-/// Elementwise sum of two same-shaped arrays.
-pub fn add(a: &NdArray<i64>, b: &NdArray<i64>) -> Result<NdArray<i64>, MdError> {
-    a.zip_with(b, |x, y| x + y)
-}
-
-/// Elementwise difference.
-pub fn sub(a: &NdArray<i64>, b: &NdArray<i64>) -> Result<NdArray<i64>, MdError> {
-    a.zip_with(b, |x, y| x - y)
-}
-
-/// Elementwise product.
-pub fn mul(a: &NdArray<i64>, b: &NdArray<i64>) -> Result<NdArray<i64>, MdError> {
-    a.zip_with(b, |x, y| x * y)
-}
-
-/// Add a scalar to every element.
-pub fn add_scalar(a: &NdArray<i64>, s: i64) -> NdArray<i64> {
-    a.map(|x| x + s)
-}
-
-/// Multiply every element by a scalar.
-pub fn mul_scalar(a: &NdArray<i64>, s: i64) -> NdArray<i64> {
-    a.map(|x| x * s)
-}
-
-/// Sum of all elements.
-pub fn sum(a: &NdArray<i64>) -> i64 {
-    a.as_slice().iter().sum()
-}
-
-/// Minimum element, or `None` for empty arrays.
-pub fn min(a: &NdArray<i64>) -> Option<i64> {
-    a.as_slice().iter().copied().min()
-}
-
-/// Maximum element, or `None` for empty arrays.
-pub fn max(a: &NdArray<i64>) -> Option<i64> {
-    a.as_slice().iter().copied().max()
-}
+use crate::NdArray;
 
 /// A simple positional checksum used by tests and the frame sink to compare
 /// pipelines without storing full frames: `sum(v[i] * (i * 2 + 1))` in
@@ -65,32 +19,6 @@ mod tests {
 
     fn a2x2(vals: [i64; 4]) -> NdArray<i64> {
         NdArray::from_vec([2, 2], vals.to_vec()).unwrap()
-    }
-
-    #[test]
-    fn elementwise_arithmetic() {
-        let a = a2x2([1, 2, 3, 4]);
-        let b = a2x2([10, 20, 30, 40]);
-        assert_eq!(add(&a, &b).unwrap().as_slice(), &[11, 22, 33, 44]);
-        assert_eq!(sub(&b, &a).unwrap().as_slice(), &[9, 18, 27, 36]);
-        assert_eq!(mul(&a, &a).unwrap().as_slice(), &[1, 4, 9, 16]);
-    }
-
-    #[test]
-    fn scalar_ops() {
-        let a = a2x2([1, 2, 3, 4]);
-        assert_eq!(add_scalar(&a, 5).as_slice(), &[6, 7, 8, 9]);
-        assert_eq!(mul_scalar(&a, -1).as_slice(), &[-1, -2, -3, -4]);
-    }
-
-    #[test]
-    fn reductions() {
-        let a = a2x2([4, -2, 9, 1]);
-        assert_eq!(sum(&a), 12);
-        assert_eq!(min(&a), Some(-2));
-        assert_eq!(max(&a), Some(9));
-        let empty = NdArray::from_vec([0], Vec::<i64>::new()).unwrap();
-        assert_eq!(min(&empty), None);
     }
 
     #[test]

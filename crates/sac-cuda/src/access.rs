@@ -15,7 +15,8 @@
 //! the plan runs unfused, which is the safe fallback; WITH-loop folding
 //! upstream remains the general mechanism for those shapes.
 
-use arrayol::access::{ElementaryOp, TiledAccess, TilerSpec};
+use arrayol::access::{ElementaryOp, TiledAccess};
+use arrayol::{IMat, Tiler};
 use sac_lang::ast::BinKind;
 use sac_lang::wir::{FlatProgram, FlatWith, Step, SymExpr};
 
@@ -210,20 +211,16 @@ fn recognize_with(
         return None;
     };
 
-    let mut fitting = vec![vec![0i64]; in_rank];
+    let mut fitting = IMat::zeros(in_rank, 1);
     if let Some(ax) = axis {
-        fitting[ax][0] = 1;
+        *fitting.at_mut(ax, 0) = 1;
     }
     let access = TiledAccess {
         repetition: with.shape.clone(),
         in_pattern: vec![weights.len()],
-        in_tiler: TilerSpec { origin, fitting, paving: matrix },
+        in_tiler: Tiler::new(origin, fitting, IMat::new(in_rank, rank, matrix.concat())),
         out_pattern: vec![1],
-        out_tiler: TilerSpec {
-            origin: vec![0; rank],
-            fitting: vec![vec![0]; rank],
-            paving: (0..rank).map(|d| (0..rank).map(|k| i64::from(k == d)).collect()).collect(),
-        },
+        out_tiler: Tiler::new(vec![0; rank], IMat::zeros(rank, 1), IMat::identity(rank)),
         op,
     };
     Some((src, access))
@@ -282,8 +279,8 @@ mod tests {
         assert_eq!(access.repetition, vec![4, 6]);
         assert_eq!(access.in_pattern, vec![3]);
         assert_eq!(access.in_tiler.origin, vec![0, 0]);
-        assert_eq!(access.in_tiler.fitting, vec![vec![0], vec![1]]);
-        assert_eq!(access.in_tiler.paving, vec![vec![1, 0], vec![0, 1]]);
+        assert_eq!(access.in_tiler.fitting, IMat::from_rows(&[&[0], &[1]]));
+        assert_eq!(access.in_tiler.paving, IMat::identity(2));
         assert_eq!(access.out_pattern, vec![1]);
         assert!(
             matches!(&access.op, ElementaryOp::WeightedSum { weights } if weights == &vec![1, 2, 1])
@@ -334,8 +331,8 @@ mod tests {
         let p = prog_with_body(vec![2, 3, 5], vec![3, 5], body);
         let (_, access) = recognize(&p, 0, 0).unwrap();
         assert_eq!(access.in_pattern, vec![2]);
-        assert_eq!(access.in_tiler.fitting, vec![vec![1], vec![0], vec![0]]);
-        assert_eq!(access.in_tiler.paving, vec![vec![0, 0], vec![1, 0], vec![0, 1]]);
+        assert_eq!(access.in_tiler.fitting, IMat::from_rows(&[&[1], &[0], &[0]]));
+        assert_eq!(access.in_tiler.paving, IMat::from_rows(&[&[0, 0], &[1, 0], &[0, 1]]));
         assert!(
             matches!(&access.op, ElementaryOp::WeightedSum { weights } if weights == &vec![1, -1])
         );

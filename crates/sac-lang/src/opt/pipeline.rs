@@ -15,7 +15,7 @@ use crate::SacError;
 #[derive(Debug, Clone)]
 pub struct OptConfig {
     /// Run WITH-loop folding (the paper's WLF). Disabling it is the
-    /// ablation knob for `benches/ablation_wlf.rs`.
+    /// ablation knob for `reproduce ablations`.
     pub with_loop_folding: bool,
     /// Split generators to statically resolve wrap-around `%` addressing.
     pub resolve_modulo: bool,

@@ -422,97 +422,6 @@ impl FlatProgram {
     }
 }
 
-impl FlatProgram {
-    /// Execute like [`FlatProgram::run`], but sweep each WITH-loop's lattice
-    /// across `workers` threads (0 = available cores) — the shared-memory
-    /// auto-parallelisation the paper credits SaC with ("almost linear
-    /// speedups […] for shared memory systems").
-    ///
-    /// WITH-loop semantics make this safe without locks: generators write
-    /// disjoint cells of a fresh result array per step (later generators win
-    /// overlaps, preserved here by sweeping generators in order), so each
-    /// worker fills its own slice of the lattice into a private write list
-    /// that the coordinator applies in lattice order. Results are bit-equal
-    /// to the sequential evaluator (tested below); host steps still run
-    /// sequentially. `ops` is not counted (parallel runs are for speed).
-    pub fn run_parallel(
-        &self,
-        inputs: &[NdArray<i64>],
-        workers: usize,
-    ) -> Result<NdArray<i64>, SacError> {
-        let workers = if workers == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
-        } else {
-            workers
-        };
-        let mut store = self.bind_inputs(inputs)?;
-
-        for step in &self.steps {
-            match step {
-                Step::With { target, with } => {
-                    let mut out = match with.modarray_src {
-                        Some(src) => store[src]
-                            .as_ref()
-                            .ok_or_else(|| SacError::Eval {
-                                msg: format!("modarray source {src} not computed"),
-                            })?
-                            .clone(),
-                        None => NdArray::filled(with.shape.clone(), with.default),
-                    };
-                    let out_shape = mdarray::Shape::new(with.shape.clone());
-                    for gen in &with.generators {
-                        // Materialise the lattice once, then chunk it.
-                        let mut points: Vec<Vec<i64>> = Vec::new();
-                        gen.for_each_point(|iv| points.push(iv.to_vec()));
-                        if points.is_empty() {
-                            continue;
-                        }
-                        let chunk = points.len().div_ceil(workers.max(1));
-                        let results: Vec<Result<Vec<(usize, i64)>, SacError>> =
-                            std::thread::scope(|s| {
-                                let store = &store;
-                                let out_shape = &out_shape;
-                                points
-                                    .chunks(chunk)
-                                    .map(|slice| {
-                                        s.spawn(move || {
-                                            let mut local = Vec::with_capacity(slice.len());
-                                            let mut ops = 0u64;
-                                            for iv in slice {
-                                                let v = gen.body.eval(iv, store, &mut ops)?;
-                                                let ix: Vec<usize> =
-                                                    iv.iter().map(|&x| x as usize).collect();
-                                                local.push((out_shape.offset_unchecked(&ix), v));
-                                            }
-                                            Ok(local)
-                                        })
-                                    })
-                                    .collect::<Vec<_>>()
-                                    .into_iter()
-                                    .map(|h| h.join().expect("worker panicked"))
-                                    .collect()
-                            });
-                        let slice = out.as_mut_slice();
-                        for worker in results {
-                            for (off, v) in worker? {
-                                slice[off] = v;
-                            }
-                        }
-                    }
-                    store[*target] = Some(out);
-                }
-                Step::Host { target, fun, bindings, .. } => {
-                    let (out, _) = run_host_step(fun, bindings, |id| stored(&store, id))?;
-                    store[*target] = Some(out);
-                }
-            }
-        }
-        store[self.result]
-            .take()
-            .ok_or_else(|| SacError::Eval { msg: "result array never computed".into() })
-    }
-}
-
 /// Run one host step: call `fun` in a fresh interpreter with its
 /// parameters bound per `bindings`, fetching each bound program array
 /// through `array`. Returns the new contents of the step's target and the
@@ -750,60 +659,6 @@ mod tests {
         assert!(p.run(&[], &mut 0).is_err());
         let wrong = NdArray::filled([5usize], 0i64);
         assert!(p.run(&[wrong], &mut 0).is_err());
-    }
-
-    #[test]
-    fn parallel_run_matches_sequential() {
-        let mut p = FlatProgram::default();
-        let a = p.declare("a", vec![97]);
-        let out = p.declare("out", vec![97]);
-        p.inputs.push(a);
-        p.result = out;
-        p.steps.push(Step::With {
-            target: out,
-            with: FlatWith {
-                shape: vec![97],
-                default: -1,
-                modarray_src: None,
-                generators: vec![
-                    FlatGen {
-                        lower: vec![0],
-                        upper: vec![97],
-                        step: vec![2],
-                        width: vec![1],
-                        body: SymExpr::bin(
-                            Mul,
-                            SymExpr::Load { array: a, index: vec![SymExpr::Idx(0)] },
-                            SymExpr::Const(3),
-                        ),
-                    },
-                    FlatGen {
-                        lower: vec![10],
-                        upper: vec![40],
-                        step: vec![1],
-                        width: vec![1],
-                        body: SymExpr::Const(5),
-                    },
-                ],
-            },
-        });
-        let input = NdArray::from_fn([97usize], |ix| (ix[0] as i64) * 7 - 100);
-        let seq = p.run(std::slice::from_ref(&input), &mut 0).unwrap();
-        for workers in [1usize, 3, 8] {
-            let par = p.run_parallel(std::slice::from_ref(&input), workers).unwrap();
-            assert_eq!(par, seq, "workers = {workers}");
-        }
-        // Default worker count.
-        assert_eq!(p.run_parallel(&[input], 0).unwrap(), seq);
-    }
-
-    #[test]
-    fn parallel_run_validates_inputs() {
-        let mut p = FlatProgram::default();
-        let a = p.declare("a", vec![4]);
-        p.inputs.push(a);
-        p.result = a;
-        assert!(p.run_parallel(&[], 2).is_err());
     }
 
     #[test]

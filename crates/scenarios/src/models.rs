@@ -5,9 +5,9 @@
 //! whose tilers gather/scatter the patterns, frame source/sink on the CPU
 //! and stages on the GPU.
 
+use arrayol::{ElementaryOp, IMat, Tiler};
 use gaspard::model::{
-    Allocation, Component, ComponentKind, Connection, ElementaryOp, Model, PartRef, Port, PortDir,
-    Stereotype, TilerSpec,
+    Allocation, Component, ComponentKind, Connection, Model, PartRef, Port, PortDir, Stereotype,
 };
 
 /// An elementary task component: rank-1 `pin`/`pout` ports around one op.
@@ -39,19 +39,19 @@ fn sliding_stage(name: &str, inner: &str, rows: usize, in_cols: usize, k: usize)
             inner: inner.into(),
             input_tilers: vec![(
                 vec![k],
-                TilerSpec {
-                    origin: vec![0, 0],
-                    fitting: vec![vec![0], vec![1]],
-                    paving: vec![vec![1, 0], vec![0, 1]],
-                },
+                Tiler::new(
+                    vec![0, 0],
+                    IMat::from_rows(&[&[0], &[1]]),
+                    IMat::from_rows(&[&[1, 0], &[0, 1]]),
+                ),
             )],
             output_tilers: vec![(
                 vec![1],
-                TilerSpec {
-                    origin: vec![0, 0],
-                    fitting: vec![vec![0], vec![0]],
-                    paving: vec![vec![1, 0], vec![0, 1]],
-                },
+                Tiler::new(
+                    vec![0, 0],
+                    IMat::from_rows(&[&[0], &[0]]),
+                    IMat::from_rows(&[&[1, 0], &[0, 1]]),
+                ),
             )],
         },
     }
@@ -155,19 +155,19 @@ pub fn delta_model(rows: usize, cols: usize) -> (Model, Allocation) {
             inner: "delta_task".into(),
             input_tilers: vec![(
                 vec![2],
-                TilerSpec {
-                    origin: vec![0, 0, 0],
-                    fitting: vec![vec![1], vec![0], vec![0]],
-                    paving: vec![vec![0, 0], vec![1, 0], vec![0, 1]],
-                },
+                Tiler::new(
+                    vec![0, 0, 0],
+                    IMat::from_rows(&[&[1], &[0], &[0]]),
+                    IMat::from_rows(&[&[0, 0], &[1, 0], &[0, 1]]),
+                ),
             )],
             output_tilers: vec![(
                 vec![1],
-                TilerSpec {
-                    origin: vec![0, 0],
-                    fitting: vec![vec![0], vec![0]],
-                    paving: vec![vec![1, 0], vec![0, 1]],
-                },
+                Tiler::new(
+                    vec![0, 0],
+                    IMat::from_rows(&[&[0], &[0]]),
+                    IMat::from_rows(&[&[1, 0], &[0, 1]]),
+                ),
             )],
         },
     };
@@ -198,19 +198,19 @@ pub fn blockmean_model(rows: usize, cols: usize) -> (Model, Allocation) {
             inner: "sum_task".into(),
             input_tilers: vec![(
                 vec![4],
-                TilerSpec {
-                    origin: vec![0, 0],
-                    fitting: vec![vec![0], vec![1]],
-                    paving: vec![vec![1, 0], vec![0, 4]],
-                },
+                Tiler::new(
+                    vec![0, 0],
+                    IMat::from_rows(&[&[0], &[1]]),
+                    IMat::from_rows(&[&[1, 0], &[0, 4]]),
+                ),
             )],
             output_tilers: vec![(
                 vec![1],
-                TilerSpec {
-                    origin: vec![0, 0],
-                    fitting: vec![vec![0], vec![0]],
-                    paving: vec![vec![1, 0], vec![0, 1]],
-                },
+                Tiler::new(
+                    vec![0, 0],
+                    IMat::from_rows(&[&[0], &[0]]),
+                    IMat::from_rows(&[&[1, 0], &[0, 1]]),
+                ),
             )],
         },
     };
@@ -226,19 +226,19 @@ pub fn blockmean_model(rows: usize, cols: usize) -> (Model, Allocation) {
             inner: "affine_task".into(),
             input_tilers: vec![(
                 vec![1],
-                TilerSpec {
-                    origin: vec![0, 0],
-                    fitting: vec![vec![0], vec![0]],
-                    paving: vec![vec![1, 0], vec![0, 1]],
-                },
+                Tiler::new(
+                    vec![0, 0],
+                    IMat::from_rows(&[&[0], &[0]]),
+                    IMat::from_rows(&[&[1, 0], &[0, 1]]),
+                ),
             )],
             output_tilers: vec![(
                 vec![1],
-                TilerSpec {
-                    origin: vec![0, 0],
-                    fitting: vec![vec![0], vec![0]],
-                    paving: vec![vec![1, 0], vec![0, 1]],
-                },
+                Tiler::new(
+                    vec![0, 0],
+                    IMat::from_rows(&[&[0], &[0]]),
+                    IMat::from_rows(&[&[1, 0], &[0, 1]]),
+                ),
             )],
         },
     };

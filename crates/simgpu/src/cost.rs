@@ -413,12 +413,9 @@ impl WarpTileModel {
         // The fitting matrix maps pattern steps to array-index steps: one
         // row per array axis, one column per pattern dimension. The
         // innermost (fastest-varying in memory) axis is the last row.
-        let rows = a.in_tiler.fitting.len();
-        if rows == 0 {
-            return self.default_replay;
-        }
-        let cols = a.in_tiler.fitting.iter().map(|r| r.len()).max().unwrap_or(0);
-        if cols == 0 {
+        let fitting = &a.in_tiler.fitting;
+        let (rows, cols) = (fitting.rows(), fitting.cols());
+        if rows == 0 || cols == 0 {
             return self.default_replay;
         }
         // Worst fitting column decides: each column is the array-index step
@@ -427,8 +424,8 @@ impl WarpTileModel {
         for c in 0..cols {
             let mut non_inner = 0i64;
             let mut inner_step = 0i64;
-            for (axis, row) in a.in_tiler.fitting.iter().enumerate() {
-                let v = row.get(c).copied().unwrap_or(0);
+            for axis in 0..rows {
+                let v = fitting.at(axis, c);
                 if axis == rows - 1 {
                     inner_step = v;
                 } else {

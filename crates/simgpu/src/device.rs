@@ -281,14 +281,6 @@ impl Device {
         self.stream_tail_us.get(stream.0).copied().ok_or(SimError::UnknownStream { id: stream.0 })
     }
 
-    /// Block the host until `stream` drains (`cudaStreamSynchronize`);
-    /// returns the new host clock.
-    pub fn sync_stream(&mut self, stream: StreamId) -> Result<f64, SimError> {
-        let tail = self.stream_tail(stream)?;
-        self.sim_time_us = self.sim_time_us.max(tail);
-        Ok(self.sim_time_us)
-    }
-
     /// Block the host until every stream drains (`cudaDeviceSynchronize`);
     /// returns the new host clock — the makespan of all enqueued work.
     pub fn synchronize(&mut self) -> f64 {
@@ -1074,7 +1066,7 @@ mod tests {
         let s = d.lane_streams(2)[1];
         d.host2device_on(&vec![7; 1000], buf, 1, s).unwrap();
         assert_eq!(d.now_us(), 0.0);
-        let t = d.sync_stream(s).unwrap();
+        let t = d.synchronize();
         assert!(t > 0.0);
         assert_eq!(d.now_us(), t);
     }

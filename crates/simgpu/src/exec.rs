@@ -75,13 +75,6 @@ impl LaunchConfig {
         LaunchConfig { grid: (blocks.max(1), 1), block: (block, 1) }
     }
 
-    /// A 2-D launch covering at least `(nx, ny)` threads.
-    pub fn cover_2d(nx: usize, ny: usize, block: (u32, u32)) -> Self {
-        let gx = (nx as u64).div_ceil(block.0 as u64) as u32;
-        let gy = (ny as u64).div_ceil(block.1 as u64) as u32;
-        LaunchConfig { grid: (gx.max(1), gy.max(1)), block }
-    }
-
     /// Total number of threads in the launch.
     pub fn total_threads(&self) -> u64 {
         self.grid.0 as u64 * self.grid.1 as u64 * self.block.0 as u64 * self.block.1 as u64
@@ -990,9 +983,6 @@ mod tests {
         let c = LaunchConfig::cover_1d(1000, 256);
         assert_eq!(c.grid.0, 4);
         assert_eq!(c.total_threads(), 1024);
-        let c2 = LaunchConfig::cover_2d(100, 7, (32, 4));
-        assert!(c2.grid.0 * c2.block.0 >= 100);
-        assert!(c2.grid.1 * c2.block.1 >= 7);
     }
 
     #[test]

@@ -1099,7 +1099,8 @@ mod fusion_tests {
     use crate::device::Device;
     use crate::schedule::{ArrayDecl, BatchScheduler, Carry, ExecOptions, PlanKernel};
     use crate::tiled::{generate_tiled_kernel, TiledKernel};
-    use arrayol::access::{ElementaryOp, TiledAccess, TilerSpec};
+    use arrayol::access::{ElementaryOp, TiledAccess};
+    use arrayol::{IMat, Tiler};
     use mdarray::NdArray;
 
     /// Rank-2 column stencil access: `[rows, cols] -> [rows, cols - k + 1]`.
@@ -1108,17 +1109,9 @@ mod fusion_tests {
         TiledAccess {
             repetition: vec![rows, cols - k + 1],
             in_pattern: vec![k],
-            in_tiler: TilerSpec {
-                origin: vec![0, 0],
-                fitting: vec![vec![0], vec![1]],
-                paving: vec![vec![1, 0], vec![0, 1]],
-            },
+            in_tiler: Tiler::new(vec![0, 0], IMat::from_rows(&[&[0], &[1]]), IMat::identity(2)),
             out_pattern: vec![1],
-            out_tiler: TilerSpec {
-                origin: vec![0, 0],
-                fitting: vec![vec![0], vec![0]],
-                paving: vec![vec![1, 0], vec![0, 1]],
-            },
+            out_tiler: Tiler::new(vec![0, 0], IMat::from_rows(&[&[0], &[0]]), IMat::identity(2)),
             op: ElementaryOp::WeightedSum { weights },
         }
     }
@@ -1253,9 +1246,9 @@ mod fusion_tests {
         let copyish = TiledAccess {
             repetition: vec![n],
             in_pattern: vec![1],
-            in_tiler: TilerSpec { origin: vec![0], fitting: vec![vec![0]], paving: vec![vec![1]] },
+            in_tiler: Tiler::new(vec![0], IMat::zeros(1, 1), IMat::identity(1)),
             out_pattern: vec![1],
-            out_tiler: TilerSpec { origin: vec![0], fitting: vec![vec![0]], paving: vec![vec![1]] },
+            out_tiler: Tiler::new(vec![0], IMat::zeros(1, 1), IMat::identity(1)),
             op: ElementaryOp::Copy,
         };
         let affine =

@@ -21,7 +21,8 @@
 
 use crate::exec::LaunchConfig;
 use crate::kir::{BinOp, Kernel, KernelBuilder, KernelFlavor, Reg, Special};
-use arrayol::access::{ElementaryOp, TiledAccess, TilerSpec};
+use arrayol::access::{lattice_points, ElementaryOp, TiledAccess};
+use arrayol::Tiler;
 
 /// Work-group size used by generated kernels.
 pub const WORK_GROUP_SIZE: u32 = 256;
@@ -188,28 +189,11 @@ fn generate(
     })
 }
 
-/// All indices of a small pattern shape, row-major.
-fn lattice_points(shape: &[usize]) -> Vec<Vec<i64>> {
-    let mut out = vec![vec![]];
-    for &d in shape {
-        let mut next = Vec::with_capacity(out.len() * d);
-        for prefix in &out {
-            for x in 0..d as i64 {
-                let mut p = prefix.clone();
-                p.push(x);
-                next.push(p);
-            }
-        }
-        out = next;
-    }
-    out
-}
-
 /// Interval analysis over one array dimension: does every reference point the
 /// tiler can produce (over the whole repetition space and pattern) stay inside
 /// `[0, extent)`?  When it does, lean addressing may drop the wrap arithmetic.
 fn dim_stays_in_bounds(
-    t: &TilerSpec,
+    t: &Tiler,
     pattern: &[usize],
     repetition: &[usize],
     d: usize,
@@ -217,7 +201,7 @@ fn dim_stays_in_bounds(
 ) -> bool {
     let mut lo = t.origin[d];
     let mut hi = t.origin[d];
-    for (&coef, &r) in t.paving[d].iter().zip(repetition) {
+    for (&coef, &r) in t.paving.row(d).iter().zip(repetition) {
         let span = coef * (r as i64 - 1);
         if span >= 0 {
             hi += span;
@@ -225,7 +209,7 @@ fn dim_stays_in_bounds(
             lo += span;
         }
     }
-    for (&coef, &pl) in t.fitting[d].iter().zip(pattern) {
+    for (&coef, &pl) in t.fitting.row(d).iter().zip(pattern) {
         let span = coef * (pl as i64 - 1);
         if span >= 0 {
             hi += span;
@@ -240,7 +224,7 @@ fn dim_stays_in_bounds(
 /// lean addressing wraps only dimensions the interval analysis cannot prove
 /// in bounds.
 fn wrap_mask(
-    t: &TilerSpec,
+    t: &Tiler,
     pattern: &[usize],
     repetition: &[usize],
     shape: &[usize],
@@ -254,11 +238,12 @@ fn wrap_mask(
 }
 
 /// `ref = origin + paving · tlIter` per array dimension.
-fn tiler_reference(b: &mut KernelBuilder, t: &TilerSpec, tl: &[Reg], lean: bool) -> Vec<Reg> {
-    t.paving
+fn tiler_reference(b: &mut KernelBuilder, t: &Tiler, tl: &[Reg], lean: bool) -> Vec<Reg> {
+    t.origin
         .iter()
-        .zip(&t.origin)
-        .map(|(row, &o)| {
+        .enumerate()
+        .map(|(d, &o)| {
+            let row = t.paving.row(d);
             if lean {
                 // Strength-reduced emission: identity coefficients pass the
                 // tile iterator through, zero origins vanish.
@@ -300,9 +285,9 @@ fn tiler_reference(b: &mut KernelBuilder, t: &TilerSpec, tl: &[Reg], lean: bool)
 #[allow(clippy::too_many_arguments)]
 fn tiled_offset(
     b: &mut KernelBuilder,
-    t: &TilerSpec,
+    t: &Tiler,
     refs: &[Reg],
-    p: &[i64],
+    p: &[usize],
     shape: &[usize],
     strides: &[i64],
     wrap: &[bool],
@@ -311,7 +296,7 @@ fn tiled_offset(
     if lean {
         let mut off: Option<Reg> = None;
         for d in 0..shape.len() {
-            let fit: i64 = t.fitting[d].iter().zip(p).map(|(&f, &x)| f * x).sum();
+            let fit: i64 = t.fitting.row(d).iter().zip(p).map(|(&f, &x)| f * x as i64).sum();
             let mut idx = refs[d];
             if fit != 0 {
                 let fit_reg = b.constant(fit);
@@ -336,7 +321,7 @@ fn tiled_offset(
     } else {
         let mut off = b.constant(0);
         for d in 0..shape.len() {
-            let fit: i64 = t.fitting[d].iter().zip(p).map(|(&f, &x)| f * x).sum();
+            let fit: i64 = t.fitting.row(d).iter().zip(p).map(|(&f, &x)| f * x as i64).sum();
             let fit_reg = b.constant(fit);
             let raw = b.bin(BinOp::Add, refs[d], fit_reg);
             let extent = b.constant(shape[d] as i64);
@@ -429,6 +414,7 @@ mod tests {
     use crate::device::Device;
     use crate::kir::KernelArg;
     use arrayol::access::apply_access;
+    use arrayol::IMat;
     use mdarray::NdArray;
 
     fn stencil_access(rows: usize, cols: usize, weights: Vec<i64>) -> TiledAccess {
@@ -436,17 +422,9 @@ mod tests {
         TiledAccess {
             repetition: vec![rows, cols - k + 1],
             in_pattern: vec![k],
-            in_tiler: TilerSpec {
-                origin: vec![0, 0],
-                fitting: vec![vec![0], vec![1]],
-                paving: vec![vec![1, 0], vec![0, 1]],
-            },
+            in_tiler: Tiler::new(vec![0, 0], IMat::from_rows(&[&[0], &[1]]), IMat::identity(2)),
             out_pattern: vec![1],
-            out_tiler: TilerSpec {
-                origin: vec![0, 0],
-                fitting: vec![vec![0], vec![0]],
-                paving: vec![vec![1, 0], vec![0, 1]],
-            },
+            out_tiler: Tiler::new(vec![0, 0], IMat::from_rows(&[&[0], &[0]]), IMat::identity(2)),
             op: ElementaryOp::WeightedSum { weights },
         }
     }

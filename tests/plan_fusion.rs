@@ -16,7 +16,8 @@
 //! fusion pass checks for it, is separable, so `check_exact_cover` decides it
 //! per dimension instead of walking the array.
 
-use arrayol::access::{apply_access, ElementaryOp, TiledAccess, TilerSpec};
+use arrayol::access::{apply_access, ElementaryOp, TiledAccess};
+use arrayol::{IMat, Tiler};
 use mdarray::NdArray;
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -34,17 +35,17 @@ fn stencil(rows: usize, cols: usize, weights: Vec<i64>) -> TiledAccess {
     TiledAccess {
         repetition: vec![rows, cols - k + 1],
         in_pattern: vec![k],
-        in_tiler: TilerSpec {
-            origin: vec![0, 0],
-            fitting: vec![vec![0], vec![1]],
-            paving: vec![vec![1, 0], vec![0, 1]],
-        },
+        in_tiler: Tiler::new(
+            vec![0, 0],
+            IMat::from_rows(&[&[0], &[1]]),
+            IMat::from_rows(&[&[1, 0], &[0, 1]]),
+        ),
         out_pattern: vec![1],
-        out_tiler: TilerSpec {
-            origin: vec![0, 0],
-            fitting: vec![vec![0], vec![0]],
-            paving: vec![vec![1, 0], vec![0, 1]],
-        },
+        out_tiler: Tiler::new(
+            vec![0, 0],
+            IMat::from_rows(&[&[0], &[0]]),
+            IMat::from_rows(&[&[1, 0], &[0, 1]]),
+        ),
         op: ElementaryOp::WeightedSum { weights },
     }
 }
@@ -268,7 +269,7 @@ fn carry_through_the_intermediate_blocks_fusion_and_stays_correct() {
 /// composition and the composed scatter tiler after it. The pass's fixpoint
 /// is followed over every producer→consumer pair of access-described
 /// launches, a superset of the pairs it actually composes.
-fn fusion_checked_tilers(plan: &LaunchPlan<'_>) -> Vec<(TilerSpec, Vec<usize>, Vec<usize>)> {
+fn fusion_checked_tilers(plan: &LaunchPlan<'_>) -> Vec<(Tiler, Vec<usize>, Vec<usize>)> {
     let shape = |a: usize| plan.arrays[a].shape.clone();
     // (output array, input array, access) per access-described launch.
     let mut stages: Vec<(usize, usize, TiledAccess)> = plan
@@ -338,8 +339,8 @@ fn registry_model(w: &scenarios::Workload) -> gaspard::model::Model {
 fn every_compile_time_exact_cover_is_decided_per_dimension() {
     use gaspard::model::ComponentKind;
     use mdarray::Shape;
-    let separable = |t: &TilerSpec, rep: &[usize], pat: &[usize]| {
-        t.to_tiler().is_separable(&Shape::new(rep.to_vec()), &Shape::new(pat.to_vec()))
+    let separable = |t: &Tiler, rep: &[usize], pat: &[usize]| {
+        t.is_separable(&Shape::new(rep.to_vec()), &Shape::new(pat.to_vec()))
     };
     for w in scenarios::registry_extended() {
         let model = registry_model(&w);

@@ -2,10 +2,10 @@
 
 mod common;
 
-use arrayol::{IMat, Tiler};
+use arrayol::{ElementaryOp, IMat, Tiler, WindowSpec};
 use gaspard::{
     deploy, generate_opencl, schedule, to_arrayol, Allocation, Component, ComponentKind,
-    Connection, Model, PartRef, Platform, Port, PortDir, Stereotype, TilerSpec, WindowSpec,
+    Connection, Model, PartRef, Platform, Port, PortDir, Stereotype,
 };
 use mdarray::{NdArray, Shape};
 use proptest::prelude::*;
@@ -48,7 +48,7 @@ fn two_stage_model(rows: usize, in_cols: usize, p1: &StageParams, p2: &StagePara
             Port { name: "pout".into(), dir: PortDir::Out, shape: vec![p.out_per_tile()] },
         ],
         kind: ComponentKind::Elementary {
-            op: gaspard::ElementaryOp::InterpolateWindows {
+            op: ElementaryOp::InterpolateWindows {
                 windows: p
                     .windows
                     .iter()
@@ -74,19 +74,19 @@ fn two_stage_model(rows: usize, in_cols: usize, p1: &StageParams, p2: &StagePara
             inner: task.into(),
             input_tilers: vec![(
                 vec![p.pattern],
-                TilerSpec {
-                    origin: vec![0, 0],
-                    fitting: vec![vec![0], vec![1]],
-                    paving: vec![vec![1, 0], vec![0, p.step as i64]],
-                },
+                Tiler::new(
+                    vec![0, 0],
+                    IMat::from_rows(&[&[0], &[1]]),
+                    IMat::from_rows(&[&[1, 0], &[0, p.step as i64]]),
+                ),
             )],
             output_tilers: vec![(
                 vec![p.out_per_tile()],
-                TilerSpec {
-                    origin: vec![0, 0],
-                    fitting: vec![vec![0], vec![1]],
-                    paving: vec![vec![1, 0], vec![0, p.out_per_tile() as i64]],
-                },
+                Tiler::new(
+                    vec![0, 0],
+                    IMat::from_rows(&[&[0], &[1]]),
+                    IMat::from_rows(&[&[1, 0], &[0, p.out_per_tile() as i64]]),
+                ),
             )],
         },
     };
@@ -413,9 +413,7 @@ int[*] main(int[{rows},{cols}] a)
             .map(|frame| {
                 let mut inputs = std::collections::HashMap::new();
                 inputs.insert(g.external_inputs[0], frame[0].clone());
-                let env =
-                    arrayol::exec::execute(&g, &inputs, &arrayol::exec::ExecOptions::sequential())
-                        .unwrap();
+                let env = arrayol::exec::execute(&g, &inputs).unwrap();
                 vec![env[&g.external_outputs[0]].clone()]
             })
             .collect();

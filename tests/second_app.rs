@@ -61,7 +61,6 @@ int[*] main(int[{ROWS},{COLS}] f)
     let frame = test_frame();
     let expect = reference(&frame);
     assert_eq!(flat.run(std::slice::from_ref(&frame), &mut 0).unwrap(), expect);
-    assert_eq!(flat.run_parallel(std::slice::from_ref(&frame), 4).unwrap(), expect);
 
     let cuda = sac_cuda::compile_flat_program(&flat).unwrap();
     let mut device = Device::gtx480();
@@ -80,6 +79,7 @@ int[*] main(int[{ROWS},{COLS}] f)
 /// windows, then an AffineMap) wired by tilers.
 #[test]
 fn gaspard_route_thumbnailer() {
+    use arrayol::{ElementaryOp, IMat, Tiler};
     use gaspard::model::*;
     use gaspard::transform::{deploy, schedule, to_arrayol};
     let tc = COLS / 4;
@@ -117,19 +117,19 @@ fn gaspard_route_thumbnailer() {
             inner: "Mean4".into(),
             input_tilers: vec![(
                 vec![4],
-                TilerSpec {
-                    origin: vec![0, 0],
-                    fitting: vec![vec![0], vec![1]],
-                    paving: vec![vec![1, 0], vec![0, 4]],
-                },
+                Tiler::new(
+                    vec![0, 0],
+                    IMat::from_rows(&[&[0], &[1]]),
+                    IMat::from_rows(&[&[1, 0], &[0, 4]]),
+                ),
             )],
             output_tilers: vec![(
                 vec![1],
-                TilerSpec {
-                    origin: vec![0, 0],
-                    fitting: vec![vec![0], vec![1]],
-                    paving: vec![vec![1, 0], vec![0, 1]],
-                },
+                Tiler::new(
+                    vec![0, 0],
+                    IMat::from_rows(&[&[0], &[1]]),
+                    IMat::from_rows(&[&[1, 0], &[0, 1]]),
+                ),
             )],
         },
     };
@@ -145,19 +145,19 @@ fn gaspard_route_thumbnailer() {
             inner: "Post".into(),
             input_tilers: vec![(
                 vec![1],
-                TilerSpec {
-                    origin: vec![0, 0],
-                    fitting: vec![vec![0], vec![1]],
-                    paving: vec![vec![1, 0], vec![0, 1]],
-                },
+                Tiler::new(
+                    vec![0, 0],
+                    IMat::from_rows(&[&[0], &[1]]),
+                    IMat::from_rows(&[&[1, 0], &[0, 1]]),
+                ),
             )],
             output_tilers: vec![(
                 vec![1],
-                TilerSpec {
-                    origin: vec![0, 0],
-                    fitting: vec![vec![0], vec![1]],
-                    paving: vec![vec![1, 0], vec![0, 1]],
-                },
+                Tiler::new(
+                    vec![0, 0],
+                    IMat::from_rows(&[&[0], &[1]]),
+                    IMat::from_rows(&[&[1, 0], &[0, 1]]),
+                ),
             )],
         },
     };
@@ -232,8 +232,7 @@ fn gaspard_route_thumbnailer() {
     let g = to_arrayol(&scheduled).unwrap();
     let mut inputs = std::collections::HashMap::new();
     inputs.insert(g.external_inputs[0], frame);
-    let seq =
-        arrayol::exec::execute(&g, &inputs, &arrayol::exec::ExecOptions::sequential()).unwrap();
+    let seq = arrayol::exec::execute(&g, &inputs).unwrap();
     assert_eq!(seq[&g.external_outputs[0]], expect);
 
     // Host artefacts generate too.
