@@ -60,14 +60,14 @@ fn run_task(
     task: &RepetitiveTask,
     store: &mut [Option<NdArray<i64>>],
 ) -> Result<(), ArrayOlError> {
-    // Snapshot input arrays (cheap clones of Vec-backed arrays; inputs are
-    // immutable during the sweep so sharing would also be sound).
+    // Inputs are borrowed from the store for the sweep; outputs are written
+    // back only after it.
     let mut in_arrays = Vec::with_capacity(task.inputs.len());
     for port in &task.inputs {
         let arr = store[port.array.0].as_ref().ok_or_else(|| ArrayOlError::NoProducer {
             array: graph.arrays()[port.array.0].name.clone(),
         })?;
-        in_arrays.push(arr.clone());
+        in_arrays.push(arr);
     }
 
     // Allocate outputs.

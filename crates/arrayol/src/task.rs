@@ -16,8 +16,8 @@ use std::sync::Arc;
 /// An elementary task body: patterns in, patterns out.
 ///
 /// The function must be pure — ArrayOL semantics allow the executor to invoke
-/// it for repetition points in any order, possibly concurrently.
-pub type ElementaryFn = Arc<dyn Fn(&[NdArray<i64>]) -> Vec<NdArray<i64>> + Send + Sync>;
+/// it for repetition points in any order.
+pub type ElementaryFn = Arc<dyn Fn(&[NdArray<i64>]) -> Vec<NdArray<i64>>>;
 
 /// A tiled port: which array it touches, the pattern shape exchanged per
 /// repetition, and the tiler that addresses the patterns.

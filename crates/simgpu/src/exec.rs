@@ -10,24 +10,52 @@
 //!   (block-major, then thread-major) rank wins — deterministic, though
 //!   well-formed kernels never rely on it.
 //!
+//! # Decoding
+//!
+//! A launch first decodes the kernel once, against its arguments and
+//! geometry, into a private program that every warp of the launch runs
+//! (`decode`). Decoding resolves each parameter to its buffer or value and
+//! does the work that is the same for every thread, as nvcc or an OpenCL
+//! compiler would:
+//!
+//! * **Launch constants fold.** A register with one static definition, at
+//!   the kernel's top level (inside no loop or branch), holds one value for
+//!   the whole launch after it if it is defined by a literal, a scalar
+//!   argument, a block or grid dimension, or a non-faulting operation on
+//!   such constants. Every operation that reads it there takes it as an
+//!   immediate; its definition runs only if another instruction (a load
+//!   index, a loop bound, ...) needs the register.
+//! * **Identities alias.** Such a register defined as `x * 1`, `1 * x`,
+//!   `x + 0`, `0 + x`, `x - 0` or `x / 1` is read as `x` itself when nothing
+//!   writes `x` after it; `x % ±1`, `x * 0` and `0 * x` are the constant 0.
+//! * **Faults stay.** A division by the constant zero, or a parameter of
+//!   the wrong kind, decodes to an instruction that faults as the original
+//!   does; a division by a nonzero constant skips the zero-divisor check.
+//! * **Registers compact.** The decoded program's registers are renumbered
+//!   onto shared slots by live range, so folded registers take none.
+//!
 //! # Warp-lockstep execution
 //!
 //! A block runs as consecutive warps of `WARP` lanes: lane `l` of warp `w`
 //! is the thread of rank `w * WARP + l`, where a thread's rank in its block
 //! is `ty * block.x + tx`. A warp's register file is lane-major (one
-//! `[i64; WARP]` row per register) and is zeroed once per warp. Each
-//! instruction is decoded once per warp and applied to the warp's active
+//! `[i64; WARP]` row per slot) and is zeroed once per warp. Each decoded
+//! instruction is dispatched once per warp and applied to the warp's active
 //! lanes, a bitmask with a contiguous fast path when all lanes are active.
+//! An operation borrows its source rows in place rather than copying them.
 //! `If` partitions the active set; `For` captures each lane's
 //! `(start, end, step.max(1))` at entry and iterates while any lane is live;
 //! `Return` retires a lane for the rest of the kernel.
 //!
-//! The outcome is bit for bit the one a thread-at-a-time walk gives:
+//! The outcome is bit for bit the one a thread-at-a-time walk of the
+//! original kernel gives:
 //!
 //! * **Counters.** An instruction executed with `n` active lanes counts `n`
-//!   instructions; loads, stores and touched addresses count per lane. So
-//!   [`LaunchStats`] and the touched bitsets — the cost model's inputs, the
-//!   goldens' source and the launch memo's record — are exact.
+//!   instructions; loads, stores and touched addresses count per lane. A
+//!   run of instructions that decoding folded away is still charged, at its
+//!   own position with the lanes active there. So [`LaunchStats`] and the
+//!   touched bitsets — the cost model's inputs, the goldens' source and the
+//!   launch memo's record — are exact.
 //! * **Store order.** A warp logs its stores in execution order, which
 //!   interleaves lanes, then sorts its part of the worker's write log stably
 //!   by lane. Stores therefore apply in (block, thread rank, program order),
@@ -40,13 +68,13 @@
 //!   first fault and applies no stores.
 //!
 //! `WARP` is a fixed constant, not a knob. Each host worker holds one
-//! `[i64; WARP]` row per register, and code generators allocate a fresh
+//! `[i64; WARP]` row per slot, and code generators allocate a fresh
 //! register per value: a prototype with a per-block register file (256
 //! lanes) raised the peak RSS of the perfbench `tune` workload from 24.7 MB
-//! to 41.3 MB, while 32 lanes already amortise decoding over a whole warp.
-//! For the same reason a launch first renumbers the kernel's registers onto
-//! shared slots by live range (`compact_registers`): a fused HD kernel's 912
-//! registers fit in 155 slots, a SaC generator's 80 in 12.
+//! to 41.3 MB, while 32 lanes already amortise dispatch over a whole warp.
+//! For the same reason decoding compacts registers: at HD1080 a fused
+//! GASPARD2 kernel's 912 registers fit in 147 slots, and a SaC generator's
+//! 79 to 88 in 6 to 8.
 //!
 //! The scalar thread-at-a-time interpreter lives on only in this module's
 //! tests, as the differential oracle the warp interpreter is checked against.
@@ -58,6 +86,7 @@
 
 use crate::kir::{BinOp, Instr, Kernel, KernelArg, Param, Reg, Special};
 use crate::SimError;
+use std::cmp::Ordering;
 
 /// Grid/block geometry of a launch (x, y). A missing dimension is 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -207,9 +236,9 @@ pub(crate) fn run_kernel_touching(
     let chunk = total_blocks.div_ceil(workers as u64);
 
     // Run blocks, either inline or across scoped threads.
-    let compact = compact_registers(kernel);
+    let prog = decode(kernel, &bound, cfg);
     let run_range = |lo: u64, hi: u64| -> Result<WorkerState, SimError> {
-        let mut warp = Warp::new(&compact, &bound, cfg);
+        let mut warp = Warp::new(&prog, &kernel.name, &bound, cfg);
         for blk in lo..hi {
             warp.run_block(blk)?;
         }
@@ -287,6 +316,9 @@ const _: () = assert!(Mask::BITS as usize == WARP);
 /// Every lane of a full warp.
 const FULL: Mask = Mask::MAX;
 
+/// One register slot across the lanes of a warp.
+type Row = [i64; WARP];
+
 /// Call `f` for every lane in `mask`, in increasing lane order.
 #[inline(always)]
 fn for_lanes(mask: Mask, mut f: impl FnMut(usize)) {
@@ -305,7 +337,7 @@ fn for_lanes(mask: Mask, mut f: impl FnMut(usize)) {
 /// values. `f` is evaluated on every lane, so it must not panic on an
 /// inactive lane's values; in return the update vectorises.
 #[inline(always)]
-fn set(d: &mut [i64; WARP], mask: Mask, f: impl Fn(usize) -> i64) {
+fn set(d: &mut Row, mask: Mask, f: impl Fn(usize) -> i64) {
     if mask == FULL {
         d.iter_mut().enumerate().for_each(|(l, x)| *x = f(l));
     } else {
@@ -320,10 +352,401 @@ fn lanes_where(mask: Mask, p: impl Fn(usize) -> bool) -> Mask {
     (0..WARP).fold(0, |m, l| m | (p(l) as Mask) << l) & mask
 }
 
-/// `kernel` with its registers renumbered onto as few slots as possible.
+/// `d[l] = a(l) op b(l)` for every lane `l` in `mask`. A `Div` or `Rem`
+/// lane must have a nonzero divisor.
+#[inline(always)]
+fn bin(op: BinOp, d: &mut Row, mask: Mask, a: impl Fn(usize) -> i64, b: impl Fn(usize) -> i64) {
+    match op {
+        BinOp::Add => set(d, mask, |l| a(l).wrapping_add(b(l))),
+        BinOp::Sub => set(d, mask, |l| a(l).wrapping_sub(b(l))),
+        BinOp::Mul => set(d, mask, |l| a(l).wrapping_mul(b(l))),
+        BinOp::Div => for_lanes(mask, |l| d[l] = a(l).wrapping_div(b(l))),
+        BinOp::Rem => for_lanes(mask, |l| d[l] = a(l).wrapping_rem(b(l))),
+        BinOp::Min => set(d, mask, |l| a(l).min(b(l))),
+        BinOp::Max => set(d, mask, |l| a(l).max(b(l))),
+        BinOp::Lt => set(d, mask, |l| (a(l) < b(l)) as i64),
+        BinOp::Le => set(d, mask, |l| (a(l) <= b(l)) as i64),
+        BinOp::Eq => set(d, mask, |l| (a(l) == b(l)) as i64),
+        BinOp::Ne => set(d, mask, |l| (a(l) != b(l)) as i64),
+        BinOp::And => set(d, mask, |l| (a(l) != 0 && b(l) != 0) as i64),
+        BinOp::Or => set(d, mask, |l| (a(l) != 0 || b(l) != 0) as i64),
+    }
+}
+
+/// Row `dst` of `regs` to write and rows `srcs` to read. Source rows are
+/// borrowed in place; one that is `dst` itself is first copied to `spare`.
+#[inline(always)]
+fn rows<'r, const N: usize>(
+    regs: &'r mut [Row],
+    spare: &'r mut Row,
+    dst: Reg,
+    srcs: [Reg; N],
+) -> (&'r mut Row, [&'r Row; N]) {
+    let dst = dst as usize;
+    let (below, rest) = regs.split_at_mut(dst);
+    let (d, above) = rest.split_first_mut().expect("register slot in range");
+    if srcs.contains(&(dst as Reg)) {
+        *spare = *d;
+    }
+    let (below, above, spare) = (&*below, &*above, &*spare);
+    let srcs = srcs.map(|s| match (s as usize).cmp(&dst) {
+        Ordering::Less => &below[s as usize],
+        Ordering::Greater => &above[s as usize - dst - 1],
+        Ordering::Equal => spare,
+    });
+    (d, srcs)
+}
+
+/// A kernel decoded for one launch: its instructions over register slots,
+/// with the launch's constants folded in.
+struct Program<'a> {
+    body: Vec<Op<'a>>,
+    /// Register slots per lane.
+    slots: usize,
+}
+
+/// One instruction of a decoded kernel, over register slots.
+enum Op<'a> {
+    /// A run of `n` instructions whose work decoding did: charged, not run.
+    Count(u64),
+    /// An instruction that faults on every lane that runs it.
+    Fault(Box<SimError>),
+    /// `dst = value`.
+    Const { dst: Reg, value: i64 },
+    /// `dst = <special thread/block value>`.
+    Special { dst: Reg, kind: Special },
+    /// `dst = lhs op rhs`.
+    Bin { op: BinOp, dst: Reg, lhs: Reg, rhs: Reg },
+    /// `dst = lhs op imm`; a `Div` or `Rem` here has a nonzero `imm`.
+    BinImm { op: BinOp, dst: Reg, lhs: Reg, imm: i64 },
+    /// `dst = imm op rhs`.
+    ImmBin { op: BinOp, dst: Reg, imm: i64, rhs: Reg },
+    /// `dst = src`.
+    Mov { dst: Reg, src: Reg },
+    /// `dst = data[index]`, `data` being buffer argument `param`.
+    Load { dst: Reg, param: usize, index: Reg, data: &'a [i32] },
+    /// `buffer[param][index] = src`, the buffer having `len` elements.
+    Store { param: usize, index: Reg, src: Reg, len: usize },
+    /// `for (var = start; var < end; var += step) body`.
+    For { var: Reg, start: Reg, end: Reg, step: Reg, body: Vec<Op<'a>> },
+    /// `if (cond != 0) then else els`.
+    If { cond: Reg, then: Vec<Op<'a>>, els: Vec<Op<'a>> },
+    /// Early thread exit.
+    Return,
+}
+
+impl Op<'_> {
+    /// Call `f(reg, written)` on each register this op names outside its
+    /// bodies: the ones it reads, then the one it writes.
+    fn each_reg(&mut self, mut f: impl FnMut(&mut Reg, bool)) {
+        match self {
+            Op::Count(_) | Op::Fault(_) | Op::Return => {}
+            Op::Const { dst, .. } | Op::Special { dst, .. } => f(dst, true),
+            Op::Bin { dst, lhs, rhs, .. } => {
+                f(lhs, false);
+                f(rhs, false);
+                f(dst, true);
+            }
+            Op::BinImm { dst, lhs: src, .. }
+            | Op::ImmBin { dst, rhs: src, .. }
+            | Op::Mov { dst, src }
+            | Op::Load { dst, index: src, .. } => {
+                f(src, false);
+                f(dst, true);
+            }
+            Op::Store { index, src, .. } => {
+                f(index, false);
+                f(src, false);
+            }
+            Op::For { var, start, end, step, .. } => {
+                [start, end, step].into_iter().for_each(|r| f(r, false));
+                f(var, true);
+            }
+            Op::If { cond, .. } => f(cond, false),
+        }
+    }
+}
+
+/// Decode `kernel` for a launch of `cfg` with arguments `bound`.
+///
+/// A register is *foldable* when it has exactly one static definition and
+/// that definition is at the kernel's top level, inside no loop or branch.
+/// Decoding runs in pre-order, so it folds only the reads it decodes after
+/// the definition, and every lane that runs one of those ran the definition
+/// first and sees the one value it gave; a read before the definition still
+/// reads the register, unwritten there as in the kernel. A foldable register
+/// is a launch constant if its definition is a `Const`, a `LoadParam` of a
+/// scalar argument, a block or grid dimension, or a `Bin` whose value
+/// decoding knows and that cannot fault. A launch constant becomes an
+/// immediate of every `Bin` that reads it; its definition still runs if some
+/// other instruction reads the register. A foldable `x * 1`, `1 * x`, `x + 0`, `0 + x`, `x - 0` or
+/// `x / 1` becomes an alias of `x` when nothing writes `x` after it: its
+/// readers read `x`. Every folded instruction is still charged, with the
+/// active lanes of its position, by an [`Op::Count`], and an instruction
+/// that faults (a parameter of the wrong kind, a division by the constant
+/// zero) stays. So the decoded kernel computes, counts and faults exactly as
+/// the kernel does.
+///
+/// The registers are then renumbered onto slots by live range
+/// ([`compact`]), so folded registers take none.
+fn decode<'a>(kernel: &Kernel, bound: &[Bound<'a>], cfg: LaunchConfig) -> Program<'a> {
+    let n = kernel.register_count();
+    let mut census = Census { uses: vec![RegUse::default(); n], pos: 0 };
+    census.scan(&kernel.body, true);
+    let mut dec = Decoder {
+        name: &kernel.name,
+        bound,
+        cfg,
+        uses: census.uses,
+        val: (0..n).map(|r| Val::Reg(r as Reg)).collect(),
+        pos: 0,
+    };
+    let mut body = dec.block(&kernel.body);
+    let slots = compact(&mut body, n);
+    Program { body, slots }
+}
+
+/// The static uses of one register, at instruction positions numbered in
+/// pre-order (a `For` or `If` comes before its bodies, a `then` before its
+/// `els`).
+#[derive(Clone, Copy, Default)]
+struct RegUse {
+    /// Static definitions (a `For` defines its variable once).
+    defs: u32,
+    /// Position of the last definition, and whether it is at top level.
+    def_at: u32,
+    top: bool,
+    /// Read by an instruction other than a `Bin`, which cannot take an
+    /// immediate in its place.
+    needed: bool,
+}
+
+/// Collects the [`RegUse`] of every register.
+struct Census {
+    uses: Vec<RegUse>,
+    pos: u32,
+}
+
+impl Census {
+    fn need(&mut self, r: Reg) {
+        self.uses[r as usize].needed = true;
+    }
+
+    fn def(&mut self, r: Reg, at: u32, top: bool) {
+        let u = &mut self.uses[r as usize];
+        (u.defs, u.def_at, u.top) = (u.defs + 1, at, top);
+    }
+
+    /// Record the uses in `instrs`, which are at top level if `top`.
+    fn scan(&mut self, instrs: &[Instr], top: bool) {
+        for i in instrs {
+            let at = self.pos;
+            self.pos += 1;
+            match i {
+                Instr::Const { dst, .. }
+                | Instr::LoadParam { dst, .. }
+                | Instr::Special { dst, .. } => self.def(*dst, at, top),
+                Instr::Bin { dst, .. } => self.def(*dst, at, top),
+                Instr::Mov { dst, src } | Instr::Load { dst, index: src, .. } => {
+                    self.need(*src);
+                    self.def(*dst, at, top);
+                }
+                Instr::Store { index, src, .. } => {
+                    self.need(*index);
+                    self.need(*src);
+                }
+                Instr::For { var, start, end, step, body } => {
+                    for r in [start, end, step] {
+                        self.need(*r);
+                    }
+                    self.def(*var, at, false);
+                    self.scan(body, false);
+                }
+                Instr::If { cond, then, els } => {
+                    self.need(*cond);
+                    self.scan(then, false);
+                    self.scan(els, false);
+                }
+                Instr::Return => {}
+            }
+        }
+    }
+}
+
+/// What a read of a register reads.
+#[derive(Clone, Copy, PartialEq)]
+enum Val {
+    /// This register: the one read, or the one it aliases.
+    Reg(Reg),
+    /// A launch constant.
+    Imm(i64),
+}
+
+/// The value of `a op b` if decoding knows it; `op` must not be a division
+/// by the constant zero.
+fn known_value(op: BinOp, a: Val, b: Val) -> Option<i64> {
+    match (op, a, b) {
+        (_, Val::Imm(a), Val::Imm(b)) => {
+            let mut d = [0; WARP];
+            bin(op, &mut d, 1, |_| a, |_| b);
+            Some(d[0])
+        }
+        (BinOp::Mul, Val::Imm(0), _) | (BinOp::Mul, _, Val::Imm(0)) => Some(0),
+        (BinOp::Rem, _, Val::Imm(1 | -1)) => Some(0),
+        _ => None,
+    }
+}
+
+/// The register `a op b` equals on every lane, if it is an identity.
+fn identity(op: BinOp, a: Val, b: Val) -> Option<Reg> {
+    match (op, a, b) {
+        (BinOp::Mul, Val::Reg(x), Val::Imm(1))
+        | (BinOp::Mul, Val::Imm(1), Val::Reg(x))
+        | (BinOp::Add, Val::Reg(x), Val::Imm(0))
+        | (BinOp::Add, Val::Imm(0), Val::Reg(x))
+        | (BinOp::Sub, Val::Reg(x), Val::Imm(0))
+        | (BinOp::Div, Val::Reg(x), Val::Imm(1)) => Some(x),
+        _ => None,
+    }
+}
+
+/// Lowers a kernel's instructions to [`Op`]s; see [`decode`].
+struct Decoder<'k, 'a> {
+    name: &'k str,
+    bound: &'k [Bound<'a>],
+    cfg: LaunchConfig,
+    uses: Vec<RegUse>,
+    /// What a read of each register reads, as decoded so far.
+    val: Vec<Val>,
+    /// Position of the next instruction, numbered as in [`Census`].
+    pos: u32,
+}
+
+impl<'a> Decoder<'_, 'a> {
+    fn block(&mut self, instrs: &[Instr]) -> Vec<Op<'a>> {
+        let mut ops = Vec::with_capacity(instrs.len());
+        let mut folded = 0;
+        for i in instrs {
+            let at = self.pos;
+            self.pos += 1;
+            match self.op(i, at) {
+                Some(op) => {
+                    if folded > 0 {
+                        ops.push(Op::Count(folded));
+                        folded = 0;
+                    }
+                    ops.push(op);
+                }
+                None => folded += 1,
+            }
+        }
+        if folded > 0 {
+            ops.push(Op::Count(folded));
+        }
+        ops
+    }
+
+    fn foldable(&self, r: Reg) -> bool {
+        let u = &self.uses[r as usize];
+        u.defs == 1 && u.top
+    }
+
+    /// `dst = value`: a launch constant if `dst` is foldable, whose
+    /// definition runs only if an instruction other than a `Bin` reads it.
+    fn constant(&mut self, dst: Reg, value: i64) -> Option<Op<'a>> {
+        if self.foldable(dst) {
+            self.val[dst as usize] = Val::Imm(value);
+            if !self.uses[dst as usize].needed {
+                return None;
+            }
+        }
+        Some(Op::Const { dst, value })
+    }
+
+    /// The register a read of `r` reads.
+    fn reg(&self, r: Reg) -> Reg {
+        match self.val[r as usize] {
+            Val::Reg(x) => x,
+            Val::Imm(_) => r,
+        }
+    }
+
+    /// `i`, at position `at`, as an op, or `None` if decoding did its work.
+    fn op(&mut self, i: &Instr, at: u32) -> Option<Op<'a>> {
+        let fault = |err| Some(Op::Fault(Box::new(err)));
+        let name = || self.name.to_string();
+        match *i {
+            Instr::Const { dst, value } => self.constant(dst, value),
+            Instr::LoadParam { dst, param } => match self.bound.get(param) {
+                Some(&Bound::Scalar(v)) => self.constant(dst, v),
+                _ => fault(SimError::BadParam { kernel: name(), index: param }),
+            },
+            Instr::Special { dst, kind } => match kind {
+                Special::BlockDimX => self.constant(dst, self.cfg.block.0 as i64),
+                Special::BlockDimY => self.constant(dst, self.cfg.block.1 as i64),
+                Special::GridDimX => self.constant(dst, self.cfg.grid.0 as i64),
+                Special::GridDimY => self.constant(dst, self.cfg.grid.1 as i64),
+                _ => Some(Op::Special { dst, kind }),
+            },
+            Instr::Bin { op, dst, lhs, rhs } => {
+                let (a, b) = (self.val[lhs as usize], self.val[rhs as usize]);
+                if matches!(op, BinOp::Div | BinOp::Rem) && b == Val::Imm(0) {
+                    return fault(SimError::DivByZero { kernel: name() });
+                }
+                if let Some(v) = known_value(op, a, b) {
+                    return self.constant(dst, v);
+                }
+                if let Some(x) = identity(op, a, b) {
+                    let x_use = &self.uses[x as usize];
+                    if self.foldable(dst) && (x_use.defs == 0 || x_use.def_at < at) {
+                        self.val[dst as usize] = Val::Reg(x);
+                        return None;
+                    }
+                }
+                Some(match (a, b) {
+                    (Val::Reg(lhs), Val::Reg(rhs)) => Op::Bin { op, dst, lhs, rhs },
+                    (Val::Reg(lhs), Val::Imm(imm)) => Op::BinImm { op, dst, lhs, imm },
+                    (Val::Imm(imm), Val::Reg(rhs)) => Op::ImmBin { op, dst, imm, rhs },
+                    (Val::Imm(_), Val::Imm(_)) => unreachable!("two constants fold"),
+                })
+            }
+            Instr::Mov { dst, src } => Some(Op::Mov { dst, src: self.reg(src) }),
+            Instr::Load { dst, param, index } => match self.bound.get(param) {
+                Some(&Bound::Buf { data, .. }) => {
+                    Some(Op::Load { dst, param, index: self.reg(index), data })
+                }
+                _ => fault(SimError::BadParam { kernel: name(), index: param }),
+            },
+            Instr::Store { param, index, src } => match self.bound.get(param) {
+                Some(&Bound::Buf { data, writable: true, .. }) => Some(Op::Store {
+                    param,
+                    index: self.reg(index),
+                    src: self.reg(src),
+                    len: data.len(),
+                }),
+                Some(Bound::Buf { .. }) => fault(SimError::ReadOnlyStore { kernel: name(), param }),
+                _ => fault(SimError::BadParam { kernel: name(), index: param }),
+            },
+            Instr::For { var, start, end, step, ref body } => Some(Op::For {
+                var,
+                start: self.reg(start),
+                end: self.reg(end),
+                step: self.reg(step),
+                body: self.block(body),
+            }),
+            Instr::If { cond, ref then, ref els } => {
+                Some(Op::If { cond: self.reg(cond), then: self.block(then), els: self.block(els) })
+            }
+            Instr::Return => Some(Op::Return),
+        }
+    }
+}
+
+/// Renumber the `n` registers of `body` onto as few slots as possible;
+/// returns the slot count.
 ///
 /// Code generators allocate a fresh register per value (a fused HD kernel
-/// has 912), and every host worker holds `registers × WARP` of them, so the
+/// has 912), and every host worker holds `slots × WARP` of them, so the
 /// warp register file would otherwise cost 32 times a thread's. Two
 /// registers share a slot when their live ranges are disjoint. A live range
 /// runs from a register's first mention to its last in program order,
@@ -332,8 +755,7 @@ fn lanes_where(mask: Mask, p: impl Fn(usize) -> bool) -> Mask {
 /// that some read may find unwritten, and so zero, starts its range at the
 /// program start, which gives it a slot no other register has used. Every
 /// thread therefore reads the same values as under the original numbering.
-fn compact_registers(kernel: &Kernel) -> Kernel {
-    let n = kernel.register_count();
+fn compact(body: &mut [Op<'_>], n: usize) -> usize {
     let mut live = LiveRanges {
         first: vec![u32::MAX; n],
         last: vec![0; n],
@@ -341,7 +763,7 @@ fn compact_registers(kernel: &Kernel) -> Kernel {
         loops: Vec::new(),
         pos: 0,
     };
-    live.scan(&kernel.body, &mut vec![false; n]);
+    live.scan(body, &mut vec![false; n]);
     let LiveRanges { mut first, mut last, maybe_unset, loops, .. } = live;
     let mut order: Vec<usize> = (0..n).filter(|&r| first[r] != u32::MAX).collect();
     for &r in &order {
@@ -376,13 +798,12 @@ fn compact_registers(kernel: &Kernel) -> Kernel {
         });
         busy.push(std::cmp::Reverse((last[r], slot[r])));
     }
-    let mut compact = kernel.clone();
-    renumber(&mut compact.body, &slot);
-    compact
+    renumber(body, &slot);
+    slots as usize
 }
 
-/// Register live ranges over instruction positions (pre-order: a `For` or
-/// `If` comes before its bodies, a `then` before its `els`).
+/// Register live ranges over op positions (pre-order: a `For` or `If` comes
+/// before its bodies, a `then` before its `els`).
 struct LiveRanges {
     first: Vec<u32>,
     last: Vec<u32>,
@@ -410,31 +831,15 @@ impl LiveRanges {
         set[r as usize] = true;
     }
 
-    /// Record the mentions in `instrs`. `set` holds the registers written on
-    /// every path to `instrs` and is left holding those written on every
-    /// path through them.
-    fn scan(&mut self, instrs: &[Instr], set: &mut Vec<bool>) {
-        for i in instrs {
+    /// Record the mentions in `ops`. `set` holds the registers written on
+    /// every path to `ops` and is left holding those written on every path
+    /// through them.
+    fn scan(&mut self, ops: &mut [Op<'_>], set: &mut Vec<bool>) {
+        for op in ops {
             let at = self.pos;
             self.pos += 1;
-            match i {
-                Instr::Const { dst, .. }
-                | Instr::LoadParam { dst, .. }
-                | Instr::Special { dst, .. } => self.write(*dst, at, set),
-                Instr::Bin { dst, lhs, rhs, .. } => {
-                    self.read(*lhs, at, set);
-                    self.read(*rhs, at, set);
-                    self.write(*dst, at, set);
-                }
-                Instr::Mov { dst, src } | Instr::Load { dst, index: src, .. } => {
-                    self.read(*src, at, set);
-                    self.write(*dst, at, set);
-                }
-                Instr::Store { index, src, .. } => {
-                    self.read(*index, at, set);
-                    self.read(*src, at, set);
-                }
-                Instr::For { var, start, end, step, body } => {
+            match op {
+                Op::For { var, start, end, step, body } => {
                     for r in [start, end, step] {
                         self.read(*r, at, set);
                     }
@@ -444,74 +849,110 @@ impl LiveRanges {
                     self.scan(body, &mut in_body);
                     self.loops.push((at, self.pos));
                 }
-                Instr::If { cond, then, els } => {
+                Op::If { cond, then, els } => {
                     self.read(*cond, at, set);
                     let mut on_else = set.clone();
                     self.scan(then, set);
                     self.scan(els, &mut on_else);
                     set.iter_mut().zip(on_else).for_each(|(s, e)| *s &= e);
                 }
-                Instr::Return => {}
+                _ => op.each_reg(|r, written| {
+                    if written {
+                        self.write(*r, at, set)
+                    } else {
+                        self.read(*r, at, set)
+                    }
+                }),
             }
         }
     }
 }
 
-/// Replace every register `r` in `instrs` by `slot[r]`.
-fn renumber(instrs: &mut [Instr], slot: &[Reg]) {
-    let renumber_reg = |r: &mut Reg| *r = slot[*r as usize];
-    for i in instrs {
-        match i {
-            Instr::Const { dst, .. }
-            | Instr::LoadParam { dst, .. }
-            | Instr::Special { dst, .. } => renumber_reg(dst),
-            Instr::Bin { dst, lhs, rhs, .. } => [dst, lhs, rhs].into_iter().for_each(renumber_reg),
-            Instr::Mov { dst, src }
-            | Instr::Load { dst, index: src, .. }
-            | Instr::Store { index: dst, src, .. } => [dst, src].into_iter().for_each(renumber_reg),
-            Instr::For { var, start, end, step, body } => {
-                [var, start, end, step].into_iter().for_each(renumber_reg);
-                renumber(body, slot);
-            }
-            Instr::If { cond, then, els } => {
-                renumber_reg(cond);
+/// Replace every register `r` in `ops` by `slot[r]`.
+fn renumber(ops: &mut [Op<'_>], slot: &[Reg]) {
+    for op in ops {
+        op.each_reg(|r, _| *r = slot[*r as usize]);
+        match op {
+            Op::For { body, .. } => renumber(body, slot),
+            Op::If { then, els, .. } => {
                 renumber(then, slot);
                 renumber(els, slot);
             }
-            Instr::Return => {}
+            _ => {}
         }
     }
+}
+
+/// Record in `first` that the lanes in `lanes` fault with `err(lane)`,
+/// keeping the lowest faulting lane's error. A lane faults at most once: it
+/// retires.
+fn record_fault(
+    first: &mut Option<(usize, SimError)>,
+    lanes: Mask,
+    err: impl FnOnce(usize) -> SimError,
+) {
+    let lane = lanes.trailing_zeros() as usize;
+    if first.as_ref().is_none_or(|&(l, _)| lane < l) {
+        *first = Some((lane, err(lane)));
+    }
+}
+
+/// The lanes of `mask` whose index `ix[lane]` lies inside a buffer of `len`
+/// elements; the others fault, into `first`, with an out-of-bounds access
+/// through argument `param` of kernel `name`.
+fn in_bounds(
+    first: &mut Option<(usize, SimError)>,
+    name: &str,
+    mask: Mask,
+    param: usize,
+    ix: &Row,
+    len: usize,
+) -> Mask {
+    // A negative index wraps to a huge unsigned one.
+    let oob = lanes_where(mask, |l| ix[l] as u64 >= len as u64);
+    if oob != 0 {
+        record_fault(first, oob, |l| SimError::OutOfBounds {
+            kernel: name.to_string(),
+            buffer: param,
+            index: ix[l],
+            len,
+        });
+    }
+    mask & !oob
 }
 
 /// One worker's execution state: the launch it serves, the current warp's
 /// identity, lane-major registers and fault, and the worker's counters and
 /// write log.
 struct Warp<'a> {
-    kernel: &'a Kernel,
-    bound: &'a [Bound<'a>],
+    prog: &'a Program<'a>,
+    name: &'a str,
     cfg: LaunchConfig,
     bx: i64,
     by: i64,
     tx: [i64; WARP],
     ty: [i64; WARP],
-    /// `regs[reg][lane]`.
-    regs: Vec<[i64; WARP]>,
+    /// `regs[slot][lane]`.
+    regs: Vec<Row>,
+    /// A copy of a source row that is also the destination.
+    spare: Row,
     /// The lowest faulting lane so far and its (first and only) fault.
     fault: Option<(usize, SimError)>,
     st: WorkerState,
 }
 
 impl<'a> Warp<'a> {
-    fn new(kernel: &'a Kernel, bound: &'a [Bound<'a>], cfg: LaunchConfig) -> Self {
+    fn new(prog: &'a Program<'a>, name: &'a str, bound: &[Bound<'_>], cfg: LaunchConfig) -> Self {
         Warp {
-            kernel,
-            bound,
+            prog,
+            name,
             cfg,
             bx: 0,
             by: 0,
             tx: [0; WARP],
             ty: [0; WARP],
-            regs: vec![[0; WARP]; kernel.register_count()],
+            regs: vec![[0; WARP]; prog.slots],
+            spare: [0; WARP],
             fault: None,
             st: WorkerState::new(bound),
         }
@@ -520,7 +961,7 @@ impl<'a> Warp<'a> {
     /// Run block `blk` warp by warp, appending its stores to the worker log
     /// in (thread rank, program order).
     fn run_block(&mut self, blk: u64) -> Result<(), SimError> {
-        let kernel = self.kernel;
+        let prog = self.prog;
         let width = self.cfg.block.0 as usize;
         let threads = width * self.cfg.block.1 as usize;
         self.bx = (blk % self.cfg.grid.0 as u64) as i64;
@@ -537,7 +978,7 @@ impl<'a> Warp<'a> {
             }
             self.regs.fill([0; WARP]);
             let logged = self.st.log.len();
-            self.exec(&kernel.body, if lanes == WARP { FULL } else { (1 << lanes) - 1 });
+            self.exec(&prog.body, if lanes == WARP { FULL } else { (1 << lanes) - 1 });
             if let Some((_, err)) = self.fault.take() {
                 return Err(err);
             }
@@ -548,59 +989,37 @@ impl<'a> Warp<'a> {
         Ok(())
     }
 
-    /// Record that the lanes in `lanes` fault with `err(lane)`, keeping the
-    /// lowest faulting lane's error. A lane faults at most once: it retires.
-    fn fault(&mut self, lanes: Mask, err: impl FnOnce(usize) -> SimError) {
-        let lane = lanes.trailing_zeros() as usize;
-        if self.fault.as_ref().is_none_or(|&(l, _)| lane < l) {
-            self.fault = Some((lane, err(lane)));
+    /// The lanes of `mask` whose slot `r` is nonzero; the others fault with
+    /// a division by zero.
+    fn nonzero(&mut self, mask: Mask, r: Reg) -> Mask {
+        let b = &self.regs[r as usize];
+        let zero = lanes_where(mask, |l| b[l] == 0);
+        if zero != 0 {
+            let name = self.name;
+            record_fault(&mut self.fault, zero, |_| SimError::DivByZero { kernel: name.into() });
         }
+        mask & !zero
     }
 
-    /// The lanes of `mask` whose index `ix[lane]` lies inside a buffer of
-    /// `len` elements; the others fault with an out-of-bounds access through
-    /// argument `param`.
-    fn in_bounds(&mut self, mask: Mask, param: usize, ix: &[i64; WARP], len: usize) -> Mask {
-        // A negative index wraps to a huge unsigned one.
-        let oob = lanes_where(mask, |l| ix[l] as u64 >= len as u64);
-        if oob != 0 {
-            let kernel = self.kernel;
-            self.fault(oob, |l| SimError::OutOfBounds {
-                kernel: kernel.name.clone(),
-                buffer: param,
-                index: ix[l],
-                len,
-            });
-        }
-        mask & !oob
-    }
-
-    /// Run `instrs` for the lanes in `mask`; returns the lanes still running
+    /// Run `ops` for the lanes in `mask`; returns the lanes still running
     /// afterwards (those that neither returned nor faulted).
-    fn exec(&mut self, instrs: &'a [Instr], mut mask: Mask) -> Mask {
-        let (kernel, bound, cfg) = (self.kernel, self.bound, self.cfg);
-        let name = || kernel.name.clone();
-        for instr in instrs {
+    fn exec(&mut self, ops: &'a [Op<'a>], mut mask: Mask) -> Mask {
+        let (name, cfg) = (self.name, self.cfg);
+        for op in ops {
             if mask == 0 {
                 break;
             }
-            self.st.instructions += mask.count_ones() as u64;
-            match instr {
-                Instr::Const { dst, value } => {
-                    let d = &mut self.regs[*dst as usize];
-                    set(d, mask, |_| *value);
+            let lanes = mask.count_ones() as u64;
+            self.st.instructions += lanes;
+            match op {
+                // The first of the `n` was charged above.
+                Op::Count(n) => self.st.instructions += (n - 1) * lanes,
+                Op::Fault(err) => {
+                    record_fault(&mut self.fault, mask, |_| (**err).clone());
+                    mask = 0;
                 }
-                Instr::LoadParam { dst, param } => match bound.get(*param) {
-                    Some(Bound::Scalar(v)) => {
-                        let d = &mut self.regs[*dst as usize];
-                        set(d, mask, |_| *v);
-                    }
-                    _ => {
-                        self.fault(mask, |_| SimError::BadParam { kernel: name(), index: *param });
-                        mask = 0;
-                    }
-                },
-                Instr::Special { dst, kind } => {
+                Op::Const { dst, value } => set(&mut self.regs[*dst as usize], mask, |_| *value),
+                Op::Special { dst, kind } => {
                     let (bx, by, tx, ty) = (self.bx, self.by, &self.tx, &self.ty);
                     let (bdx, bdy) = (cfg.block.0 as i64, cfg.block.1 as i64);
                     let value = |l: usize| match kind {
@@ -615,50 +1034,34 @@ impl<'a> Warp<'a> {
                         Special::GridDimX => cfg.grid.0 as i64,
                         Special::GridDimY => cfg.grid.1 as i64,
                     };
-                    let d = &mut self.regs[*dst as usize];
-                    set(d, mask, value);
+                    set(&mut self.regs[*dst as usize], mask, value);
                 }
-                Instr::Bin { op, dst, lhs, rhs } => {
-                    let (a, b) = (self.regs[*lhs as usize], self.regs[*rhs as usize]);
+                Op::Bin { op, dst, lhs, rhs } => {
                     if matches!(op, BinOp::Div | BinOp::Rem) {
-                        let zero = lanes_where(mask, |l| b[l] == 0);
-                        if zero != 0 {
-                            self.fault(zero, |_| SimError::DivByZero { kernel: name() });
-                            mask &= !zero;
-                        }
+                        mask = self.nonzero(mask, *rhs);
                     }
-                    let d = &mut self.regs[*dst as usize];
-                    match op {
-                        BinOp::Add => set(d, mask, |l| a[l].wrapping_add(b[l])),
-                        BinOp::Sub => set(d, mask, |l| a[l].wrapping_sub(b[l])),
-                        BinOp::Mul => set(d, mask, |l| a[l].wrapping_mul(b[l])),
-                        BinOp::Div => for_lanes(mask, |l| d[l] = a[l].wrapping_div(b[l])),
-                        BinOp::Rem => for_lanes(mask, |l| d[l] = a[l].wrapping_rem(b[l])),
-                        BinOp::Min => set(d, mask, |l| a[l].min(b[l])),
-                        BinOp::Max => set(d, mask, |l| a[l].max(b[l])),
-                        BinOp::Lt => set(d, mask, |l| (a[l] < b[l]) as i64),
-                        BinOp::Le => set(d, mask, |l| (a[l] <= b[l]) as i64),
-                        BinOp::Eq => set(d, mask, |l| (a[l] == b[l]) as i64),
-                        BinOp::Ne => set(d, mask, |l| (a[l] != b[l]) as i64),
-                        BinOp::And => set(d, mask, |l| (a[l] != 0 && b[l] != 0) as i64),
-                        BinOp::Or => set(d, mask, |l| (a[l] != 0 || b[l] != 0) as i64),
-                    }
+                    let (d, [a, b]) = rows(&mut self.regs, &mut self.spare, *dst, [*lhs, *rhs]);
+                    bin(*op, d, mask, |l| a[l], |l| b[l]);
                 }
-                Instr::Mov { dst, src } => {
-                    let s = self.regs[*src as usize];
-                    let d = &mut self.regs[*dst as usize];
+                Op::BinImm { op, dst, lhs, imm } => {
+                    let (d, [a]) = rows(&mut self.regs, &mut self.spare, *dst, [*lhs]);
+                    bin(*op, d, mask, |l| a[l], |_| *imm);
+                }
+                Op::ImmBin { op, dst, imm, rhs } => {
+                    if matches!(op, BinOp::Div | BinOp::Rem) {
+                        mask = self.nonzero(mask, *rhs);
+                    }
+                    let (d, [b]) = rows(&mut self.regs, &mut self.spare, *dst, [*rhs]);
+                    bin(*op, d, mask, |_| *imm, |l| b[l]);
+                }
+                Op::Mov { dst, src } => {
+                    let (d, [s]) = rows(&mut self.regs, &mut self.spare, *dst, [*src]);
                     set(d, mask, |l| s[l]);
                 }
-                Instr::Load { dst, param, index } => {
-                    let Some(Bound::Buf { data, .. }) = bound.get(*param) else {
-                        self.fault(mask, |_| SimError::BadParam { kernel: name(), index: *param });
-                        mask = 0;
-                        continue;
-                    };
-                    let ix = self.regs[*index as usize];
-                    mask = self.in_bounds(mask, *param, &ix, data.len());
+                Op::Load { dst, param, index, data } => {
+                    let (d, [ix]) = rows(&mut self.regs, &mut self.spare, *dst, [*index]);
+                    mask = in_bounds(&mut self.fault, name, mask, *param, ix, data.len());
                     let touched = &mut self.st.touched[*param];
-                    let d = &mut self.regs[*dst as usize];
                     for_lanes(mask, |l| {
                         let a = ix[l] as usize;
                         touched[a / 64] |= 1 << (a % 64);
@@ -666,27 +1069,9 @@ impl<'a> Warp<'a> {
                     });
                     self.st.loads += mask.count_ones() as u64;
                 }
-                Instr::Store { param, index, src } => {
-                    let data = match bound.get(*param) {
-                        Some(Bound::Buf { data, writable: true, .. }) => data,
-                        Some(Bound::Buf { .. }) => {
-                            let err = |_| SimError::ReadOnlyStore { kernel: name(), param: *param };
-                            self.fault(mask, err);
-                            mask = 0;
-                            continue;
-                        }
-                        _ => {
-                            self.fault(mask, |_| SimError::BadParam {
-                                kernel: name(),
-                                index: *param,
-                            });
-                            mask = 0;
-                            continue;
-                        }
-                    };
-                    let ix = self.regs[*index as usize];
-                    mask = self.in_bounds(mask, *param, &ix, data.len());
-                    let v = self.regs[*src as usize];
+                Op::Store { param, index, src, len } => {
+                    let (ix, v) = (&self.regs[*index as usize], &self.regs[*src as usize]);
+                    mask = in_bounds(&mut self.fault, name, mask, *param, ix, *len);
                     let (touched, log) = (&mut self.st.touched[*param], &mut self.st.log);
                     for_lanes(mask, |l| {
                         let a = ix[l] as u32;
@@ -702,22 +1087,21 @@ impl<'a> Warp<'a> {
                     });
                     self.st.stores += mask.count_ones() as u64;
                 }
-                Instr::For { var, start, end, step, body } => {
+                Op::For { var, start, end, step, body } => {
                     let mut v = self.regs[*start as usize];
                     let end_v = self.regs[*end as usize];
                     let step_v = self.regs[*step as usize].map(|s| s.max(1));
                     let mut live = lanes_where(mask, |l| v[l] < end_v[l]);
                     while live != 0 {
-                        let d = &mut self.regs[*var as usize];
-                        set(d, live, |l| v[l]);
+                        set(&mut self.regs[*var as usize], live, |l| v[l]);
                         let cont = self.exec(body, live);
                         mask &= !(live & !cont);
                         for_lanes(cont, |l| v[l] += step_v[l]);
                         live = lanes_where(cont, |l| v[l] < end_v[l]);
                     }
                 }
-                Instr::If { cond, then, els } => {
-                    let c = self.regs[*cond as usize];
+                Op::If { cond, then, els } => {
+                    let c = &self.regs[*cond as usize];
                     let taken = lanes_where(mask, |l| c[l] != 0);
                     let not_taken = mask & !taken;
                     mask = 0;
@@ -728,7 +1112,7 @@ impl<'a> Warp<'a> {
                         mask |= self.exec(els, not_taken);
                     }
                 }
-                Instr::Return => mask = 0,
+                Op::Return => mask = 0,
             }
         }
         mask
@@ -1218,23 +1602,98 @@ mod tests {
     fn registers_with_disjoint_live_ranges_share_a_slot() {
         // A chain of 100 temporaries needs three slots: the thread id, the
         // previous link and the next one. A register read before any write
-        // (`unset`, zero) gets a slot no register used before it.
+        // (`unset`, zero) gets a slot no register used before it, and a
+        // constant that only `Bin`s read becomes their immediate and gets
+        // none.
         let mut b = KernelBuilder::new("chain", KernelFlavor::Cuda);
         let y = b.buffer_param("y", true);
         let gid = b.special(Special::GlobalIdX);
+        let five = b.constant(5);
         let unset = b.reg();
         let mut t = b.bin(BinOp::Add, gid, unset);
         for _ in 0..100 {
             t = b.bin(BinOp::Add, t, gid);
         }
+        t = b.bin(BinOp::Add, t, five);
         b.store(y, gid, t);
         let k = b.finish();
-        assert_eq!(k.register_count(), 103);
-        assert_eq!(compact_registers(&k).register_count(), 3);
+        assert_eq!(k.register_count(), 105);
+        let cfg = LaunchConfig::cover_1d(4, 4);
         let mut bufs = vec![Some(vec![0i32; 4])];
+        let bound = bind(&k, &[KernelArg::Buffer(0)], &bufs).unwrap();
+        let prog = decode(&k, &bound, cfg);
+        assert_eq!(prog.slots, 3);
+        assert!(!prog.body.iter().any(|op| matches!(op, Op::Const { .. })), "5 is folded");
+        drop(bound);
+        run_kernel(&k, cfg, &[KernelArg::Buffer(0)], &mut bufs, 1).unwrap();
+        assert_eq!(bufs[0].as_deref(), Some(&[5, 106, 207, 308][..]));
+    }
+
+    #[test]
+    fn constant_defined_in_a_branch_is_not_folded() {
+        // `seven` is written only by the lanes that take the branch; the
+        // others read it unwritten, as zero.
+        let mut b = KernelBuilder::new("branch_const", KernelFlavor::Cuda);
+        let y = b.buffer_param("y", true);
+        let gid = b.special(Special::GlobalIdX);
+        let two = b.constant(2);
+        let low = b.bin(BinOp::Lt, gid, two);
+        b.begin_if(low);
+        let seven = b.constant(7);
+        b.end_if();
+        let v = b.bin(BinOp::Add, seven, gid);
+        b.store(y, gid, v);
+        let k = b.finish();
+        let mut bufs = vec![Some(vec![-1i32; 4])];
         run_kernel(&k, LaunchConfig::cover_1d(4, 4), &[KernelArg::Buffer(0)], &mut bufs, 1)
             .unwrap();
-        assert_eq!(bufs[0].as_deref(), Some(&[0, 101, 202, 303][..]));
+        assert_eq!(bufs[0].as_deref(), Some(&[7, 8, 2, 3][..]));
+    }
+
+    #[test]
+    fn identity_whose_source_is_rewritten_is_not_an_alias() {
+        // `same = x + 0` must keep the value `x` had at that point, so it
+        // cannot read `x` after the `Mov` rewrites it.
+        let mut b = KernelBuilder::new("moved_source", KernelFlavor::Cuda);
+        let y = b.buffer_param("y", true);
+        let gid = b.special(Special::GlobalIdX);
+        let x = b.bin_imm(BinOp::Mul, gid, 3);
+        let same = b.bin_imm(BinOp::Add, x, 0);
+        b.mov(x, gid);
+        b.store(y, gid, same);
+        let k = b.finish();
+        let mut bufs = vec![Some(vec![-1i32; 4])];
+        run_kernel(&k, LaunchConfig::cover_1d(4, 4), &[KernelArg::Buffer(0)], &mut bufs, 1)
+            .unwrap();
+        assert_eq!(bufs[0].as_deref(), Some(&[0, 3, 6, 9][..]));
+    }
+
+    #[test]
+    fn folded_run_before_a_fault_is_charged_to_every_lane_that_reached_it() {
+        // Three folded instructions, then a load that faults for lanes 4..8:
+        // the run counts all eight lanes, the instructions after the load
+        // only the four that survive it.
+        let mut b = KernelBuilder::new("fold_then_fault", KernelFlavor::Cuda);
+        let x = b.buffer_param("x", false);
+        let y = b.buffer_param("y", true);
+        let gid = b.special(Special::GlobalIdX);
+        let five = b.constant(5);
+        let seven = b.constant(7);
+        let twelve = b.bin(BinOp::Add, five, seven);
+        let v = b.load(x, gid);
+        let w = b.bin(BinOp::Add, v, twelve);
+        b.store(y, gid, w);
+        let k = b.finish();
+        let cfg = LaunchConfig::cover_1d(8, 8);
+        let bufs = vec![Some(vec![1i32; 4]), Some(vec![0i32; 8])];
+        let bound = bind(&k, &[KernelArg::Buffer(0), KernelArg::Buffer(1)], &bufs).unwrap();
+        let prog = decode(&k, &bound, cfg);
+        assert!(matches!(prog.body[1], Op::Count(3)));
+        let mut warp = Warp::new(&prog, &k.name, &bound, cfg);
+        let err = warp.run_block(0).unwrap_err();
+        let oob = SimError::OutOfBounds { kernel: k.name.clone(), buffer: 0, index: 4, len: 4 };
+        assert_eq!(err, oob);
+        assert_eq!(warp.st.instructions, 8 * 5 + 4 * 2);
     }
 
     #[test]
@@ -1287,11 +1746,16 @@ mod prop_tests {
     /// stores whose indices collide and are sometimes out of bounds.
     /// Registers defined in one branch are read after it, as real kernels
     /// never do, so a lane's untouched registers must survive divergence.
+    /// Launch constants (literals, the scalar argument, block and grid
+    /// dimensions) and identities on them (`x * 1`, `0 * x`, `x % 1`, ...)
+    /// exercise decoding's folding, and a `Mov` may rewrite any of them.
     struct KernelGen<'r> {
         rng: &'r mut TestRng,
         b: KernelBuilder,
         /// Registers holding values, mostly lane-dependent.
         vals: Vec<Reg>,
+        /// Top-level literal registers, by value.
+        consts: Vec<(i64, Reg)>,
         /// Buffer parameters with their lengths: x (read-only), y, z.
         bufs: [(usize, i64); 3],
     }
@@ -1330,6 +1794,25 @@ mod prop_tests {
             for _ in 0..count {
                 let kinds = if depth < 2 { 11 } else { 8 };
                 match self.below(kinds) {
+                    0..=2 if self.below(4) == 0 => {
+                        const IDENTITIES: [(BinOp, i64, bool); 10] = [
+                            (BinOp::Mul, 1, false),
+                            (BinOp::Mul, 1, true),
+                            (BinOp::Add, 0, false),
+                            (BinOp::Add, 0, true),
+                            (BinOp::Sub, 0, false),
+                            (BinOp::Div, 1, false),
+                            (BinOp::Rem, 1, false),
+                            (BinOp::Rem, -1, false),
+                            (BinOp::Mul, 0, false),
+                            (BinOp::Mul, 0, true),
+                        ];
+                        let (op, k, k_first) = IDENTITIES[self.below(10) as usize];
+                        let k = self.consts.iter().find(|&&(v, _)| v == k).expect("literal").1;
+                        let x = self.pick();
+                        let r = if k_first { self.b.bin(op, k, x) } else { self.b.bin(op, x, k) };
+                        self.vals.push(r);
+                    }
                     0..=2 => {
                         const OPS: [BinOp; 13] = [
                             BinOp::Add,
@@ -1431,10 +1914,15 @@ mod prop_tests {
             Special::ThreadIdxY,
             Special::BlockIdxX,
             Special::BlockDimX,
+            Special::GridDimX,
         ] {
             vals.push(b.special(kind));
         }
-        let mut g = KernelGen { rng, b, vals, bufs: [(x, lens[0]), (y, lens[1]), (z, lens[2])] };
+        let consts: Vec<(i64, Reg)> =
+            [-1, 0, 1, 2, i64::MIN, i64::MAX].into_iter().map(|v| (v, b.constant(v))).collect();
+        vals.extend(consts.iter().map(|&(_, r)| r));
+        let bufs = [(x, lens[0]), (y, lens[1]), (z, lens[2])];
+        let mut g = KernelGen { rng, b, vals, consts, bufs };
         let count = 4 + g.below(12);
         g.stmts(0, count);
         g.b.finish()
@@ -1509,7 +1997,12 @@ mod prop_tests {
                 KernelArg::Buffer(0),
                 KernelArg::Buffer(1),
                 KernelArg::Buffer(z),
-                KernelArg::Scalar(rng.below(100) as i64 - 50),
+                // Sometimes a zero divisor or `i64::MIN / -1` as a constant.
+                KernelArg::Scalar(match rng.below(6) {
+                    0 => 0,
+                    1 => -1,
+                    _ => rng.below(100) as i64 - 50,
+                }),
             ];
             let mut expect_bufs = init.clone();
             let expect = scalar::run(&kernel, cfg, &args, &mut expect_bufs);
