@@ -7,7 +7,7 @@
 //! the GASPARD2 chain mechanically (its scheduled kernels already carry
 //! tilers), the SaC chain by recognising affine WITH-loop bodies — and the
 //! plan-level fusion pass composes adjacent accesses with the PR 3
-//! tiler-composition algebra ([`crate::compose`]) without knowing which
+//! tiler-composition algebra ([`crate::compose`](mod@crate::compose)) without knowing which
 //! frontend produced them.
 //!
 //! The tilers are plain [`Tiler`]s, and [`WindowSpec`] and [`ElementaryOp`]
@@ -167,7 +167,7 @@ impl TiledAccess {
 /// [`ElementaryOp::Composed`]`{ inner: producer.op, outer: consumer.op }`.
 ///
 /// Legality (canonical tilers, aligned stepping or block grouping, wrap
-/// consistency, exact cover) is delegated to [`crate::compose`]; its typed
+/// consistency, exact cover) is delegated to [`crate::compose`](mod@crate::compose); its typed
 /// errors surface through [`ComposeError`] so callers can refuse-and-report.
 pub fn compose_access(
     producer: &TiledAccess,

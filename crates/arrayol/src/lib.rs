@@ -14,7 +14,7 @@
 //! * [`linalg`] — small integer vectors/matrices used by tiler algebra,
 //! * [`tiler`] — the tiler (`origin`, `fitting`, `paving`) and its gather /
 //!   scatter semantics, `e_i = o + F·i mod s_array`, `ref_r = o + P·r mod s_array`,
-//! * [`compose`] — tiler composition: fusing producer→consumer task pairs
+//! * [`compose`](mod@compose) — tiler composition: fusing producer→consumer task pairs
 //!   into one task that never materialises the intermediate array,
 //! * [`access`] — plan-level tiled-access descriptions (tilers and
 //!   elementary ops) that route frontends attach to kernel launches so the

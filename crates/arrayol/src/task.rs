@@ -5,7 +5,7 @@
 //! port's tiler) and produces one pattern per output port (scattered through
 //! that port's tiler). Bodies are either *elementary* (an opaque function on
 //! patterns — in GASPARD2 terms, a task "linked to an IP") or *hierarchical*
-//! (a nested [`ApplicationGraph`](crate::graph::ApplicationGraph) refined at a
+//! (a nested [`ApplicationGraph`] refined at a
 //! finer granularity).
 
 use crate::graph::{ApplicationGraph, ArrayId};

@@ -8,7 +8,7 @@
 //! with an escaping writer is enough.
 
 /// A JSON-shaped value whose objects keep insertion order (the JSON key
-/// order is the contract the goldens check). Build objects with [`record!`].
+/// order is the contract the goldens check). Build objects with [`record!`](crate::record!).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Record {
     /// A plain flag, e.g. whether a row ran with the pool on.

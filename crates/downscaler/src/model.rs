@@ -263,12 +263,12 @@ mod tests {
         // Figure 10: array {1080,1920}, pattern {11},
         // paving {{1,0},{0,8}}, repetition {1080,240}.
         assert_eq!(sm.arrays[bhf.input].shape, vec![1080, 1920]);
-        assert_eq!(bhf.in_pattern, vec![11]);
-        assert_eq!(bhf.in_tiler.paving, IMat::from_rows(&[&[1, 0], &[0, 8]]));
-        assert_eq!(bhf.repetition, vec![1080, 240]);
+        assert_eq!(bhf.access.in_pattern, vec![11]);
+        assert_eq!(bhf.access.in_tiler.paving, IMat::from_rows(&[&[1, 0], &[0, 8]]));
+        assert_eq!(bhf.access.repetition, vec![1080, 240]);
         // Output side: pattern {3}, paving {{1,0},{0,3}}, array {1080,720}.
-        assert_eq!(bhf.out_pattern, vec![3]);
-        assert_eq!(bhf.out_tiler.paving, IMat::from_rows(&[&[1, 0], &[0, 3]]));
+        assert_eq!(bhf.access.out_pattern, vec![3]);
+        assert_eq!(bhf.access.out_tiler.paving, IMat::from_rows(&[&[1, 0], &[0, 3]]));
         assert_eq!(sm.arrays[bhf.output].shape, vec![1080, 720]);
     }
 

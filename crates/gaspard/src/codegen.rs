@@ -17,7 +17,6 @@
 
 use crate::transform::{ScheduledKernel, ScheduledModel};
 use crate::GaspardError;
-use arrayol::access::TiledAccess;
 use simgpu::exec::LaunchConfig;
 use simgpu::kir::{Kernel, KernelFlavor};
 
@@ -70,24 +69,10 @@ pub fn generate_opencl(sm: &ScheduledModel) -> Result<OpenClProgram, GaspardErro
     Ok(OpenClProgram { model: sm.clone(), kernels })
 }
 
-/// The route-neutral tiled-access description of one scheduled task — the
-/// same structure the planopt fusion pass composes over, so a plan lowered
-/// from this route can be re-fused without consulting GASPARD2 internals.
-pub fn access_of(k: &ScheduledKernel) -> TiledAccess {
-    TiledAccess {
-        repetition: k.repetition.clone(),
-        in_pattern: k.in_pattern.clone(),
-        in_tiler: k.in_tiler.clone(),
-        out_pattern: k.out_pattern.clone(),
-        out_tiler: k.out_tiler.clone(),
-        op: k.op.clone(),
-    }
-}
-
 fn generate_kernel(sm: &ScheduledModel, k: &ScheduledKernel) -> Result<OpenClKernel, GaspardError> {
     let tk = simgpu::tiled::generate_tiled_kernel(
         &k.name,
-        &access_of(k),
+        &k.access,
         &sm.arrays[k.input].shape,
         &sm.arrays[k.output].shape,
         KernelFlavor::OpenCl,
@@ -159,7 +144,7 @@ mod tests {
         let (model, alloc) = mini_two_stage_model();
         let dep = deploy(model, Platform::cpu_gpu(), alloc).unwrap();
         let mut sm = schedule(&dep).unwrap();
-        sm.kernels[0].in_pattern = vec![10_000];
+        sm.kernels[0].access.in_pattern = vec![10_000];
         assert!(matches!(generate_opencl(&sm), Err(GaspardError::Invalid { .. })));
     }
 }
@@ -168,6 +153,7 @@ mod tests {
 mod rank2_pattern_tests {
     use super::*;
     use crate::transform::{ScheduledArray, ScheduledKernel, ScheduledModel};
+    use arrayol::access::TiledAccess;
     use arrayol::{ElementaryOp, IMat, Tiler};
     use mdarray::NdArray;
     use simgpu::device::Device;
@@ -186,22 +172,24 @@ mod rank2_pattern_tests {
             ],
             kernels: vec![ScheduledKernel {
                 name: "blockcopy".into(),
-                repetition: vec![2, 2],
                 input: 0,
-                in_pattern: vec![2, 2],
-                in_tiler: Tiler::new(
-                    vec![0, 0],
-                    IMat::identity(2),
-                    IMat::from_rows(&[&[2, 0], &[0, 2]]),
-                ),
                 output: 1,
-                out_pattern: vec![2, 2],
-                out_tiler: Tiler::new(
-                    vec![0, 0],
-                    IMat::identity(2),
-                    IMat::from_rows(&[&[2, 0], &[0, 2]]),
-                ),
-                op: ElementaryOp::Copy,
+                access: TiledAccess {
+                    repetition: vec![2, 2],
+                    in_pattern: vec![2, 2],
+                    in_tiler: Tiler::new(
+                        vec![0, 0],
+                        IMat::identity(2),
+                        IMat::from_rows(&[&[2, 0], &[0, 2]]),
+                    ),
+                    out_pattern: vec![2, 2],
+                    out_tiler: Tiler::new(
+                        vec![0, 0],
+                        IMat::identity(2),
+                        IMat::from_rows(&[&[2, 0], &[0, 2]]),
+                    ),
+                    op: ElementaryOp::Copy,
+                },
             }],
             inputs: vec![0],
             outputs: vec![1],

@@ -74,7 +74,7 @@ pub fn lower_plan_with(prog: &OpenClProgram, placement: Placement) -> LaunchPlan
         .zip(&sm.kernels)
         .map(|(k, sk)| {
             PlanKernel::new(&k.kernel, k.config, vec![k.output, k.input])
-                .with_access(crate::codegen::access_of(sk))
+                .with_access(sk.access.clone())
         })
         .collect();
     let mut steps = Vec::with_capacity(sm.inputs.len() + 2 * prog.kernels.len() + sm.outputs.len());
@@ -192,7 +192,7 @@ mod tests {
         let frame = NdArray::filled([4usize, 16], 9i64);
         let mut device = Device::gtx480();
         run_once(&prog, &mut device, &[frame]).unwrap();
-        let names: Vec<&str> = device.profiler.records().map(|r| r.name.as_str()).collect();
+        let names: Vec<&str> = device.profiler.records().map(|r| &*r.name).collect();
         assert!(names.contains(&"memcpyHtoDasync"));
         assert!(names.contains(&"memcpyDtoHasync"));
         assert!(names.contains(&"s1"));
@@ -386,7 +386,7 @@ mod tests {
         for _ in 0..5 {
             run_once(&prog, &mut device, std::slice::from_ref(&frame)).unwrap();
         }
-        let h2d = device.profiler.records().find(|r| r.name == "memcpyHtoDasync").unwrap();
+        let h2d = device.profiler.records().find(|r| &*r.name == "memcpyHtoDasync").unwrap();
         assert_eq!(h2d.calls, 5);
         // All buffers were freed each frame.
         assert_eq!(device.allocated_bytes(), 0);

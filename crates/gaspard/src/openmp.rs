@@ -26,29 +26,30 @@ pub fn emit_openmp_source(sm: &ScheduledModel) -> String {
 fn emit_task(sm: &ScheduledModel, k: &ScheduledKernel, out: &mut String) {
     let in_name = sm.arrays[k.input].name.replace(['.', '-'], "_");
     let out_name = sm.arrays[k.output].name.replace(['.', '-'], "_");
-    let rep: u64 = k.repetition.iter().map(|&r| r as u64).product();
+    let a = &k.access;
+    let rep: u64 = a.repetition.iter().map(|&r| r as u64).product();
     let _ = writeln!(out, "void {}(const int* {in_name}, int* {out_name}) {{", k.name);
     let _ = writeln!(out, "  #pragma omp parallel for schedule(static)");
     let _ = writeln!(out, "  for (long r = 0; r < {rep}L; r++) {{");
     // Repetition index components, dimension 0 fastest (as the OpenCL flavour).
     let mut div = String::from("r");
-    for (d, &extent) in k.repetition.iter().enumerate() {
-        if d + 1 < k.repetition.len() {
+    for (d, &extent) in a.repetition.iter().enumerate() {
+        if d + 1 < a.repetition.len() {
             let _ = writeln!(out, "    long tl{d} = {div} % {extent};");
             div = format!("(r / {extent})", extent = extent);
         } else {
             let _ = writeln!(out, "    long tl{d} = {div};");
         }
     }
-    let pattern_len: usize = k.in_pattern.iter().product();
+    let pattern_len: usize = a.in_pattern.iter().product();
     let _ = writeln!(out, "    int pattern[{pattern_len}];");
     let _ = writeln!(
         out,
         "    gather_tile(pattern, {in_name} /* origin {:?}, paving {:?} */);",
-        k.in_tiler.origin,
-        rows(&k.in_tiler.paving)
+        a.in_tiler.origin,
+        rows(&a.in_tiler.paving)
     );
-    match &k.op {
+    match &a.op {
         ElementaryOp::InterpolateWindows { windows, divisor } => {
             for (i, w) in windows.iter().enumerate() {
                 let terms: Vec<String> =
@@ -99,8 +100,8 @@ fn emit_task(sm: &ScheduledModel, k: &ScheduledKernel, out: &mut String) {
     let _ = writeln!(
         out,
         "    scatter_tile({out_name} /* origin {:?}, paving {:?} */);",
-        k.out_tiler.origin,
-        rows(&k.out_tiler.paving)
+        a.out_tiler.origin,
+        rows(&a.out_tiler.paving)
     );
     out.push_str("  }\n}\n");
 }

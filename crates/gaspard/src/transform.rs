@@ -17,7 +17,7 @@
 use crate::marte;
 use crate::model::*;
 use crate::GaspardError;
-use arrayol::{ElementaryOp, Tiler};
+use arrayol::access::TiledAccess;
 use mdarray::Shape;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -74,22 +74,14 @@ pub fn deploy(
 pub struct ScheduledKernel {
     /// Flattened instance name, e.g. `hf_bhf`.
     pub name: String,
-    /// Repetition space.
-    pub repetition: Vec<usize>,
     /// Input array id.
     pub input: usize,
-    /// Input pattern shape.
-    pub in_pattern: Vec<usize>,
-    /// Input tiler.
-    pub in_tiler: Tiler,
     /// Output array id.
     pub output: usize,
-    /// Output pattern shape.
-    pub out_pattern: Vec<usize>,
-    /// Output tiler.
-    pub out_tiler: Tiler,
-    /// The elementary computation.
-    pub op: ElementaryOp,
+    /// Repetition space, patterns, tilers and elementary computation: the
+    /// route-neutral description the code generator and planopt's fusion
+    /// pass both read.
+    pub access: TiledAccess,
 }
 
 /// An array in the scheduled model.
@@ -217,14 +209,16 @@ fn elaborate(
                     bound.insert((ipath.clone(), out_port.name.clone()), out_id);
                     sm.kernels.push(ScheduledKernel {
                         name: ipath.clone(),
-                        repetition: repetition.clone(),
                         input: in_arrays[0],
-                        in_pattern: input_tilers[0].0.clone(),
-                        in_tiler: input_tilers[0].1.clone(),
                         output: out_id,
-                        out_pattern: output_tilers[0].0.clone(),
-                        out_tiler: output_tilers[0].1.clone(),
-                        op: op.clone(),
+                        access: TiledAccess {
+                            repetition: repetition.clone(),
+                            in_pattern: input_tilers[0].0.clone(),
+                            in_tiler: input_tilers[0].1.clone(),
+                            out_pattern: output_tilers[0].0.clone(),
+                            out_tiler: output_tilers[0].1.clone(),
+                            op: op.clone(),
+                        },
                     });
                 }
                 ComponentKind::Composite { .. } => {
@@ -296,26 +290,27 @@ pub fn to_arrayol(sm: &ScheduledModel) -> Result<arrayol::ApplicationGraph, Gasp
         g.external_outputs.push(ids[o]);
     }
     for k in &sm.kernels {
-        let op = k.op.clone();
-        let out_pattern = Shape::new(k.out_pattern.clone());
+        let a = &k.access;
+        let op = a.op.clone();
+        let out_pattern = Shape::new(a.out_pattern.clone());
         let f: arrayol::ElementaryFn = Arc::new(move |patterns| {
             let out = op.apply(patterns[0].as_slice());
             vec![mdarray::NdArray::from_vec(out_pattern.clone(), out).expect("length matches")]
         });
         g.add_task(arrayol::RepetitiveTask {
             name: k.name.clone(),
-            repetition: Shape::new(k.repetition.clone()),
+            repetition: Shape::new(a.repetition.clone()),
             inputs: vec![arrayol::Port::new(
                 "in",
                 ids[k.input],
-                Shape::new(k.in_pattern.clone()),
-                k.in_tiler.clone(),
+                Shape::new(a.in_pattern.clone()),
+                a.in_tiler.clone(),
             )],
             outputs: vec![arrayol::Port::new(
                 "out",
                 ids[k.output],
-                Shape::new(k.out_pattern.clone()),
-                k.out_tiler.clone(),
+                Shape::new(a.out_pattern.clone()),
+                a.out_tiler.clone(),
             )],
             body: arrayol::TaskBody::Elementary { kernel_name: k.name.clone(), f },
         });

@@ -199,7 +199,7 @@ impl<T> Strategy for OneOf<T> {
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// Lengths accepted by [`vec`]: a fixed `usize` or a `Range<usize>`.
+    /// Lengths accepted by [`vec()`]: a fixed `usize` or a `Range<usize>`.
     pub trait SizeRange {
         /// Draw a concrete length.
         fn sample(&self, rng: &mut TestRng) -> usize;

@@ -479,7 +479,7 @@ int[*] main(int[32] a)
         let mut device = Device::gtx480();
         let a = NdArray::from_fn([32usize], |ix| ix[0] as i64);
         run_once(&cuda, &mut device, &[a]).unwrap();
-        let names: Vec<String> = device.profiler.records().map(|r| r.name.clone()).collect();
+        let names: Vec<String> = device.profiler.records().map(|r| r.name.to_string()).collect();
         assert!(names.iter().any(|n| n == "memcpyHtoDasync"), "{names:?}");
         assert!(names.iter().any(|n| n == "memcpyDtoHasync"), "{names:?}");
         assert!(names.iter().any(|n| n.contains("_k0")), "{names:?}");

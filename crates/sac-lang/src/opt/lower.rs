@@ -14,7 +14,7 @@
 //! * **host fallback** — constructs outside the data-parallel fragment
 //!   (the generic output tiler's `for` nest) become [`Step::Host`] entries,
 //!   exactly mirroring the paper: "the SAC compiler does not attempt to
-//!   parallelise loops apart from WITH-loops, [so] the for-loop nest is
+//!   parallelise loops apart from WITH-loops, \[so\] the for-loop nest is
 //!   executed on the host".
 
 use crate::ast::*;

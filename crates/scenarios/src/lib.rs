@@ -24,7 +24,7 @@
 //! so the bench `reproduce scenarios` ablation and the serve layer
 //! enumerate entries uniformly. All construction is panic-free: bad sizes
 //! surface as the scenario layer's typed
-//! [`PipelineError`](downscaler::pipelines::PipelineError).
+//! [`PipelineError`].
 
 #![warn(missing_docs)]
 

@@ -1,4 +1,4 @@
-//! Batch-serving front-end over a simulated device [`Fleet`].
+//! Batch-serving front-end over a simulated device [`Fleet`](simgpu::Fleet).
 //!
 //! This crate is the "millions of users" layer of the reproduction: it takes
 //! the route-agnostic [`LaunchPlan`](simgpu::LaunchPlan) that PR 4 made

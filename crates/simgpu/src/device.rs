@@ -5,7 +5,7 @@ use crate::cost::{Calibration, CostModel, Direction, Engine, ENGINE_COUNT};
 use crate::exec::{run_kernel, LaunchConfig, LaunchStats};
 use crate::kir::{Kernel, KernelArg};
 use crate::memo::LaunchMemo;
-use crate::profiler::{OpClass, Profiler};
+use crate::profiler::{OpClass, Profiler, Slot};
 use crate::SimError;
 use arrayol::access::TiledAccess;
 use std::collections::BTreeMap;
@@ -277,7 +277,7 @@ impl Device {
         self.stream_tail_us.len()
     }
 
-    fn stream_tail(&self, stream: StreamId) -> Result<f64, SimError> {
+    pub(crate) fn stream_tail(&self, stream: StreamId) -> Result<f64, SimError> {
         self.stream_tail_us.get(stream.0).copied().ok_or(SimError::UnknownStream { id: stream.0 })
     }
 
@@ -292,7 +292,23 @@ impl Device {
         self.sim_time_us
     }
 
-    /// Schedule one operation of duration `us` on `stream`.
+    /// Schedule one operation of duration `us` on `stream`: resolve its
+    /// profiler slot, then charge it ([`Device::schedule_slot`]).
+    pub(crate) fn schedule_on(
+        &mut self,
+        name: &str,
+        class: OpClass,
+        stream: StreamId,
+        us: f64,
+    ) -> Result<(), SimError> {
+        self.stream_tail(stream)?;
+        let slot = self.profiler.slot(name, class);
+        self.schedule_slot(slot, stream, us);
+        Ok(())
+    }
+
+    /// Schedule one charge of the profiler's `slot`, of duration `us`, on
+    /// `stream`, which must exist ([`Device::stream_tail`]).
     ///
     /// The operation starts when its stream has drained, its engine is free,
     /// and the host has enqueued it (`start = max(stream tail, engine free,
@@ -300,22 +316,14 @@ impl Device {
     /// completion. With a single stream every `max` resolves to the stream
     /// tail, so the timeline degenerates to exactly the serial clock the
     /// synchronous API always had.
-    pub(crate) fn schedule_on(
-        &mut self,
-        name: &str,
-        class: OpClass,
-        stream: StreamId,
-        us: f64,
-    ) -> Result<f64, SimError> {
-        let tail = self.stream_tail(stream)?;
-        let engine = Engine::of_class(class) as usize;
-        let start = tail.max(self.engine_free_us[engine]).max(self.sim_time_us);
+    pub(crate) fn schedule_slot(&mut self, slot: Slot, stream: StreamId, us: f64) {
+        let engine = Engine::of_class(slot.class()) as usize;
+        let start =
+            self.stream_tail_us[stream.0].max(self.engine_free_us[engine]).max(self.sim_time_us);
         let end = start + us;
         self.stream_tail_us[stream.0] = end;
         self.engine_free_us[engine] = end;
-        self.profiler.record(name, class, us);
-        self.profiler.record_span(name, class, stream.0, start, us);
-        Ok(end)
+        self.profiler.charge(slot, stream.0, start, us);
     }
 
     /// Advance the simulated clock by a blocking host-side cost and record it.
@@ -333,8 +341,7 @@ impl Device {
         us: f64,
         stream: StreamId,
     ) -> Result<(), SimError> {
-        self.schedule_on(name, OpClass::Host, stream, us)?;
-        Ok(())
+        self.schedule_on(name, OpClass::Host, stream, us)
     }
 
     /// Bytes of device memory held by live buffers.
@@ -866,12 +873,12 @@ mod tests {
         // ...is drained by the Fermi-style device-sync in cudaMalloc.
         let buf = d.malloc(16).unwrap();
         assert_eq!(d.now_us(), 500.0 + malloc_us);
-        let rec = d.profiler.records().find(|r| r.name == "cudaMalloc").unwrap();
+        let rec = d.profiler.records().find(|r| &*r.name == "cudaMalloc").unwrap();
         assert_eq!(rec.calls, 1);
         // cudaFree charges and records too.
         d.free(buf).unwrap();
         assert_eq!(d.now_us(), 500.0 + malloc_us + d.cost_model().free_us());
-        assert!(d.profiler.records().any(|r| r.name == "cudaFree"));
+        assert!(d.profiler.records().any(|r| &*r.name == "cudaFree"));
     }
 
     #[test]
@@ -922,7 +929,7 @@ mod tests {
         let buf = d.malloc(10).unwrap();
         // 10 elements cannot split into 3 equal chunks: one transfer, one note.
         d.host2device_on(&[0; 10], buf, 3, StreamId::DEFAULT).unwrap();
-        let rec = d.profiler.records().find(|r| r.name == "memcpyHtoDasync").unwrap();
+        let rec = d.profiler.records().find(|r| &*r.name == "memcpyHtoDasync").unwrap();
         assert_eq!(rec.calls, 1);
         let notes: Vec<&str> = d.profiler.notes().collect();
         assert_eq!(notes.len(), 1);
@@ -954,7 +961,7 @@ mod tests {
         let da: Vec<i32> = (0..1000).collect();
         let db: Vec<i32> = (0..3000).collect();
         d.host2device_batch_on(&[(&da, a), (&db, b)], StreamId::DEFAULT).unwrap();
-        let rec = d.profiler.records().find(|r| r.name == "memcpyHtoDbatched").unwrap();
+        let rec = d.profiler.records().find(|r| &*r.name == "memcpyHtoDbatched").unwrap();
         assert_eq!(rec.calls, 1);
         // One latency for the whole batch: cheaper than two separate uploads.
         let model = *d.cost_model();
@@ -965,7 +972,10 @@ mod tests {
         assert!(batched < separate);
         let outs = d.device2host_batch_on(&[a, b], StreamId::DEFAULT).unwrap();
         assert_eq!(outs, vec![da, db]);
-        assert_eq!(d.profiler.records().find(|r| r.name == "memcpyDtoHbatched").unwrap().calls, 1);
+        assert_eq!(
+            d.profiler.records().find(|r| &*r.name == "memcpyDtoHbatched").unwrap().calls,
+            1
+        );
         d.synchronize();
     }
 
@@ -1025,7 +1035,7 @@ mod tests {
         assert!(d.peek(buf).unwrap().iter().all(|&v| v == 6));
         assert!(d.now_us() >= Calibration::gtx480().kernel_launch_us);
         let rec: Vec<_> = d.profiler.records().collect();
-        assert_eq!(rec[0].name, "inc");
+        assert_eq!(&*rec[0].name, "inc");
         assert_eq!(rec[0].calls, 1);
     }
 

@@ -13,9 +13,9 @@
 //!    rewrites kernel code rather than transfers, which is why it runs
 //!    first: the transfer passes then clean up around the smaller launch
 //!    set. Launch steps that carry a tiled-access description
-//!    ([`PlanKernel::access`], lowered by both route frontends) form
+//!    ([`PlanKernel::access`](crate::schedule::PlanKernel::access), lowered by both route frontends) form
 //!    producer→consumer candidates over intermediate arrays; the
-//!    tiler-composition algebra ([`arrayol::compose`], via
+//!    tiler-composition algebra ([`arrayol::compose`](mod@arrayol::compose), via
 //!    [`arrayol::access::compose_access`]) decides legality — canonical
 //!    tilers, aligned stepping or block grouping, wrap consistency, exact
 //!    cover. A legal pair is replaced by one fused launch (generated by

@@ -10,8 +10,26 @@
 //! ...
 //! Total                     -          2.86sec        100.00
 //! ```
+//!
+//! # Charging
+//!
+//! Every operation name is interned once per profiler: its `Arc<str>` is
+//! the key of the name table, the name of its [`Record`] and the name of
+//! every [`Span`] charged under it. The records live in a vector of
+//! *slots*, and the name table maps each name to one slot per
+//! [`OpClass`]. Charging an operation is therefore two steps:
+//! [`Profiler::slot`] finds (or, the first time, creates) the slot of a
+//! `(name, class)` by a borrowed `&str` lookup, and [`Profiler::charge`]
+//! adds one call to that slot and pushes a span whose name is a refcount
+//! increment. The device resolves and charges in one go for every
+//! operation it runs; a timing replay resolves each distinct operation of
+//! its witness once and then charges slots only, so a replayed span costs
+//! neither an allocation nor a search. [`Profiler::records`] walks the
+//! name table, so records come out by name and then by class whatever
+//! order their slots were created in.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// What kind of operation a record describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -29,8 +47,8 @@ pub enum OpClass {
 /// Accumulated measurements for one named operation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Record {
-    /// Operation name (kernel name or transfer label).
-    pub name: String,
+    /// Operation name (kernel name or transfer label), interned.
+    pub name: Arc<str>,
     /// Operation kind.
     pub class: OpClass,
     /// Number of invocations recorded.
@@ -81,8 +99,9 @@ pub struct TableRow {
 /// its engine from `start_us` to `end_us`, enqueued on `stream`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Span {
-    /// Operation name (kernel name or transfer label).
-    pub name: String,
+    /// Operation name (kernel name or transfer label), shared with the
+    /// profiler's record of it.
+    pub name: Arc<str>,
     /// Operation kind, which determines the engine it occupied.
     pub class: OpClass,
     /// Index of the stream the operation was enqueued on.
@@ -146,14 +165,34 @@ impl AllocStats {
     }
 }
 
+/// The record of one `(name, class)` in a [`Profiler`]'s table, as
+/// returned by [`Profiler::slot`]. A slot belongs to the profiler that
+/// resolved it and stays valid until that profiler's next
+/// [`Profiler::reset`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slot {
+    index: usize,
+    class: OpClass,
+}
+
+impl Slot {
+    /// Operation kind of the slot's record.
+    pub(crate) fn class(self) -> OpClass {
+        self.class
+    }
+}
+
 /// Collects operation records for one experiment run.
 ///
-/// Records are keyed by `(name, class)` so an operation name reused across
+/// Records are kept per `(name, class)` so an operation name reused across
 /// classes yields two visible entries instead of silently merging into the
 /// class of whichever record came first.
 #[derive(Debug, Clone, Default)]
 pub struct Profiler {
-    records: BTreeMap<(String, OpClass), Record>,
+    /// Records in order of first charge.
+    slots: Vec<Record>,
+    /// Interned name → slot of each [`OpClass`] (indexed by discriminant).
+    names: BTreeMap<Arc<str>, [Option<usize>; 4]>,
     spans: Vec<Span>,
     /// Allocation counters for the current run (see [`AllocStats`]).
     pub alloc: AllocStats,
@@ -166,33 +205,37 @@ impl Profiler {
         Self::default()
     }
 
-    /// Record one invocation of `name` taking `us` simulated microseconds.
-    pub fn record(&mut self, name: &str, class: OpClass, us: f64) {
-        let r = self.records.entry((name.to_string(), class)).or_insert_with(|| Record {
-            name: name.to_string(),
-            class,
-            calls: 0,
-            total_us: 0.0,
-        });
-        r.calls += 1;
-        r.total_us += us;
+    /// The slot of `(name, class)`, creating an empty record (and interning
+    /// `name`) the first time either is seen.
+    pub fn slot(&mut self, name: &str, class: OpClass) -> Slot {
+        let c = class as usize;
+        if let Some(index) = self.names.get(name).and_then(|slots| slots[c]) {
+            return Slot { index, class };
+        }
+        let name = match self.names.get_key_value(name) {
+            Some((interned, _)) => interned.clone(),
+            None => Arc::from(name),
+        };
+        let index = self.slots.len();
+        self.slots.push(Record { name: name.clone(), class, calls: 0, total_us: 0.0 });
+        self.names.entry(name).or_default()[c] = Some(index);
+        Slot { index, class }
     }
 
-    /// Record a scheduled timeline interval (engine occupancy of one op).
-    pub fn record_span(
-        &mut self,
-        name: &str,
-        class: OpClass,
-        stream: usize,
-        start_us: f64,
-        dur_us: f64,
-    ) {
-        self.spans.push(Span { name: name.to_string(), class, stream, start_us, dur_us });
+    /// Charge one invocation of `slot`'s operation: a call and `dur_us`
+    /// simulated microseconds on its record, and a timeline span on
+    /// `stream` starting at `start_us`.
+    pub fn charge(&mut self, slot: Slot, stream: usize, start_us: f64, dur_us: f64) {
+        let r = &mut self.slots[slot.index];
+        r.calls += 1;
+        r.total_us += dur_us;
+        let name = r.name.clone();
+        self.spans.push(Span { name, class: slot.class, stream, start_us, dur_us });
     }
 
     /// All records, sorted by name (then class, for colliding names).
     pub fn records(&self) -> impl Iterator<Item = &Record> {
-        self.records.values()
+        self.names.values().flat_map(|slots| slots.iter().flatten().map(|&i| &self.slots[i]))
     }
 
     /// All timeline spans in enqueue order (empty unless the device's
@@ -203,18 +246,18 @@ impl Profiler {
 
     /// Total simulated time across all records, µs.
     pub fn total_us(&self) -> f64 {
-        self.records.values().map(|r| r.total_us).sum()
+        self.records().map(|r| r.total_us).sum()
     }
 
     /// Total time of records matching a class, µs.
     pub fn class_total_us(&self, class: OpClass) -> f64 {
-        self.records.values().filter(|r| r.class == class).map(|r| r.total_us).sum()
+        self.records().filter(|r| r.class == class).map(|r| r.total_us).sum()
     }
 
     /// Total call count of records matching a class — e.g. the number of
     /// kernel launches a run performed, the metric fusion ablations compare.
     pub fn class_calls(&self, class: OpClass) -> u64 {
-        self.records.values().filter(|r| r.class == class).map(|r| r.calls).sum()
+        self.records().filter(|r| r.class == class).map(|r| r.calls).sum()
     }
 
     /// Attach a free-form observation to the run (a degraded transfer, an
@@ -232,7 +275,8 @@ impl Profiler {
     /// Forget everything (records, spans, allocation stats, notes) — the
     /// per-run stat reset.
     pub fn reset(&mut self) {
-        self.records.clear();
+        self.slots.clear();
+        self.names.clear();
         self.spans.clear();
         self.alloc = AllocStats::default();
         self.notes.clear();
@@ -247,7 +291,7 @@ impl Profiler {
     /// timeline requires rescheduling, not scaling — use the executors'
     /// replay support for that.
     pub fn scale(&mut self, factor: u64) {
-        for r in self.records.values_mut() {
+        for r in &mut self.slots {
             r.calls *= factor;
             r.total_us *= factor as f64;
         }
@@ -269,13 +313,9 @@ impl Profiler {
     /// merge while [`Profiler::makespan_us`] of a merged profiler is the
     /// slowest device's makespan, not a wall-clock union.
     pub fn merge(&mut self, other: &Profiler) {
-        for r in other.records.values() {
-            let e = self.records.entry((r.name.clone(), r.class)).or_insert_with(|| Record {
-                name: r.name.clone(),
-                class: r.class,
-                calls: 0,
-                total_us: 0.0,
-            });
+        for r in other.records() {
+            let slot = self.slot(&r.name, r.class);
+            let e = &mut self.slots[slot.index];
             e.calls += r.calls;
             e.total_us += r.total_us;
         }
@@ -410,8 +450,7 @@ impl Profiler {
             .iter()
             .map(|g| {
                 let members: Vec<&Record> = self
-                    .records
-                    .values()
+                    .records()
                     .filter(|r| {
                         g.class.is_none_or(|c| r.class == c)
                             && g.prefixes.iter().any(|p| r.name.starts_with(p.as_str()))
@@ -465,15 +504,27 @@ impl Profiler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Charge one call of `(name, class)` through its slot.
+    fn charge(p: &mut Profiler, name: &str, class: OpClass, stream: usize, start: f64, us: f64) {
+        let slot = p.slot(name, class);
+        p.charge(slot, stream, start, us);
+    }
+
+    /// Charge one call of `(name, class)` at time 0 on stream 0.
+    fn call(p: &mut Profiler, name: &str, class: OpClass, us: f64) {
+        charge(p, name, class, 0, 0.0, us);
+    }
 
     fn sample() -> Profiler {
         let mut p = Profiler::new();
         for _ in 0..300 {
-            p.record("hf_r", OpClass::Kernel, 900.0);
-            p.record("hf_g", OpClass::Kernel, 900.0);
-            p.record("hf_b", OpClass::Kernel, 1000.0);
+            call(&mut p, "hf_r", OpClass::Kernel, 900.0);
+            call(&mut p, "hf_g", OpClass::Kernel, 900.0);
+            call(&mut p, "hf_b", OpClass::Kernel, 1000.0);
             for _ in 0..3 {
-                p.record("memcpyHtoDasync", OpClass::H2D, 1500.0);
+                call(&mut p, "memcpyHtoDasync", OpClass::H2D, 1500.0);
             }
         }
         p
@@ -538,12 +589,40 @@ mod tests {
     #[test]
     fn name_reused_across_classes_keeps_both_records() {
         let mut p = Profiler::new();
-        p.record("tiler", OpClass::Kernel, 10.0);
-        p.record("tiler", OpClass::Host, 90.0);
+        call(&mut p, "tiler", OpClass::Kernel, 10.0);
+        call(&mut p, "tiler", OpClass::Host, 90.0);
         let recs: Vec<&Record> = p.records().collect();
         assert_eq!(recs.len(), 2);
         assert_eq!(p.class_total_us(OpClass::Kernel), 10.0);
         assert_eq!(p.class_total_us(OpClass::Host), 90.0);
+        // Both records and both spans share the one interned name.
+        assert!(Arc::ptr_eq(&recs[0].name, &recs[1].name));
+        assert!(p.spans().all(|s| Arc::ptr_eq(&s.name, &recs[0].name)));
+    }
+
+    #[test]
+    fn a_resolved_slot_is_charged_without_a_lookup() {
+        let mut p = Profiler::new();
+        let z = p.slot("z", OpClass::Kernel);
+        let a = p.slot("a", OpClass::Kernel);
+        assert_eq!(p.slot("z", OpClass::Kernel), z);
+        assert_ne!(p.slot("z", OpClass::Host), z);
+        p.charge(z, 1, 5.0, 2.0);
+        p.charge(a, 0, 0.0, 3.0);
+        p.charge(z, 1, 7.0, 2.0);
+        // Records come out by name whatever order their slots were made in;
+        // the resolved-but-never-charged `("z", Host)` is an empty record.
+        let recs: Vec<_> = p.records().map(|r| (&*r.name, r.class, r.calls, r.total_us)).collect();
+        assert_eq!(
+            recs,
+            vec![
+                ("a", OpClass::Kernel, 1, 3.0),
+                ("z", OpClass::Kernel, 2, 4.0),
+                ("z", OpClass::Host, 0, 0.0)
+            ]
+        );
+        let spans: Vec<_> = p.spans().map(|s| (&*s.name, s.stream, s.start_us)).collect();
+        assert_eq!(spans, vec![("z", 1, 5.0), ("a", 0, 0.0), ("z", 1, 7.0)]);
     }
 
     #[test]
@@ -551,10 +630,10 @@ mod tests {
         // Two kernels called 2 and 3 times: 5/2 = 2.5 rounds to 3 (the old
         // code truncated to 2).
         let mut p = Profiler::new();
-        p.record("k_a", OpClass::Kernel, 1.0);
-        p.record("k_a", OpClass::Kernel, 1.0);
+        call(&mut p, "k_a", OpClass::Kernel, 1.0);
+        call(&mut p, "k_a", OpClass::Kernel, 1.0);
         for _ in 0..3 {
-            p.record("k_b", OpClass::Kernel, 1.0);
+            call(&mut p, "k_b", OpClass::Kernel, 1.0);
         }
         let rows = p.rows(&[Group::kernels("K", "k_")]);
         assert_eq!(rows[0].calls, 3);
@@ -564,11 +643,11 @@ mod tests {
         let mut p = Profiler::new();
         // Two-stream double buffer: uploads on the H2D engine back-to-back,
         // kernels overlap the next upload.
-        p.record_span("up0", OpClass::H2D, 0, 0.0, 100.0);
-        p.record_span("k0", OpClass::Kernel, 0, 100.0, 150.0);
-        p.record_span("up1", OpClass::H2D, 1, 100.0, 100.0);
-        p.record_span("k1", OpClass::Kernel, 1, 250.0, 150.0);
-        p.record_span("down1", OpClass::D2H, 1, 400.0, 80.0);
+        charge(&mut p, "up0", OpClass::H2D, 0, 0.0, 100.0);
+        charge(&mut p, "k0", OpClass::Kernel, 0, 100.0, 150.0);
+        charge(&mut p, "up1", OpClass::H2D, 1, 100.0, 100.0);
+        charge(&mut p, "k1", OpClass::Kernel, 1, 250.0, 150.0);
+        charge(&mut p, "down1", OpClass::D2H, 1, 400.0, 80.0);
         p
     }
 
@@ -585,7 +664,7 @@ mod tests {
     #[test]
     fn critical_path_follows_abutting_spans() {
         let p = timeline();
-        let names: Vec<&str> = p.critical_path().iter().map(|s| s.name.as_str()).collect();
+        let names: Vec<&str> = p.critical_path().iter().map(|s| &*s.name).collect();
         // down1 starts when k1 ends, k1 when k0 ends, k0 when up0 ends.
         assert_eq!(names, vec!["up0", "k0", "k1", "down1"]);
     }
@@ -602,9 +681,9 @@ mod tests {
     #[test]
     fn scale_multiplies_records_but_not_spans() {
         let mut p = timeline();
-        p.record("k0", OpClass::Kernel, 150.0);
         p.scale(10);
-        assert_eq!(p.total_us(), 1500.0);
+        assert_eq!(p.total_us(), 5800.0);
+        assert_eq!(p.class_calls(OpClass::H2D), 20);
         assert_eq!(p.spans().count(), 5);
         assert_eq!(p.makespan_us(), 480.0);
     }
@@ -641,29 +720,136 @@ mod tests {
     #[test]
     fn merge_folds_records_spans_notes_and_alloc() {
         let mut a = Profiler::new();
-        a.record("k", OpClass::Kernel, 10.0);
-        a.record_span("k", OpClass::Kernel, 0, 0.0, 10.0);
+        call(&mut a, "k", OpClass::Kernel, 10.0);
         a.note("from a");
         a.alloc.mallocs = 2;
         a.alloc.peak_bytes = 100;
 
         let mut b = Profiler::new();
-        b.record("k", OpClass::Kernel, 5.0);
-        b.record("up", OpClass::H2D, 7.0);
-        b.record_span("up", OpClass::H2D, 0, 0.0, 7.0);
+        call(&mut b, "k", OpClass::Kernel, 5.0);
+        call(&mut b, "up", OpClass::H2D, 7.0);
         b.note("from b");
         b.alloc.mallocs = 3;
         b.alloc.peak_bytes = 50;
 
         a.merge(&b);
-        let k = a.records().find(|r| r.name == "k").unwrap();
+        let k = a.records().find(|r| &*r.name == "k").unwrap();
         assert_eq!((k.calls, k.total_us), (2, 15.0));
         assert_eq!(a.class_total_us(OpClass::H2D), 7.0);
-        assert_eq!(a.spans().count(), 2);
+        assert_eq!(a.spans().count(), 3);
         assert_eq!(a.notes().collect::<Vec<_>>(), vec!["from a", "from b"]);
         assert_eq!(a.alloc.mallocs, 5);
         assert_eq!(a.alloc.peak_bytes, 150);
         // The merged-into profiler changed; the source is untouched.
         assert_eq!(b.records().count(), 2);
+    }
+
+    /// The record table as the profiler kept it before slots: one map keyed
+    /// by `(String, OpClass)`, accumulated in the same order.
+    #[derive(Default)]
+    struct Reference {
+        records: BTreeMap<(String, OpClass), (u64, f64)>,
+        spans: Vec<(String, OpClass, usize, f64, f64)>,
+    }
+
+    impl Reference {
+        fn charge(&mut self, name: &str, class: OpClass, stream: usize, start: f64, us: f64) {
+            let e = self.records.entry((name.to_string(), class)).or_insert((0, 0.0));
+            e.0 += 1;
+            e.1 += us;
+            self.spans.push((name.to_string(), class, stream, start, us));
+        }
+
+        fn merge(&mut self, other: &Reference) {
+            for (key, &(calls, us)) in &other.records {
+                let e = self.records.entry(key.clone()).or_insert((0, 0.0));
+                e.0 += calls;
+                e.1 += us;
+            }
+            self.spans.extend(other.spans.iter().cloned());
+        }
+
+        fn scale(&mut self, factor: u64) {
+            for e in self.records.values_mut() {
+                e.0 *= factor;
+                e.1 *= factor as f64;
+            }
+        }
+
+        fn reset(&mut self) {
+            self.records.clear();
+            self.spans.clear();
+        }
+
+        fn matches(&self, p: &Profiler) -> bool {
+            let got =
+                p.records().map(|r| (r.name.to_string(), r.class, r.calls, r.total_us.to_bits()));
+            let want = self
+                .records
+                .iter()
+                .map(|((n, c), &(calls, us))| (n.clone(), *c, calls, us.to_bits()));
+            let spans = p.spans().map(|s| {
+                (s.name.to_string(), s.class, s.stream, s.start_us.to_bits(), s.dur_us.to_bits())
+            });
+            let want_spans = self
+                .spans
+                .iter()
+                .map(|(n, c, st, a, d)| (n.clone(), *c, *st, a.to_bits(), d.to_bits()));
+            got.eq(want)
+                && spans.eq(want_spans)
+                && p.total_us().to_bits()
+                    == self.records.values().map(|e| e.1).sum::<f64>().to_bits()
+        }
+    }
+
+    const NAMES: [&str; 5] = ["k_b", "memcpy", "k_a", "a", "k_ab"];
+    const CLASSES: [OpClass; 4] = [OpClass::Kernel, OpClass::H2D, OpClass::D2H, OpClass::Host];
+
+    proptest! {
+        /// Random charge sequences on two profilers, with `merge` in both
+        /// directions, `scale` and `reset` interleaved, keep the slot table
+        /// equal to the `(String, OpClass)`-keyed reference: same order,
+        /// calls and `total_us` bits, and the same spans.
+        #[test]
+        fn slot_table_matches_name_keyed_reference(
+            ops in proptest::collection::vec((0u8..38, 0u8..5, 0u8..4, any::<u16>()), 1..80),
+        ) {
+            let mut p = [Profiler::new(), Profiler::new()];
+            let mut r = [Reference::default(), Reference::default()];
+            for (i, &(op, name, class, dur)) in ops.iter().enumerate() {
+                let t = usize::from(op & 1);
+                match op {
+                    0..=31 => {
+                        let (name, class) = (NAMES[usize::from(name)], CLASSES[usize::from(class)]);
+                        let stream = usize::from(op >> 1) % 3;
+                        let (start, us) = (i as f64 * 0.1, f64::from(dur) / 7.0);
+                        charge(&mut p[t], name, class, stream, start, us);
+                        r[t].charge(name, class, stream, start, us);
+                    }
+                    32..=33 => {
+                        let [a, b] = &mut p;
+                        let [ra, rb] = &mut r;
+                        if t == 0 {
+                            a.merge(b);
+                            ra.merge(rb);
+                        } else {
+                            b.merge(a);
+                            rb.merge(ra);
+                        }
+                    }
+                    34..=35 => {
+                        let factor = u64::from(name % 4);
+                        p[t].scale(factor);
+                        r[t].scale(factor);
+                    }
+                    _ => {
+                        p[t].reset();
+                        r[t].reset();
+                    }
+                }
+                prop_assert!(r[0].matches(&p[0]), "profiler 0 diverged after op {i} of {ops:?}");
+                prop_assert!(r[1].matches(&p[1]), "profiler 1 diverged after op {i} of {ops:?}");
+            }
+        }
     }
 }

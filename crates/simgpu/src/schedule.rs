@@ -27,9 +27,10 @@
 use crate::device::{BufferId, Device, StreamId};
 use crate::exec::LaunchConfig;
 use crate::kir::{Kernel, KernelArg, Param};
-use crate::profiler::{Profiler, Span};
+use crate::profiler::{OpClass, Profiler, Slot};
 use crate::SimError;
 use mdarray::NdArray;
+use std::sync::Arc;
 
 /// A device array declared by a [`LaunchPlan`], identified by its index in
 /// [`LaunchPlan::arrays`].
@@ -619,6 +620,10 @@ impl RunStats {
 /// [`BatchScheduler`] replays its warm frame this way, and the serving layer
 /// replays whole jobs.
 ///
+/// The witness keeps each distinct `(name, class)` once. A replay resolves
+/// them to record slots of the *target* device's profiler (which need not
+/// be the capture device's) once per call, then charges every span by slot.
+///
 /// Replay is exact by construction because the only orderings a scheduled
 /// run has are stream order (within a lane slot) and engine order (across
 /// slots), and re-enqueueing the spans in capture order on a synchronized
@@ -627,11 +632,24 @@ impl RunStats {
 /// order.
 #[derive(Debug, Clone, Default)]
 pub struct ScheduleWitness {
-    /// The captured spans, each `stream` rewritten to its lane slot.
-    spans: Vec<Span>,
+    /// The distinct `(name, class)` of the captured spans, in order of
+    /// first appearance.
+    ops: Vec<(Arc<str>, OpClass)>,
+    /// The captured spans in enqueue order.
+    spans: Vec<WitnessSpan>,
     /// Number of distinct lane slots.
     lanes: usize,
     stats: RunStats,
+}
+
+/// One captured span: which operation, on which lane slot, for how long.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct WitnessSpan {
+    /// Index into [`ScheduleWitness::ops`].
+    op: usize,
+    lane: usize,
+    /// Exact charged duration, µs.
+    dur_us: f64,
 }
 
 impl ScheduleWitness {
@@ -639,18 +657,24 @@ impl ScheduleWitness {
     /// paired with the `stats` of the run that charged them.
     pub fn capture(profiler: &Profiler, span_mark: usize, stats: RunStats) -> Self {
         let mut slot_streams: Vec<usize> = Vec::new();
+        let mut ops: Vec<(Arc<str>, OpClass)> = Vec::new();
         let spans = profiler
             .spans()
             .skip(span_mark)
             .map(|sp| {
-                let slot = slot_streams.iter().position(|&s| s == sp.stream).unwrap_or_else(|| {
+                let lane = slot_streams.iter().position(|&s| s == sp.stream).unwrap_or_else(|| {
                     slot_streams.push(sp.stream);
                     slot_streams.len() - 1
                 });
-                Span { stream: slot, ..sp.clone() }
+                let op = ops.iter().position(|(n, c)| *c == sp.class && n == &sp.name);
+                let op = op.unwrap_or_else(|| {
+                    ops.push((sp.name.clone(), sp.class));
+                    ops.len() - 1
+                });
+                WitnessSpan { op, lane, dur_us: sp.dur_us }
             })
             .collect();
-        ScheduleWitness { spans, lanes: slot_streams.len(), stats }
+        ScheduleWitness { ops, spans, lanes: slot_streams.len(), stats }
     }
 
     /// Number of lane slots (distinct capture-time streams).
@@ -666,18 +690,41 @@ impl ScheduleWitness {
         device: &mut Device,
         streams: &[StreamId],
     ) -> Result<&RunStats, ScheduleError> {
-        if streams.len() < self.lanes {
-            return Err(ScheduleError::Config(format!(
-                "replaying a {}-lane schedule witness needs {} streams, got {}",
-                self.lanes,
-                self.lanes,
-                streams.len()
-            )));
-        }
-        for sp in &self.spans {
-            device.schedule_on(&sp.name, sp.class, streams[sp.stream], sp.dur_us)?;
-        }
+        self.replay_runs(device, [streams])?;
         Ok(&self.stats)
+    }
+
+    /// Charge the witness once per element of `runs`, in order, each run's
+    /// slot `k` on its `k`-th stream, resolving the witness's operations to
+    /// `device`'s record slots once for all runs. A run is checked before
+    /// any of its spans is charged, so a bad stream set charges nothing of
+    /// that run (runs before it stay charged).
+    fn replay_runs<'s>(
+        &self,
+        device: &mut Device,
+        runs: impl IntoIterator<Item = &'s [StreamId]>,
+    ) -> Result<(), ScheduleError> {
+        let mut slots: Vec<Slot> = Vec::new();
+        for streams in runs {
+            if streams.len() < self.lanes {
+                return Err(ScheduleError::Config(format!(
+                    "replaying a {}-lane schedule witness needs {} streams, got {}",
+                    self.lanes,
+                    self.lanes,
+                    streams.len()
+                )));
+            }
+            for &s in &streams[..self.lanes] {
+                device.stream_tail(s)?;
+            }
+            if slots.len() < self.ops.len() {
+                slots = self.ops.iter().map(|(n, c)| device.profiler.slot(n, *c)).collect();
+            }
+            for sp in &self.spans {
+                device.schedule_slot(slots[sp.op], streams[sp.lane], sp.dur_us);
+            }
+        }
+        Ok(())
     }
 }
 
@@ -971,9 +1018,10 @@ impl<'a> BatchScheduler<'a> {
         }
 
         let total = if opts.total_frames == 0 { frames.len() } else { opts.total_frames };
-        for f in frames.len()..total {
-            let lane = f % lanes;
-            stats.accumulate(warm.replay(device, &streams[lane..=lane])?);
+        let replayed = frames.len()..total;
+        warm.replay_runs(device, replayed.clone().map(|f| &streams[f % lanes..=f % lanes]))?;
+        for _ in replayed {
+            stats.accumulate(&warm.stats);
         }
         Ok((outputs, stats))
     }
@@ -1248,7 +1296,6 @@ mod tests {
     use crate::cost::Calibration;
     use crate::device::DeviceConfig;
     use crate::kir::{BinOp, KernelBuilder, KernelFlavor, Special};
-    use crate::profiler::OpClass;
 
     #[test]
     fn chunks_for_splits_only_matching_leading_dimension() {
@@ -1417,12 +1464,10 @@ mod tests {
         assert_eq!(replay_stats, stats);
         let again = ScheduleWitness::capture(&replayed.profiler, mark, replay_stats);
         assert_eq!(again.lanes(), 2);
+        assert_eq!(again.ops, witness.ops);
         assert_eq!(again.spans.len(), witness.spans.len());
         for (a, b) in witness.spans.iter().zip(&again.spans) {
-            assert_eq!(
-                (&a.name, a.class, a.stream, a.dur_us.to_bits()),
-                (&b.name, b.class, b.stream, b.dur_us.to_bits())
-            );
+            assert_eq!((a.op, a.lane, a.dur_us.to_bits()), (b.op, b.lane, b.dur_us.to_bits()));
         }
         for class in [OpClass::H2D, OpClass::Kernel, OpClass::D2H] {
             assert_eq!(
@@ -1439,6 +1484,63 @@ mod tests {
         let err = witness.replay(&mut replayed, &[StreamId::DEFAULT]).unwrap_err();
         assert!(matches!(err, ScheduleError::Config(_)), "{err:?}");
         assert_eq!(replayed.profiler.spans().count(), before);
+    }
+
+    /// A profile's records and spans, with every float as its bits.
+    #[allow(clippy::type_complexity)]
+    fn profile_bits(
+        p: &Profiler,
+    ) -> (Vec<(String, OpClass, u64, u64)>, Vec<(String, OpClass, usize, u64, u64)>) {
+        let records =
+            p.records().map(|r| (r.name.to_string(), r.class, r.calls, r.total_us.to_bits()));
+        let spans = p.spans().map(|s| {
+            (s.name.to_string(), s.class, s.stream, s.start_us.to_bits(), s.dur_us.to_bits())
+        });
+        (records.collect(), spans.collect())
+    }
+
+    #[test]
+    fn replay_onto_another_device_charges_like_scheduling_by_name() {
+        let n = 512;
+        let (kernel, config) = double_kernel(n);
+        let plan = double_plan(&kernel, config, n);
+        let mut real = Device::gtx480();
+        // A host step under the kernel's own name: the witness holds one name
+        // in two classes.
+        real.charge_host(&kernel.name, 5.0);
+        let opts = ExecOptions { streams: 2, total_frames: 2, ..Default::default() };
+        let (_, stats) = BatchScheduler::new(&plan).run(&mut real, &frames(2, n), &opts).unwrap();
+        let witness = ScheduleWitness::capture(&real.profiler, 0, stats);
+        assert_eq!(witness.lanes(), 2);
+
+        // Devices whose profilers already hold other names — one of them the
+        // witness kernel's own name in another class — so each assigns the
+        // witness's operations slots in its own order, unlike `real`'s. The
+        // same witness replays onto both, as a serve template replays onto
+        // every fleet device.
+        let seeded = |names: &[&str]| {
+            let mut d = Device::gtx480();
+            for (k, name) in names.iter().enumerate() {
+                d.charge_host(name, 1.0 + k as f64);
+            }
+            d
+        };
+        let seeds: [&[&str]; 2] = [&["zz_setup", &kernel.name, "aa_setup"], &["memcpyDtoHasync"]];
+        for names in seeds {
+            let mut replayed = seeded(names);
+            let mut by_name = seeded(names);
+            for _ in 0..2 {
+                let streams = replayed.lane_streams(2);
+                witness.replay(&mut replayed, &streams).unwrap();
+                // `real` ran on streams 0 and 1, which are its lanes 0 and 1.
+                let streams = by_name.lane_streams(2);
+                for sp in real.profiler.spans() {
+                    by_name.schedule_on(&sp.name, sp.class, streams[sp.stream], sp.dur_us).unwrap();
+                }
+            }
+            assert_eq!(profile_bits(&replayed.profiler), profile_bits(&by_name.profiler));
+            assert_eq!(replayed.synchronize().to_bits(), by_name.synchronize().to_bits());
+        }
     }
 
     #[test]
@@ -1601,7 +1703,7 @@ mod tests {
         assert_eq!(outs[0][0], NdArray::from_fn([n], |ix| (2 * ix[0] as i64 + 1) * 2));
         assert_eq!((stats.host_steps, stats.host_ops), (1, 1000));
         // 1000 ops at 2 ns/op = 2 us charged under the op's name.
-        let rec = device.profiler.records().find(|r| r.name == "add_one(host)").unwrap();
+        let rec = device.profiler.records().find(|r| &*r.name == "add_one(host)").unwrap();
         assert!((rec.total_us - 2.0).abs() < 1e-12, "{}", rec.total_us);
     }
 
@@ -1619,7 +1721,7 @@ mod tests {
             BatchScheduler::new(&plan).run(&mut device, &fr, &ExecOptions::default()).unwrap();
         assert_eq!((stats.h2d, stats.d2h), (3, 3));
         assert_eq!((stats.h2d_bytes, stats.d2h_bytes), (n * 4, n * 4));
-        let h2d = device.profiler.records().find(|r| r.name == "memcpyHtoDasync").unwrap();
+        let h2d = device.profiler.records().find(|r| &*r.name == "memcpyHtoDasync").unwrap();
         assert_eq!(h2d.calls, 3);
     }
 
@@ -1796,7 +1898,7 @@ mod tests {
         // frame — not two uploads per frame.
         assert_eq!(stats.h2d, 1 + 3);
         assert_eq!(stats.h2d_bytes, (1 + 3) * n * 4);
-        let h2d = device.profiler.records().find(|r| r.name == "memcpyHtoDasync").unwrap();
+        let h2d = device.profiler.records().find(|r| &*r.name == "memcpyHtoDasync").unwrap();
         assert_eq!(h2d.calls, 4);
     }
 
@@ -1869,11 +1971,11 @@ mod tests {
         assert_eq!((stats.h2d, stats.d2h), (1, 1));
         assert_eq!((stats.h2d_bytes, stats.d2h_bytes), (2 * n * 4, 2 * n * 4));
         assert_eq!(
-            device.profiler.records().find(|r| r.name == "memcpyHtoDbatched").unwrap().calls,
+            device.profiler.records().find(|r| &*r.name == "memcpyHtoDbatched").unwrap().calls,
             1
         );
         assert_eq!(
-            device.profiler.records().find(|r| r.name == "memcpyDtoHbatched").unwrap().calls,
+            device.profiler.records().find(|r| &*r.name == "memcpyDtoHbatched").unwrap().calls,
             1
         );
     }

@@ -161,5 +161,5 @@ fn hd_scale_structure() {
     assert_eq!(g.opencl.kernels.len(), 6);
     // Figure 10's repetition space for the horizontal channel kernels.
     let hf = g.scheduled.kernels.iter().find(|k| k.name == "hf_bhf").unwrap();
-    assert_eq!(hf.repetition, vec![1080, 240]);
+    assert_eq!(hf.access.repetition, vec![1080, 240]);
 }

@@ -21,12 +21,13 @@ use simgpu::device::Device;
 use simgpu::profiler::OpClass;
 use simgpu::schedule::{BatchScheduler, ExecOptions};
 use simgpu::Fleet;
+use std::sync::Arc;
 
 /// Frames per audited batch.
 const FRAMES: usize = 4;
 
 /// One span as compared bit for bit: name, class, stream, start, duration.
-type SpanKey = (String, OpClass, usize, u64, u64);
+type SpanKey = (Arc<str>, OpClass, usize, u64, u64);
 
 /// The span timeline and final clock of one `FRAMES`-frame batch of `built`
 /// on `route` over `streams` lanes, run on a fresh device with the first

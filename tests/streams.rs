@@ -36,7 +36,8 @@ fn schedule_random(ops: &[(u8, u8, u16)], stream_count: usize) -> Device {
     for (i, &(stream, class, dur)) in ops.iter().enumerate() {
         let class = CLASSES[class as usize % CLASSES.len()];
         let us = f64::from(dur) + 1.0;
-        recorded.record_span(&format!("op{i}"), class, stream as usize % stream_count, 0.0, us);
+        let slot = recorded.slot(&format!("op{i}"), class);
+        recorded.charge(slot, stream as usize % stream_count, 0.0, us);
     }
     let witness = ScheduleWitness::capture(&recorded, 0, RunStats::default());
     let mut device = Device::gtx480();
