@@ -27,30 +27,28 @@
 //!    the pass note, mirroring the route-local `fuse_model` fallback
 //!    semantics. Runs to fixpoint, so a three-stage chain fuses 3→1.
 //! 2. **Device-residency propagation** ([`PlanOptLevel::residency`]) — a
-//!    forward walk tracking which arrays hold their *current logical value*
-//!    on the device (`dev_valid`) and on the host (`host_valid`). An upload
-//!    of an already-device-valid array and a download of an already-
-//!    host-valid array are redundant and dropped — this is what keeps
-//!    producer→consumer intermediates device-resident across steps. For
-//!    arrays the route declares content-independent across frames
-//!    ([`LaunchPlan::invariant`]), the surviving upload is hoisted into the
-//!    plan [`LaunchPlan::prologue`]: uploaded once per lane, reused by every
-//!    frame.
+//!    forward walk tracking which copies of each array hold its *current
+//!    value*. A single transfer into an already-valid copy is redundant and
+//!    dropped — this is what keeps producer→consumer intermediates
+//!    device-resident across steps. An allocation defines no value here (a
+//!    warm lane reuses buffers whose bytes are stale). For arrays the route
+//!    declares content-independent across frames ([`LaunchPlan::invariant`]),
+//!    the surviving upload is hoisted into the plan [`LaunchPlan::prologue`]:
+//!    uploaded once per lane, reused by every frame.
 //! 3. **Dead upload/download elimination**
 //!    ([`PlanOptLevel::dead_transfers`]) — a backward liveness walk from the
-//!    declared outputs. A download whose host copy is never read afterwards
-//!    (not an output, not a host-op input, not re-uploaded) and an upload
-//!    whose device copy is never consumed are dropped. Kernel launches
-//!    conservatively count *every* argument as a device read, including
-//!    writable ones — a writable parameter may read-modify-write in place —
-//!    so a transfer feeding any launch is never dropped.
+//!    declared outputs and carry sources. A single transfer whose target
+//!    copy nothing later needs is dropped. Compute frees what it writes,
+//!    then needs what it reads; a launch reads every argument, so a transfer
+//!    feeding any launch (a read-modify-write in place included) is never
+//!    dropped.
 //! 4. **Step reordering** ([`PlanOptLevel::reorder`]) — uploads bubble
 //!    toward the front of the frame and downloads toward the back, past
-//!    steps they do not conflict with. This lengthens the H2D / compute /
-//!    D2H overlap window under multi-stream pipelining, and it clusters
-//!    transfers into adjacent runs the coalescing pass can batch. Transfers
-//!    never reorder against same-direction transfers, so each engine's
-//!    operation order is stable.
+//!    steps that do not name the moved array. This lengthens the H2D /
+//!    compute / D2H overlap window under multi-stream pipelining, and it
+//!    clusters transfers into adjacent runs the coalescing pass can batch.
+//!    Transfers never reorder against same-direction transfers, so each
+//!    engine's operation order is stable.
 //! 5. **Transfer coalescing** ([`PlanOptLevel::coalesce`]) — two rewrites
 //!    that both trade per-transfer latency for nothing: a chunked transfer
 //!    (`chunks > 1`) becomes one whole-buffer transfer (same bytes, one
@@ -61,18 +59,23 @@
 //!    compiler's fusion pass (SaC WITH-loop folding, the Gaspard tiler
 //!    composition), not a plan-level rewrite.
 //!
-//! Every pass re-validates the plan after rewriting ([`LaunchPlan::
-//! validate`], which since the residency fixes also tracks stale host/device
-//! copies), so an unsound rewrite fails loudly instead of corrupting
-//! outputs. What each pass changed is reported as [`PlanOptReport`] notes,
-//! which [`crate::schedule::run_plan`] surfaces as profiler notes next to the
-//! timings.
+//! [`LaunchPlan::validate`], passes 2–4 and fusion's check that a producer's
+//! input is not redefined between its stages all walk one step-effect table
+//! (`LaunchPlan::effect` in [`crate::schedule`]): each step is an allocation,
+//! a transfer from one side to the other, or compute on one side (see
+//! [`PlanStep`]). Batched transfers are never dropped: only coalescing, which
+//! runs last, makes them.
+//!
+//! Every pass re-validates the plan after rewriting, so an unsound rewrite
+//! fails loudly instead of corrupting outputs. What each pass changed is
+//! reported as [`PlanOptReport`] notes, which [`crate::schedule::run_plan`]
+//! surfaces as profiler notes next to the timings.
 //!
 //! The knob rides in [`ExecOptions::optimize`](crate::schedule::ExecOptions)
 //! and defaults to [`PlanOptLevel::OFF`] — a strict no-op, so every
 //! paper-faithful number is untouched unless an experiment opts in.
 
-use crate::schedule::{LaunchPlan, PlanStep, ScheduleError};
+use crate::schedule::{Effect, LaunchPlan, PlanStep, ScheduleError, Side};
 
 /// Which planopt passes to run. Each pass is independently toggleable so
 /// ablations can attribute savings; [`PlanOptLevel::OFF`] (the default) runs
@@ -192,7 +195,7 @@ pub fn optimize(
     }
     // Passes assume they start from a consistent plan.
     plan.validate()?;
-    type Pass = fn(&mut LaunchPlan<'_>, PlanOptLevel) -> Option<String>;
+    type Pass = fn(&mut LaunchPlan<'_>, PlanOptLevel) -> PassResult;
     let passes: [(bool, &str, Pass); 5] = [
         (level.fusion, "fusion", fusion_pass),
         (level.residency, "residency", residency_pass),
@@ -204,7 +207,7 @@ pub fn optimize(
         if !enabled {
             continue;
         }
-        if let Some(note) = pass(plan, level) {
+        if let Some(note) = pass(plan, level)? {
             plan.validate().map_err(|e| {
                 ScheduleError::Plan(format!("planopt {name} produced an invalid plan: {e}"))
             })?;
@@ -214,27 +217,26 @@ pub fn optimize(
     Ok(report)
 }
 
-/// Array ids a launch may modify (its writable buffer parameters).
-fn written_by(plan: &LaunchPlan<'_>, kernel: usize) -> Vec<usize> {
-    plan.kernels[kernel].written_args().collect()
-}
+/// A pass's note when it rewrote the plan. A pass errs only on a step the
+/// effect table refuses, which [`optimize`]'s validation rules out.
+type PassResult = Result<Option<String>, ScheduleError>;
 
 /// Plan-level kernel fusion; see the module docs. Returns a note when any
 /// pair fused — or when a candidate was refused, so the fallback is visible
 /// in the profiler even if nothing changed.
-fn fusion_pass(plan: &mut LaunchPlan<'_>, level: PlanOptLevel) -> Option<String> {
+fn fusion_pass(plan: &mut LaunchPlan<'_>, level: PlanOptLevel) -> PassResult {
     let mut fused: Vec<String> = Vec::new();
     let mut refused: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
-    while fuse_one_pair(plan, level.fusion_faithful, &mut fused, &mut refused) {}
+    while fuse_one_pair(plan, level.fusion_faithful, &mut fused, &mut refused)? {}
     if fused.is_empty() && refused.is_empty() {
-        return None;
+        return Ok(None);
     }
     let mut parts: Vec<String> = Vec::new();
     if !fused.is_empty() {
         parts.push(format!("fused {} launch pair(s) into [{}]", fused.len(), fused.join(", ")));
     }
     parts.extend(refused.into_iter().map(|r| format!("refused {r}")));
-    Some(parts.join("; "))
+    Ok(Some(parts.join("; ")))
 }
 
 /// One fixpoint iteration of the fusion pass: find the first legal
@@ -246,7 +248,7 @@ fn fuse_one_pair(
     faithful: bool,
     fused: &mut Vec<String>,
     refused: &mut std::collections::BTreeSet<String>,
-) -> bool {
+) -> Result<bool, ScheduleError> {
     use arrayol::access::{compose_access, ElementaryOp};
     let launch_steps: Vec<(usize, usize)> = plan
         .steps
@@ -356,13 +358,17 @@ fn fuse_one_pair(
             continue;
         }
         // The producer's input must hold the same device value at the
-        // consumer's position as it did at the producer's.
-        let input_redefined = plan.steps[si + 1..sj].iter().any(|st| match st {
-            PlanStep::Upload { array, .. } => *array == p_in,
-            PlanStep::Launch { kernel } => written_by(plan, *kernel).contains(&p_in),
-            PlanStep::Host { op } => plan.host_ops[*op].target == p_in,
-            _ => false,
-        });
+        // consumer's position as it did at the producer's: no step between
+        // them may transfer it into the device or write it by compute on
+        // either side.
+        let mut input_redefined = false;
+        for st in &plan.steps[si + 1..sj] {
+            input_redefined |= match plan.effect(st)? {
+                Effect::Transfer { to: Side::Device, arrays, .. } => arrays.contains(&p_in),
+                Effect::Compute { writes, .. } => writes.iter().any(|a| a == p_in),
+                _ => false,
+            };
+        }
         if input_redefined {
             refuse(format!(
                 "{edge}: input '{}' is redefined between the stages",
@@ -447,71 +453,46 @@ fn fuse_one_pair(
             }
         }
         fused.push(name);
-        return true;
+        return Ok(true);
     }
-    false
+    Ok(false)
 }
 
 /// Forward residency propagation; see the module docs. Returns a note when
 /// any transfer was dropped or hoisted.
-fn residency_pass(plan: &mut LaunchPlan<'_>, _level: PlanOptLevel) -> Option<String> {
-    let n = plan.arrays.len();
-    let mut dev_valid = vec![false; n];
-    let mut host_valid = vec![false; n];
+fn residency_pass(plan: &mut LaunchPlan<'_>, _level: PlanOptLevel) -> PassResult {
+    // Which arrays hold their current logical value on each side. Unlike
+    // validation's residency, an allocation defines no value: on a warm
+    // frame the reused buffer holds the previous frame's data.
+    let mut valid = [vec![false; plan.arrays.len()], vec![false; plan.arrays.len()]];
     for &id in &plan.inputs {
-        host_valid[id] = true;
+        valid[Side::Host][id] = true;
     }
     // A pre-existing prologue already established device residency for its
     // uploads (they are invariant, so their value never goes stale).
     for step in &plan.prologue {
-        if let PlanStep::Upload { array, .. } = *step {
-            dev_valid[array] = true;
+        if let Effect::Transfer { to, arrays, .. } = plan.effect(step)? {
+            arrays.iter().for_each(|&a| valid[to][a] = true);
         }
     }
 
     let mut kept = Vec::with_capacity(plan.steps.len());
-    let mut dropped_up = 0usize;
-    let mut dropped_down = 0usize;
+    let mut dropped = [0usize; 2];
     for step in &plan.steps {
-        match *step {
-            PlanStep::Upload { array, .. } => {
-                if dev_valid[array] {
-                    dropped_up += 1;
+        match plan.effect(step)? {
+            Effect::Alloc(_) => {}
+            Effect::Transfer { to, arrays, batched } => {
+                // A single transfer into an already-valid copy is redundant.
+                if !batched && valid[to][arrays[0]] {
+                    dropped[to] += 1;
                     continue;
                 }
-                dev_valid[array] = true;
+                arrays.iter().for_each(|&a| valid[to][a] = true);
             }
-            PlanStep::Alloc { .. } => {
-                // Allocation says nothing about contents: on a warm frame
-                // the reused buffer holds the previous frame's data, so it
-                // must not count as holding this frame's value.
-            }
-            PlanStep::Launch { kernel } => {
-                for a in written_by(plan, kernel) {
-                    dev_valid[a] = true;
-                    host_valid[a] = false;
-                }
-            }
-            PlanStep::Download { array, .. } => {
-                if host_valid[array] {
-                    dropped_down += 1;
-                    continue;
-                }
-                host_valid[array] = true;
-            }
-            PlanStep::Host { op } => {
-                let h = &plan.host_ops[op];
-                host_valid[h.target] = true;
-                dev_valid[h.target] = false;
-            }
-            PlanStep::UploadBatch { batch } => {
-                for &a in &plan.batches[batch] {
-                    dev_valid[a] = true;
-                }
-            }
-            PlanStep::DownloadBatch { batch } => {
-                for &a in &plan.batches[batch] {
-                    host_valid[a] = true;
+            Effect::Compute { on, writes, .. } => {
+                for a in writes.iter() {
+                    valid[on][a] = true;
+                    valid[on.other()][a] = false;
                 }
             }
         }
@@ -524,159 +505,93 @@ fn residency_pass(plan: &mut LaunchPlan<'_>, _level: PlanOptLevel) -> Option<Str
     // (Validation already guarantees invariant arrays are inputs and are
     // never written on the device or re-produced by a host op.)
     let mut hoisted = 0usize;
-    for id in plan.invariant.clone() {
-        let already = plan
-            .prologue
-            .iter()
-            .any(|s| matches!(*s, PlanStep::Upload { array, .. } if array == id));
-        if already {
-            continue;
-        }
-        if let Some(pos) = plan
-            .steps
-            .iter()
-            .position(|s| matches!(*s, PlanStep::Upload { array, .. } if array == id))
-        {
-            let step = plan.steps.remove(pos);
-            plan.prologue.push(step);
-            hoisted += 1;
+    for &id in &plan.invariant {
+        let upload = |s: &PlanStep| matches!(*s, PlanStep::Upload { array, .. } if array == id);
+        if !plan.prologue.iter().any(upload) {
+            if let Some(pos) = plan.steps.iter().position(upload) {
+                plan.prologue.push(plan.steps.remove(pos));
+                hoisted += 1;
+            }
         }
     }
 
+    let (dropped_up, dropped_down) = (dropped[Side::Device], dropped[Side::Host]);
     if dropped_up + dropped_down + hoisted == 0 {
-        return None;
+        return Ok(None);
     }
-    Some(format!(
+    Ok(Some(format!(
         "dropped {dropped_up} redundant upload(s) and {dropped_down} redundant download(s), \
          hoisted {hoisted} invariant upload(s) to the per-lane prologue"
-    ))
+    )))
 }
 
 /// Backward liveness from the declared outputs; see the module docs.
-fn dead_transfers_pass(plan: &mut LaunchPlan<'_>, _level: PlanOptLevel) -> Option<String> {
-    let n = plan.arrays.len();
-    let mut host_needed = vec![false; n];
-    let mut dev_needed = vec![false; n];
-    for &id in &plan.outputs {
-        host_needed[id] = true;
-    }
-    // A carried value is read off the host at frame end, exactly like an
-    // output: the download producing it must not be eliminated.
-    for c in &plan.carries {
-        host_needed[c.from] = true;
+fn dead_transfers_pass(plan: &mut LaunchPlan<'_>, _level: PlanOptLevel) -> PassResult {
+    // Which copies a later step (or the frame's end) still reads. A carried
+    // value is read off the host at frame end, exactly like an output.
+    let mut needed = [vec![false; plan.arrays.len()], vec![false; plan.arrays.len()]];
+    for &id in plan.outputs.iter().chain(plan.carries.iter().map(|c| &c.from)) {
+        needed[Side::Host][id] = true;
     }
     let mut kept_rev = Vec::with_capacity(plan.steps.len());
-    let mut dropped_up = 0usize;
-    let mut dropped_down = 0usize;
+    let mut dropped = [0usize; 2];
     for step in plan.steps.iter().rev() {
-        match *step {
-            PlanStep::Download { array, .. } => {
-                if !host_needed[array] {
-                    dropped_down += 1;
-                    continue;
+        match plan.effect(step)? {
+            Effect::Alloc(_) => {}
+            Effect::Transfer { to, arrays, batched } => {
+                // A single transfer defines its target copy, so it is dead
+                // when nothing needs that copy. Batched transfers only exist
+                // after the coalescing pass, which runs last: they are kept.
+                if !batched {
+                    if !needed[to][arrays[0]] {
+                        dropped[to] += 1;
+                        continue;
+                    }
+                    needed[to][arrays[0]] = false;
                 }
-                // Defines the host copy, reads the device copy.
-                host_needed[array] = false;
-                dev_needed[array] = true;
+                arrays.iter().for_each(|&a| needed[to.other()][a] = true);
             }
-            PlanStep::Upload { array, .. } => {
-                if !dev_needed[array] {
-                    dropped_up += 1;
-                    continue;
-                }
-                dev_needed[array] = false;
-                host_needed[array] = true;
-            }
-            PlanStep::Launch { kernel } => {
-                // Conservative: every argument counts as a device read —
-                // a writable parameter may read-modify-write in place.
-                for &a in &plan.kernels[kernel].args {
-                    dev_needed[a] = true;
-                }
-            }
-            PlanStep::Host { op } => {
-                let h = &plan.host_ops[op];
-                host_needed[h.target] = false;
-                for &a in &h.reads {
-                    host_needed[a] = true;
-                }
-            }
-            PlanStep::Alloc { .. } => {}
-            // Batched transfers are kept as-is: they only exist after the
-            // coalescing pass, which runs last.
-            PlanStep::UploadBatch { batch } => {
-                for &a in &plan.batches[batch] {
-                    host_needed[a] = true;
-                }
-            }
-            PlanStep::DownloadBatch { batch } => {
-                for &a in &plan.batches[batch] {
-                    dev_needed[a] = true;
-                }
+            Effect::Compute { on, reads, writes, .. } => {
+                // Writes free, then reads need: a launch reads every
+                // argument, so a read-modify-write argument stays needed.
+                writes.iter().for_each(|a| needed[on][a] = false);
+                reads.iter().for_each(|&a| needed[on][a] = true);
             }
         }
         kept_rev.push(*step);
     }
     kept_rev.reverse();
     plan.steps = kept_rev;
+    let (dropped_up, dropped_down) = (dropped[Side::Device], dropped[Side::Host]);
     if dropped_up + dropped_down == 0 {
-        return None;
+        return Ok(None);
     }
-    Some(format!("dropped {dropped_up} dead upload(s) and {dropped_down} dead download(s)"))
+    Ok(Some(format!("dropped {dropped_up} dead upload(s) and {dropped_down} dead download(s)")))
 }
 
-/// Whether `step` reads or writes the host copy of `a`.
-fn touches_host(plan: &LaunchPlan<'_>, step: PlanStep, a: usize) -> bool {
-    match step {
-        PlanStep::Upload { array, .. } => array == a,
-        PlanStep::Download { array, .. } => array == a,
-        PlanStep::Host { op } => {
-            let h = &plan.host_ops[op];
-            h.target == a || h.reads.contains(&a)
-        }
-        PlanStep::UploadBatch { batch } | PlanStep::DownloadBatch { batch } => {
-            plan.batches[batch].contains(&a)
-        }
-        PlanStep::Alloc { .. } | PlanStep::Launch { .. } => false,
-    }
-}
-
-/// Whether `step` reads or writes the device copy of `a`.
-fn touches_device(plan: &LaunchPlan<'_>, step: PlanStep, a: usize) -> bool {
-    match step {
-        PlanStep::Upload { array, .. } | PlanStep::Alloc { array } => array == a,
-        PlanStep::Download { array, .. } => array == a,
-        PlanStep::Launch { kernel } => plan.kernels[kernel].args.contains(&a),
-        PlanStep::Host { .. } => false,
-        PlanStep::UploadBatch { batch } | PlanStep::DownloadBatch { batch } => {
-            plan.batches[batch].contains(&a)
+/// Whether a single transfer of array `a` toward side `to` must not move past
+/// a neighbour with effect `next`: a transfer in the same direction (each
+/// engine's order stays stable) or any step that names the array.
+fn blocks(next: Effect<'_>, to: Side, a: usize) -> bool {
+    match next {
+        Effect::Alloc(b) => b == a,
+        Effect::Transfer { to: dir, arrays, .. } => dir == to || arrays.contains(&a),
+        Effect::Compute { reads, writes, .. } => {
+            reads.contains(&a) || writes.iter().any(|w| w == a)
         }
     }
-}
-
-fn is_h2d(step: PlanStep) -> bool {
-    matches!(step, PlanStep::Upload { .. } | PlanStep::UploadBatch { .. })
-}
-
-fn is_d2h(step: PlanStep) -> bool {
-    matches!(step, PlanStep::Download { .. } | PlanStep::DownloadBatch { .. })
 }
 
 /// Bubble uploads left and downloads right past non-conflicting steps; see
-/// the module docs. Same-engine transfer order is kept stable.
-fn reorder_pass(plan: &mut LaunchPlan<'_>, _level: PlanOptLevel) -> Option<String> {
+/// the module docs.
+fn reorder_pass(plan: &mut LaunchPlan<'_>, _level: PlanOptLevel) -> PassResult {
     let mut moves = 0usize;
     loop {
         let mut moved = false;
         // Uploads drift toward the frame start.
         for i in 1..plan.steps.len() {
-            let (prev, cur) = (plan.steps[i - 1], plan.steps[i]);
-            let PlanStep::Upload { array, .. } = cur else { continue };
-            // Never reorder H2D against H2D (engine order stays stable), and
-            // never move past a step that defines this array's host copy or
-            // touches its device copy.
-            if is_h2d(prev) || touches_host(plan, prev, array) || touches_device(plan, prev, array)
-            {
+            let PlanStep::Upload { array, .. } = plan.steps[i] else { continue };
+            if blocks(plan.effect(&plan.steps[i - 1])?, Side::Device, array) {
                 continue;
             }
             plan.steps.swap(i - 1, i);
@@ -685,10 +600,8 @@ fn reorder_pass(plan: &mut LaunchPlan<'_>, _level: PlanOptLevel) -> Option<Strin
         }
         // Downloads drift toward the frame end.
         for i in (0..plan.steps.len().saturating_sub(1)).rev() {
-            let (cur, next) = (plan.steps[i], plan.steps[i + 1]);
-            let PlanStep::Download { array, .. } = cur else { continue };
-            if is_d2h(next) || touches_host(plan, next, array) || touches_device(plan, next, array)
-            {
+            let PlanStep::Download { array, .. } = plan.steps[i] else { continue };
+            if blocks(plan.effect(&plan.steps[i + 1])?, Side::Host, array) {
                 continue;
             }
             plan.steps.swap(i, i + 1);
@@ -700,15 +613,15 @@ fn reorder_pass(plan: &mut LaunchPlan<'_>, _level: PlanOptLevel) -> Option<Strin
         }
     }
     if moves == 0 {
-        None
+        Ok(None)
     } else {
-        Some(format!("moved transfers {moves} step(s) to lengthen the overlap window"))
+        Ok(Some(format!("moved transfers {moves} step(s) to lengthen the overlap window")))
     }
 }
 
 /// Merge chunked transfers into whole-buffer ones and batch adjacent
 /// same-direction runs; see the module docs.
-fn coalesce_pass(plan: &mut LaunchPlan<'_>, _level: PlanOptLevel) -> Option<String> {
+fn coalesce_pass(plan: &mut LaunchPlan<'_>, _level: PlanOptLevel) -> PassResult {
     let mut merged_chunks = 0usize;
     for step in &mut plan.steps {
         match step {
@@ -759,11 +672,11 @@ fn coalesce_pass(plan: &mut LaunchPlan<'_>, _level: PlanOptLevel) -> Option<Stri
     plan.steps = out;
 
     if merged_chunks + batched_runs == 0 {
-        return None;
+        return Ok(None);
     }
-    Some(format!(
+    Ok(Some(format!(
         "merged {merged_chunks} chunk transfer(s) and batched {batched_runs} adjacent transfer run(s)"
-    ))
+    )))
 }
 
 #[cfg(test)]
@@ -823,6 +736,11 @@ mod tests {
             carries: Vec::new(),
             lane_label: "stream lanes",
         }
+    }
+
+    /// Whether step `i` of `plan` is a transfer toward side `to`.
+    fn transfers_to(plan: &LaunchPlan<'_>, i: usize, to: Side) -> bool {
+        matches!(plan.effect(&plan.steps[i]), Ok(Effect::Transfer { to: t, .. }) if t == to)
     }
 
     fn run_plan(plan: &LaunchPlan<'_>, n: usize) -> (Vec<Vec<NdArray<i64>>>, crate::RunStats, f64) {
@@ -954,9 +872,11 @@ mod tests {
         let mut plan = two_chain_plan(&kernel, n);
         optimize(&mut plan, PlanOptLevel::REORDER).unwrap();
         // Both uploads lead the frame; both downloads trail it.
-        assert!(is_h2d(plan.steps[0]) && is_h2d(plan.steps[1]), "{:?}", plan.steps);
+        let to_dev = |i| transfers_to(&plan, i, Side::Device);
+        assert!(to_dev(0) && to_dev(1), "{:?}", plan.steps);
         let len = plan.steps.len();
-        assert!(is_d2h(plan.steps[len - 1]) && is_d2h(plan.steps[len - 2]), "{:?}", plan.steps);
+        let to_host = |i| transfers_to(&plan, i, Side::Host);
+        assert!(to_host(len - 1) && to_host(len - 2), "{:?}", plan.steps);
         // Engine order stayed stable: src0 before src1, o0 before o1.
         assert!(matches!(plan.steps[0], PlanStep::Upload { array: 0, .. }));
         assert!(matches!(plan.steps[len - 2], PlanStep::Download { array: 1, .. }));
@@ -1086,7 +1006,7 @@ mod tests {
         // The first upload is dead (its device copy is clobbered before any
         // launch reads it); the post-rewrite upload must remain.
         let uploads: Vec<_> =
-            plan.steps.iter().enumerate().filter(|(_, s)| is_h2d(**s)).map(|(i, _)| i).collect();
+            (0..plan.steps.len()).filter(|&i| transfers_to(&plan, i, Side::Device)).collect();
         assert_eq!(uploads.len(), 1, "{:?}", plan.steps);
         let host_pos = plan.steps.iter().position(|s| matches!(s, PlanStep::Host { .. })).unwrap();
         assert!(uploads[0] > host_pos, "{:?}", plan.steps);
@@ -1268,6 +1188,43 @@ mod fusion_tests {
             "{:?}",
             report.notes
         );
+    }
+
+    /// The producer's input must hold the same device value at the consumer:
+    /// a transfer of it into the device, single or batched, or a compute
+    /// write of it between the stages refuses; a download of it does not.
+    #[test]
+    fn redefining_the_producer_input_between_stages_refuses() {
+        let (kernels, accesses, shapes) = fixture();
+        let touch = crate::schedule::HostOp {
+            name: "touch(host)".into(),
+            target: 0,
+            reads: vec![0],
+            run: std::rc::Rc::new(|arrs| Ok((arrs[0].clone(), 1))),
+        };
+        for (between, refuses) in [
+            (PlanStep::Upload { array: 0, chunks: 1 }, true),
+            (PlanStep::UploadBatch { batch: 0 }, true),
+            (PlanStep::Host { op: 0 }, true),
+            (PlanStep::Download { array: 0, chunks: 1 }, false),
+        ] {
+            let mut plan = chain_plan(&kernels, &accesses, shapes.clone());
+            plan.batches = vec![vec![0]];
+            plan.host_ops = vec![touch.clone()];
+            plan.steps.insert(3, between);
+            plan.validate().unwrap();
+            let report = optimize(&mut plan, PlanOptLevel::FUSION).unwrap();
+            let launches =
+                plan.steps.iter().filter(|s| matches!(s, PlanStep::Launch { .. })).count();
+            assert_eq!(launches, if refuses { 2 } else { 1 }, "{between:?}: {:?}", report.notes);
+            let refusal = "input 'in' is redefined between the stages";
+            assert_eq!(
+                report.notes[0].contains(refusal),
+                refuses,
+                "{between:?}: {:?}",
+                report.notes
+            );
+        }
     }
 
     #[test]

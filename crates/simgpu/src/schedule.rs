@@ -54,48 +54,54 @@ impl ArrayDecl {
     }
 }
 
-/// One ordered step of a [`LaunchPlan`] frame.
+/// One ordered step of a [`LaunchPlan`] frame, documented by its effect on
+/// the host and device copies of the arrays it names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanStep {
-    /// Transfer a host-resident array to the device (allocating its buffer
-    /// on first use) as `chunks` back-to-back transfers.
+    /// A **transfer** of one array to the device as `chunks` back-to-back
+    /// transfers (allocating its buffer on first use); then both copies agree.
     Upload {
         /// Array id.
         array: usize,
         /// Requested transfer chunks (see [`chunks_for`]).
         chunks: usize,
     },
-    /// Allocate a device buffer for a kernel output (no-op if it exists).
+    /// An **allocation**: the array's device buffer exists (a no-op if it
+    /// already does) but holds no value of this frame yet.
     Alloc {
         /// Array id.
         array: usize,
     },
-    /// Launch a kernel from the plan's kernel table.
+    /// **Compute on the device**: a kernel from the plan's kernel table reads
+    /// every argument, then writes its writable ones, leaving their host
+    /// copies stale.
     Launch {
         /// Index into [`LaunchPlan::kernels`].
         kernel: usize,
     },
-    /// Transfer a device array back to the host as `chunks` transfers.
+    /// A **transfer** of one array to the host as `chunks` transfers, after
+    /// which both copies agree.
     Download {
         /// Array id.
         array: usize,
         /// Requested transfer chunks (see [`chunks_for`]).
         chunks: usize,
     },
-    /// Run a host-side fallback step from the plan's host-op table.
+    /// **Compute on the host**: a fallback step from the plan's host-op table
+    /// reads its inputs, then writes its target, leaving its device copy stale.
     Host {
         /// Index into [`LaunchPlan::host_ops`].
         op: usize,
     },
-    /// Upload several arrays as one batched transfer (one latency for the
-    /// summed bytes). Produced by the planopt coalescing pass; routes do not
-    /// emit it directly.
+    /// A **transfer** of several arrays to the device as one batch (one
+    /// latency for the summed bytes). Produced by the planopt coalescing
+    /// pass; routes do not emit it directly.
     UploadBatch {
         /// Index into [`LaunchPlan::batches`] naming the arrays, in order.
         batch: usize,
     },
-    /// Download several arrays as one batched transfer — the D2H counterpart
-    /// of [`PlanStep::UploadBatch`].
+    /// A batched **transfer** of several arrays to the host — the D2H
+    /// counterpart of [`PlanStep::UploadBatch`].
     DownloadBatch {
         /// Index into [`LaunchPlan::batches`] naming the arrays, in order.
         batch: usize,
@@ -131,9 +137,7 @@ impl<'a> PlanKernel<'a> {
         self.access = Some(access);
         self
     }
-}
 
-impl PlanKernel<'_> {
     /// Array ids bound to *writable* buffer parameters — the arrays a launch
     /// of this kernel may modify on the device. Used by the residency walk
     /// (a device write leaves any host copy stale) and by the planopt
@@ -260,56 +264,70 @@ pub struct LaunchPlan<'a> {
     pub lane_label: &'static str,
 }
 
+/// Return a [`ScheduleError::Plan`] whose message is built like `format!`.
+macro_rules! bail {
+    ($($msg:tt)*) => {
+        return Err(ScheduleError::Plan(format!($($msg)*)))
+    };
+}
+
 impl LaunchPlan<'_> {
     /// Check the plan's internal consistency and buffer lifetimes without
-    /// touching a device: every index in range, and a walk of the steps in
-    /// order proving that uploads read host-resident arrays, launches and
-    /// downloads see device-resident buffers, host ops see host-resident
-    /// inputs, and every declared output is host-resident at frame end.
+    /// touching a device: every index in range, every launch binding one
+    /// array to each buffer parameter of its kernel, and a walk of the
+    /// step-effect table (see [`PlanStep`]) proving that each transfer finds
+    /// its source copy resident, each compute step finds its reads resident
+    /// on its side, and every declared output and carry source is
+    /// host-resident at frame end.
     ///
     /// [`BatchScheduler::run`] performs this check once per batch, so a
     /// malformed plan fails fast instead of mid-frame with the device
     /// timeline already half-charged.
     pub fn validate(&self) -> Result<(), ScheduleError> {
-        let arr = |id: usize, what: &str| {
-            if id < self.arrays.len() {
-                Ok(())
-            } else {
-                Err(ScheduleError::Plan(format!("{what} references undeclared array {id}")))
-            }
-        };
+        let arr = |id: usize, what: &str| self.declared(id, what);
+        let name = |id: usize| &self.arrays[id].name;
         for (id, a) in self.arrays.iter().enumerate() {
             // `ArrayDecl::len` returns 1 for a rank-0 shape (empty product)
             // and `chunks_for` is undefined for a zero-sized leading
             // dimension, so both degenerate declarations are rejected here
             // instead of reaching the device layer.
             if a.shape.is_empty() || a.shape.contains(&0) {
-                return Err(ScheduleError::Plan(format!(
-                    "array {id} '{}' declares a zero-element shape {:?}",
-                    a.name, a.shape
-                )));
+                bail!("array {id} '{}' declares a zero-element shape {:?}", a.name, a.shape);
+            }
+            if a.shape.iter().try_fold(1usize, |n, &d| n.checked_mul(d)).is_none() {
+                bail!("array {id} '{}' shape {:?} has more elements than a usize", a.name, a.shape);
             }
         }
-        for &id in &self.inputs {
-            arr(id, "input list")?;
-        }
-        for &id in &self.outputs {
+        self.inputs.iter().try_for_each(|&id| arr(id, "input list"))?;
+        // A frame's outputs are moved off the host, so each is listed once.
+        for (i, &id) in self.outputs.iter().enumerate() {
             arr(id, "output list")?;
+            if self.outputs[..i].contains(&id) {
+                bail!("output list names array '{}' twice", name(id));
+            }
         }
         for k in &self.kernels {
             for &a in &k.args {
                 arr(a, &format!("kernel '{}'", k.kernel.name))?;
             }
+            // The scheduler binds one array to each parameter, and only buffers.
+            let (params, args) = (&k.kernel.params, k.args.len());
+            if args != params.len() || params.iter().any(|p| matches!(p, Param::Scalar { .. })) {
+                let n = params.len();
+                bail!(
+                    "kernel '{}' binds {args} array(s) to {n} parameter(s), not one per buffer",
+                    k.kernel.name
+                );
+            }
         }
         for op in &self.host_ops {
-            arr(op.target, &format!("host op '{}'", op.name))?;
-            for &a in &op.reads {
+            for &a in std::iter::once(&op.target).chain(&op.reads) {
                 arr(a, &format!("host op '{}'", op.name))?;
             }
         }
         for (b, batch) in self.batches.iter().enumerate() {
             if batch.is_empty() {
-                return Err(ScheduleError::Plan(format!("transfer batch {b} is empty")));
+                bail!("transfer batch {b} is empty");
             }
             for &a in batch {
                 arr(a, &format!("transfer batch {b}"))?;
@@ -325,24 +343,13 @@ impl LaunchPlan<'_> {
         for &id in &self.invariant {
             arr(id, "invariant list")?;
             if !self.inputs.contains(&id) {
-                return Err(ScheduleError::Plan(format!(
-                    "invariant array '{}' is not a frame input",
-                    self.arrays[id].name
-                )));
+                bail!("invariant array '{}' is not a frame input", name(id));
             }
-            for k in &self.kernels {
-                if k.written_args().any(|a| a == id) {
-                    return Err(ScheduleError::Plan(format!(
-                        "invariant array '{}' is written by kernel '{}'",
-                        self.arrays[id].name, k.kernel.name
-                    )));
-                }
+            if let Some(k) = self.kernels.iter().find(|k| k.written_args().any(|a| a == id)) {
+                bail!("invariant array '{}' is written by kernel '{}'", name(id), k.kernel.name);
             }
             if let Some(h) = self.host_ops.iter().find(|h| h.target == id) {
-                return Err(ScheduleError::Plan(format!(
-                    "invariant array '{}' is produced by host op '{}'",
-                    self.arrays[id].name, h.name
-                )));
+                bail!("invariant array '{}' is produced by host op '{}'", name(id), h.name);
             }
         }
         for step in &self.prologue {
@@ -350,18 +357,14 @@ impl LaunchPlan<'_> {
                 PlanStep::Upload { array, .. } => {
                     arr(array, "prologue upload")?;
                     if !self.invariant.contains(&array) {
-                        return Err(ScheduleError::Plan(format!(
+                        bail!(
                             "prologue uploads array '{}' that is not declared frame-invariant",
-                            self.arrays[array].name
-                        )));
+                            name(array)
+                        );
                     }
                 }
                 PlanStep::Alloc { array } => arr(array, "prologue alloc")?,
-                _ => {
-                    return Err(ScheduleError::Plan(
-                        "prologue may only contain Upload and Alloc steps".into(),
-                    ))
-                }
+                _ => bail!("prologue may only contain Upload and Alloc steps"),
             }
         }
 
@@ -374,157 +377,181 @@ impl LaunchPlan<'_> {
             arr(c.from, "carry source")?;
             arr(c.to, "carry target")?;
             if !self.inputs.contains(&c.to) {
-                return Err(ScheduleError::Plan(format!(
-                    "carry target '{}' is not a frame input",
-                    self.arrays[c.to].name
-                )));
+                bail!("carry target '{}' is not a frame input", name(c.to));
             }
             if self.invariant.contains(&c.to) {
-                return Err(ScheduleError::Plan(format!(
-                    "carry target '{}' is declared frame-invariant",
-                    self.arrays[c.to].name
-                )));
+                bail!("carry target '{}' is declared frame-invariant", name(c.to));
             }
-            if self.arrays[c.from].shape != self.arrays[c.to].shape {
-                return Err(ScheduleError::Plan(format!(
+            let (from, to) = (&self.arrays[c.from], &self.arrays[c.to]);
+            if from.shape != to.shape {
+                bail!(
                     "carry source '{}' shape {:?} does not match target '{}' shape {:?}",
-                    self.arrays[c.from].name,
-                    self.arrays[c.from].shape,
-                    self.arrays[c.to].name,
-                    self.arrays[c.to].shape
-                )));
+                    from.name,
+                    from.shape,
+                    to.name,
+                    to.shape
+                );
             }
             if self.carries[..i].iter().any(|p| p.to == c.to) {
-                return Err(ScheduleError::Plan(format!(
-                    "array '{}' is the target of more than one carry",
-                    self.arrays[c.to].name
-                )));
+                bail!("array '{}' is the target of more than one carry", name(c.to));
             }
         }
 
-        // Lifetime walk: which arrays are host-resident / device-resident at
-        // each step, starting from the frame inputs and the prologue's
-        // effects. Because the prologue only establishes device residency of
-        // invariant inputs, one walk covers both the cold (prologue + steps)
-        // and warm (steps with prologue residency inherited) frames.
-        let mut on_host = vec![false; self.arrays.len()];
-        let mut on_device = vec![false; self.arrays.len()];
+        // Lifetime walk over the step-effect table, from the frame inputs and
+        // the prologue's effects. The prologue only makes invariant inputs
+        // device-resident, so one walk covers cold and warm frames. Residency
+        // is presence, not value: an allocation makes its buffer resident.
+        let mut resident = [vec![false; self.arrays.len()], vec![false; self.arrays.len()]];
         for &id in &self.inputs {
-            on_host[id] = true;
+            resident[Side::Host][id] = true;
         }
-        let name = |id: usize| self.arrays[id].name.clone();
         for step in self.prologue.iter().chain(&self.steps) {
-            match *step {
-                PlanStep::Upload { array, .. } => {
-                    arr(array, "upload")?;
-                    if !on_host[array] {
-                        return Err(ScheduleError::Plan(format!(
-                            "upload of array '{}' before it is host-resident",
-                            name(array)
-                        )));
-                    }
-                    on_device[array] = true;
-                }
-                PlanStep::Alloc { array } => {
-                    arr(array, "alloc")?;
-                    on_device[array] = true;
-                }
-                PlanStep::Launch { kernel } => {
-                    let k = self.kernels.get(kernel).ok_or_else(|| {
-                        ScheduleError::Plan(format!("launch references unknown kernel {kernel}"))
-                    })?;
-                    for &a in &k.args {
-                        if !on_device[a] {
-                            return Err(ScheduleError::Plan(format!(
-                                "kernel '{}' argument '{}' is not device-resident",
-                                k.kernel.name,
+            match self.effect(step)? {
+                Effect::Alloc(a) => resident[Side::Device][a] = true,
+                Effect::Transfer { to, arrays, batched } => {
+                    let batched = if batched { "batched " } else { "" };
+                    let (what, from) = match to {
+                        Side::Device => ("upload", "host"),
+                        Side::Host => ("download", "device"),
+                    };
+                    for &a in arrays {
+                        if !resident[to.other()][a] {
+                            bail!(
+                                "{batched}{what} of array '{}' before it is {from}-resident",
                                 name(a)
-                            )));
+                            );
                         }
-                    }
-                    // A store through a writable parameter leaves the host
-                    // copy (if any) stale.
-                    for a in k.written_args() {
-                        on_host[a] = false;
+                        resident[to][a] = true;
                     }
                 }
-                PlanStep::Download { array, .. } => {
-                    arr(array, "download")?;
-                    if !on_device[array] {
-                        return Err(ScheduleError::Plan(format!(
-                            "download of array '{}' before it is device-resident",
-                            name(array)
-                        )));
+                Effect::Compute { on, name: step, reads, writes } => {
+                    let (what, operand, side) = match on {
+                        Side::Device => ("kernel", "argument", "device"),
+                        Side::Host => ("host op", "input", "host"),
+                    };
+                    if let Some(&a) = reads.iter().find(|&&a| !resident[on][a]) {
+                        bail!("{what} '{step}' {operand} '{}' is not {side}-resident", name(a));
                     }
-                    on_host[array] = true;
-                }
-                PlanStep::Host { op } => {
-                    let h = self.host_ops.get(op).ok_or_else(|| {
-                        ScheduleError::Plan(format!("step references unknown host op {op}"))
-                    })?;
-                    for &a in &h.reads {
-                        if !on_host[a] {
-                            return Err(ScheduleError::Plan(format!(
-                                "host op '{}' input '{}' is not host-resident",
-                                h.name,
-                                name(a)
-                            )));
-                        }
-                    }
-                    on_host[h.target] = true;
-                    // The host rewrite invalidates any device copy: a later
-                    // launch must re-upload, not read the stale buffer.
-                    on_device[h.target] = false;
-                }
-                PlanStep::UploadBatch { batch } => {
-                    let ids = self.batches.get(batch).ok_or_else(|| {
-                        ScheduleError::Plan(format!("step references unknown batch {batch}"))
-                    })?;
-                    for &a in ids {
-                        if !on_host[a] {
-                            return Err(ScheduleError::Plan(format!(
-                                "batched upload of array '{}' before it is host-resident",
-                                name(a)
-                            )));
-                        }
-                        on_device[a] = true;
-                    }
-                }
-                PlanStep::DownloadBatch { batch } => {
-                    let ids = self.batches.get(batch).ok_or_else(|| {
-                        ScheduleError::Plan(format!("step references unknown batch {batch}"))
-                    })?;
-                    for &a in ids {
-                        if !on_device[a] {
-                            return Err(ScheduleError::Plan(format!(
-                                "batched download of array '{}' before it is device-resident",
-                                name(a)
-                            )));
-                        }
-                        on_host[a] = true;
+                    for a in writes.iter() {
+                        resident[on][a] = true;
+                        resident[on.other()][a] = false;
                     }
                 }
             }
         }
-        for &id in &self.outputs {
-            if !on_host[id] {
-                return Err(ScheduleError::Plan(format!(
-                    "output '{}' is not host-resident at frame end",
-                    name(id)
-                )));
-            }
+        if let Some(&id) = self.outputs.iter().find(|&&id| !resident[Side::Host][id]) {
+            bail!("output '{}' is not host-resident at frame end", name(id));
         }
         // A carried value is read off the host after the frame, exactly
         // like an output.
-        for c in &self.carries {
-            if !on_host[c.from] {
-                return Err(ScheduleError::Plan(format!(
-                    "carry source '{}' is not host-resident at frame end",
-                    name(c.from)
-                )));
-            }
+        if let Some(c) = self.carries.iter().find(|c| !resident[Side::Host][c.from]) {
+            bail!("carry source '{}' is not host-resident at frame end", name(c.from));
         }
         Ok(())
+    }
+
+    /// `Ok` when `id` is a declared array; otherwise the error names `what`
+    /// referenced it.
+    fn declared(&self, id: usize, what: &str) -> Result<(), ScheduleError> {
+        if id >= self.arrays.len() {
+            bail!("{what} references undeclared array {id}");
+        }
+        Ok(())
+    }
+
+    /// What `step` reads and writes: the step-effect table behind
+    /// [`LaunchPlan::validate`] and every planopt dataflow pass. It resolves
+    /// the step's own index (array, kernel, host op or batch) and chunk count,
+    /// refusing what the plan cannot honour.
+    pub(crate) fn effect<'p>(&'p self, step: &'p PlanStep) -> Result<Effect<'p>, ScheduleError> {
+        let one = |array: &'p usize, chunks: usize, what: &str, to: Side| {
+            self.declared(*array, what)?;
+            let a = &self.arrays[*array];
+            if chunks == 0 || chunks > a.len() {
+                bail!("{what} of array '{}' in {chunks} chunks: {} element(s)", a.name, a.len());
+            }
+            Ok(Effect::Transfer { to, arrays: std::slice::from_ref(array), batched: false })
+        };
+        let batch = |b: usize, to: Side| match self.batches.get(b) {
+            Some(arrays) => Ok(Effect::Transfer { to, arrays, batched: true }),
+            None => bail!("step references unknown batch {b}"),
+        };
+        match *step {
+            PlanStep::Upload { ref array, chunks } => one(array, chunks, "upload", Side::Device),
+            PlanStep::Download { ref array, chunks } => one(array, chunks, "download", Side::Host),
+            PlanStep::UploadBatch { batch: b } => batch(b, Side::Device),
+            PlanStep::DownloadBatch { batch: b } => batch(b, Side::Host),
+            PlanStep::Alloc { array: a } => self.declared(a, "alloc").map(|()| Effect::Alloc(a)),
+            PlanStep::Launch { kernel } => {
+                let Some(k) = self.kernels.get(kernel) else {
+                    bail!("launch references unknown kernel {kernel}");
+                };
+                let (name, reads, writes) = (&k.kernel.name, &k.args, Writes(None, Some(k)));
+                Ok(Effect::Compute { on: Side::Device, name, reads, writes })
+            }
+            PlanStep::Host { op } => {
+                let Some(h) = self.host_ops.get(op) else {
+                    bail!("step references unknown host op {op}");
+                };
+                let (name, reads, writes) = (&h.name, &h.reads, Writes(Some(h.target), None));
+                Ok(Effect::Compute { on: Side::Host, name, reads, writes })
+            }
+        }
+    }
+}
+
+/// Which copy of an array a step acts on; indexes a walk's per-side state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Side {
+    Host,
+    Device,
+}
+
+impl Side {
+    /// The opposite copy.
+    pub(crate) fn other(self) -> Side {
+        [Side::Device, Side::Host][self]
+    }
+}
+
+impl<T> std::ops::Index<Side> for [T; 2] {
+    type Output = T;
+    fn index(&self, side: Side) -> &T {
+        &self[side as usize]
+    }
+}
+
+impl<T> std::ops::IndexMut<Side> for [T; 2] {
+    fn index_mut(&mut self, side: Side) -> &mut T {
+        &mut self[side as usize]
+    }
+}
+
+/// What one [`PlanStep`] does to the host and device copies of the arrays
+/// it names ([`LaunchPlan::effect`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Effect<'p> {
+    /// A device buffer for the array exists but holds no value of this
+    /// frame yet.
+    Alloc(usize),
+    /// `arrays` move from the other side to `to` — one transfer, or one
+    /// `batched` operation — after which both copies agree.
+    Transfer { to: Side, arrays: &'p [usize], batched: bool },
+    /// Compute `name` on side `on`: it reads `reads` there and then writes
+    /// `writes` there, leaving the other side's copies of `writes` stale.
+    Compute { on: Side, name: &'p str, reads: &'p [usize], writes: Writes<'p> },
+}
+
+/// The arrays an [`Effect::Compute`] step writes: a host op's target, or a
+/// launch's arguments bound to writable parameters
+/// ([`PlanKernel::written_args`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Writes<'p>(Option<usize>, Option<&'p PlanKernel<'p>>);
+
+impl<'p> Writes<'p> {
+    /// The written array ids.
+    pub(crate) fn iter(self) -> impl Iterator<Item = usize> + 'p {
+        self.0.into_iter().chain(self.1.into_iter().flat_map(PlanKernel::written_args))
     }
 }
 
@@ -1827,6 +1854,53 @@ mod tests {
     }
 
     #[test]
+    fn a_launch_must_bind_one_array_to_each_buffer_parameter() {
+        let n = 8;
+        // A two-parameter kernel bound to one array, and a kernel with a
+        // scalar parameter: both used to validate, then fail mid-batch with
+        // `BadParam` after the upload had been charged.
+        let (two, config) = add_kernel(n);
+        let mut b = KernelBuilder::new("k", KernelFlavor::Cuda);
+        let y = b.buffer_param("y", true);
+        let s = b.scalar_param("s");
+        let gid = b.special(Special::GlobalIdX);
+        let sv = b.param_value(s);
+        b.store(y, gid, sv);
+        let scalar = b.finish();
+        for (kernel, args, want) in [
+            (&two, vec![0], "'addx' binds 1 array(s) to 2 parameter(s)"),
+            (&scalar, vec![0], "'k' binds 1 array(s) to 2 parameter(s)"),
+            (&scalar, vec![0, 0], "'k' binds 2 array(s) to 2 parameter(s)"),
+        ] {
+            let mut plan = double_plan(kernel, config, n);
+            plan.kernels[0].args = args;
+            let err = plan.validate();
+            assert!(matches!(&err, Err(ScheduleError::Plan(m)) if m.contains(want)), "{err:?}");
+            let mut device = Device::gtx480();
+            let err =
+                BatchScheduler::new(&plan).run(&mut device, &frames(1, n), &ExecOptions::default());
+            assert!(matches!(&err, Err(ScheduleError::Plan(m)) if m.contains(want)), "{err:?}");
+            assert_eq!(device.now_us(), 0.0);
+            assert_eq!(device.profiler.records().count(), 0);
+        }
+    }
+
+    #[test]
+    fn a_repeated_output_is_rejected() {
+        // Outputs are moved off the host, so the second copy used to fail
+        // mid-batch as "never reached the host".
+        let n = 8;
+        let (kernel, config) = double_kernel(n);
+        let mut plan = double_plan(&kernel, config, n);
+        plan.outputs = vec![0, 0];
+        let err = plan.validate();
+        assert!(
+            matches!(&err, Err(ScheduleError::Plan(m)) if m.contains("names array 'a' twice")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
     fn zero_element_array_declarations_are_rejected() {
         let n = 8;
         let (kernel, config) = double_kernel(n);
@@ -1839,6 +1913,15 @@ mod tests {
                 "shape {bad_shape:?}: {err:?}"
             );
         }
+        // An element count past `usize` is refused before anything sizes a
+        // buffer or a chunk by it.
+        let mut plan = double_plan(&kernel, config, n);
+        plan.arrays[0].shape = vec![usize::MAX, 2];
+        let err = plan.validate();
+        assert!(
+            matches!(&err, Err(ScheduleError::Plan(m)) if m.contains("more elements than a usize")),
+            "{err:?}"
+        );
     }
 
     /// y[i] = y[i] + x[i]; x read-only, y writable.
