@@ -8,6 +8,14 @@
 //!   `t/6 - t%6`,
 //! * vertical: input pattern of 13 rows every 9 rows, anchored 3 rows above
 //!   the tile (origin −3), four 6-pixel windows at offsets {0, 2, 5, 7}.
+//!
+//! Each call reduces the toroidal addressing to a tap table once (one
+//! `rem_euclid` per tap of one row or column, not per sample); the sample
+//! loops then only index. The vertical filter sums whole source rows, and
+//! the rank-3 reference ([`crate::pipelines::reference_downscale`]) reads a
+//! frame's channel planes in place and writes one rank-3 result, with no
+//! per-plane copies. The interpolation's `t/6 - t%6` stays one division per
+//! output sample.
 
 use mdarray::NdArray;
 
@@ -72,31 +80,68 @@ impl FilterSpec {
     }
 }
 
+/// The toroidal tap table of one filter over an `extent`-long dimension:
+/// for output `o` (tile `o / windows`, window `o % windows`), entries
+/// `o * window_len .. (o + 1) * window_len` are the source indices the
+/// window sums, already reduced modulo `extent`. Built once per call, so the
+/// per-sample loops below index instead of dividing.
+fn taps(spec: &FilterSpec, extent: usize) -> Vec<usize> {
+    let tiles = extent / spec.step;
+    let mut taps = Vec::with_capacity(tiles * spec.windows.len() * spec.window_len);
+    for t in 0..tiles {
+        let base = spec.origin + (t * spec.step) as i64;
+        for &w in &spec.windows {
+            taps.extend(
+                (0..spec.window_len)
+                    .map(|p| (base + (w + p) as i64).rem_euclid(extent as i64) as usize),
+            );
+        }
+    }
+    taps
+}
+
+/// The horizontal filter of one row-major plane of `cols` columns, appended
+/// to `out` (`cols/step * windows` samples per row).
+fn horizontal_plane(src: &[i64], cols: usize, spec: &FilterSpec, out: &mut Vec<i64>) {
+    let taps = taps(spec, cols);
+    let out_cols = (cols / spec.step) * spec.windows.len();
+    for row in src.chunks_exact(cols.max(1)) {
+        out.extend((0..out_cols).map(|o| {
+            let window = &taps[o * spec.window_len..(o + 1) * spec.window_len];
+            spec.interpolate(window.iter().map(|&c| row[c]).sum())
+        }));
+    }
+}
+
+/// The vertical filter of one row-major `rows × cols` plane, appended to
+/// `out` (`rows/step * windows × cols` samples). Each output row sums whole
+/// source rows element-wise, so the inner loop is a contiguous add.
+fn vertical_plane(src: &[i64], rows: usize, cols: usize, spec: &FilterSpec, out: &mut Vec<i64>) {
+    let taps = taps(spec, rows);
+    let out_rows = (rows / spec.step) * spec.windows.len();
+    let start = out.len();
+    out.resize(start + out_rows * cols, 0);
+    for (o, dst) in out[start..].chunks_exact_mut(cols.max(1)).enumerate() {
+        for &r in &taps[o * spec.window_len..(o + 1) * spec.window_len] {
+            for (d, &v) in dst.iter_mut().zip(&src[r * cols..(r + 1) * cols]) {
+                *d += v;
+            }
+        }
+        for d in dst.iter_mut() {
+            *d = spec.interpolate(*d);
+        }
+    }
+}
+
 /// Apply a filter along the columns of a 2-D channel plane.
 ///
 /// `[rows, cols]` → `[rows, cols/step * windows]`, toroidal addressing.
 pub fn horizontal_filter(ch: &NdArray<i64>, spec: &FilterSpec) -> NdArray<i64> {
     let rows = ch.shape().dim(0);
     let cols = ch.shape().dim(1);
-    let tiles = cols / spec.step;
-    let k = spec.outputs_per_tile();
-    let out_cols = tiles * k;
-    let src = ch.as_slice();
+    let out_cols = (cols / spec.step) * spec.outputs_per_tile();
     let mut out = Vec::with_capacity(rows * out_cols);
-    for i in 0..rows {
-        let row = &src[i * cols..(i + 1) * cols];
-        for t in 0..tiles {
-            let base = spec.origin + (t * spec.step) as i64;
-            for &w in &spec.windows {
-                let mut sum = 0i64;
-                for p in 0..spec.window_len {
-                    let c = (base + (w + p) as i64).rem_euclid(cols as i64) as usize;
-                    sum += row[c];
-                }
-                out.push(spec.interpolate(sum));
-            }
-        }
-    }
+    horizontal_plane(ch.as_slice(), cols, spec, &mut out);
     NdArray::from_vec([rows, out_cols], out).expect("length matches")
 }
 
@@ -106,31 +151,44 @@ pub fn horizontal_filter(ch: &NdArray<i64>, spec: &FilterSpec) -> NdArray<i64> {
 pub fn vertical_filter(ch: &NdArray<i64>, spec: &FilterSpec) -> NdArray<i64> {
     let rows = ch.shape().dim(0);
     let cols = ch.shape().dim(1);
-    let tiles = rows / spec.step;
-    let k = spec.outputs_per_tile();
-    let out_rows = tiles * k;
-    let src = ch.as_slice();
-    let mut out = vec![0i64; out_rows * cols];
-    for t in 0..tiles {
-        let base = spec.origin + (t * spec.step) as i64;
-        for (ki, &w) in spec.windows.iter().enumerate() {
-            let orow = t * k + ki;
-            for j in 0..cols {
-                let mut sum = 0i64;
-                for p in 0..spec.window_len {
-                    let r = (base + (w + p) as i64).rem_euclid(rows as i64) as usize;
-                    sum += src[r * cols + j];
-                }
-                out[orow * cols + j] = spec.interpolate(sum);
-            }
-        }
-    }
+    let out_rows = (rows / spec.step) * spec.outputs_per_tile();
+    let mut out = Vec::with_capacity(out_rows * cols);
+    vertical_plane(ch.as_slice(), rows, cols, spec, &mut out);
     NdArray::from_vec([out_rows, cols], out).expect("length matches")
 }
 
 /// Full per-channel downscale: horizontal then vertical.
 pub fn downscale_channel(ch: &NdArray<i64>, h: &FilterSpec, v: &FilterSpec) -> NdArray<i64> {
     vertical_filter(&horizontal_filter(ch, h), v)
+}
+
+/// The horizontal filter `h`, then `v` when given, over every channel plane
+/// of a rank-3 `[channels, rows, cols]` frame. Planes are read in place from
+/// the frame and written straight into the one rank-3 result; only the
+/// horizontal pass of one plane is staged between the two filters.
+pub(crate) fn filter_frame(
+    frame: &NdArray<i64>,
+    h: &FilterSpec,
+    v: Option<&FilterSpec>,
+) -> NdArray<i64> {
+    let &[channels, rows, cols] = frame.shape().dims() else {
+        panic!("filter_frame: frame has shape {:?}, not [channels, rows, cols]", frame.shape())
+    };
+    let h_cols = (cols / h.step) * h.outputs_per_tile();
+    let out_rows = v.map_or(rows, |v| (rows / v.step) * v.outputs_per_tile());
+    let mut out = Vec::with_capacity(channels * out_rows * h_cols);
+    let mut staged = Vec::with_capacity(if v.is_some() { rows * h_cols } else { 0 });
+    for plane in frame.as_slice().chunks_exact((rows * cols).max(1)) {
+        match v {
+            None => horizontal_plane(plane, cols, h, &mut out),
+            Some(v) => {
+                staged.clear();
+                horizontal_plane(plane, cols, h, &mut staged);
+                vertical_plane(&staged, rows, h_cols, v, &mut out);
+            }
+        }
+    }
+    NdArray::from_vec([channels, out_rows, h_cols], out).expect("length matches")
 }
 
 #[cfg(test)]
@@ -230,9 +288,108 @@ mod tests {
 #[cfg(test)]
 mod prop_tests {
     use super::*;
+    use crate::frames::FrameGenerator;
     use proptest::prelude::*;
 
+    /// The per-tap `rem_euclid` horizontal filter the tap tables replaced,
+    /// kept as the differential oracle.
+    fn horizontal_oracle(ch: &NdArray<i64>, spec: &FilterSpec) -> NdArray<i64> {
+        let rows = ch.shape().dim(0);
+        let cols = ch.shape().dim(1);
+        let tiles = cols / spec.step;
+        let out_cols = tiles * spec.outputs_per_tile();
+        let src = ch.as_slice();
+        let mut out = Vec::with_capacity(rows * out_cols);
+        for i in 0..rows {
+            let row = &src[i * cols..(i + 1) * cols];
+            for t in 0..tiles {
+                let base = spec.origin + (t * spec.step) as i64;
+                for &w in &spec.windows {
+                    let mut sum = 0i64;
+                    for p in 0..spec.window_len {
+                        let c = (base + (w + p) as i64).rem_euclid(cols as i64) as usize;
+                        sum += row[c];
+                    }
+                    out.push(spec.interpolate(sum));
+                }
+            }
+        }
+        NdArray::from_vec([rows, out_cols], out).expect("length matches")
+    }
+
+    /// The per-tap `rem_euclid` vertical filter, kept as the oracle.
+    fn vertical_oracle(ch: &NdArray<i64>, spec: &FilterSpec) -> NdArray<i64> {
+        let rows = ch.shape().dim(0);
+        let cols = ch.shape().dim(1);
+        let tiles = rows / spec.step;
+        let k = spec.outputs_per_tile();
+        let out_rows = tiles * k;
+        let src = ch.as_slice();
+        let mut out = vec![0i64; out_rows * cols];
+        for t in 0..tiles {
+            let base = spec.origin + (t * spec.step) as i64;
+            for (ki, &w) in spec.windows.iter().enumerate() {
+                let orow = t * k + ki;
+                for j in 0..cols {
+                    let mut sum = 0i64;
+                    for p in 0..spec.window_len {
+                        let r = (base + (w + p) as i64).rem_euclid(rows as i64) as usize;
+                        sum += src[r * cols + j];
+                    }
+                    out[orow * cols + j] = spec.interpolate(sum);
+                }
+            }
+        }
+        NdArray::from_vec([out_rows, cols], out).expect("length matches")
+    }
+
+    /// A random filter whose windows may start left of the frame and run
+    /// past its far edge more than once at these small extents.
+    fn spec_of((origin, step, windows, (window_len, divisor)): FilterDraw) -> FilterSpec {
+        FilterSpec { pattern: 0, origin, step, windows, window_len, divisor }
+    }
+
+    type FilterDraw = (i64, usize, Vec<usize>, (usize, i64));
+
+    fn filter_draw() -> impl Strategy<Value = FilterDraw> {
+        (-40i64..8, 1usize..5, collection::vec(0usize..24, 0..4), (0usize..30, 1i64..9))
+    }
+
     proptest! {
+        /// The tap-table filters and the in-place rank-3 reference are
+        /// bit-identical to the per-tap oracles, on random filters and
+        /// random small planes of any content sign.
+        #[test]
+        fn tap_tables_match_the_per_tap_oracle(
+            dims in (1usize..4, 1usize..13, 1usize..13),
+            h in filter_draw(),
+            v in filter_draw(),
+            data in collection::vec(-1000i64..1000, 3 * 12 * 12),
+        ) {
+            let (channels, rows, cols) = dims;
+            let (h, v) = (spec_of(h), spec_of(v));
+            let frame = NdArray::from_vec(
+                [channels, rows, cols],
+                data[..channels * rows * cols].to_vec(),
+            )
+            .unwrap();
+            let planes = FrameGenerator::unstack(&frame);
+            let mut h_planes = Vec::new();
+            let mut hv_planes = Vec::new();
+            for ch in &planes {
+                let hp = horizontal_oracle(ch, &h);
+                prop_assert_eq!(&horizontal_filter(ch, &h), &hp);
+                prop_assert_eq!(&vertical_filter(ch, &v), &vertical_oracle(ch, &v));
+                hv_planes.push(vertical_oracle(&hp, &v));
+                h_planes.push(hp);
+            }
+            prop_assert_eq!(filter_frame(&frame, &h, None), FrameGenerator::stack(&h_planes));
+            prop_assert_eq!(
+                filter_frame(&frame, &h, Some(&v)),
+                FrameGenerator::stack(&hv_planes)
+            );
+        }
+
         /// A constant frame downscales to the same constant: every window sum
         /// is `6c`, and `6c/6 - 6c%6 = c`. Holds for both filters at any
         /// valid size, which pins the interpolation normalisation.

@@ -6,6 +6,12 @@
 //! documented in DESIGN.md applies: a deterministic synthetic generator that
 //! produces video-like content (smooth gradients plus a moving block, per
 //! channel), and a sink that checksums frames (optionally rendering PPM).
+//!
+//! The generator fills each channel plane row by row straight into the
+//! array's storage. Everything that does not depend on the column (the
+//! moving block's position, the texture hash's frame/channel/row prefix and
+//! the row's gradient term) is computed once per plane or row, so a pixel
+//! costs one multiply-shift hash and no division by the frame size.
 
 use mdarray::{ops::checksum, NdArray};
 
@@ -26,32 +32,45 @@ impl FrameGenerator {
         FrameGenerator { channels, rows, cols, seed }
     }
 
-    /// Pixel function: gradient + per-frame moving feature, per channel.
-    fn pixel(&self, frame: usize, c: usize, i: usize, j: usize) -> i64 {
-        // Smooth background gradient.
-        let grad = (i * 2 + j * 3 + c * 85) % 256;
-        // A moving bright block (the "signal").
+    /// Append channel `c` of frame `frame` to `out`, row by row: a smooth
+    /// gradient, a moving bright block (the "signal") and a little
+    /// deterministic texture.
+    fn fill_plane(&self, frame: usize, c: usize, out: &mut Vec<i64>) {
+        // An empty plane has no pixels, and the block position below would
+        // divide by zero.
+        if self.rows == 0 || self.cols == 0 {
+            return;
+        }
         let bi = (frame * 7 + c * 13) % self.rows;
         let bj = (frame * 11) % self.cols;
-        let in_block = i.abs_diff(bi) < 8 && j.abs_diff(bj) < 8;
-        // A little deterministic texture.
-        let h = self
+        let plane_hash = self
             .seed
             .wrapping_mul(0x9e3779b97f4a7c15)
             .wrapping_add((frame as u64) << 40)
-            .wrapping_add((c as u64) << 32)
-            .wrapping_add((i as u64) << 16)
-            .wrapping_add(j as u64);
-        let noise = (h.wrapping_mul(0xbf58476d1ce4e5b9) >> 56) % 16;
-        let v = if in_block { 255 - noise as i64 } else { (grad as i64 + noise as i64).min(255) };
-        v.clamp(0, 255)
+            .wrapping_add((c as u64) << 32);
+        for i in 0..self.rows {
+            let row_hash = plane_hash.wrapping_add((i as u64) << 16);
+            let row_grad = i * 2 + c * 85;
+            let block_row = i.abs_diff(bi) < 8;
+            out.extend((0..self.cols).map(|j| {
+                let h = row_hash.wrapping_add(j as u64);
+                let noise = ((h.wrapping_mul(0xbf58476d1ce4e5b9) >> 56) % 16) as i64;
+                if block_row && j.abs_diff(bj) < 8 {
+                    255 - noise
+                } else {
+                    (((row_grad + j * 3) % 256) as i64 + noise).min(255)
+                }
+            }));
+        }
     }
 
     /// Produce frame `index` as separate channel planes.
     pub fn frame_channels(&self, index: usize) -> Vec<NdArray<i64>> {
         (0..self.channels)
             .map(|c| {
-                NdArray::from_fn([self.rows, self.cols], |ix| self.pixel(index, c, ix[0], ix[1]))
+                let mut plane = Vec::with_capacity(self.rows * self.cols);
+                self.fill_plane(index, c, &mut plane);
+                NdArray::from_vec([self.rows, self.cols], plane).expect("length matches")
             })
             .collect()
     }
@@ -59,9 +78,11 @@ impl FrameGenerator {
     /// Produce frame `index` as one rank-3 `[channels, rows, cols]` array
     /// (the layout the SaC programs use).
     pub fn frame_rank3(&self, index: usize) -> NdArray<i64> {
-        NdArray::from_fn([self.channels, self.rows, self.cols], |ix| {
-            self.pixel(index, ix[0], ix[1], ix[2])
-        })
+        let mut data = Vec::with_capacity(self.channels * self.rows * self.cols);
+        for c in 0..self.channels {
+            self.fill_plane(index, c, &mut data);
+        }
+        NdArray::from_vec([self.channels, self.rows, self.cols], data).expect("length matches")
     }
 
     /// Stack channel planes into a rank-3 array.
@@ -127,6 +148,46 @@ impl FrameSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::Scenario;
+
+    /// The per-pixel generator the row fill replaced, kept as the
+    /// differential oracle.
+    fn pixel_oracle(g: &FrameGenerator, frame: usize, c: usize, i: usize, j: usize) -> i64 {
+        let grad = (i * 2 + j * 3 + c * 85) % 256;
+        let bi = (frame * 7 + c * 13) % g.rows;
+        let bj = (frame * 11) % g.cols;
+        let in_block = i.abs_diff(bi) < 8 && j.abs_diff(bj) < 8;
+        let h = g
+            .seed
+            .wrapping_mul(0x9e3779b97f4a7c15)
+            .wrapping_add((frame as u64) << 40)
+            .wrapping_add((c as u64) << 32)
+            .wrapping_add((i as u64) << 16)
+            .wrapping_add(j as u64);
+        let noise = (h.wrapping_mul(0xbf58476d1ce4e5b9) >> 56) % 16;
+        let v = if in_block { 255 - noise as i64 } else { (grad as i64 + noise as i64).min(255) };
+        v.clamp(0, 255)
+    }
+
+    #[test]
+    fn row_fill_matches_the_per_pixel_oracle() {
+        for s in [Scenario::tiny(), Scenario::cif(), Scenario::hd1080()] {
+            for seed in [0, 42, u64::MAX] {
+                let g = FrameGenerator::new(s.channels, s.rows, s.cols, seed);
+                for frame in [0, 1, 299] {
+                    let want = NdArray::from_fn([s.channels, s.rows, s.cols], |ix| {
+                        pixel_oracle(&g, frame, ix[0], ix[1], ix[2])
+                    });
+                    let at = format!("{} seed {seed} frame {frame}", s.name);
+                    assert!(g.frame_rank3(frame) == want, "frame_rank3 differs: {at}");
+                    assert!(
+                        g.frame_channels(frame) == FrameGenerator::unstack(&want),
+                        "frame_channels differs: {at}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn frames_are_deterministic() {

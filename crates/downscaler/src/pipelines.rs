@@ -166,20 +166,12 @@ pub fn run_gaspard_batch(
 
 /// Golden-model downscale of a rank-3 `[channels, rows, cols]` frame.
 pub fn reference_downscale(s: &Scenario, frame: &NdArray<i64>) -> NdArray<i64> {
-    let planes: Vec<NdArray<i64>> = FrameGenerator::unstack(frame)
-        .iter()
-        .map(|ch| crate::filter::downscale_channel(ch, &s.h, &s.v))
-        .collect();
-    FrameGenerator::stack(&planes)
+    crate::filter::filter_frame(frame, &s.h, Some(&s.v))
 }
 
 /// Golden-model horizontal filter of a rank-3 frame.
 pub fn reference_horizontal(s: &Scenario, frame: &NdArray<i64>) -> NdArray<i64> {
-    let planes: Vec<NdArray<i64>> = FrameGenerator::unstack(frame)
-        .iter()
-        .map(|ch| crate::filter::horizontal_filter(ch, &s.h))
-        .collect();
-    FrameGenerator::stack(&planes)
+    crate::filter::filter_frame(frame, &s.h, None)
 }
 
 #[cfg(test)]

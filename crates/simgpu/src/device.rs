@@ -556,60 +556,62 @@ impl Device {
     /// actually issued, so callers accounting transfer counts report what
     /// the engine saw, not what was requested.
     ///
+    /// The host side is any integer slice that widens to `i64`: `&[i32]`
+    /// copies as is, and the scheduler's `&[i64]` host values are narrowed
+    /// to device `int`s inside the one copy into the buffer, with no staging
+    /// vector. A value outside the `i32` range refuses the whole transfer
+    /// with [`SimError::Overflow`] naming the first such element.
+    ///
     /// Chunking rule: `chunks` is honoured only when it is greater than 1
     /// *and* divides `host.len()` exactly; any other request degrades to a
     /// single chunk. Because that changes the profiled op count, the
     /// downgrade is recorded as a profiler note rather than happening
     /// silently.
     ///
-    /// The copy itself is performed eagerly — buffers always hold the result
-    /// of every enqueued operation in enqueue order, so correctness of an
-    /// overlapped schedule is the *timing* model's concern only, exactly as
-    /// when double-buffering keeps real streams race-free.
-    pub fn host2device_on(
+    /// Every check (stream, size, range) runs before anything is charged,
+    /// and the copy is committed only after the schedule succeeded: a
+    /// refused upload leaves the buffer, the records and the clock as they
+    /// were. The copy itself is performed eagerly — buffers always hold the
+    /// result of every enqueued operation in enqueue order, so correctness
+    /// of an overlapped schedule is the *timing* model's concern only,
+    /// exactly as when double-buffering keeps real streams race-free.
+    pub fn host2device_on<T: Copy + Into<i64>>(
         &mut self,
-        host: &[i32],
+        host: &[T],
         id: BufferId,
         chunks: usize,
         stream: StreamId,
     ) -> Result<usize, SimError> {
         self.stream_tail(stream)?;
-        let dev_len = self.buffer_len(id)?;
-        if dev_len != host.len() {
-            return Err(SimError::TransferSize { host: host.len(), device: dev_len });
-        }
+        self.check_upload(host, id)?;
         let chunks = self.effective_chunks(host.len(), chunks);
         let bytes = host.len() * 4 / chunks;
         for _ in 0..chunks {
             let us = self.model.transfer_time_us(bytes, Direction::HostToDevice);
             self.schedule_on("memcpyHtoDasync", OpClass::H2D, stream, us)?;
         }
-        // Commit the functional copy only after every check and schedule
-        // succeeded: a failed upload never leaves the buffer contents and the
-        // charged timeline disagreeing.
-        self.buffers[id.0].as_mut().expect("validated above").copy_from_slice(host);
+        self.commit_upload(host, id);
         Ok(chunks)
     }
 
     /// Upload several host arrays in one batched transfer (`cudaMemcpy` of a
-    /// packed staging area): every part is validated first, then the whole
-    /// batch is charged as a *single* H2D operation whose byte count is the
-    /// sum of the parts — one transfer latency instead of one per part.
+    /// packed staging area): every part is validated first — size, then
+    /// range, part by part in order — then the whole batch is charged as a
+    /// *single* H2D operation whose byte count is the sum of the parts — one
+    /// transfer latency instead of one per part. Each part narrows into its
+    /// buffer as in [`Device::host2device_on`].
     ///
     /// Recorded under `memcpyHtoDbatched` so batched traffic is separable
     /// from the per-array `memcpyHtoDasync` calls in profiles.
-    pub fn host2device_batch_on(
+    pub fn host2device_batch_on<T: Copy + Into<i64>>(
         &mut self,
-        parts: &[(&[i32], BufferId)],
+        parts: &[(&[T], BufferId)],
         stream: StreamId,
     ) -> Result<(), SimError> {
         self.stream_tail(stream)?;
         let mut total = 0usize;
         for &(host, id) in parts {
-            let dev_len = self.buffer_len(id)?;
-            if dev_len != host.len() {
-                return Err(SimError::TransferSize { host: host.len(), device: dev_len });
-            }
+            self.check_upload(host, id)?;
             total += host.len();
         }
         if parts.is_empty() {
@@ -618,21 +620,52 @@ impl Device {
         let us = self.model.transfer_time_us(total * 4, Direction::HostToDevice);
         self.schedule_on("memcpyHtoDbatched", OpClass::H2D, stream, us)?;
         for &(host, id) in parts {
-            self.buffers[id.0].as_mut().expect("validated above").copy_from_slice(host);
+            self.commit_upload(host, id);
         }
         Ok(())
     }
 
+    /// Every check an upload of `host` into `id` makes before it is
+    /// charged: the buffer exists, the lengths agree, and every value fits
+    /// a device `int`. The range check reads the host slice in place; for
+    /// `i32` hosts it is trivially true.
+    fn check_upload<T: Copy + Into<i64>>(&self, host: &[T], id: BufferId) -> Result<(), SimError> {
+        let dev_len = self.buffer_len(id)?;
+        if dev_len != host.len() {
+            return Err(SimError::TransferSize { host: host.len(), device: dev_len });
+        }
+        // `v` fits exactly when `v + 2^31` (mod 2^64) has no bit above bit
+        // 31: an add, a shift and an OR per value, which the compiler
+        // vectorises with baseline SSE2. The first offender is looked up
+        // only on the error path.
+        let high = |v: i64| (v as u64).wrapping_add(1 << 31) >> 32;
+        if host.iter().fold(0, |acc, &v| acc | high(v.into())) == 0 {
+            return Ok(());
+        }
+        let value = host.iter().map(|&v| v.into()).find(|&v| high(v) != 0).expect("fold saw one");
+        Err(SimError::Overflow { value })
+    }
+
+    /// The functional half of an upload [`Device::check_upload`] accepted:
+    /// one narrowing copy from the host slice into the buffer.
+    fn commit_upload<T: Copy + Into<i64>>(&mut self, host: &[T], id: BufferId) {
+        let buf = self.buffers[id.0].as_mut().expect("validated by check_upload");
+        for (d, &v) in buf.iter_mut().zip(host) {
+            *d = v.into() as i32;
+        }
+    }
+
     /// Read several device buffers back in one batched transfer — the D2H
     /// counterpart of [`Device::host2device_batch_on`]. One D2H operation is
-    /// charged for the summed bytes; the returned vectors are in `ids` order.
+    /// charged for the summed bytes; the returned vectors are in `ids` order,
+    /// each widened from the buffer as in [`Device::device2host_on`].
     ///
     /// Recorded under `memcpyDtoHbatched`.
-    pub fn device2host_batch_on(
+    pub fn device2host_batch_on<T: From<i32>>(
         &mut self,
         ids: &[BufferId],
         stream: StreamId,
-    ) -> Result<Vec<Vec<i32>>, SimError> {
+    ) -> Result<Vec<Vec<T>>, SimError> {
         self.stream_tail(stream)?;
         let mut total = 0usize;
         for &id in ids {
@@ -643,15 +676,12 @@ impl Device {
         }
         let us = self.model.transfer_time_us(total * 4, Direction::DeviceToHost);
         self.schedule_on("memcpyDtoHbatched", OpClass::D2H, stream, us)?;
-        ids.iter()
-            .map(|&id| {
-                self.buffers
-                    .get(id.0)
-                    .and_then(|b| b.as_ref())
-                    .cloned()
-                    .ok_or(SimError::UnknownBuffer { id: id.0 })
-            })
-            .collect()
+        ids.iter().map(|&id| self.widen(id)).collect()
+    }
+
+    /// A buffer's contents as a host vector: one widening copy.
+    fn widen<T: From<i32>>(&self, id: BufferId) -> Result<Vec<T>, SimError> {
+        Ok(self.peek(id)?.iter().map(|&v| T::from(v)).collect())
     }
 
     /// The chunking rule shared by both chunked transfers, with the
@@ -680,34 +710,29 @@ impl Device {
 
     /// Enqueue a readback on `stream` as `chunks` transfers, recorded under
     /// `memcpyDtoHasync`. The returned data is the buffer contents at
-    /// enqueue time paired with the number of transfers actually issued; the
-    /// host clock is not advanced — synchronise the stream before *using*
-    /// the data at a simulated time.
+    /// enqueue time, widened straight into the host element type (`i32` or
+    /// the scheduler's `i64`) in one copy, paired with the number of
+    /// transfers actually issued; the host clock is not advanced —
+    /// synchronise the stream before *using* the data at a simulated time.
     ///
     /// Chunking follows the same rule as [`Device::host2device_on`]:
     /// honoured only when `chunks > 1` divides the length exactly, with the
     /// downgrade to a single chunk recorded as a profiler note.
-    pub fn device2host_on(
+    pub fn device2host_on<T: From<i32>>(
         &mut self,
         id: BufferId,
         chunks: usize,
         stream: StreamId,
-    ) -> Result<(Vec<i32>, usize), SimError> {
+    ) -> Result<(Vec<T>, usize), SimError> {
         self.stream_tail(stream)?;
         let len = self.buffer_len(id)?;
         let chunks = self.effective_chunks(len, chunks);
-        let out = self
-            .buffers
-            .get(id.0)
-            .and_then(|b| b.as_ref())
-            .ok_or(SimError::UnknownBuffer { id: id.0 })?
-            .clone();
         let bytes = len * 4 / chunks;
         for _ in 0..chunks {
             let us = self.model.transfer_time_us(bytes, Direction::DeviceToHost);
             self.schedule_on("memcpyDtoHasync", OpClass::D2H, stream, us)?;
         }
-        Ok((out, chunks))
+        Ok((self.widen(id)?, chunks))
     }
 
     /// Launch a kernel: a [`Device::launch_on`] on the default stream, with
@@ -918,9 +943,31 @@ mod tests {
         // Size mismatch and unknown stream both fail before any mutation.
         assert!(d.host2device(&[1, 2, 3], buf).is_err());
         assert!(d.host2device_on(&[1, 2, 3, 4], buf, 1, StreamId(7)).is_err());
+        // A wide host value out of the device int's range refuses the whole
+        // upload, naming the first offender.
+        let wide = [1, i64::from(i32::MIN) - 1, i64::from(i32::MAX) + 1, 4];
+        let err = d.host2device_on(&wide, buf, 2, StreamId::DEFAULT);
+        assert_eq!(err, Err(SimError::Overflow { value: i64::from(i32::MIN) - 1 }));
         assert_eq!(d.peek(buf).unwrap(), &[9, 9, 9, 9]);
         assert_eq!(d.profiler.records().count(), 0);
         assert_eq!(d.now_us(), 0.0);
+    }
+
+    #[test]
+    fn upload_range_check_agrees_with_try_from() {
+        let mut d = Device::gtx480();
+        let buf = d.malloc(1).unwrap();
+        let edges = [0, 1, 1 << 31, 1 << 32, (1 << 32) + 1, (1 << 31) + (1 << 32), i64::MAX];
+        for v in edges.into_iter().flat_map(|e: i64| [e, e - 1, e.wrapping_neg(), -e - 1]) {
+            let up = d.host2device_on(&[v], buf, 1, StreamId::DEFAULT);
+            match i32::try_from(v) {
+                Ok(narrow) => {
+                    assert_eq!(up, Ok(1), "{v}");
+                    assert_eq!(d.peek(buf).unwrap(), &[narrow]);
+                }
+                Err(_) => assert_eq!(up, Err(SimError::Overflow { value: v })),
+            }
+        }
     }
 
     #[test]
@@ -935,7 +982,7 @@ mod tests {
         assert_eq!(notes.len(), 1);
         assert!(notes[0].contains("fell back to 1 chunk"), "{notes:?}");
         // The divisible case is honoured without a note.
-        d.device2host_on(buf, 2, StreamId::DEFAULT).unwrap();
+        d.device2host_on::<i32>(buf, 2, StreamId::DEFAULT).unwrap();
         assert_eq!(d.profiler.notes().count(), 1);
     }
 
@@ -947,7 +994,7 @@ mod tests {
         assert_eq!(d.host2device_on(&[1; 12], buf, 3, StreamId::DEFAULT).unwrap(), 3);
         // Not divisible: falls back to one transfer, and says so.
         assert_eq!(d.host2device_on(&[2; 12], buf, 5, StreamId::DEFAULT).unwrap(), 1);
-        let (out, issued) = d.device2host_on(buf, 5, StreamId::DEFAULT).unwrap();
+        let (out, issued) = d.device2host_on::<i32>(buf, 5, StreamId::DEFAULT).unwrap();
         assert_eq!(out, vec![2; 12]);
         assert_eq!(issued, 1);
         d.synchronize();
@@ -970,7 +1017,7 @@ mod tests {
         let batched = model.transfer_time_us(16000, Direction::HostToDevice);
         assert!((rec.total_us - batched).abs() < 1e-9);
         assert!(batched < separate);
-        let outs = d.device2host_batch_on(&[a, b], StreamId::DEFAULT).unwrap();
+        let outs = d.device2host_batch_on::<i32>(&[a, b], StreamId::DEFAULT).unwrap();
         assert_eq!(outs, vec![da, db]);
         assert_eq!(
             d.profiler.records().find(|r| &*r.name == "memcpyDtoHbatched").unwrap().calls,
@@ -991,10 +1038,15 @@ mod tests {
         let bad: Vec<i32> = vec![1, 2, 3];
         assert!(d.host2device_batch_on(&[(&good, a), (&bad, b)], StreamId::DEFAULT).is_err());
         assert_eq!(d.peek(a).unwrap(), &[9, 9, 9, 9]);
+        // So does a later part out of the device int's range.
+        let wide: [&[i64]; 2] = [&[1, 2, 3, 4], &[5, i64::from(i32::MAX) + 1, 7, 8]];
+        let err = d.host2device_batch_on(&[(wide[0], a), (wide[1], b)], StreamId::DEFAULT);
+        assert_eq!(err, Err(SimError::Overflow { value: i64::from(i32::MAX) + 1 }));
+        assert_eq!(d.peek(a).unwrap(), &[9, 9, 9, 9]);
         assert_eq!(d.profiler.records().count(), 0);
         // Empty batch is a no-op, not a zero-byte transfer.
-        d.host2device_batch_on(&[], StreamId::DEFAULT).unwrap();
-        assert!(d.device2host_batch_on(&[], StreamId::DEFAULT).unwrap().is_empty());
+        d.host2device_batch_on::<i32>(&[], StreamId::DEFAULT).unwrap();
+        assert!(d.device2host_batch_on::<i32>(&[], StreamId::DEFAULT).unwrap().is_empty());
         assert_eq!(d.profiler.records().count(), 0);
     }
 
@@ -1008,6 +1060,12 @@ mod tests {
         assert!(d.now_us() > t0);
         let back = d.device2host(buf).unwrap();
         assert_eq!(back, host);
+        // Wide hosts narrow on the way up and widen on the way down, exact
+        // at both ends of the device int's range.
+        let wide: Vec<i64> =
+            (0..1000).map(|i| if i % 2 == 0 { i32::MIN } else { i32::MAX }.into()).collect();
+        d.host2device_on(&wide, buf, 1, StreamId::DEFAULT).unwrap();
+        assert_eq!(d.device2host_on::<i64>(buf, 1, StreamId::DEFAULT).unwrap().0, wide);
         assert_eq!(d.profiler.records().count(), 2);
     }
 
@@ -1097,7 +1155,7 @@ mod tests {
         let serial_total = serial.now_us();
         // Overlapped: upload and download on different streams/engines.
         d.host2device_on(&data, a, 1, up).unwrap();
-        d.device2host_on(b, 1, down).unwrap();
+        d.device2host_on::<i32>(b, 1, down).unwrap();
         let makespan = d.synchronize();
         assert!(makespan < serial_total, "{makespan} !< {serial_total}");
         // Both engines were busy; makespan is the slower of the two.

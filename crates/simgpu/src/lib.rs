@@ -82,6 +82,9 @@ pub enum SimError {
     AllocTooLarge { len: usize },
     /// Host/device size mismatch on a transfer.
     TransferSize { host: usize, device: usize },
+    /// An uploaded host value (the first one, in element order) does not fit
+    /// a device `int`.
+    Overflow { value: i64 },
     /// A stream id was never created on this device.
     UnknownStream { id: usize },
 }
@@ -117,6 +120,7 @@ impl std::fmt::Display for SimError {
             SimError::TransferSize { host, device } => {
                 write!(f, "transfer size mismatch: host {host} elements, device {device}")
             }
+            SimError::Overflow { value } => write!(f, "value {value} does not fit a device int"),
             SimError::UnknownStream { id } => write!(f, "unknown device stream {id}"),
         }
     }

@@ -30,6 +30,7 @@ use crate::kir::{Kernel, KernelArg, Param};
 use crate::profiler::{OpClass, Profiler, Slot};
 use crate::SimError;
 use mdarray::NdArray;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// A device array declared by a [`LaunchPlan`], identified by its index in
@@ -114,7 +115,7 @@ pub enum PlanStep {
 pub struct PlanKernel<'a> {
     /// The executable kernel IR — borrowed from the route's compiled program,
     /// or owned when a planopt pass (kernel fusion) synthesised it.
-    pub kernel: std::borrow::Cow<'a, Kernel>,
+    pub kernel: Cow<'a, Kernel>,
     /// Grid/block configuration.
     pub config: LaunchConfig,
     /// Array ids bound to the kernel's buffer parameters, in order.
@@ -129,7 +130,7 @@ pub struct PlanKernel<'a> {
 impl<'a> PlanKernel<'a> {
     /// A plan kernel borrowing route-compiled IR, with no access description.
     pub fn new(kernel: &'a Kernel, config: LaunchConfig, args: Vec<usize>) -> Self {
-        PlanKernel { kernel: std::borrow::Cow::Borrowed(kernel), config, args, access: None }
+        PlanKernel { kernel: Cow::Borrowed(kernel), config, args, access: None }
     }
 
     /// Attach a tiled-access description (builder style).
@@ -593,8 +594,13 @@ impl std::fmt::Display for ScheduleError {
 impl std::error::Error for ScheduleError {}
 
 impl From<SimError> for ScheduleError {
+    /// A refused upload's [`SimError::Overflow`] is the scheduler's own
+    /// [`ScheduleError::Overflow`]; every other device failure is wrapped.
     fn from(e: SimError) -> Self {
-        ScheduleError::Sim(e)
+        match e {
+            SimError::Overflow { value } => ScheduleError::Overflow { value },
+            e => ScheduleError::Sim(e),
+        }
     }
 }
 
@@ -794,7 +800,9 @@ pub struct ExecOptions {
     /// per-operation durations instead of executing them functionally.
     /// Exact under the cost model whenever per-frame cost is
     /// content-independent (fixed shapes; host steps whose trip counts do
-    /// not depend on data). `0` means "the supplied frames".
+    /// not depend on data). `0` means "the supplied frames"; any other
+    /// value below the number of supplied frames is refused by
+    /// [`BatchScheduler::run`] as a [`ScheduleError::Config`].
     pub total_frames: usize,
     /// SaC route lowering only: when non-zero, arrays whose leading dimension
     /// equals this value are transferred as one chunk per leading slice
@@ -880,12 +888,6 @@ pub fn chunks_for(shape: &[usize], channel_chunks: usize) -> usize {
     }
 }
 
-fn to_i32(data: &[i64]) -> Result<Vec<i32>, ScheduleError> {
-    data.iter()
-        .map(|&v| i32::try_from(v).map_err(|_| ScheduleError::Overflow { value: v }))
-        .collect()
-}
-
 /// A scheduler run's data result: one output-array vector per functionally
 /// executed frame (the plan's outputs, in declared order), plus the step
 /// counters for the whole batch.
@@ -921,7 +923,14 @@ impl<'a> BatchScheduler<'a> {
     /// (the plan's outputs, in declared order) plus counters covering all
     /// `total_frames` — timing-replayed frames contribute their counters
     /// and profiler records but no arrays. The device is synchronized on
-    /// return, so `device.now_us()` is the batch makespan.
+    /// return, so `device.now_us()` is the batch makespan. A non-zero
+    /// `total_frames` below `frames.len()` is a [`ScheduleError::Config`]
+    /// raised before the device is touched.
+    ///
+    /// The frames are borrowed, never copied: an upload narrows each host
+    /// value into its device buffer in one copy
+    /// ([`Device::host2device_on`]), and a download widens the buffer
+    /// straight into the output array ([`Device::device2host_on`]).
     ///
     /// The plan runs exactly as given: [`ExecOptions::optimize`] is
     /// [`run_plan`]'s business. [`ExecOptions::pool`] is applied to the
@@ -938,6 +947,13 @@ impl<'a> BatchScheduler<'a> {
         opts: &ExecOptions,
     ) -> Result<BatchOutput, ScheduleError> {
         opts.validate().map_err(ScheduleError::Config)?;
+        if opts.total_frames != 0 && opts.total_frames < frames.len() {
+            return Err(ScheduleError::Config(format!(
+                "total_frames {} is less than the {} supplied frames",
+                opts.total_frames,
+                frames.len()
+            )));
+        }
         self.plan.validate()?;
         device.set_pool_enabled(opts.pool);
         if frames.is_empty() {
@@ -1064,6 +1080,11 @@ impl<'a> BatchScheduler<'a> {
     /// `carried` holds the previous frame's carry values positionally per
     /// [`LaunchPlan::carries`]; `Some` entries override the caller-supplied
     /// binding of that carry's target (`None` on frame 0 keeps the seed).
+    ///
+    /// The host map borrows the inputs and the carried values; it owns only
+    /// what this frame computes (downloads and host-op results). Host ops
+    /// read owned clones ([`HostOp::run`] takes `&[NdArray<i64>]`), and a
+    /// borrowed output or carry source is cloned once on the way out.
     #[allow(clippy::too_many_arguments)]
     fn exec_frame(
         &self,
@@ -1083,7 +1104,7 @@ impl<'a> BatchScheduler<'a> {
                 inputs.len()
             )));
         }
-        let mut host: Vec<Option<NdArray<i64>>> = vec![None; plan.arrays.len()];
+        let mut host: Vec<Option<Cow<'_, NdArray<i64>>>> = vec![None; plan.arrays.len()];
         for (&id, arr) in plan.inputs.iter().zip(inputs) {
             if arr.shape().dims() != plan.arrays[id].shape.as_slice() {
                 return Err(ScheduleError::Input(format!(
@@ -1093,13 +1114,13 @@ impl<'a> BatchScheduler<'a> {
                     plan.arrays[id].shape
                 )));
             }
-            host[id] = Some(arr.clone());
+            host[id] = Some(Cow::Borrowed(arr));
         }
         // Warm frames rebind carry targets to the previous frame's carried
         // values; validate() guarantees the shapes match the declarations.
         for (c, v) in plan.carries.iter().zip(carried) {
             if let Some(v) = v {
-                host[c.to] = Some(v.clone());
+                host[c.to] = Some(Cow::Borrowed(v));
             }
         }
 
@@ -1126,7 +1147,7 @@ impl<'a> BatchScheduler<'a> {
             .carries
             .iter()
             .map(|c| {
-                host[c.from].clone().ok_or_else(|| {
+                host[c.from].as_deref().cloned().ok_or_else(|| {
                     ScheduleError::Plan(format!(
                         "carry source '{}' never reached the host",
                         plan.arrays[c.from].name
@@ -1138,7 +1159,7 @@ impl<'a> BatchScheduler<'a> {
             .outputs
             .iter()
             .map(|&id| {
-                host[id].take().ok_or_else(|| {
+                host[id].take().map(Cow::into_owned).ok_or_else(|| {
                     ScheduleError::Plan(format!(
                         "output '{}' never reached the host",
                         plan.arrays[id].name
@@ -1156,7 +1177,7 @@ impl<'a> BatchScheduler<'a> {
         &self,
         device: &mut Device,
         steps: &[PlanStep],
-        host: &mut [Option<NdArray<i64>>],
+        host: &mut [Option<Cow<'_, NdArray<i64>>>],
         opts: &ExecOptions,
         buffers: &mut [Option<BufferId>],
         stream: StreamId,
@@ -1167,7 +1188,7 @@ impl<'a> BatchScheduler<'a> {
             match *step {
                 PlanStep::Upload { array, chunks } => {
                     let (data, buf) = self.stage_upload(device, host, buffers, array)?;
-                    stats.h2d += device.host2device_on(&data, buf, chunks, stream)?;
+                    stats.h2d += device.host2device_on(data, buf, chunks, stream)?;
                     stats.h2d_bytes += data.len() * 4;
                 }
                 PlanStep::Alloc { array } => {
@@ -1190,7 +1211,7 @@ impl<'a> BatchScheduler<'a> {
                     let (data, issued) = device.device2host_on(buf, chunks, stream)?;
                     stats.d2h += issued;
                     stats.d2h_bytes += data.len() * 4;
-                    host[array] = Some(self.host_array(array, data)?);
+                    host[array] = Some(Cow::Owned(self.host_array(array, data)?));
                 }
                 PlanStep::Host { op } => {
                     let h = &plan.host_ops[op];
@@ -1198,7 +1219,7 @@ impl<'a> BatchScheduler<'a> {
                         .reads
                         .iter()
                         .map(|&a| {
-                            host[a].clone().ok_or_else(|| {
+                            host[a].as_deref().cloned().ok_or_else(|| {
                                 ScheduleError::Plan(format!(
                                     "host step input '{}' missing",
                                     plan.arrays[a].name
@@ -1214,18 +1235,16 @@ impl<'a> BatchScheduler<'a> {
                     )?;
                     stats.host_ops += ops;
                     stats.host_steps += 1;
-                    host[h.target] = Some(out);
+                    host[h.target] = Some(Cow::Owned(out));
                 }
                 PlanStep::UploadBatch { batch } => {
-                    let staged = plan.batches[batch]
+                    let parts = plan.batches[batch]
                         .iter()
                         .map(|&array| self.stage_upload(device, host, buffers, array))
                         .collect::<Result<Vec<_>, _>>()?;
-                    let parts: Vec<(&[i32], BufferId)> =
-                        staged.iter().map(|(d, b)| (d.as_slice(), *b)).collect();
                     device.host2device_batch_on(&parts, stream)?;
                     stats.h2d += 1;
-                    stats.h2d_bytes += staged.iter().map(|(d, _)| d.len() * 4).sum::<usize>();
+                    stats.h2d_bytes += parts.iter().map(|(d, _)| d.len() * 4).sum::<usize>();
                 }
                 PlanStep::DownloadBatch { batch } => {
                     let ids = &plan.batches[batch];
@@ -1235,7 +1254,7 @@ impl<'a> BatchScheduler<'a> {
                     stats.d2h += 1;
                     for (&array, data) in ids.iter().zip(outs) {
                         stats.d2h_bytes += data.len() * 4;
-                        host[array] = Some(self.host_array(array, data)?);
+                        host[array] = Some(Cow::Owned(self.host_array(array, data)?));
                     }
                 }
             }
@@ -1243,22 +1262,21 @@ impl<'a> BatchScheduler<'a> {
         Ok(())
     }
 
-    /// The host value of `array` converted to device ints, and the lane's
-    /// buffer for it (allocated on first upload).
-    fn stage_upload(
+    /// The host value of `array`, borrowed for the device's narrowing copy,
+    /// and the lane's buffer for it (allocated on first upload).
+    fn stage_upload<'h>(
         &self,
         device: &mut Device,
-        host: &[Option<NdArray<i64>>],
+        host: &'h [Option<Cow<'_, NdArray<i64>>>],
         buffers: &mut [Option<BufferId>],
         array: usize,
-    ) -> Result<(Vec<i32>, BufferId), ScheduleError> {
-        let arr = host[array].as_ref().ok_or_else(|| {
+    ) -> Result<(&'h [i64], BufferId), ScheduleError> {
+        let data = host[array].as_deref().map(NdArray::as_slice).ok_or_else(|| {
             ScheduleError::Plan(format!(
                 "upload of uncomputed array '{}'",
                 self.plan.arrays[array].name
             ))
         })?;
-        let data = to_i32(arr.as_slice())?;
         let buf = match buffers[array] {
             Some(b) => b,
             None => *buffers[array].insert(device.malloc(data.len())?),
@@ -1277,13 +1295,11 @@ impl<'a> BatchScheduler<'a> {
         })
     }
 
-    /// Downloaded device ints as the host value of `array`.
-    fn host_array(&self, array: usize, data: Vec<i32>) -> Result<NdArray<i64>, ScheduleError> {
-        NdArray::from_vec(
-            self.plan.arrays[array].shape.clone(),
-            data.into_iter().map(i64::from).collect(),
-        )
-        .map_err(|e| ScheduleError::Plan(e.to_string()))
+    /// Downloaded (already widened) device ints as the host value of
+    /// `array`.
+    fn host_array(&self, array: usize, data: Vec<i64>) -> Result<NdArray<i64>, ScheduleError> {
+        NdArray::from_vec(self.plan.arrays[array].shape.clone(), data)
+            .map_err(|e| ScheduleError::Plan(e.to_string()))
     }
 }
 
@@ -1323,6 +1339,7 @@ mod tests {
     use crate::cost::Calibration;
     use crate::device::DeviceConfig;
     use crate::kir::{BinOp, KernelBuilder, KernelFlavor, Special};
+    use crate::profiler::Span;
 
     #[test]
     fn chunks_for_splits_only_matching_leading_dimension() {
@@ -1618,17 +1635,139 @@ mod tests {
         assert_eq!(device.profiler.records().count(), 0);
     }
 
+    /// Two `n`-element arrays moved to the device and straight back: as two
+    /// single transfers each way, or as one coalesced batch each way.
+    fn copy_plan(n: usize, batched: bool) -> LaunchPlan<'static> {
+        let (steps, batches) = if batched {
+            (
+                vec![PlanStep::UploadBatch { batch: 0 }, PlanStep::DownloadBatch { batch: 0 }],
+                vec![vec![0, 1]],
+            )
+        } else {
+            let single = |array| {
+                [PlanStep::Upload { array, chunks: 1 }, PlanStep::Download { array, chunks: 1 }]
+            };
+            let ([up_a, down_a], [up_b, down_b]) = (single(0), single(1));
+            (vec![up_a, up_b, down_a, down_b], Vec::new())
+        };
+        LaunchPlan {
+            arrays: vec![
+                ArrayDecl { name: "a".into(), shape: vec![n] },
+                ArrayDecl { name: "b".into(), shape: vec![n] },
+            ],
+            inputs: vec![0, 1],
+            outputs: vec![0, 1],
+            kernels: Vec::new(),
+            host_ops: Vec::new(),
+            steps,
+            prologue: Vec::new(),
+            invariant: Vec::new(),
+            batches,
+            carries: Vec::new(),
+            lane_label: "stream lanes",
+        }
+    }
+
     #[test]
     fn overflow_is_detected_at_upload() {
-        let n = 2;
+        let n = 6;
+        let (big, small) = (i64::from(i32::MAX) + 1, i64::from(i32::MIN) - 1);
+        // Elements 0 and 1 sit exactly on the device int's range limits.
+        let arr = |seed: i64, bad: &[(usize, i64)]| {
+            NdArray::from_fn([n], |ix| match ix[0] {
+                0 => i64::from(i32::MIN),
+                1 => i64::from(i32::MAX),
+                i => bad.iter().find(|&&(at, _)| at == i).map_or(seed * 10 + i as i64, |b| b.1),
+            })
+        };
+        // The first out-of-range element in step order, then element order,
+        // and the index of the array whose transfer is refused.
+        let refused = [
+            (vec![arr(3, &[(3, small), (5, big)]), arr(4, &[(2, big)])], small, 0),
+            (vec![arr(3, &[]), arr(4, &[(2, big), (4, small)])], big, 1),
+        ];
+        let opts = ExecOptions::default();
+        for batched in [false, true] {
+            let plan = copy_plan(n, batched);
+            let sched = BatchScheduler::new(&plan);
+            for (frame, value, at) in &refused {
+                let mut device = Device::gtx480();
+                let mut bufs = vec![None; 2];
+                let good = vec![arr(1, &[]), arr(2, &[])];
+                let run = sched
+                    .exec_frame(&mut device, &good, &opts, &mut bufs, StreamId::DEFAULT, true, &[])
+                    .unwrap();
+                // i32::MIN and i32::MAX round-trip exactly.
+                assert_eq!(run.outputs, good, "batched={batched}");
+                let calls = |d: &Device, class| {
+                    d.profiler.records().filter(|r| r.class == class).map(|r| r.calls).sum::<u64>()
+                };
+                let resident = |d: &Device, bufs: &[Option<BufferId>]| -> Vec<Vec<i32>> {
+                    bufs.iter().map(|b| d.peek(b.unwrap()).unwrap().to_vec()).collect()
+                };
+                let spans = device.profiler.spans().count();
+                let (h2d, d2h) = (calls(&device, OpClass::H2D), calls(&device, OpClass::D2H));
+                let tail = device.stream_tail(StreamId::DEFAULT).unwrap();
+                let contents = resident(&device, &bufs);
+
+                let err = sched.exec_frame(
+                    &mut device,
+                    frame,
+                    &opts,
+                    &mut bufs,
+                    StreamId::DEFAULT,
+                    false,
+                    &[],
+                );
+                assert!(
+                    matches!(err, Err(ScheduleError::Overflow { value: v }) if v == *value),
+                    "batched={batched}: {:?}",
+                    err.map(|_| ())
+                );
+                // Single uploads of earlier arrays went through; the refused
+                // transfer charged nothing, so spans, records and the stream
+                // clock moved only by those, and the refused buffers keep the
+                // previous frame's contents.
+                let through = if batched { 0 } else { *at };
+                let new: Vec<&Span> = device.profiler.spans().skip(spans).collect();
+                assert_eq!(new.len(), through, "batched={batched}");
+                assert!(new.iter().all(|s| s.class == OpClass::H2D));
+                assert_eq!(calls(&device, OpClass::H2D), h2d + through as u64);
+                assert_eq!(calls(&device, OpClass::D2H), d2h);
+                assert_eq!(
+                    device.stream_tail(StreamId::DEFAULT).unwrap(),
+                    new.last().map_or(tail, |s| s.end_us())
+                );
+                let narrowed = |a: &NdArray<i64>| a.as_slice().iter().map(|&v| v as i32).collect();
+                let expect: Vec<Vec<i32>> = (0..2)
+                    .map(|k| if k < through { narrowed(&frame[k]) } else { contents[k].clone() })
+                    .collect();
+                assert_eq!(resident(&device, &bufs), expect, "batched={batched}");
+            }
+            // The whole-batch entry point reports the same typed error.
+            let err = sched.run(&mut Device::gtx480(), &[refused[1].0.clone()], &opts);
+            assert!(matches!(err, Err(ScheduleError::Overflow { value }) if value == big));
+        }
+    }
+
+    #[test]
+    fn total_frames_below_the_supplied_frames_is_refused_before_touching_the_device() {
+        let n = 16;
         let (kernel, config) = double_kernel(n);
         let plan = double_plan(&kernel, config, n);
         let mut device = Device::gtx480();
-        let too_big = vec![vec![NdArray::from_vec([2], vec![1, i64::from(i32::MAX) + 1]).unwrap()]];
-        let err = BatchScheduler::new(&plan).run(&mut device, &too_big, &ExecOptions::default());
-        assert!(
-            matches!(err, Err(ScheduleError::Overflow { value }) if value == i64::from(i32::MAX) + 1)
+        let err = BatchScheduler::new(&plan).run(
+            &mut device,
+            &frames(3, n),
+            &ExecOptions { total_frames: 2, ..Default::default() },
         );
+        assert!(
+            matches!(&err, Err(ScheduleError::Config(m)) if m.contains("total_frames 2")),
+            "{err:?}"
+        );
+        assert_eq!(device.now_us(), 0.0);
+        assert_eq!(device.profiler.records().count(), 0);
+        assert_eq!(device.profiler.spans().count(), 0);
     }
 
     #[test]
