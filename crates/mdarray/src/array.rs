@@ -24,6 +24,21 @@ impl<T: Clone> NdArray<T> {
         NdArray { shape, data: vec![fill; len] }
     }
 
+    /// [`NdArray::filled`] for a shape that may be too large: a typed
+    /// [`MdError::TooLarge`] when the element count overflows a `usize` or
+    /// the buffer's byte count exceeds what an allocation may request,
+    /// instead of a "capacity overflow" panic.
+    pub fn try_filled(shape: impl Into<Shape>, fill: T) -> Result<Self, MdError> {
+        let shape = shape.into();
+        let fits = |len: usize| {
+            len.checked_mul(std::mem::size_of::<T>()).is_some_and(|b| b <= isize::MAX as usize)
+        };
+        match shape.checked_len() {
+            Some(len) if fits(len) => Ok(NdArray { shape, data: vec![fill; len] }),
+            _ => Err(MdError::TooLarge { shape: shape.dims().to_vec() }),
+        }
+    }
+
     /// Build an array by evaluating `f` at every index (row-major order).
     pub fn from_fn(shape: impl Into<Shape>, mut f: impl FnMut(&[usize]) -> T) -> Self {
         let shape = shape.into();
@@ -179,6 +194,17 @@ mod tests {
         assert_eq!(*a.get(&[1, 0]).unwrap(), -1);
         assert_eq!(*a.get(&[0, 0]).unwrap(), 7);
         assert!(a.set(&[2, 0], 0).is_err());
+    }
+
+    #[test]
+    fn try_filled_refuses_shapes_too_large_to_allocate() {
+        assert_eq!(NdArray::try_filled([2, 3], 5i64).unwrap(), NdArray::filled([2, 3], 5i64));
+        // An element count past `usize`, and one that fits a `usize` but
+        // whose byte count is past `isize::MAX`: neither allocates.
+        for dims in [vec![9_999_999_999, 9_999_999_999], vec![1 << 62]] {
+            let err = NdArray::try_filled(dims.clone(), 0i64).unwrap_err();
+            assert_eq!(err, MdError::TooLarge { shape: dims });
+        }
     }
 
     #[test]

@@ -47,6 +47,9 @@ pub enum MdError {
     OutOfBounds { index: Vec<usize>, shape: Vec<usize> },
     /// The rank (number of dimensions) was not the one required.
     RankMismatch { expected: usize, actual: usize },
+    /// A shape's element count overflows a `usize`, or its buffer's byte
+    /// count exceeds `isize::MAX`.
+    TooLarge { shape: Vec<usize> },
 }
 
 impl std::fmt::Display for MdError {
@@ -60,6 +63,9 @@ impl std::fmt::Display for MdError {
             }
             MdError::RankMismatch { expected, actual } => {
                 write!(f, "rank mismatch: expected {expected}, got {actual}")
+            }
+            MdError::TooLarge { shape } => {
+                write!(f, "shape {shape:?} has too many elements to allocate")
             }
         }
     }

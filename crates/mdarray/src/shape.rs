@@ -46,6 +46,12 @@ impl Shape {
         self.dims.iter().product()
     }
 
+    /// Total number of elements, or `None` when the product of extents
+    /// overflows a `usize`.
+    pub fn checked_len(&self) -> Option<usize> {
+        self.dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d))
+    }
+
     /// True when the shape contains no elements (some extent is zero).
     pub fn is_empty(&self) -> bool {
         self.dims.contains(&0)

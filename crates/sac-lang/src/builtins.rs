@@ -6,7 +6,7 @@
 
 use crate::value::Value;
 use crate::SacError;
-use mdarray::NdArray;
+use mdarray::{NdArray, Shape};
 
 /// Is `name` a builtin? (Builtins shadow user functions.)
 pub fn is_builtin(name: &str) -> bool {
@@ -72,10 +72,16 @@ pub fn call_builtin(name: &str, args: &[Value]) -> Result<Value, SacError> {
                 Some(v) => v.as_int()?,
                 None => 0,
             };
-            Ok(Value::Arr(NdArray::filled(shape, fill)))
+            Ok(Value::Arr(genarray(shape, fill)?))
         }
         other => Err(SacError::Eval { msg: format!("unknown builtin '{other}'") }),
     }
+}
+
+/// A `genarray` result: `shape` filled with `fill`, or a typed error when
+/// the shape has too many elements to allocate.
+pub(crate) fn genarray(shape: impl Into<Shape>, fill: i64) -> Result<NdArray<i64>, SacError> {
+    NdArray::try_filled(shape, fill).map_err(|e| SacError::Eval { msg: format!("genarray: {e}") })
 }
 
 /// Matrix–vector product: `MV(m, v)[r] = sum_c m[r,c] * v[c]`.

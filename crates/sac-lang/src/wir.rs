@@ -387,7 +387,7 @@ impl FlatProgram {
                                 msg: format!("modarray source {src} not computed"),
                             })?
                             .clone(),
-                        None => NdArray::filled(with.shape.clone(), with.default),
+                        None => crate::builtins::genarray(with.shape.clone(), with.default)?,
                     };
                     for gen in &with.generators {
                         let mut err = None;
@@ -659,6 +659,30 @@ mod tests {
         assert!(p.run(&[], &mut 0).is_err());
         let wrong = NdArray::filled([5usize], 0i64);
         assert!(p.run(&[wrong], &mut 0).is_err());
+    }
+
+    /// Both forms of an over-large `genarray` fail with a typed error, not
+    /// a "capacity overflow" panic: the bare call while optimising (lowering
+    /// evaluates it), and the WITH-loop over it when the flat program runs.
+    #[test]
+    fn over_large_genarray_is_a_typed_error() {
+        use crate::opt::{optimize, ArgDesc, OptConfig};
+        let compile = |body: &str| {
+            let src = format!("int[*] main(int[1] a) {{ out = {body}; return( out); }}");
+            let prog = crate::parse_program(&src).unwrap();
+            let args = [ArgDesc::Array { name: "a".into(), shape: vec![1] }];
+            optimize(&prog, "main", &args, &OptConfig::default()).map(|(flat, _)| flat)
+        };
+        let too_large = |e: &SacError| e.to_string().contains("too many elements");
+
+        let err = compile("genarray([9999999999,9999999999], 0)").unwrap_err();
+        assert!(too_large(&err), "{err:?}");
+
+        let flat =
+            compile("with { (. <= iv <= .) : a[[0]] + 1; } : genarray([9999999999,9999999999], 0)")
+                .unwrap();
+        let err = flat.run(&[NdArray::filled([1usize], 0)], &mut 0).unwrap_err();
+        assert!(matches!(err, SacError::Eval { .. }) && too_large(&err), "{err:?}");
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub use fleet::Fleet;
 pub use kir::{BinOp, Instr, Kernel, KernelArg, KernelFlavor, Param, Reg, Special};
 pub use memo::LaunchMemo;
 pub use planopt::{optimize, PlanOptLevel, PlanOptReport};
-pub use profiler::{AllocStats, OpClass, Profiler, Record, Span};
+pub use profiler::{AllocStats, OpClass, Profiler, Record, Span, Spans};
 pub use schedule::{
     chunks_for, run_plan, ArrayDecl, BatchOutput, BatchScheduler, ExecOptions, HostOp, LaunchPlan,
     PlanKernel, PlanStep, RunStats, ScheduleError, ScheduleWitness,

@@ -14,19 +14,20 @@
 //! # Charging
 //!
 //! Every operation name is interned once per profiler: its `Arc<str>` is
-//! the key of the name table, the name of its [`Record`] and the name of
-//! every [`Span`] charged under it. The records live in a vector of
-//! *slots*, and the name table maps each name to one slot per
-//! [`OpClass`]. Charging an operation is therefore two steps:
+//! the key of the name table and the name of its [`Record`]. The records
+//! live in a vector of *slots*, and the name table maps each name to one
+//! slot per [`OpClass`]. Charging an operation is therefore two steps:
 //! [`Profiler::slot`] finds (or, the first time, creates) the slot of a
 //! `(name, class)` by a borrowed `&str` lookup, and [`Profiler::charge`]
-//! adds one call to that slot and pushes a span whose name is a refcount
-//! increment. The device resolves and charges in one go for every
-//! operation it runs; a timing replay resolves each distinct operation of
-//! its witness once and then charges slots only, so a replayed span costs
-//! neither an allocation nor a search. [`Profiler::records`] walks the
-//! name table, so records come out by name and then by class whatever
-//! order their slots were created in.
+//! adds one call to that slot and pushes a 24-byte span record — start,
+//! duration, slot index and stream, no name of its own. The device resolves
+//! and charges in one go for every operation it runs; a timing replay
+//! resolves each distinct operation of its witness once and then charges
+//! slots only, so a replayed span costs neither an allocation, a search
+//! nor a refcount. [`Profiler::spans`] rebuilds each [`Span`] as a borrowed
+//! view from its slot's record. [`Profiler::records`] walks the name table,
+//! so records come out by name and then by class whatever order their
+//! slots were created in.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -96,12 +97,14 @@ pub struct TableRow {
 }
 
 /// One scheduled interval on the device timeline: operation `name` occupied
-/// its engine from `start_us` to `end_us`, enqueued on `stream`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Span {
-    /// Operation name (kernel name or transfer label), shared with the
+/// its engine from `start_us` to `end_us`, enqueued on `stream`. A view of
+/// one of the profiler's stored span records, borrowing its name from the
+/// record of the span's slot.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Span<'p> {
+    /// Operation name (kernel name or transfer label), borrowed from the
     /// profiler's record of it.
-    pub name: Arc<str>,
+    pub name: &'p str,
     /// Operation kind, which determines the engine it occupied.
     pub class: OpClass,
     /// Index of the stream the operation was enqueued on.
@@ -114,7 +117,7 @@ pub struct Span {
     pub dur_us: f64,
 }
 
-impl Span {
+impl Span<'_> {
     /// Span duration, µs.
     pub fn duration_us(&self) -> f64 {
         self.dur_us
@@ -125,6 +128,61 @@ impl Span {
         self.start_us + self.dur_us
     }
 }
+
+/// What a [`Profiler`] stores per charged span: the times, the index of the
+/// slot whose record names it, and the stream.
+#[derive(Debug, Clone, Copy)]
+struct SpanRecord {
+    start_us: f64,
+    dur_us: f64,
+    slot: u32,
+    stream: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<SpanRecord>() == 24);
+
+/// The spans of a [`Profiler`] in enqueue order, as returned by
+/// [`Profiler::spans`]. `count`, `nth` (and so `skip`) and `len` are O(1).
+#[derive(Debug, Clone)]
+pub struct Spans<'p> {
+    slots: &'p [Record],
+    spans: std::slice::Iter<'p, SpanRecord>,
+}
+
+impl<'p> Spans<'p> {
+    fn view(&self, s: &SpanRecord) -> Span<'p> {
+        let r = &self.slots[s.slot as usize];
+        Span {
+            name: &r.name,
+            class: r.class,
+            stream: s.stream as usize,
+            start_us: s.start_us,
+            dur_us: s.dur_us,
+        }
+    }
+}
+
+impl<'p> Iterator for Spans<'p> {
+    type Item = Span<'p>;
+
+    fn next(&mut self) -> Option<Span<'p>> {
+        self.spans.next().map(|s| self.view(s))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.spans.size_hint()
+    }
+
+    fn count(self) -> usize {
+        self.spans.len()
+    }
+
+    fn nth(&mut self, n: usize) -> Option<Span<'p>> {
+        self.spans.nth(n).map(|s| self.view(s))
+    }
+}
+
+impl ExactSizeIterator for Spans<'_> {}
 
 /// Device-memory allocation counters for one run.
 ///
@@ -171,7 +229,7 @@ impl AllocStats {
 /// [`Profiler::reset`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Slot {
-    index: usize,
+    index: u32,
     class: OpClass,
 }
 
@@ -192,8 +250,9 @@ pub struct Profiler {
     /// Records in order of first charge.
     slots: Vec<Record>,
     /// Interned name → slot of each [`OpClass`] (indexed by discriminant).
-    names: BTreeMap<Arc<str>, [Option<usize>; 4]>,
-    spans: Vec<Span>,
+    names: BTreeMap<Arc<str>, [Option<u32>; 4]>,
+    /// Charged spans in enqueue order, each naming its record by slot.
+    spans: Vec<SpanRecord>,
     /// Allocation counters for the current run (see [`AllocStats`]).
     pub alloc: AllocStats,
     notes: Vec<String>,
@@ -216,7 +275,7 @@ impl Profiler {
             Some((interned, _)) => interned.clone(),
             None => Arc::from(name),
         };
-        let index = self.slots.len();
+        let index = u32::try_from(self.slots.len()).expect("profiler slot table overflow");
         self.slots.push(Record { name: name.clone(), class, calls: 0, total_us: 0.0 });
         self.names.entry(name).or_default()[c] = Some(index);
         Slot { index, class }
@@ -226,22 +285,24 @@ impl Profiler {
     /// simulated microseconds on its record, and a timeline span on
     /// `stream` starting at `start_us`.
     pub fn charge(&mut self, slot: Slot, stream: usize, start_us: f64, dur_us: f64) {
-        let r = &mut self.slots[slot.index];
+        let r = &mut self.slots[slot.index as usize];
         r.calls += 1;
         r.total_us += dur_us;
-        let name = r.name.clone();
-        self.spans.push(Span { name, class: slot.class, stream, start_us, dur_us });
+        let stream = u32::try_from(stream).expect("stream index overflow");
+        self.spans.push(SpanRecord { start_us, dur_us, slot: slot.index, stream });
     }
 
     /// All records, sorted by name (then class, for colliding names).
     pub fn records(&self) -> impl Iterator<Item = &Record> {
-        self.names.values().flat_map(|slots| slots.iter().flatten().map(|&i| &self.slots[i]))
+        self.names
+            .values()
+            .flat_map(|slots| slots.iter().flatten().map(|&i| &self.slots[i as usize]))
     }
 
     /// All timeline spans in enqueue order (empty unless the device's
     /// stream-aware entry points were used).
-    pub fn spans(&self) -> impl Iterator<Item = &Span> {
-        self.spans.iter()
+    pub fn spans(&self) -> Spans<'_> {
+        Spans { slots: &self.slots, spans: self.spans.iter() }
     }
 
     /// Total simulated time across all records, µs.
@@ -313,13 +374,22 @@ impl Profiler {
     /// merge while [`Profiler::makespan_us`] of a merged profiler is the
     /// slowest device's makespan, not a wall-clock union.
     pub fn merge(&mut self, other: &Profiler) {
-        for r in other.records() {
-            let slot = self.slot(&r.name, r.class);
-            let e = &mut self.slots[slot.index];
-            e.calls += r.calls;
-            e.total_us += r.total_us;
+        // `other`'s slot index → this profiler's slot of the same
+        // `(name, class)`. Slots are made in `other`'s name order, so a
+        // merge into an empty profiler creates them as `records` lists them.
+        let mut remap = vec![0; other.slots.len()];
+        for slots in other.names.values() {
+            for &i in slots.iter().flatten() {
+                let r = &other.slots[i as usize];
+                let slot = self.slot(&r.name, r.class);
+                let e = &mut self.slots[slot.index as usize];
+                e.calls += r.calls;
+                e.total_us += r.total_us;
+                remap[i as usize] = slot.index;
+            }
         }
-        self.spans.extend(other.spans.iter().cloned());
+        self.spans
+            .extend(other.spans.iter().map(|s| SpanRecord { slot: remap[s.slot as usize], ..*s }));
         self.notes.extend(other.notes.iter().cloned());
         self.alloc.mallocs += other.alloc.mallocs;
         self.alloc.frees += other.alloc.frees;
@@ -333,7 +403,7 @@ impl Profiler {
     /// Timeline makespan: the latest span completion time, µs (0 when no
     /// spans were recorded).
     pub fn makespan_us(&self) -> f64 {
-        self.spans.iter().map(|s| s.end_us()).fold(0.0, f64::max)
+        self.spans.iter().map(|s| s.start_us + s.dur_us).fold(0.0, f64::max)
     }
 
     /// Busy time of the engine serving `class` — the summed duration of its
@@ -341,18 +411,14 @@ impl Profiler {
     /// occupied wall-clock.
     pub fn engine_busy_us(&self, class: OpClass) -> f64 {
         // fold from +0.0: `Sum for f64` starts at -0.0, which renders as "-0".
-        self.spans
-            .iter()
-            .filter(|s| s.class == class)
-            .map(|s| s.duration_us())
-            .fold(0.0, |a, b| a + b)
+        self.spans().filter(|s| s.class == class).map(|s| s.duration_us()).fold(0.0, |a, b| a + b)
     }
 
     /// How much engine busy time the timeline hid by overlapping, percent:
     /// `100·(Σ durations − makespan)/Σ durations`. A fully serialized
     /// timeline scores 0; perfect three-way overlap approaches 66.7.
     pub fn overlap_percent(&self) -> f64 {
-        let total: f64 = self.spans.iter().map(|s| s.duration_us()).sum();
+        let total: f64 = self.spans.iter().map(|s| s.dur_us).sum();
         if total <= 0.0 {
             return 0.0;
         }
@@ -363,25 +429,23 @@ impl Profiler {
     /// last span to finish, repeatedly steps to a span finishing exactly when
     /// the current one starts (same stream preferred, then same engine) until
     /// no predecessor abuts. Returned in execution order.
-    pub fn critical_path(&self) -> Vec<&Span> {
+    pub fn critical_path(&self) -> Vec<Span<'_>> {
         const EPS: f64 = 1e-9;
-        let mut chain: Vec<&Span> = Vec::new();
-        let Some(mut cur) = self.spans.iter().max_by(|a, b| a.end_us().total_cmp(&b.end_us()))
+        let spans: Vec<Span> = self.spans().collect();
+        let Some(mut cur) =
+            (0..spans.len()).max_by(|&a, &b| spans[a].end_us().total_cmp(&spans[b].end_us()))
         else {
-            return chain;
+            return Vec::new();
         };
-        chain.push(cur);
+        let mut chain = vec![cur];
         loop {
-            let abuts = |s: &&Span| {
-                (s.end_us() - cur.start_us).abs() < EPS
-                    && s.duration_us() >= 0.0
-                    && !std::ptr::eq(*s, cur)
+            let c = spans[cur];
+            let abuts = |&j: &usize| {
+                (spans[j].end_us() - c.start_us).abs() < EPS && spans[j].dur_us >= 0.0 && j != cur
             };
-            let pred = self
-                .spans
-                .iter()
+            let pred = (0..spans.len())
                 .filter(abuts)
-                .max_by_key(|s| (s.stream == cur.stream, s.class == cur.class));
+                .max_by_key(|&j| (spans[j].stream == c.stream, spans[j].class == c.class));
             match pred {
                 Some(p) => {
                     chain.push(p);
@@ -390,8 +454,7 @@ impl Profiler {
                 None => break,
             }
         }
-        chain.reverse();
-        chain
+        chain.iter().rev().map(|&i| spans[i]).collect()
     }
 
     /// Render the timeline summary: per-engine busy time and utilisation,
@@ -595,9 +658,11 @@ mod tests {
         assert_eq!(recs.len(), 2);
         assert_eq!(p.class_total_us(OpClass::Kernel), 10.0);
         assert_eq!(p.class_total_us(OpClass::Host), 90.0);
-        // Both records and both spans share the one interned name.
+        // Both records share the one interned name, which both spans borrow.
         assert!(Arc::ptr_eq(&recs[0].name, &recs[1].name));
-        assert!(p.spans().all(|s| Arc::ptr_eq(&s.name, &recs[0].name)));
+        assert!(p.spans().all(|s| std::ptr::eq(s.name, &*recs[0].name)));
+        let classes: Vec<OpClass> = p.spans().map(|s| s.class).collect();
+        assert_eq!(classes, vec![OpClass::Kernel, OpClass::Host]);
     }
 
     #[test]
@@ -621,7 +686,7 @@ mod tests {
                 ("z", OpClass::Host, 0, 0.0)
             ]
         );
-        let spans: Vec<_> = p.spans().map(|s| (&*s.name, s.stream, s.start_us)).collect();
+        let spans: Vec<_> = p.spans().map(|s| (s.name, s.stream, s.start_us)).collect();
         assert_eq!(spans, vec![("z", 1, 5.0), ("a", 0, 0.0), ("z", 1, 7.0)]);
     }
 
@@ -664,7 +729,7 @@ mod tests {
     #[test]
     fn critical_path_follows_abutting_spans() {
         let p = timeline();
-        let names: Vec<&str> = p.critical_path().iter().map(|s| &*s.name).collect();
+        let names: Vec<&str> = p.critical_path().iter().map(|s| s.name).collect();
         // down1 starts when k1 ends, k1 when k0 ends, k0 when up0 ends.
         assert_eq!(names, vec!["up0", "k0", "k1", "down1"]);
     }
@@ -850,6 +915,59 @@ mod tests {
                 prop_assert!(r[0].matches(&p[0]), "profiler 0 diverged after op {i} of {ops:?}");
                 prop_assert!(r[1].matches(&p[1]), "profiler 1 diverged after op {i} of {ops:?}");
             }
+        }
+
+        /// Two profilers that resolved the same operations' slots in
+        /// different orders merge, in either direction, into the reference's
+        /// records and spans: every merged span keeps its name, class,
+        /// stream and time bits, in order. Sorting the `(name, class)` pairs
+        /// by `keys` gives the order in which the second profiler resolves
+        /// its slots before charging.
+        #[test]
+        fn merge_remaps_slots_made_in_different_orders(
+            ops in proptest::collection::vec((0u8..5, 0u8..4, 0u8..3, any::<u16>()), 2..60),
+            split in 0usize..61,
+            keys in proptest::collection::vec(any::<u32>(), NAMES.len() * CLASSES.len()),
+        ) {
+            let k = split % (ops.len() + 1);
+            let mut order: Vec<usize> = (0..keys.len()).collect();
+            order.sort_by_key(|&pair| keys[pair]);
+            let op = |&(name, class, stream, dur): &(u8, u8, u8, u16), i: usize| {
+                let (name, class) = (NAMES[usize::from(name)], CLASSES[usize::from(class)]);
+                (name, class, usize::from(stream), i as f64 * 0.1, f64::from(dur) / 7.0)
+            };
+            let (mut a, mut b) = (Profiler::new(), Profiler::new());
+            let (mut ra, mut rb) = (Reference::default(), Reference::default());
+            // `b` resolves every slot it will charge up front, in `order`,
+            // which is generally not `a`'s order of first charge.
+            for pair in order {
+                let (name, class) = (NAMES[pair / CLASSES.len()], CLASSES[pair % CLASSES.len()]);
+                if ops[k..].iter().any(|o| NAMES[usize::from(o.0)] == name
+                    && CLASSES[usize::from(o.1)] == class)
+                {
+                    b.slot(name, class);
+                }
+            }
+            for (i, o) in ops.iter().enumerate() {
+                let (name, class, stream, start, us) = op(o, i);
+                let (p, r) = if i < k { (&mut a, &mut ra) } else { (&mut b, &mut rb) };
+                charge(p, name, class, stream, start, us);
+                r.charge(name, class, stream, start, us);
+            }
+            let (mut ab, mut rab) = (a.clone(), Reference::default());
+            ab.merge(&b);
+            rab.merge(&ra);
+            rab.merge(&rb);
+            prop_assert!(rab.matches(&ab), "a.merge(b) diverged for {ops:?} split at {k}");
+            let (mut ba, mut rba) = (b.clone(), Reference::default());
+            ba.merge(&a);
+            rba.merge(&rb);
+            rba.merge(&ra);
+            prop_assert!(rba.matches(&ba), "b.merge(a) diverged for {ops:?} split at {k}");
+            // The span view's O(1) `count` and `nth` agree with walking it.
+            let walked: Vec<Span> = ab.spans().collect();
+            prop_assert_eq!(ab.spans().count(), walked.len());
+            prop_assert_eq!(ab.spans().skip(k).collect::<Vec<_>>(), walked[k..].to_vec());
         }
     }
 }

@@ -699,9 +699,9 @@ impl ScheduleWitness {
                     slot_streams.push(sp.stream);
                     slot_streams.len() - 1
                 });
-                let op = ops.iter().position(|(n, c)| *c == sp.class && n == &sp.name);
+                let op = ops.iter().position(|(n, c)| *c == sp.class && &**n == sp.name);
                 let op = op.unwrap_or_else(|| {
-                    ops.push((sp.name.clone(), sp.class));
+                    ops.push((sp.name.into(), sp.class));
                     ops.len() - 1
                 });
                 WitnessSpan { op, lane, dur_us: sp.dur_us }
@@ -1579,7 +1579,7 @@ mod tests {
                 // `real` ran on streams 0 and 1, which are its lanes 0 and 1.
                 let streams = by_name.lane_streams(2);
                 for sp in real.profiler.spans() {
-                    by_name.schedule_on(&sp.name, sp.class, streams[sp.stream], sp.dur_us).unwrap();
+                    by_name.schedule_on(sp.name, sp.class, streams[sp.stream], sp.dur_us).unwrap();
                 }
             }
             assert_eq!(profile_bits(&replayed.profiler), profile_bits(&by_name.profiler));
@@ -1729,7 +1729,7 @@ mod tests {
                 // clock moved only by those, and the refused buffers keep the
                 // previous frame's contents.
                 let through = if batched { 0 } else { *at };
-                let new: Vec<&Span> = device.profiler.spans().skip(spans).collect();
+                let new: Vec<Span> = device.profiler.spans().skip(spans).collect();
                 assert_eq!(new.len(), through, "batched={batched}");
                 assert!(new.iter().all(|s| s.class == OpClass::H2D));
                 assert_eq!(calls(&device, OpClass::H2D), h2d + through as u64);

@@ -45,7 +45,7 @@ fn timeline(
     let spans = device
         .profiler
         .spans()
-        .map(|s| (s.name.clone(), s.class, s.stream, s.start_us.to_bits(), s.dur_us.to_bits()))
+        .map(|s| (s.name.into(), s.class, s.stream, s.start_us.to_bits(), s.dur_us.to_bits()))
         .collect();
     (spans, device.now_us().to_bits())
 }
