@@ -199,9 +199,10 @@ mod tests {
     #[test]
     fn try_filled_refuses_shapes_too_large_to_allocate() {
         assert_eq!(NdArray::try_filled([2, 3], 5i64).unwrap(), NdArray::filled([2, 3], 5i64));
-        // An element count past `usize`, and one that fits a `usize` but
-        // whose byte count is past `isize::MAX`: neither allocates.
-        for dims in [vec![9_999_999_999, 9_999_999_999], vec![1 << 62]] {
+        // An element count past `usize`, an element count whose byte count
+        // overflows a `usize` (2^62 * 8), and one whose byte count fits a
+        // `usize` but is past `isize::MAX` (2^60 * 8 = 2^63): none allocates.
+        for dims in [vec![9_999_999_999, 9_999_999_999], vec![1 << 62], vec![1 << 60]] {
             let err = NdArray::try_filled(dims.clone(), 0i64).unwrap_err();
             assert_eq!(err, MdError::TooLarge { shape: dims });
         }

@@ -6,7 +6,7 @@
 //! to model the paper's *SAC-Seq* sequential executions.
 
 use crate::ast::*;
-use crate::builtins::{call_builtin, is_builtin};
+use crate::builtins::{call_builtin, genarray, is_builtin};
 use crate::value::{assign_vec, broadcast2, euclid_mod, select_vec, trunc_div, Value};
 use crate::SacError;
 use mdarray::NdArray;
@@ -282,14 +282,15 @@ impl<'p> Interp<'p> {
                         let mut dims = frame.clone();
                         dims.extend_from_slice(&cd);
                         let fill = match &dv {
-                            Value::Int(v) => NdArray::filled(dims, *v),
+                            Value::Int(v) => genarray(dims, *v)?,
                             Value::Arr(cell) => {
-                                let n: usize = frame.iter().product();
-                                let mut data = Vec::with_capacity(n * cell.len());
-                                for _ in 0..n {
-                                    data.extend_from_slice(cell.as_slice());
+                                let mut fill = genarray(dims, 0)?;
+                                if !cell.is_empty() {
+                                    for c in fill.as_mut_slice().chunks_exact_mut(cell.len()) {
+                                        c.copy_from_slice(cell.as_slice());
+                                    }
                                 }
-                                NdArray::from_vec(dims, data).expect("length matches")
+                                fill
                             }
                         };
                         (frame, Some(fill), Some(cd))
@@ -344,7 +345,7 @@ impl<'p> Interp<'p> {
                         let cd = cell.shape_vec();
                         let mut dims = frame.clone();
                         dims.extend_from_slice(&cd);
-                        result = Some(NdArray::filled(dims, 0i64));
+                        result = Some(genarray(dims, 0)?);
                         cell_dims = Some(cd);
                     }
                     let out = result.as_mut().expect("allocated above");
@@ -369,7 +370,7 @@ impl<'p> Interp<'p> {
         let result = match result {
             Some(r) => r,
             // Nothing covered and no default: an all-zero scalar-celled array.
-            None => NdArray::filled(frame, 0i64),
+            None => genarray(frame, 0)?,
         };
         Ok(Value::Arr(result))
     }

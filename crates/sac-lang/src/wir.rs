@@ -664,25 +664,43 @@ mod tests {
     /// Both forms of an over-large `genarray` fail with a typed error, not
     /// a "capacity overflow" panic: the bare call while optimising (lowering
     /// evaluates it), and the WITH-loop over it when the flat program runs.
+    /// The reference interpreter refuses the WITH-loop forms too: with a
+    /// default, without one, and without one over an empty generator.
     #[test]
     fn over_large_genarray_is_a_typed_error() {
         use crate::opt::{optimize, ArgDesc, OptConfig};
-        let compile = |body: &str| {
+        let parse = |body: &str| {
             let src = format!("int[*] main(int[1] a) {{ out = {body}; return( out); }}");
-            let prog = crate::parse_program(&src).unwrap();
+            crate::parse_program(&src).unwrap()
+        };
+        let compile = |body: &str| {
             let args = [ArgDesc::Array { name: "a".into(), shape: vec![1] }];
-            optimize(&prog, "main", &args, &OptConfig::default()).map(|(flat, _)| flat)
+            optimize(&parse(body), "main", &args, &OptConfig::default()).map(|(flat, _)| flat)
+        };
+        let interpret = |body: &str| {
+            let arg = Value::Arr(NdArray::filled([1usize], 0));
+            Interp::new(&parse(body)).call("main", vec![arg])
         };
         let too_large = |e: &SacError| e.to_string().contains("too many elements");
+        let too_large_eval = |e: &SacError| matches!(e, SacError::Eval { .. }) && too_large(e);
 
         let err = compile("genarray([9999999999,9999999999], 0)").unwrap_err();
         assert!(too_large(&err), "{err:?}");
 
-        let flat =
-            compile("with { (. <= iv <= .) : a[[0]] + 1; } : genarray([9999999999,9999999999], 0)")
-                .unwrap();
+        let with_loop =
+            "with { (. <= iv <= .) : a[[0]] + 1; } : genarray([9999999999,9999999999], 0)";
+        let flat = compile(with_loop).unwrap();
         let err = flat.run(&[NdArray::filled([1usize], 0)], &mut 0).unwrap_err();
-        assert!(matches!(err, SacError::Eval { .. }) && too_large(&err), "{err:?}");
+        assert!(too_large_eval(&err), "{err:?}");
+
+        for body in [
+            with_loop,
+            "with { (. <= iv <= .) : a[[0]] + 1; } : genarray([9999999999,9999999999])",
+            "with { ([0,0] <= iv < [0,0]) : 1; } : genarray([9999999999,9999999999])",
+        ] {
+            let err = interpret(body).unwrap_err();
+            assert!(too_large_eval(&err), "{body}: {err:?}");
+        }
     }
 
     #[test]
