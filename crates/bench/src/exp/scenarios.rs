@@ -46,6 +46,7 @@ pub fn scenarios_ablation(s: &Scenario) -> Result<Record, PipelineError> {
         // bit-checks (per-frame cost is content-independent); the temporal
         // entry executes three so the carry chain is actually exercised.
         let executed = if w.temporal() { 3.min(w.frames) } else { 1 };
+        let references: Vec<_> = (0..executed).map(|f| built.reference(f)).collect();
         let base = ExecOptions { executed, ..Default::default() };
         let configs: [(&str, ExecOptions); 3] = [
             ("serial", base),
@@ -63,7 +64,7 @@ pub fn scenarios_ablation(s: &Scenario) -> Result<Record, PipelineError> {
             for (config, opts) in &configs {
                 let mut device = Device::gtx480();
                 let (outs, stats) = built.run(route, &mut device, opts).map_err(config_err)?;
-                let outputs_ok = outs.iter().enumerate().all(|(f, o)| *o == built.reference(f));
+                let outputs_ok = outs == references;
                 rows.push(record! {
                     "scenario": w.name,
                     "route": route.name(),
@@ -131,7 +132,7 @@ pub fn scenarios_ablation(s: &Scenario) -> Result<Record, PipelineError> {
             .map_err(config_err)?;
         let outputs_ok = match &report.outcomes[0] {
             serve::JobOutcome::Completed { outputs, .. } => {
-                outputs.len() == 1 && built.canon(outputs[0].clone()) == built.reference(0)
+                outputs.len() == 1 && built.canon(outputs[0].clone()) == references[0]
             }
             serve::JobOutcome::Shed { .. } => false,
         };

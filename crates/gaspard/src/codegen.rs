@@ -200,7 +200,8 @@ mod rank2_pattern_tests {
         let input = NdArray::from_fn([4usize, 4], |ix| (ix[0] * 4 + ix[1]) as i64);
         let mut device = Device::gtx480();
         let inb = device.malloc(16).unwrap();
-        device.poke(inb, &input.as_slice().iter().map(|&v| v as i32).collect::<Vec<_>>()).unwrap();
+        let host: Vec<i32> = input.as_slice().iter().map(|&v| v as i32).collect();
+        device.host2device(&host, inb).unwrap();
         let outb = device.malloc(16).unwrap();
         device
             .launch(

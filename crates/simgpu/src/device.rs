@@ -4,7 +4,7 @@
 use crate::cost::{Calibration, CostModel, Direction, Engine, ENGINE_COUNT};
 use crate::exec::{run_kernel, LaunchConfig, LaunchStats};
 use crate::kir::{Kernel, KernelArg};
-use crate::memo::LaunchMemo;
+use crate::memo::{untag_written, LaunchMemo};
 use crate::profiler::{OpClass, Profiler, Slot};
 use crate::SimError;
 use arrayol::access::TiledAccess;
@@ -176,6 +176,10 @@ pub struct Device {
     config: DeviceConfig,
     model: CostModel,
     buffers: Vec<Option<Vec<i32>>>,
+    /// Per slot, the id of the installed memo's stored content that the
+    /// buffer is known to hold (see [`crate::memo`]). Every write that does
+    /// not go through the memo clears it.
+    tags: Vec<Option<usize>>,
     /// Bytes charged against device memory per slot (the size class with
     /// pooling on, the exact size otherwise).
     buffer_bytes: Vec<usize>,
@@ -207,6 +211,7 @@ impl Device {
             config,
             model: model.into(),
             buffers: Vec::new(),
+            tags: Vec::new(),
             buffer_bytes: Vec::new(),
             free_slots: Vec::new(),
             pool: MemPool::default(),
@@ -246,6 +251,7 @@ impl Device {
     /// interpreted. Simulated time is unchanged, since the cost model still
     /// prices every launch from its stats. No memo is installed by default.
     pub fn set_launch_memo(&mut self, memo: LaunchMemo) {
+        self.tags.fill(None);
         self.memo = Some(memo);
     }
 
@@ -423,10 +429,12 @@ impl Device {
         self.allocated_bytes += bytes;
         let id = if let Some(slot) = self.free_slots.pop() {
             self.buffers[slot] = Some(data);
+            self.tags[slot] = None;
             self.buffer_bytes[slot] = bytes;
             slot
         } else {
             self.buffers.push(Some(data));
+            self.tags.push(None);
             self.buffer_bytes.push(bytes);
             self.buffers.len() - 1
         };
@@ -490,6 +498,7 @@ impl Device {
         match self.buffers.get_mut(id.0) {
             Some(slot @ Some(_)) => {
                 let block = slot.take().expect("matched Some above");
+                self.tags[id.0] = None;
                 let bytes = self.buffer_bytes[id.0];
                 self.allocated_bytes -= bytes;
                 self.free_slots.push(id.0);
@@ -525,7 +534,8 @@ impl Device {
     }
 
     /// Overwrite a buffer without charging time (test escape hatch).
-    pub fn poke(&mut self, id: BufferId, data: &[i32]) -> Result<(), SimError> {
+    #[cfg(test)]
+    pub(crate) fn poke(&mut self, id: BufferId, data: &[i32]) -> Result<(), SimError> {
         let buf = self
             .buffers
             .get_mut(id.0)
@@ -535,6 +545,7 @@ impl Device {
             return Err(SimError::TransferSize { host: data.len(), device: buf.len() });
         }
         buf.copy_from_slice(data);
+        self.tags[id.0] = None;
         Ok(())
     }
 
@@ -653,6 +664,7 @@ impl Device {
         for (d, &v) in buf.iter_mut().zip(host) {
             *d = v.into() as i32;
         }
+        self.tags[id.0] = None;
     }
 
     /// Read several device buffers back in one batched transfer — the D2H
@@ -777,8 +789,18 @@ impl Device {
             });
         }
         let stats = match &self.memo {
-            Some(memo) => memo.launch(kernel, cfg, args, &mut self.buffers, self.host_workers)?,
-            None => run_kernel(kernel, cfg, args, &mut self.buffers, self.host_workers)?,
+            Some(memo) => memo.launch(
+                kernel,
+                cfg,
+                args,
+                &mut self.buffers,
+                &mut self.tags,
+                self.host_workers,
+            )?,
+            None => {
+                untag_written(kernel, args, &mut self.tags);
+                run_kernel(kernel, cfg, args, &mut self.buffers, self.host_workers)?
+            }
         };
         let us = self.model.kernel_time_us(&stats, &self.config, access);
         self.schedule_on(&kernel.name, OpClass::Kernel, stream, us)?;
