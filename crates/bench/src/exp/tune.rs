@@ -24,9 +24,12 @@
 //!
 //! The oracle pays only for what a candidate changes. Per (entry, route) it
 //! lowers each (chunking, placement) pair once, runs planopt once per
-//! preset, builds the functional frames once, and shares one
-//! [`simgpu::LaunchMemo`] across the candidates' fresh devices, so a kernel
-//! launch already run on the same loaded contents is not interpreted again.
+//! preset, and shares one [`simgpu::LaunchMemo`] across the candidates'
+//! fresh devices, so a kernel launch already run on the same loaded
+//! contents is not interpreted again. The functional frames are built once
+//! and pinned in that memo ([`LaunchMemo::pin_frames`]), so a candidate's
+//! upload of a frame is one copy of content the memo has already stored,
+//! already range-checked and tagged for the memo's lookups.
 //! Scores stay bit-identical to lowering with [`BuiltWorkload::plan_placed`]
 //! and running through [`simgpu::run_plan`] on a memo-free device. Every candidate's functional outputs are compared with
 //! the entry's CPU reference, and a divergence is an error.
@@ -39,12 +42,14 @@
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use downscaler::pipelines::PipelineError;
 use downscaler::Scenario;
 use gaspard::Placement;
 use mdarray::NdArray;
 use scenarios::{BuiltWorkload, JobMix, Kind, Route, ScenarioError, Workload};
+use simgpu::memo::Frames;
 use simgpu::schedule::{BatchScheduler, ExecOptions};
 use simgpu::{Calibration, CostModel, Device, DeviceConfig, LaunchMemo, LaunchPlan, WarpTileModel};
 
@@ -198,17 +203,18 @@ impl TuneAblation {
 const BEAM_PIXELS: usize = 1 << 20;
 
 /// What the oracle reuses while it searches one route of one entry: each
-/// lowering per (chunking, placement), each planopt rewrite per preset, the
-/// functional frames, and one launch memo that every candidate's fresh
-/// device shares. Dropped when the search moves to the other route, so
-/// memory stays scoped to one (entry, route).
+/// lowering per (chunking, placement), each planopt rewrite per preset, and
+/// one launch memo that every candidate's fresh device shares, with the
+/// functional frames pinned in it. Dropped when the search moves to the
+/// other route, so memory stays scoped to one (entry, route).
 struct RouteStage<'a> {
     route_ix: usize,
     /// Lowered plans keyed by (chunk_ix, place_ix).
     lowered: BTreeMap<(usize, usize), LaunchPlan<'a>>,
     /// Optimised plans keyed by (chunk_ix, place_ix, opt_ix).
     plans: BTreeMap<(usize, usize, usize), LaunchPlan<'a>>,
-    frames: Vec<Vec<NdArray<i64>>>,
+    /// The functional frames, pinned in `memo`.
+    frames: Arc<Frames>,
     memo: LaunchMemo,
 }
 
@@ -246,6 +252,9 @@ struct Tuner<'a> {
     /// CPU references of the functional frames, computed once per entry.
     references: Vec<NdArray<i64>>,
     stage: Option<RouteStage<'a>>,
+    /// Interpreter threads per oracle device: the GTX480 default, capped
+    /// at the host's cores. The count changes no simulated number.
+    host_workers: usize,
 }
 
 impl<'a> Tuner<'a> {
@@ -255,6 +264,7 @@ impl<'a> Tuner<'a> {
         let channels = built.channels();
         let sac_chunks = if channels > 1 { vec![channels, 0] } else { vec![0] };
         let executed = Self::executed(built);
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         Tuner {
             built,
             chunk_domains: [sac_chunks, vec![0]],
@@ -262,6 +272,7 @@ impl<'a> Tuner<'a> {
             evals: 0,
             references: (0..executed).map(|f| built.reference(f)).collect(),
             stage: None,
+            host_workers: DeviceConfig::gtx480().host_workers.min(cores),
         }
     }
 
@@ -299,17 +310,21 @@ impl<'a> Tuner<'a> {
         if self.stage.as_ref().is_none_or(|st| st.route_ix != cand.route_ix) {
             // Release the other route's stage before building this one.
             self.stage = None;
+            let memo = LaunchMemo::new();
+            let frames =
+                memo.pin_frames(self.built.frames(Route::BOTH[cand.route_ix], opts.executed));
             self.stage = Some(RouteStage {
                 route_ix: cand.route_ix,
                 lowered: BTreeMap::new(),
                 plans: BTreeMap::new(),
-                frames: self.built.frames(Route::BOTH[cand.route_ix], opts.executed),
-                memo: LaunchMemo::new(),
+                frames,
+                memo,
             });
         }
         let stage = self.stage.as_mut().expect("stage set above");
         let key = stage.prepare(self.built, opts.channel_chunks, cand).map_err(config_err)?;
         let mut device = Device::new(DeviceConfig::gtx480(), model);
+        device.set_host_workers(self.host_workers);
         device.set_launch_memo(stage.memo.clone());
         let batch = ExecOptions { total_frames: self.built.spec.frames, ..opts };
         let (outs, stats) = BatchScheduler::new(&stage.plans[&key])

@@ -549,6 +549,12 @@ impl Device {
         Ok(())
     }
 
+    /// The memo content a buffer is tagged with (test escape hatch).
+    #[cfg(test)]
+    pub(crate) fn tag(&self, id: BufferId) -> Option<usize> {
+        self.tags[id.0]
+    }
+
     /// Copy host data into a device buffer — the `host2device` instruction
     /// the SaC backend inserts, or OpenCL's `clEnqueueWriteBuffer`: a
     /// one-chunk [`Device::host2device_on`] on the default stream that then
@@ -571,7 +577,10 @@ impl Device {
     /// copies as is, and the scheduler's `&[i64]` host values are narrowed
     /// to device `int`s inside the one copy into the buffer, with no staging
     /// vector. A value outside the `i32` range refuses the whole transfer
-    /// with [`SimError::Overflow`] naming the first such element.
+    /// with [`SimError::Overflow`] naming the first such element. An array
+    /// the installed memo has pinned ([`LaunchMemo::pin_frames`]) is copied
+    /// from the memo's stored content instead, and the buffer is tagged
+    /// with it; the charge is the same.
     ///
     /// Chunking rule: `chunks` is honoured only when it is greater than 1
     /// *and* divides `host.len()` exactly; any other request degrades to a
@@ -586,7 +595,7 @@ impl Device {
     /// result of every enqueued operation in enqueue order, so correctness
     /// of an overlapped schedule is the *timing* model's concern only,
     /// exactly as when double-buffering keeps real streams race-free.
-    pub fn host2device_on<T: Copy + Into<i64>>(
+    pub fn host2device_on<T: Copy + Into<i64> + 'static>(
         &mut self,
         host: &[T],
         id: BufferId,
@@ -594,14 +603,14 @@ impl Device {
         stream: StreamId,
     ) -> Result<usize, SimError> {
         self.stream_tail(stream)?;
-        self.check_upload(host, id)?;
+        let pinned = self.check_upload(host, id)?;
         let chunks = self.effective_chunks(host.len(), chunks);
         let bytes = host.len() * 4 / chunks;
         for _ in 0..chunks {
             let us = self.model.transfer_time_us(bytes, Direction::HostToDevice);
             self.schedule_on("memcpyHtoDasync", OpClass::H2D, stream, us)?;
         }
-        self.commit_upload(host, id);
+        self.commit_upload(host, id, pinned);
         Ok(chunks)
     }
 
@@ -614,15 +623,16 @@ impl Device {
     ///
     /// Recorded under `memcpyHtoDbatched` so batched traffic is separable
     /// from the per-array `memcpyHtoDasync` calls in profiles.
-    pub fn host2device_batch_on<T: Copy + Into<i64>>(
+    pub fn host2device_batch_on<T: Copy + Into<i64> + 'static>(
         &mut self,
         parts: &[(&[T], BufferId)],
         stream: StreamId,
     ) -> Result<(), SimError> {
         self.stream_tail(stream)?;
         let mut total = 0usize;
+        let mut pinned = Vec::with_capacity(parts.len());
         for &(host, id) in parts {
-            self.check_upload(host, id)?;
+            pinned.push(self.check_upload(host, id)?);
             total += host.len();
         }
         if parts.is_empty() {
@@ -630,8 +640,8 @@ impl Device {
         }
         let us = self.model.transfer_time_us(total * 4, Direction::HostToDevice);
         self.schedule_on("memcpyHtoDbatched", OpClass::H2D, stream, us)?;
-        for &(host, id) in parts {
-            self.commit_upload(host, id);
+        for (&(host, id), pinned) in parts.iter().zip(pinned) {
+            self.commit_upload(host, id, pinned);
         }
         Ok(())
     }
@@ -639,11 +649,20 @@ impl Device {
     /// Every check an upload of `host` into `id` makes before it is
     /// charged: the buffer exists, the lengths agree, and every value fits
     /// a device `int`. The range check reads the host slice in place; for
-    /// `i32` hosts it is trivially true.
-    fn check_upload<T: Copy + Into<i64>>(&self, host: &[T], id: BufferId) -> Result<(), SimError> {
+    /// `i32` hosts it is trivially true. A host slice the installed memo
+    /// has pinned was range-checked when it was pinned: the check returns
+    /// the id of its stored content instead (see [`crate::memo`]).
+    fn check_upload<T: Copy + Into<i64> + 'static>(
+        &self,
+        host: &[T],
+        id: BufferId,
+    ) -> Result<Option<usize>, SimError> {
         let dev_len = self.buffer_len(id)?;
         if dev_len != host.len() {
             return Err(SimError::TransferSize { host: host.len(), device: dev_len });
+        }
+        if let Some(blob) = self.memo.as_ref().and_then(|m| m.pinned(host)) {
+            return Ok(Some(blob));
         }
         // `v` fits exactly when `v + 2^31` (mod 2^64) has no bit above bit
         // 31: an add, a shift and an OR per value, which the compiler
@@ -651,20 +670,32 @@ impl Device {
         // only on the error path.
         let high = |v: i64| (v as u64).wrapping_add(1 << 31) >> 32;
         if host.iter().fold(0, |acc, &v| acc | high(v.into())) == 0 {
-            return Ok(());
+            return Ok(None);
         }
         let value = host.iter().map(|&v| v.into()).find(|&v| high(v) != 0).expect("fold saw one");
         Err(SimError::Overflow { value })
     }
 
     /// The functional half of an upload [`Device::check_upload`] accepted:
-    /// one narrowing copy from the host slice into the buffer.
-    fn commit_upload<T: Copy + Into<i64>>(&mut self, host: &[T], id: BufferId) {
+    /// a pinned slice copies its stored content and tags the buffer with
+    /// it; any other is one narrowing copy from the host slice that leaves
+    /// the buffer untagged.
+    fn commit_upload<T: Copy + Into<i64>>(
+        &mut self,
+        host: &[T],
+        id: BufferId,
+        pinned: Option<usize>,
+    ) {
         let buf = self.buffers[id.0].as_mut().expect("validated by check_upload");
-        for (d, &v) in buf.iter_mut().zip(host) {
-            *d = v.into() as i32;
+        match (pinned, &self.memo) {
+            (Some(blob), Some(memo)) => memo.copy_content(blob, buf),
+            _ => {
+                for (d, &v) in buf.iter_mut().zip(host) {
+                    *d = v.into() as i32;
+                }
+            }
         }
-        self.tags[id.0] = None;
+        self.tags[id.0] = pinned;
     }
 
     /// Read several device buffers back in one batched transfer — the D2H

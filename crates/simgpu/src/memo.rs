@@ -33,24 +33,49 @@
 //! full, as the key needs, and then tagged. A launch that writes a buffer
 //! whole tags it with its final content: a miss stores that content, and a
 //! hit copies it in. A launch that writes part of a buffer, hit or miss,
-//! leaves it untagged.
-//! Every other write clears the tag: allocation (pool reuse included),
-//! free, each upload, each writable argument of an interpreted launch
-//! before it runs, and the test-only `poke`. Installing a memo clears every
-//! tag, since ids name one memo's contents. So a tag exists only where the
-//! contents were confirmed equal or copied from that content, and a hit
-//! stays exact: the key is the one a full comparison would give. What the
-//! tags save is the digest: on one device, each buffer content is digested
-//! at most once per write, and the chained intermediates that whole-write
-//! hits produce not at all.
+//! leaves it untagged. An upload of a pinned frame (below) tags the buffer
+//! with the frame's stored content. Every other write clears the tag:
+//! allocation (pool reuse included), free, every other upload, each
+//! writable argument of an interpreted launch before it runs, and the
+//! test-only `poke`. Installing a memo clears every tag, since ids name one
+//! memo's contents. So a tag exists only where the contents were confirmed
+//! equal or copied from that content, and a hit stays exact: the key is the
+//! one a full comparison would give. What the tags save is the digest: on
+//! one device, each buffer content is digested at most once per write, the
+//! chained intermediates that whole-write hits produce not at all, and a
+//! pinned frame once, when it is pinned.
+//!
+//! # Pinned frames
+//!
+//! [`LaunchMemo::pin_frames`] hands the memo a batch of `i64` host frames
+//! that its devices will upload again and again. The memo takes ownership
+//! and keeps an [`Arc`] to them for the rest of its life. Every non-empty
+//! array whose values all fit a device `int` is narrowed and interned once,
+//! and the memo records its element type, address and length with the
+//! stored content's id. An array with a value outside the `i32` range is
+//! not pinned, so its upload is range-checked and refused as before. While
+//! the memo lives, no safe code can free, move or mutate a pinned array: the
+//! memo's `Arc` keeps the storage alive, `Arc` hands out only shared
+//! references, and [`mdarray::NdArray`] has no interior mutability. So an
+//! upload whose host slice has a pinned array's element type, address and
+//! length is that array, and it holds the interned content. Such an upload
+//! skips the range check, copies the stored content into the buffer with
+//! one `copy_from_slice`, and tags the buffer with it; it is charged like
+//! any other. Any other slice, an equal-content clone included, takes the
+//! narrowing path and leaves the buffer untagged. The tag obeys the rules
+//! above: a later upload, `poke`, allocation, free or interpreted launch
+//! that may write the buffer clears it.
 //!
 //! A memo keeps every content it has seen, so its memory grows with the
 //! distinct launches of its users. Callers scope it: the autotuner holds
-//! one per (registry entry, route) and drops it when the search moves on.
-//! Nothing installs a memo by default.
+//! one per (registry entry, route), pins that route's frames in it, and
+//! drops both when the search moves on. Nothing installs a memo by default.
 
+use std::any::TypeId;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
+
+use mdarray::NdArray;
 
 use crate::exec::{run_kernel, run_kernel_touching, LaunchConfig, LaunchStats};
 use crate::kir::{Instr, Kernel, KernelArg, Param};
@@ -147,10 +172,20 @@ struct Table {
     blobs: Vec<Vec<i32>>,
     by_digest: HashMap<u64, Vec<usize>>,
     entries: HashMap<Key, Outcome>,
+    /// Pinned `i64` arrays by (address, length): the stored content each
+    /// holds.
+    pinned: HashMap<(usize, usize), usize>,
+    /// The frames the addresses in `pinned` belong to, owned for the
+    /// table's life.
+    frames: Vec<Arc<Frames>>,
     hits: u64,
     misses: u64,
     digested_bytes: u64,
 }
+
+/// A batch of host frames, each a list of `i64` input arrays, as
+/// [`crate::schedule::BatchScheduler::run`] takes them.
+pub type Frames = Vec<Vec<NdArray<i64>>>;
 
 /// A bound buffer argument.
 struct BufArg {
@@ -331,6 +366,39 @@ impl LaunchMemo {
             entries: t.entries.len(),
             digested_bytes: t.digested_bytes,
         }
+    }
+
+    /// Take ownership of `frames` for the memo's life and intern every
+    /// non-empty array whose values all fit an `i32`, so an upload of one
+    /// of them copies its stored content and tags the buffer (see "Pinned
+    /// frames" in the module doc). Returns the frames to upload from:
+    /// a clone of them is not pinned.
+    pub fn pin_frames(&self, frames: Frames) -> Arc<Frames> {
+        let frames = Arc::new(frames);
+        let mut t = self.lock();
+        for data in frames.iter().flatten().map(NdArray::as_slice) {
+            let narrow: Option<Vec<i32>> = data.iter().map(|&v| i32::try_from(v).ok()).collect();
+            if let Some(narrow) = narrow.filter(|n| !n.is_empty()) {
+                let blob = t.intern(&narrow);
+                t.pinned.insert((data.as_ptr() as usize, data.len()), blob);
+            }
+        }
+        t.frames.push(Arc::clone(&frames));
+        frames
+    }
+
+    /// The id of the stored content `host` holds, when `host` is a pinned
+    /// array: same element type, address and length.
+    pub(crate) fn pinned<T: 'static>(&self, host: &[T]) -> Option<usize> {
+        if TypeId::of::<T>() != TypeId::of::<i64>() {
+            return None;
+        }
+        self.lock().pinned.get(&(host.as_ptr() as usize, host.len())).copied()
+    }
+
+    /// Copy stored content `blob` into `buf`, which has its length.
+    pub(crate) fn copy_content(&self, blob: usize, buf: &mut [i32]) {
+        buf.copy_from_slice(&self.lock().blobs[blob]);
     }
 
     /// [`run_kernel`] through the memo: a recorded launch applies its
@@ -692,6 +760,82 @@ mod tests {
         assert_eq!(since, [bytes, bytes, bytes, 2 * bytes, 2 * bytes]);
     }
 
+    /// One frame holding `x` as a rank-1 `i64` array.
+    fn wide_frames(x: &[i32]) -> Frames {
+        vec![vec![NdArray::from_vec([x.len()], x.iter().map(|&v| i64::from(v)).collect()).unwrap()]]
+    }
+
+    #[test]
+    fn a_pinned_frame_uploads_tagged_and_is_digested_once_when_pinned() {
+        let kernel = tri_kernel("tri", false);
+        let x = Launch::base().x;
+        let len = x.len();
+        let memo = LaunchMemo::new();
+        // Upload `host` to a fresh memo device and launch on it; returns the
+        // upload's tag and the launch's output.
+        let run = |host: &[i64]| {
+            let mut d = Device::gtx480();
+            d.set_launch_memo(memo.clone());
+            let (xb, y) = (d.malloc(len).unwrap(), d.malloc(len).unwrap());
+            d.host2device_on(host, xb, 1, StreamId::DEFAULT).unwrap();
+            assert_eq!(d.peek(xb).unwrap(), x);
+            let tag = d.tag(xb);
+            tri(&mut d, &kernel, xb, y, len);
+            (tag, d.peek(y).unwrap().to_vec())
+        };
+        let frames = wide_frames(&x);
+        let clone = frames[0][0].as_slice();
+        // Record the launch from an unpinned copy first.
+        let (tag, want) = run(clone);
+        assert_eq!(tag, None);
+        let before = memo.stats();
+        let pinned = memo.pin_frames(frames.clone());
+        let pin_bytes = 4 * len as u64;
+        assert_eq!(memo.stats().digested_bytes - before.digested_bytes, pin_bytes);
+        // Two devices sharing the memo: each upload of the pinned array is
+        // tagged, and each launch that loads it hits without a digest.
+        for _ in 0..2 {
+            let (tag, y) = run(pinned[0][0].as_slice());
+            assert!(tag.is_some());
+            assert_eq!(y, want);
+        }
+        let after = memo.stats();
+        assert_eq!((after.hits - before.hits, after.misses - before.misses), (2, 0));
+        assert_eq!(after.digested_bytes - before.digested_bytes, pin_bytes);
+        // An equal-content clone is not the pinned array: it uploads
+        // untagged, and the launch that reads it digests it.
+        let (tag, y) = run(clone);
+        assert_eq!((tag, y), (None, want));
+        let last = memo.stats();
+        assert_eq!((last.hits - after.hits, last.misses - after.misses), (1, 0));
+        assert_eq!(last.digested_bytes - after.digested_bytes, 4 * len as u64);
+    }
+
+    #[test]
+    fn a_frame_outside_the_int_range_is_not_pinned() {
+        let memo = LaunchMemo::new();
+        let big = i64::from(i32::MAX) + 1;
+        let frames = vec![vec![NdArray::from_vec([4], vec![1, 2, big, 4]).unwrap()]];
+        let pinned = memo.pin_frames(frames);
+        let host = pinned[0][0].as_slice();
+        assert_eq!(memo.pinned(host), None);
+        assert_eq!(memo.stats().digested_bytes, 0);
+        // Its upload on a memo device is refused as on any device, and
+        // charges nothing.
+        let mut d = Device::gtx480();
+        d.set_launch_memo(memo.clone());
+        let buf = d.malloc(4).unwrap();
+        d.poke(buf, &[9, 9, 9, 9]).unwrap();
+        let err = d.host2device_on(host, buf, 2, StreamId::DEFAULT);
+        assert_eq!(err, Err(SimError::Overflow { value: big }));
+        let err = d.host2device_batch_on(&[(host, buf)], StreamId::DEFAULT);
+        assert_eq!(err, Err(SimError::Overflow { value: big }));
+        assert_eq!(d.peek(buf).unwrap(), &[9, 9, 9, 9]);
+        assert_eq!(d.tag(buf), None);
+        assert_eq!(d.profiler.records().count(), 0);
+        assert_eq!(d.now_us(), 0.0);
+    }
+
     #[test]
     fn installing_a_memo_forgets_the_tags_of_the_last() {
         let kernel = tri_kernel("tri", false);
@@ -758,7 +902,11 @@ mod tests {
     /// An op `(kind, a, b, c)` is a malloc, a free, a pool switch, an
     /// upload, a batched upload, a `poke`, a two-buffer launch (aliased
     /// when `a` and `b` pick one buffer; `c` picks a whole write, a partial
-    /// one or one past the end) or an in-place launch.
+    /// one or one past the end), an in-place launch, an upload of a frame
+    /// pinned in the memo, or a batched upload of pinned frames (beside an
+    /// equal-content clone when `c` says so). The memo-free device uploads
+    /// the same pinned slices by the narrowing path. Every tag a memo device
+    /// holds must name the buffer's contents.
     fn run_differential(ops: Vec<(u8, u8, u8, u8)>) {
         // Results reduced mod 7 keep chained launches cheap.
         let kernels = [
@@ -767,6 +915,20 @@ mod tests {
             in_place_kernel(),
         ];
         let memo = LaunchMemo::new();
+        // Two pinned patterns of every length a malloc draws.
+        let pinned = memo.pin_frames(
+            (0..2u8)
+                .map(|seed| {
+                    (1..=12)
+                        .map(|len| {
+                            let wide = pattern(seed, len).into_iter().map(i64::from).collect();
+                            NdArray::from_vec([len], wide).unwrap()
+                        })
+                        .collect()
+                })
+                .collect(),
+        );
+        let pinned_frame = |seed: u8, len: usize| pinned[usize::from(seed % 2)][len - 1].as_slice();
         let mut devices = [Device::gtx480(), Device::gtx480(), Device::gtx480()];
         for d in &mut devices {
             d.set_host_workers(2);
@@ -832,6 +994,20 @@ mod tests {
                         let args = [KernelArg::Buffer(x.0), KernelArg::Scalar(n as i64)];
                         d.launch(&kernels[2], LaunchConfig::cover_1d(n, 4), &args)
                     }
+                    (9, Some(x), _) => {
+                        let host = pinned_frame(b, d.buffer_len(x).unwrap());
+                        let chunks = 1 + usize::from(c % 2);
+                        d.host2device_on(host, x, chunks, StreamId::DEFAULT)
+                            .map(|_| LaunchStats::default())
+                    }
+                    (10, Some(x), Some(y)) => {
+                        let hx = pinned_frame(b, d.buffer_len(x).unwrap());
+                        let hy = pinned_frame(c, d.buffer_len(y).unwrap());
+                        let clone = hy.to_vec();
+                        let hy = if c & 2 == 0 { hy } else { &clone[..] };
+                        d.host2device_batch_on(&[(hx, x), (hy, y)], StreamId::DEFAULT)
+                            .map(|()| LaunchStats::default())
+                    }
                     _ => Ok(LaunchStats::default()),
                 };
                 if which == 2 && launches && r.is_ok() {
@@ -852,6 +1028,9 @@ mod tests {
                 assert_eq!(d.now_us().to_bits(), devices[0].now_us().to_bits());
                 for &id in &live {
                     assert_eq!(d.peek(id).unwrap(), devices[0].peek(id).unwrap());
+                    if let Some(blob) = d.tag(id) {
+                        assert_eq!(memo.lock().blobs[blob], d.peek(id).unwrap());
+                    }
                 }
             }
         }
@@ -860,7 +1039,7 @@ mod tests {
     proptest! {
         #[test]
         fn memo_devices_match_a_memo_free_device_step_for_step(
-            ops in proptest::collection::vec((0u8..9, any::<u8>(), any::<u8>(), any::<u8>()), 1..40),
+            ops in proptest::collection::vec((0u8..11, any::<u8>(), any::<u8>(), any::<u8>()), 1..40),
         ) {
             run_differential(ops);
         }
