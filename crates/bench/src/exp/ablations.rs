@@ -11,7 +11,7 @@ use downscaler::Scenario;
 use gaspard::GaspardError;
 use sac_cuda::{lower_plan, CudaError};
 use sac_lang::opt::OptConfig;
-use simgpu::device::{Device, DeviceConfig};
+use simgpu::device::DeviceConfig;
 use simgpu::{run_plan, Calibration, ExecOptions};
 
 /// The `ablations` command.
@@ -29,7 +29,7 @@ pub fn totals_with_calibration(
 ) -> Result<(f64, f64), PipelineError> {
     // Gaspard.
     let route = build_gaspard(s)?;
-    let mut device = Device::new(DeviceConfig::gtx480(), calib);
+    let mut device = super::device(DeviceConfig::gtx480(), calib);
     let channels = FrameGenerator::new(s.channels, s.rows, s.cols, FRAME_SEED).frame_channels(0);
     let plan = gaspard::lower_plan(&route.opencl);
     run_plan(plan, &mut device, &[channels], &ExecOptions::default())
@@ -37,7 +37,7 @@ pub fn totals_with_calibration(
     let gaspard_total = device.now_us() * s.frames as f64 / 1e6;
     // SaC non-generic.
     let route = build_sac(s, Variant::NonGeneric, Part::Full, &Default::default())?;
-    let mut device = Device::new(DeviceConfig::gtx480(), calib);
+    let mut device = super::device(DeviceConfig::gtx480(), calib);
     let plan = lower_plan(&route.cuda, s.channels)?;
     run_plan(plan, &mut device, &[vec![test_frame(s)]], &ExecOptions::default())
         .map_err(CudaError::from)?;

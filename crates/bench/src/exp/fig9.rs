@@ -75,7 +75,7 @@ fn part_input(s: &Scenario, part: Part) -> mdarray::NdArray<i64> {
 /// common to every configuration and reported separately in Tables I/II.
 fn cuda_filter_time_s(s: &Scenario, variant: Variant, part: Part) -> Result<f64, PipelineError> {
     let route = build_sac(s, variant, part, &Default::default())?;
-    let mut device = Device::gtx480();
+    let mut device = super::gtx480();
     let plan = lower_plan(&route.cuda, s.channels)?;
     run_plan(plan, &mut device, &[vec![part_input(s, part)]], &ExecOptions::default())
         .map_err(CudaError::from)?;

@@ -109,17 +109,17 @@ pub fn fusion_ablation(s: &Scenario) -> Result<FusionAblation, PipelineError> {
         for (label, route, is_fused) in
             [("SaC (WLF off)", &wlf_off, false), ("SaC (WLF on)", &wlf_on, true)]
         {
-            let mut dev = Device::gtx480();
+            let mut dev = super::gtx480();
             run_sac_batch(s, route, &mut dev, FRAME_SEED, opts)?;
             rows.push(row(label, is_fused, streams, pool, &dev));
         }
-        let mut unf_dev = Device::gtx480();
+        let mut unf_dev = super::gtx480();
         let unf_out = run_gaspard_batch(s, &unfused, &mut unf_dev, FRAME_SEED, opts)?;
         rows.push(row("Gaspard2 unfused", false, streams, pool, &unf_dev));
         // The fused route: the same unfused program with the plan-level
         // fusion pass in faithful-codegen mode — bit-identical schedules to
         // the removed model-level `fuse_model` route.
-        let mut fus_dev = Device::gtx480();
+        let mut fus_dev = super::gtx480();
         let fus_out = run_gaspard_batch(
             s,
             &unfused,

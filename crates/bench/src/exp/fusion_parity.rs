@@ -6,7 +6,6 @@ use crate::record;
 use crate::record::Record;
 use downscaler::pipelines::PipelineError;
 use downscaler::Scenario;
-use simgpu::device::Device;
 use simgpu::profiler::OpClass;
 use simgpu::ExecOptions;
 
@@ -162,7 +161,7 @@ pub fn fusion_parity_ablation(s: &Scenario) -> Result<FusionParityAblation, Pipe
      -> Result<FusionParityRow, PipelineError> {
         let mut plan = built.plan(route).map_err(config_err)?;
         simgpu::planopt::optimize(&mut plan, level).map_err(config_err)?;
-        let mut dev = Device::gtx480();
+        let mut dev = super::gtx480();
         let (outs, _) = built
             .run(route, &mut dev, &ExecOptions { optimize: level, ..base })
             .map_err(config_err)?;
@@ -189,7 +188,7 @@ pub fn fusion_parity_ablation(s: &Scenario) -> Result<FusionParityAblation, Pipe
         let mut plan = gaspard::exec::lower_plan(&prog);
         simgpu::planopt::optimize(&mut plan, simgpu::PlanOptLevel::FUSION_FAITHFUL)
             .map_err(config_err)?;
-        let mut dev = Device::gtx480();
+        let mut dev = super::gtx480();
         let frames = wlf_on.frames(Route::Gaspard, 1);
         let (outs, _) = simgpu::BatchScheduler::new(&plan)
             .run(&mut dev, &frames, &ExecOptions { total_frames: spec.frames, ..base })

@@ -123,7 +123,7 @@ pub fn memory_ablation(s: &Scenario) -> Result<Vec<MemoryRow>, PipelineError> {
     let mut rows = Vec::new();
     for (label, pool) in [("naive", false), ("pooled", true)] {
         let opts = ExecOptions { pool, ..Default::default() };
-        let mut sac_dev = Device::new(DeviceConfig::gtx480(), Calibration::gtx480_alloc());
+        let mut sac_dev = super::device(DeviceConfig::gtx480(), Calibration::gtx480_alloc());
         let sm = measure_memory(s, &mut sac_dev, |d, f| {
             let plan = sac_cuda::lower_plan(&sac.cuda, s.channels)?;
             run_plan(plan, d, &[vec![gen.frame_rank3(f)]], &opts)
@@ -131,7 +131,7 @@ pub fn memory_ablation(s: &Scenario) -> Result<Vec<MemoryRow>, PipelineError> {
                 .map_err(CudaError::from)
         })?;
 
-        let mut gasp_dev = Device::new(DeviceConfig::gtx480(), Calibration::gtx480_alloc());
+        let mut gasp_dev = super::device(DeviceConfig::gtx480(), Calibration::gtx480_alloc());
         let gm = measure_memory(s, &mut gasp_dev, |d, f| {
             let plan = gaspard::lower_plan(&gasp.opencl);
             run_plan(plan, d, &[gen.frame_channels(f)], &opts).map(|_| ())
@@ -183,21 +183,21 @@ pub fn oom_degradation_demo(s: &Scenario) -> Result<DegradationDemo, PipelineErr
     let opts = ExecOptions { executed: exercised, ..Default::default() };
 
     // Baseline 1-stream run doubles as the per-lane footprint probe.
-    let mut probe = Device::gtx480();
+    let mut probe = super::gtx480();
     let baseline = run_sac_batch(s, &sac, &mut probe, FRAME_SEED, opts)?;
     // Capacity for half the exercised lanes: the naive run must OOM, the
     // degradation ladder must bottom out at a count that fits.
     let capacity = probe.peak_allocated_bytes() * (exercised / 2).max(1);
 
     let cfg = DeviceConfig::toy(capacity);
-    let mut naive = Device::new(cfg.clone(), Calibration::gtx480());
+    let mut naive = super::device(cfg.clone(), Calibration::gtx480());
     let naive_error =
         match run_sac_batch(s, &sac, &mut naive, FRAME_SEED, ExecOptions { streams, ..opts }) {
             Err(e) => e.to_string(),
             Ok(_) => "unexpectedly succeeded".into(),
         };
 
-    let mut degraded = Device::new(cfg, Calibration::gtx480());
+    let mut degraded = super::device(cfg, Calibration::gtx480());
     let outs = run_sac_batch(
         s,
         &sac,

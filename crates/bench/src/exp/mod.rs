@@ -11,6 +11,8 @@ use downscaler::frames::FrameGenerator;
 use downscaler::pipelines::PipelineError;
 use downscaler::Scenario;
 use mdarray::NdArray;
+use simgpu::{Calibration, CostModel, Device, DeviceConfig, Fleet};
+use std::sync::OnceLock;
 
 pub mod ablations;
 pub mod cuda_src;
@@ -102,6 +104,31 @@ pub(crate) const FRAME_SEED: u64 = 0xD05C;
 /// Frame 0 of the scenario as one rank-3 array.
 pub(crate) fn test_frame(s: &Scenario) -> NdArray<i64> {
     FrameGenerator::new(s.channels, s.rows, s.cols, FRAME_SEED).frame_rank3(0)
+}
+
+/// `config` with its interpreter threads (the simulator's default of 8)
+/// capped at the host's cores, so a small host is not oversubscribed. The
+/// thread count changes no simulated number and no output.
+fn capped(config: DeviceConfig) -> DeviceConfig {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    DeviceConfig { host_workers: config.host_workers.min(cores), ..config }
+}
+
+/// The device an experiment runs on: `config`, [`capped`], priced by `model`.
+pub(crate) fn device(config: DeviceConfig, model: impl Into<CostModel>) -> Device {
+    Device::new(capped(config), model)
+}
+
+/// [`device`] for the paper's GTX480 with its calibration.
+pub(crate) fn gtx480() -> Device {
+    device(DeviceConfig::gtx480(), Calibration::gtx480())
+}
+
+/// A fleet of `n` devices of `config`, [`capped`], at the GTX480
+/// calibration.
+pub(crate) fn fleet(n: usize, config: DeviceConfig) -> Result<Fleet, PipelineError> {
+    Fleet::homogeneous(n, capped(config), Calibration::gtx480()).map_err(config_err)
 }
 
 /// Report an error from a layer without its own [`PipelineError`] variant.

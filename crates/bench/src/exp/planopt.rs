@@ -8,7 +8,6 @@ use downscaler::frames::FrameGenerator;
 use downscaler::pipelines::{build_gaspard, PipelineError};
 use downscaler::Scenario;
 use gaspard::GaspardError;
-use simgpu::device::Device;
 use simgpu::{run_plan, ExecOptions};
 
 /// The `planopt` command.
@@ -124,7 +123,7 @@ pub fn planopt_ablation(s: &Scenario) -> Result<PlanoptAblation, PipelineError> 
                     ..Default::default()
                 };
                 let plan = gaspard::lower_plan_with(&route.opencl, placement);
-                let mut dev = Device::gtx480();
+                let mut dev = super::gtx480();
                 let (outs, stats) =
                     run_plan(plan, &mut dev, &functional, &opts).map_err(GaspardError::from)?;
                 match &baseline {

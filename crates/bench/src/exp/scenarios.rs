@@ -8,8 +8,7 @@ use crate::record::Record;
 use downscaler::pipelines::PipelineError;
 use downscaler::Scenario;
 use mdarray::NdArray;
-use simgpu::device::Device;
-use simgpu::ExecOptions;
+use simgpu::{DeviceConfig, ExecOptions};
 
 /// The `scenarios` command.
 pub const EXPERIMENT: Experiment = Experiment {
@@ -62,7 +61,7 @@ pub fn scenarios_ablation(s: &Scenario) -> Result<Record, PipelineError> {
             let mut cfg_outs: Vec<Vec<NdArray<i64>>> = Vec::new();
             let mut cfg_times = Vec::new();
             for (config, opts) in &configs {
-                let mut device = Device::gtx480();
+                let mut device = super::gtx480();
                 let (outs, stats) = built.run(route, &mut device, opts).map_err(config_err)?;
                 let outputs_ok = outs == references;
                 rows.push(record! {
@@ -91,7 +90,7 @@ pub fn scenarios_ablation(s: &Scenario) -> Result<Record, PipelineError> {
         let mix = w.mix;
         let exec = ExecOptions { streams: 2, executed: 1, pool: true, ..Default::default() };
         let mut templates = BTreeMap::new();
-        let mut probe = Device::gtx480();
+        let mut probe = super::gtx480();
         let probe_frames = built.frames(scenarios::Route::Gaspard, 1);
         let tpl = serve::JobTemplate::capture(
             &plan,
@@ -121,7 +120,7 @@ pub fn scenarios_ablation(s: &Scenario) -> Result<Record, PipelineError> {
             })
             .collect();
         let submits: Vec<f64> = jobs.iter().map(|j| j.submit_us).collect();
-        let mut fleet = simgpu::Fleet::gtx480(2).map_err(config_err)?;
+        let mut fleet = super::fleet(2, DeviceConfig::gtx480())?;
         let cfg = serve::ServeConfig {
             policy: serve::ShardPolicy::RoundRobin,
             queue_capacity: mix.jobs,

@@ -9,8 +9,7 @@ use downscaler::frames::FrameGenerator;
 use downscaler::pipelines::{build_gaspard, reference_downscale, PipelineError};
 use downscaler::Scenario;
 use mdarray::NdArray;
-use simgpu::device::Device;
-use simgpu::ExecOptions;
+use simgpu::{DeviceConfig, ExecOptions};
 
 /// The `serve` command.
 pub const EXPERIMENT: Experiment = Experiment {
@@ -52,7 +51,7 @@ pub fn serve_ablation(s: &Scenario) -> Result<Record, PipelineError> {
     // (any width, any policy) replays this same template, which is what
     // makes the cross-width comparison exact.
     let mut templates = BTreeMap::new();
-    let mut probe = Device::gtx480();
+    let mut probe = super::gtx480();
     let tpl = serve::JobTemplate::capture(&plan, &mut probe, &exec, &[gen.frame_channels(0)], fpj)
         .map_err(config_err)?;
     let job_us = tpl.dur_us;
@@ -99,7 +98,7 @@ pub fn serve_ablation(s: &Scenario) -> Result<Record, PipelineError> {
                    templates: &mut BTreeMap<usize, serve::JobTemplate>,
                    outputs_match: &mut bool|
      -> Result<Record, PipelineError> {
-        let mut fleet = simgpu::Fleet::gtx480(devices).map_err(config_err)?;
+        let mut fleet = super::fleet(devices, DeviceConfig::gtx480())?;
         let cfg = serve::ServeConfig { policy, ..base_cfg.clone() };
         let report = serve::serve_with_templates(&mut fleet, &plan, &jobs, &cfg, templates)
             .map_err(config_err)?;
@@ -155,7 +154,7 @@ pub fn serve_ablation(s: &Scenario) -> Result<Record, PipelineError> {
             .map(|(j, a)| serve::Job::replay(j, a.tenant, a.submit_us, fpj))
             .collect();
         let rsubmits: Vec<f64> = rjobs.iter().map(|j| j.submit_us).collect();
-        let mut fleet = simgpu::Fleet::gtx480(rate_devices).map_err(config_err)?;
+        let mut fleet = super::fleet(rate_devices, DeviceConfig::gtx480())?;
         let cfg = serve::ServeConfig {
             policy: serve::ShardPolicy::LeastLoaded,
             queue_capacity: 8,
@@ -183,18 +182,13 @@ pub fn serve_ablation(s: &Scenario) -> Result<Record, PipelineError> {
     // ladder completes it at one lane — visible as notes in the merged
     // fleet profiler, with outputs bit-identical to the golden model.
     let shed_exec = ExecOptions { pool: false, degrade_on_oom: true, ..exec };
-    let mut fprobe = Device::gtx480();
+    let mut fprobe = super::gtx480();
     let two_frames: Vec<Vec<NdArray<i64>>> = (0..2).map(|k| gen.frame_channels(100 + k)).collect();
     simgpu::BatchScheduler::new(&plan)
         .run(&mut fprobe, &two_frames, &ExecOptions { streams: 1, pool: false, ..shed_exec })
         .map_err(config_err)?;
     let capacity = fprobe.peak_allocated_bytes();
-    let mut fleet = simgpu::Fleet::homogeneous(
-        2,
-        simgpu::DeviceConfig::toy(capacity),
-        simgpu::Calibration::gtx480(),
-    )
-    .map_err(config_err)?;
+    let mut fleet = super::fleet(2, DeviceConfig::toy(capacity))?;
     let shed_trace = arrival_trace(0x0A41, 6, 50.0, 2);
     let shed_jobs: Vec<serve::Job> = shed_trace
         .iter()

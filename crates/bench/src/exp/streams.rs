@@ -9,7 +9,6 @@ use downscaler::pipelines::{
 };
 use downscaler::sac_src::{Part, Variant};
 use downscaler::Scenario;
-use simgpu::device::Device;
 use simgpu::ExecOptions;
 
 /// The `streams` command.
@@ -68,9 +67,9 @@ pub fn streams_ablation(
     let mut rows = Vec::new();
     for &streams in stream_counts {
         let opts = ExecOptions { streams, executed: 1, ..Default::default() };
-        let mut sac_dev = Device::gtx480();
+        let mut sac_dev = super::gtx480();
         run_sac_batch(s, &sac, &mut sac_dev, FRAME_SEED, opts)?;
-        let mut gasp_dev = Device::gtx480();
+        let mut gasp_dev = super::gtx480();
         run_gaspard_batch(s, &gasp, &mut gasp_dev, FRAME_SEED, opts)?;
         rows.push(StreamsRow {
             streams,
@@ -87,7 +86,7 @@ pub fn streams_ablation(
 mod tests {
     use super::*;
     use downscaler::frames::FrameGenerator;
-    use simgpu::run_plan;
+    use simgpu::{run_plan, Device};
 
     #[test]
     fn streams_ablation_overlap_strictly_beats_sync() {

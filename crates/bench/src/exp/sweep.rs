@@ -8,7 +8,6 @@ use downscaler::pipelines::{build_sac, PipelineError};
 use downscaler::sac_src::{Part, Variant};
 use downscaler::Scenario;
 use sac_cuda::{lower_plan, CudaError};
-use simgpu::device::Device;
 use simgpu::profiler::OpClass;
 use simgpu::{run_plan, ExecOptions};
 
@@ -78,7 +77,7 @@ pub fn sweep(channels: usize, scales: &[usize]) -> Result<Vec<SweepRow>, Pipelin
         route.flat.run(std::slice::from_ref(&frame), &mut ops).map_err(PipelineError::Sac)?;
         let seq_us = ops as f64 * SEQ_CPU_NS_PER_OP / 1e3;
 
-        let mut device = Device::gtx480();
+        let mut device = super::gtx480();
         let plan = lower_plan(&route.cuda, s.channels)?;
         run_plan(plan, &mut device, &[vec![frame]], &ExecOptions::default())
             .map_err(CudaError::from)?;

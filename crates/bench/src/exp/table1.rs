@@ -62,7 +62,7 @@ impl ProfileTable {
 /// Table I: the GASPARD2 implementation's profile over the full run.
 pub fn table1(s: &Scenario) -> Result<ProfileTable, PipelineError> {
     let route = build_gaspard(s)?;
-    let mut device = Device::gtx480();
+    let mut device = super::gtx480();
     let channels = FrameGenerator::new(s.channels, s.rows, s.cols, FRAME_SEED).frame_channels(0);
     let plan = gaspard::lower_plan(&route.opencl);
     simgpu::run_plan(plan, &mut device, &[channels], &simgpu::ExecOptions::default())

@@ -6,7 +6,6 @@ use downscaler::pipelines::{build_sac, PipelineError};
 use downscaler::sac_src::{Part, Variant};
 use downscaler::Scenario;
 use sac_cuda::{lower_plan, CudaError};
-use simgpu::device::Device;
 use simgpu::{run_plan, ExecOptions};
 
 /// The `table2` command.
@@ -19,7 +18,7 @@ pub const EXPERIMENT: Experiment = Experiment {
 /// Table II: the non-generic SaC implementation's profile over the full run.
 pub fn table2(s: &Scenario) -> Result<ProfileTable, PipelineError> {
     let route = build_sac(s, Variant::NonGeneric, Part::Full, &Default::default())?;
-    let mut device = Device::gtx480();
+    let mut device = super::gtx480();
     let plan = lower_plan(&route.cuda, s.channels)?;
     run_plan(plan, &mut device, &[vec![test_frame(s)]], &ExecOptions::default())
         .map_err(CudaError::from)?;

@@ -252,9 +252,6 @@ struct Tuner<'a> {
     /// CPU references of the functional frames, computed once per entry.
     references: Vec<NdArray<i64>>,
     stage: Option<RouteStage<'a>>,
-    /// Interpreter threads per oracle device: the GTX480 default, capped
-    /// at the host's cores. The count changes no simulated number.
-    host_workers: usize,
 }
 
 impl<'a> Tuner<'a> {
@@ -264,7 +261,6 @@ impl<'a> Tuner<'a> {
         let channels = built.channels();
         let sac_chunks = if channels > 1 { vec![channels, 0] } else { vec![0] };
         let executed = Self::executed(built);
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         Tuner {
             built,
             chunk_domains: [sac_chunks, vec![0]],
@@ -272,7 +268,6 @@ impl<'a> Tuner<'a> {
             evals: 0,
             references: (0..executed).map(|f| built.reference(f)).collect(),
             stage: None,
-            host_workers: DeviceConfig::gtx480().host_workers.min(cores),
         }
     }
 
@@ -323,8 +318,7 @@ impl<'a> Tuner<'a> {
         }
         let stage = self.stage.as_mut().expect("stage set above");
         let key = stage.prepare(self.built, opts.channel_chunks, cand).map_err(config_err)?;
-        let mut device = Device::new(DeviceConfig::gtx480(), model);
-        device.set_host_workers(self.host_workers);
+        let mut device = super::device(DeviceConfig::gtx480(), model);
         device.set_launch_memo(stage.memo.clone());
         let batch = ExecOptions { total_frames: self.built.spec.frames, ..opts };
         let (outs, stats) = BatchScheduler::new(&stage.plans[&key])

@@ -30,7 +30,20 @@
 //!   writes `x` after it; `x % ±1`, `x * 0` and `0 * x` are the constant 0.
 //! * **Faults stay.** A division by the constant zero, or a parameter of
 //!   the wrong kind, decodes to an instruction that faults as the original
-//!   does; a division by a nonzero constant skips the zero-divisor check.
+//!   does.
+//! * **Constant divisors multiply.** `x / d` and `x % d` by a launch
+//!   constant `d` with `|d| ≥ 2` and `d ≠ i64::MIN` become a multiply-high
+//!   by a reciprocal computed at decode time, a shift and a sign fix-up
+//!   (Hacker's Delight §10-3), which equal `wrapping_div` and `wrapping_rem`
+//!   for every `x`: no lane divides in hardware or scans for a zero divisor.
+//!   Only the divisors −1, 1 and `i64::MIN` still divide in hardware.
+//! * **Wraps fuse.** The tiler template's wrap `a = x % n; b = a + n` (or
+//!   `n + a`) `; c = b % n`, three consecutive instructions, becomes one op
+//!   `c = x.rem_euclid(n)` that passes an `x` already in `[0, n)` through,
+//!   when `n` is a launch constant in `[2, 2^62]` and nothing else reads `a`
+//!   or `b`. Then `a` lies in `(-n, n)`, `b` cannot overflow and `c` is the
+//!   Euclidean remainder; none of the three can fault, so the two it folds
+//!   are charged right after it to the same lanes.
 //! * **Registers compact.** The decoded program's registers are renumbered
 //!   onto shared slots by live range, so folded registers take none.
 //!
@@ -58,9 +71,11 @@
 //!   launch memo's record — are exact.
 //! * **Store order.** A warp logs its stores in execution order, which
 //!   interleaves lanes, then sorts its part of the worker's write log stably
-//!   by lane. Stores therefore apply in (block, thread rank, program order),
-//!   and a write conflict between two different store instructions resolves
-//!   to the highest-ranked thread, as in a thread-at-a-time walk.
+//!   by lane, unless that part is already in lane order (one store per lane,
+//!   or only one lane storing). Stores therefore apply in (block, thread
+//!   rank, program order), and a write conflict between two different store
+//!   instructions resolves to the highest-ranked thread, as in a
+//!   thread-at-a-time walk.
 //! * **Fault order.** A faulting lane retires with its error while the
 //!   others run on, and the warp keeps the lowest faulting lane's error: a
 //!   lower-ranked thread's later fault beats a higher-ranked thread's
@@ -333,6 +348,118 @@ fn for_lanes(mask: Mask, mut f: impl FnMut(usize)) {
     }
 }
 
+/// The number of lanes in `mask`. A full warp is the common case, and
+/// baseline x86-64 has no `popcnt`.
+#[inline(always)]
+fn lane_count(mask: Mask) -> u64 {
+    if mask == FULL {
+        WARP as u64
+    } else {
+        mask.count_ones() as u64
+    }
+}
+
+/// Set bit `ix[l]` of `touched` for every lane `l` in `mask`. Consecutive
+/// lanes mostly fall in one 64-bit word, so the bits gather in a register
+/// and each run of lanes in a word writes it once.
+#[inline(always)]
+fn touch(touched: &mut [u64], mask: Mask, ix: &Row) {
+    let (mut word, mut bits) = (usize::MAX, 0u64);
+    for_lanes(mask, |l| {
+        let a = ix[l] as usize;
+        if a / 64 != word {
+            if bits != 0 {
+                touched[word] |= bits;
+            }
+            (word, bits) = (a / 64, 0);
+        }
+        bits |= 1 << (a % 64);
+    });
+    if bits != 0 {
+        touched[word] |= bits;
+    }
+}
+
+/// Signed division by a launch constant `d` as a multiply-high, a shift and
+/// a sign fix-up (Hacker's Delight §10-3; Granlund and Montgomery, PLDI
+/// 1994), which equals `wrapping_div` for every dividend. It covers every
+/// `d` but −1, 0, 1 and `i64::MIN`.
+#[derive(Clone, Copy, Debug)]
+struct Recip {
+    d: i64,
+    magic: i64,
+    shift: u8,
+    /// Whether the dividend is added to (`1`) or subtracted from (`-1`) the
+    /// high product, which happens when `magic`'s sign differs from `d`'s.
+    fix: i8,
+}
+
+impl Recip {
+    fn new(d: i64) -> Option<Recip> {
+        if d == i64::MIN || d.unsigned_abs() < 2 {
+            return None;
+        }
+        // Hacker's Delight's `magic` (Figure 10-1) at 64 bits: the search
+        // for the shift p runs in 128-bit arithmetic, so no step overflows.
+        let two63 = 1u128 << 63;
+        let ad = d.unsigned_abs() as u128;
+        let t = two63 + (d < 0) as u128;
+        let anc = t - 1 - t % ad;
+        let mut p: u8 = 63;
+        let (mut q1, mut r1) = (two63 / anc, two63 % anc);
+        let (mut q2, mut r2) = (two63 / ad, two63 % ad);
+        loop {
+            p += 1;
+            (q1, r1) = (2 * q1, 2 * r1);
+            if r1 >= anc {
+                (q1, r1) = (q1 + 1, r1 - anc);
+            }
+            (q2, r2) = (2 * q2, 2 * r2);
+            if r2 >= ad {
+                (q2, r2) = (q2 + 1, r2 - ad);
+            }
+            let delta = ad - r2;
+            if q1 > delta || (q1 == delta && r1 != 0) {
+                break;
+            }
+        }
+        let magic = (q2 + 1) as u64 as i64;
+        let magic = if d < 0 { magic.wrapping_neg() } else { magic };
+        let fix = match (d > 0, magic < 0) {
+            (true, true) => 1,
+            (false, false) => -1,
+            _ => 0,
+        };
+        Some(Recip { d, magic, shift: p - 64, fix })
+    }
+
+    /// `n.wrapping_div(d)`.
+    #[inline(always)]
+    fn div(self, n: i64) -> i64 {
+        let (add, sub) = (-((self.fix > 0) as i64), -((self.fix < 0) as i64));
+        let q = ((self.magic as i128 * n as i128) >> 64) as i64;
+        let q = q.wrapping_add(n & add).wrapping_sub(n & sub) >> self.shift;
+        q + ((q as u64) >> 63) as i64
+    }
+
+    /// `n.wrapping_rem(d)`.
+    #[inline(always)]
+    fn rem(self, n: i64) -> i64 {
+        n.wrapping_sub(self.div(n).wrapping_mul(self.d))
+    }
+
+    /// `n.rem_euclid(d)` for a positive `d`: `n` itself when already in
+    /// `[0, d)`.
+    #[inline(always)]
+    fn wrap(self, n: i64) -> i64 {
+        if (n as u64) < self.d as u64 {
+            return n;
+        }
+        let r = self.rem(n);
+        r + (self.d & (r >> 63))
+    }
+}
+
 /// `d[l] = f(l)` for every lane `l` in `mask`; the other lanes keep their
 /// values. `f` is evaluated on every lane, so it must not panic on an
 /// inactive lane's values; in return the update vectorises.
@@ -417,8 +544,15 @@ enum Op<'a> {
     Special { dst: Reg, kind: Special },
     /// `dst = lhs op rhs`.
     Bin { op: BinOp, dst: Reg, lhs: Reg, rhs: Reg },
-    /// `dst = lhs op imm`; a `Div` or `Rem` here has a nonzero `imm`.
+    /// `dst = lhs op imm`; a `Div` or `Rem` here has an `imm` that
+    /// [`Recip`] does not cover and that is not zero.
     BinImm { op: BinOp, dst: Reg, lhs: Reg, imm: i64 },
+    /// `dst = lhs / by.d`.
+    DivBy { dst: Reg, lhs: Reg, by: Recip },
+    /// `dst = lhs % by.d`.
+    RemBy { dst: Reg, lhs: Reg, by: Recip },
+    /// `dst = src.rem_euclid(by.d)`, the fused `((src % n) + n) % n`.
+    Wrap { dst: Reg, src: Reg, by: Recip },
     /// `dst = imm op rhs`.
     ImmBin { op: BinOp, dst: Reg, imm: i64, rhs: Reg },
     /// `dst = src`.
@@ -448,6 +582,9 @@ impl Op<'_> {
                 f(dst, true);
             }
             Op::BinImm { dst, lhs: src, .. }
+            | Op::DivBy { dst, lhs: src, .. }
+            | Op::RemBy { dst, lhs: src, .. }
+            | Op::Wrap { dst, src, .. }
             | Op::ImmBin { dst, rhs: src, .. }
             | Op::Mov { dst, src }
             | Op::Load { dst, index: src, .. } => {
@@ -481,11 +618,13 @@ impl Op<'_> {
 /// immediate of every `Bin` that reads it; its definition still runs if some
 /// other instruction reads the register. A foldable `x * 1`, `1 * x`, `x + 0`, `0 + x`, `x - 0` or
 /// `x / 1` becomes an alias of `x` when nothing writes `x` after it: its
-/// readers read `x`. Every folded instruction is still charged, with the
-/// active lanes of its position, by an [`Op::Count`], and an instruction
-/// that faults (a parameter of the wrong kind, a division by the constant
-/// zero) stays. So the decoded kernel computes, counts and faults exactly as
-/// the kernel does.
+/// readers read `x`. A `Div` or `Rem` by a launch constant that [`Recip`]
+/// covers becomes an [`Op::DivBy`] or [`Op::RemBy`], and the wrap idiom an
+/// [`Op::Wrap`] (see [`Decoder::wrap`]). Every folded instruction is still
+/// charged, with the active lanes of its position, by an [`Op::Count`], and
+/// an instruction that faults (a parameter of the wrong kind, a division by
+/// the constant zero) stays. So the decoded kernel computes, counts and
+/// faults exactly as the kernel does.
 ///
 /// The registers are then renumbered onto slots by live range
 /// ([`compact`]), so folded registers take none.
@@ -516,6 +655,8 @@ struct RegUse {
     /// Position of the last definition, and whether it is at top level.
     def_at: u32,
     top: bool,
+    /// Static reads.
+    reads: u32,
     /// Read by an instruction other than a `Bin`, which cannot take an
     /// immediate in its place.
     needed: bool,
@@ -528,8 +669,10 @@ struct Census {
 }
 
 impl Census {
-    fn need(&mut self, r: Reg) {
-        self.uses[r as usize].needed = true;
+    fn read(&mut self, r: Reg, needed: bool) {
+        let u = &mut self.uses[r as usize];
+        u.reads += 1;
+        u.needed |= needed;
     }
 
     fn def(&mut self, r: Reg, at: u32, top: bool) {
@@ -546,24 +689,28 @@ impl Census {
                 Instr::Const { dst, .. }
                 | Instr::LoadParam { dst, .. }
                 | Instr::Special { dst, .. } => self.def(*dst, at, top),
-                Instr::Bin { dst, .. } => self.def(*dst, at, top),
+                Instr::Bin { dst, lhs, rhs, .. } => {
+                    self.read(*lhs, false);
+                    self.read(*rhs, false);
+                    self.def(*dst, at, top);
+                }
                 Instr::Mov { dst, src } | Instr::Load { dst, index: src, .. } => {
-                    self.need(*src);
+                    self.read(*src, true);
                     self.def(*dst, at, top);
                 }
                 Instr::Store { index, src, .. } => {
-                    self.need(*index);
-                    self.need(*src);
+                    self.read(*index, true);
+                    self.read(*src, true);
                 }
                 Instr::For { var, start, end, step, body } => {
                     for r in [start, end, step] {
-                        self.need(*r);
+                        self.read(*r, true);
                     }
                     self.def(*var, at, false);
                     self.scan(body, false);
                 }
                 Instr::If { cond, then, els } => {
-                    self.need(*cond);
+                    self.read(*cond, true);
                     self.scan(then, false);
                     self.scan(els, false);
                 }
@@ -626,24 +773,64 @@ impl<'a> Decoder<'_, 'a> {
     fn block(&mut self, instrs: &[Instr]) -> Vec<Op<'a>> {
         let mut ops = Vec::with_capacity(instrs.len());
         let mut folded = 0;
-        for i in instrs {
+        let mut rest = instrs;
+        while let [i, ..] = rest {
             let at = self.pos;
-            self.pos += 1;
-            match self.op(i, at) {
+            // A fused wrap is one op for three instructions; the two it
+            // folds are charged after it, with the same lanes.
+            let (op, len) = match self.wrap(rest) {
+                Some(op) => (Some(op), 3),
+                None => {
+                    self.pos += 1;
+                    (self.op(i, at), 1)
+                }
+            };
+            match op {
                 Some(op) => {
                     if folded > 0 {
                         ops.push(Op::Count(folded));
-                        folded = 0;
                     }
                     ops.push(op);
+                    folded = len as u64 - 1;
                 }
                 None => folded += 1,
             }
+            rest = &rest[len..];
         }
         if folded > 0 {
             ops.push(Op::Count(folded));
         }
         ops
+    }
+
+    /// The wrap idiom `a = x % n; b = a + n` (or `n + a`) `; c = b % n` at
+    /// the head of `instrs` as one [`Op::Wrap`], if `n` is a launch constant
+    /// in `[2, 2^62]` and nothing else reads `a` or `b`. Then `a` lies in
+    /// `(-n, n)`, `b = a + n` cannot overflow, and `c` is `x.rem_euclid(n)`;
+    /// none of the three can fault, and `a` and `b` need no value.
+    fn wrap(&mut self, instrs: &[Instr]) -> Option<Op<'a>> {
+        let [first, second, third, ..] = instrs else { return None };
+        let Instr::Bin { op: BinOp::Rem, dst: a, lhs: x, rhs: n0 } = *first else { return None };
+        let Instr::Bin { op: BinOp::Add, dst: b, lhs, rhs } = *second else { return None };
+        let Instr::Bin { op: BinOp::Rem, dst: c, lhs: b2, rhs: n2 } = *third else { return None };
+        let Val::Imm(n) = self.val[n0 as usize] else { return None };
+        let n1 = if lhs == a { rhs } else { lhs };
+        let once = |r: Reg| self.uses[r as usize].reads == 1;
+        let is_n = |r: Reg| self.val[r as usize] == Val::Imm(n);
+        let Val::Reg(x) = self.val[x as usize] else { return None };
+        if !(2..=1 << 62).contains(&n)
+            || (lhs != a && rhs != a)
+            || b2 != b
+            || !is_n(n1)
+            || !is_n(n2)
+            || !once(a)
+            || !once(b)
+        {
+            return None;
+        }
+        let by = Recip::new(n)?;
+        self.pos += 3;
+        Some(Op::Wrap { dst: c, src: x, by })
     }
 
     fn foldable(&self, r: Reg) -> bool {
@@ -705,7 +892,11 @@ impl<'a> Decoder<'_, 'a> {
                 }
                 Some(match (a, b) {
                     (Val::Reg(lhs), Val::Reg(rhs)) => Op::Bin { op, dst, lhs, rhs },
-                    (Val::Reg(lhs), Val::Imm(imm)) => Op::BinImm { op, dst, lhs, imm },
+                    (Val::Reg(lhs), Val::Imm(imm)) => match (op, Recip::new(imm)) {
+                        (BinOp::Div, Some(by)) => Op::DivBy { dst, lhs, by },
+                        (BinOp::Rem, Some(by)) => Op::RemBy { dst, lhs, by },
+                        _ => Op::BinImm { op, dst, lhs, imm },
+                    },
                     (Val::Imm(imm), Val::Reg(rhs)) => Op::ImmBin { op, dst, imm, rhs },
                     (Val::Imm(_), Val::Imm(_)) => unreachable!("two constants fold"),
                 })
@@ -983,8 +1174,13 @@ impl<'a> Warp<'a> {
                 return Err(err);
             }
             // The warp logged its stores in execution order, which
-            // interleaves lanes; a stable sort restores program order per lane.
-            self.st.log[logged..].sort_by_key(|&(lane, ..)| lane);
+            // interleaves lanes; a stable sort restores program order per
+            // lane. A warp whose stores are already in lane order (one store
+            // per lane, or stores by one lane) needs none.
+            let stores = &mut self.st.log[logged..];
+            if !stores.is_sorted_by_key(|&(lane, ..)| lane) {
+                stores.sort_by_key(|&(lane, ..)| lane);
+            }
         }
         Ok(())
     }
@@ -1009,7 +1205,7 @@ impl<'a> Warp<'a> {
             if mask == 0 {
                 break;
             }
-            let lanes = mask.count_ones() as u64;
+            let lanes = lane_count(mask);
             self.st.instructions += lanes;
             match op {
                 // The first of the `n` was charged above.
@@ -1047,6 +1243,18 @@ impl<'a> Warp<'a> {
                     let (d, [a]) = rows(&mut self.regs, &mut self.spare, *dst, [*lhs]);
                     bin(*op, d, mask, |l| a[l], |_| *imm);
                 }
+                Op::DivBy { dst, lhs, by } => {
+                    let (d, [a]) = rows(&mut self.regs, &mut self.spare, *dst, [*lhs]);
+                    set(d, mask, |l| by.div(a[l]));
+                }
+                Op::RemBy { dst, lhs, by } => {
+                    let (d, [a]) = rows(&mut self.regs, &mut self.spare, *dst, [*lhs]);
+                    set(d, mask, |l| by.rem(a[l]));
+                }
+                Op::Wrap { dst, src, by } => {
+                    let (d, [x]) = rows(&mut self.regs, &mut self.spare, *dst, [*src]);
+                    set(d, mask, |l| by.wrap(x[l]));
+                }
                 Op::ImmBin { op, dst, imm, rhs } => {
                     if matches!(op, BinOp::Div | BinOp::Rem) {
                         mask = self.nonzero(mask, *rhs);
@@ -1061,21 +1269,16 @@ impl<'a> Warp<'a> {
                 Op::Load { dst, param, index, data } => {
                     let (d, [ix]) = rows(&mut self.regs, &mut self.spare, *dst, [*index]);
                     mask = in_bounds(&mut self.fault, name, mask, *param, ix, data.len());
-                    let touched = &mut self.st.touched[*param];
-                    for_lanes(mask, |l| {
-                        let a = ix[l] as usize;
-                        touched[a / 64] |= 1 << (a % 64);
-                        d[l] = data[a] as i64;
-                    });
-                    self.st.loads += mask.count_ones() as u64;
+                    touch(&mut self.st.touched[*param], mask, ix);
+                    for_lanes(mask, |l| d[l] = data[ix[l] as usize] as i64);
+                    self.st.loads += lane_count(mask);
                 }
                 Op::Store { param, index, src, len } => {
                     let (ix, v) = (&self.regs[*index as usize], &self.regs[*src as usize]);
                     mask = in_bounds(&mut self.fault, name, mask, *param, ix, *len);
-                    let (touched, log) = (&mut self.st.touched[*param], &mut self.st.log);
+                    touch(&mut self.st.touched[*param], mask, ix);
+                    let log = &mut self.st.log;
                     for_lanes(mask, |l| {
-                        let a = ix[l] as u32;
-                        touched[(a / 64) as usize] |= 1 << (a % 64);
                         // Device buffers hold 32-bit ints (the paper's frames
                         // are `int` arrays); like real CUDA/OpenCL `int`
                         // stores, values are truncated modulo 2^32. Registers
@@ -1083,9 +1286,9 @@ impl<'a> Warp<'a> {
                         // than a real device's — programs relying on i32
                         // wrap-around mid-expression would diverge, which the
                         // studied pixel workloads never do.
-                        log.push((l as u8, *param as u32, a, v[l] as i32));
+                        log.push((l as u8, *param as u32, ix[l] as u32, v[l] as i32));
                     });
-                    self.st.stores += mask.count_ones() as u64;
+                    self.st.stores += lane_count(mask);
                 }
                 Op::For { var, start, end, step, body } => {
                     let mut v = self.regs[*start as usize];
@@ -1117,6 +1320,53 @@ impl<'a> Warp<'a> {
         }
         mask
     }
+}
+
+/// The decoded op mix of a kernel for one launch, counted statically over
+/// its program (a straight-line kernel runs each op once per thread).
+#[cfg(test)]
+#[derive(Debug, Default, PartialEq, Eq)]
+pub(crate) struct OpMix {
+    /// Ops other than [`Op::Count`].
+    pub ops: usize,
+    /// Divisions and remainders that divide in hardware per lane.
+    pub hw_divs: usize,
+    /// Divisions and remainders by a launch constant's reciprocal.
+    pub recip_divs: usize,
+    /// Fused wraps.
+    pub wraps: usize,
+}
+
+/// [`OpMix`] of `kernel` decoded for a launch of `cfg` with `args`.
+#[cfg(test)]
+pub(crate) fn op_mix(
+    kernel: &Kernel,
+    cfg: LaunchConfig,
+    args: &[KernelArg],
+    buffers: &[Option<Vec<i32>>],
+) -> Result<OpMix, SimError> {
+    fn walk(ops: &[Op<'_>], mix: &mut OpMix) {
+        for op in ops {
+            mix.ops += !matches!(op, Op::Count(_)) as usize;
+            match op {
+                Op::Bin { op, .. } | Op::BinImm { op, .. } | Op::ImmBin { op, .. } => {
+                    mix.hw_divs += matches!(op, BinOp::Div | BinOp::Rem) as usize;
+                }
+                Op::DivBy { .. } | Op::RemBy { .. } => mix.recip_divs += 1,
+                Op::Wrap { .. } => mix.wraps += 1,
+                Op::For { body, .. } => walk(body, mix),
+                Op::If { then, els, .. } => {
+                    walk(then, mix);
+                    walk(els, mix);
+                }
+                _ => {}
+            }
+        }
+    }
+    let bound = bind(kernel, args, buffers)?;
+    let mut mix = OpMix::default();
+    walk(&decode(kernel, &bound, cfg).body, &mut mix);
+    Ok(mix)
 }
 
 /// A scalar interpreter: one thread at a time, in (block, thread rank)
@@ -1696,6 +1946,94 @@ mod tests {
         assert_eq!(warp.st.instructions, 8 * 5 + 4 * 2);
     }
 
+    /// Divisors the reciprocal must divide by exactly: small ones of both
+    /// signs, HD1080 extents and plane sizes, and the edges of the 32- and
+    /// 64-bit ranges.
+    pub(super) const DIVISORS: [i64; 17] = [
+        2,
+        -2,
+        3,
+        -3,
+        6,
+        7,
+        -7,
+        240,
+        1080,
+        1920,
+        2_073_600,
+        (1 << 31) - 1,
+        (1 << 31) + 1,
+        1 << 32,
+        1 << 62,
+        i64::MAX,
+        i64::MIN + 1,
+    ];
+
+    #[test]
+    fn reciprocal_division_matches_hardware_division() {
+        let mut rng = proptest::prelude::TestRng::new(0x5EED);
+        for d in DIVISORS {
+            let by = Recip::new(d).expect("a covered divisor");
+            let mut dividends = vec![0, 1, -1, i64::MIN, i64::MIN + 1, i64::MAX];
+            for m in (-3..=3i64).filter_map(|k| k.checked_mul(d)) {
+                dividends.extend([m, m.wrapping_sub(1), m.wrapping_add(1)]);
+            }
+            // Every magnitude: a uniform value shifted right by 0..64 bits.
+            dividends.extend((0..10_000).map(|_| rng.next_u64() as i64 >> rng.below(64)));
+            for n in dividends {
+                assert_eq!(by.div(n), n.wrapping_div(d), "{n} / {d}");
+                assert_eq!(by.rem(n), n.wrapping_rem(d), "{n} % {d}");
+                if d > 0 {
+                    assert_eq!(by.wrap(n), n.rem_euclid(d), "{n} mod {d}");
+                }
+            }
+        }
+        for d in [-1, 0, 1, i64::MIN] {
+            assert!(Recip::new(d).is_none(), "{d} divides in hardware");
+        }
+    }
+
+    #[test]
+    fn wrap_idiom_fuses_only_when_exact() {
+        // `((x % n) + n) % n` for each n, then near misses: the sum written
+        // `n + a`, an intermediate read again, two different n.
+        let wrap_kernel = |n: i64, variant: u8| {
+            let mut b = KernelBuilder::new("wrap", KernelFlavor::Cuda);
+            let y = b.buffer_param("y", true);
+            let gid = b.special(Special::GlobalIdX);
+            let x = b.bin_imm(BinOp::Sub, gid, 5);
+            let nr = b.constant(n);
+            let a = b.bin(BinOp::Rem, x, nr);
+            let s = if variant == 1 { b.bin(BinOp::Add, nr, a) } else { b.bin(BinOp::Add, a, nr) };
+            let m = if variant == 3 { b.constant(n + 1) } else { nr };
+            let c = b.bin(BinOp::Rem, s, m);
+            let out = if variant == 2 { b.bin(BinOp::Add, c, a) } else { c };
+            b.store(y, gid, out);
+            b.finish()
+        };
+        let cfg = LaunchConfig::cover_1d(8, 8);
+        let bufs = vec![Some(vec![0i32; 8])];
+        for (n, variant, fused) in [
+            (3, 0, true),
+            (3, 1, true),
+            (3, 2, false),
+            (3, 3, false),
+            (1 << 62, 0, true),
+            ((1 << 62) + 1, 0, false),
+            (-3, 0, false),
+        ] {
+            let k = wrap_kernel(n, variant);
+            let mix = op_mix(&k, cfg, &[KernelArg::Buffer(0)], &bufs).unwrap();
+            assert_eq!(mix.wraps, fused as usize, "n = {n}, variant {variant}: {mix:?}");
+            assert_eq!(mix.hw_divs, 0, "n = {n}, variant {variant}: {mix:?}");
+            let mut expect = bufs.clone();
+            let want = scalar::run(&k, cfg, &[KernelArg::Buffer(0)], &mut expect);
+            let mut got = bufs.clone();
+            assert_eq!(run_kernel_touching(&k, cfg, &[KernelArg::Buffer(0)], &mut got, 1), want);
+            assert_eq!(got, expect, "n = {n}, variant {variant}");
+        }
+    }
+
     #[test]
     fn zero_sized_launch_is_rejected() {
         let k = scale_kernel();
@@ -1713,6 +2051,7 @@ mod tests {
 
 #[cfg(test)]
 mod prop_tests {
+    use super::tests::DIVISORS;
     use super::*;
     use crate::kir::{KernelBuilder, KernelFlavor, Special};
     use proptest::prelude::*;
@@ -1749,6 +2088,10 @@ mod prop_tests {
     /// Launch constants (literals, the scalar argument, block and grid
     /// dimensions) and identities on them (`x * 1`, `0 * x`, `x % 1`, ...)
     /// exercise decoding's folding, and a `Mov` may rewrite any of them.
+    /// Divisions by the constants of [`DIVISORS`] exercise the reciprocal,
+    /// and the wrap idiom `((x % n) + n) % n` its fusion, together with its
+    /// near misses: the sum written `n + a`, an intermediate read again, two
+    /// different `n`, a negative `n` and an `n` above 2^62.
     struct KernelGen<'r> {
         rng: &'r mut TestRng,
         b: KernelBuilder,
@@ -1756,6 +2099,8 @@ mod prop_tests {
         vals: Vec<Reg>,
         /// Top-level literal registers, by value.
         consts: Vec<(i64, Reg)>,
+        /// Top-level registers holding [`DIVISORS`] and 2^62 + 1.
+        divisors: Vec<Reg>,
         /// Buffer parameters with their lengths: x (read-only), y, z.
         bufs: [(usize, i64); 3],
     }
@@ -1768,6 +2113,21 @@ mod prop_tests {
         fn pick(&mut self) -> Reg {
             let i = self.below(self.vals.len() as u64) as usize;
             self.vals[i]
+        }
+
+        fn divisor(&mut self) -> Reg {
+            let i = self.below(self.divisors.len() as u64) as usize;
+            self.divisors[i]
+        }
+
+        /// Half the time a divisor at the edge of what a wrap may fuse:
+        /// 2^62, `i64::MAX`, `i64::MIN + 1` or 2^62 + 1, the last four.
+        fn wrap_divisor(&mut self) -> Reg {
+            if self.below(2) == 0 {
+                return self.divisor();
+            }
+            let i = self.divisors.len() - 1 - self.below(4) as usize;
+            self.divisors[i]
         }
 
         /// `v mod n` for a lane-dependent `v`, in `(-n, n)`.
@@ -1813,6 +2173,29 @@ mod prop_tests {
                         let r = if k_first { self.b.bin(op, k, x) } else { self.b.bin(op, x, k) };
                         self.vals.push(r);
                     }
+                    0..=2 if self.below(3) == 0 => {
+                        let x = self.pick();
+                        let n = self.wrap_divisor();
+                        let a = self.b.bin(BinOp::Rem, x, n);
+                        let s = if self.below(2) == 0 {
+                            self.b.bin(BinOp::Add, a, n)
+                        } else {
+                            self.b.bin(BinOp::Add, n, a)
+                        };
+                        let m = if self.below(6) == 0 { self.divisor() } else { n };
+                        let mut c = self.b.bin(BinOp::Rem, s, m);
+                        if self.below(6) == 0 {
+                            let t = if self.below(2) == 0 { a } else { s };
+                            c = self.b.bin(BinOp::Sub, t, c);
+                        }
+                        self.vals.push(c);
+                        // Most results are stored, where a wrong one shows.
+                        if self.below(4) != 0 {
+                            let (param, len) = self.bufs[1 + self.below(2) as usize];
+                            let ix = self.index(len);
+                            self.b.store(param, ix, c);
+                        }
+                    }
                     0..=2 => {
                         const OPS: [BinOp; 13] = [
                             BinOp::Add,
@@ -1832,9 +2215,13 @@ mod prop_tests {
                         let op = OPS[self.below(13) as usize];
                         let a = self.pick();
                         let b = if matches!(op, BinOp::Div | BinOp::Rem) && self.below(6) != 0 {
-                            // A lane-dependent divisor in 1..=5.
-                            let r = self.index(5);
-                            self.b.bin_imm(BinOp::Add, r, 1)
+                            if self.below(3) == 0 {
+                                self.divisor()
+                            } else {
+                                // A lane-dependent divisor in 1..=5.
+                                let r = self.index(5);
+                                self.b.bin_imm(BinOp::Add, r, 1)
+                            }
                         } else {
                             self.pick()
                         };
@@ -1921,8 +2308,9 @@ mod prop_tests {
         let consts: Vec<(i64, Reg)> =
             [-1, 0, 1, 2, i64::MIN, i64::MAX].into_iter().map(|v| (v, b.constant(v))).collect();
         vals.extend(consts.iter().map(|&(_, r)| r));
+        let divisors = DIVISORS.iter().chain(&[(1 << 62) + 1]).map(|&v| b.constant(v)).collect();
         let bufs = [(x, lens[0]), (y, lens[1]), (z, lens[2])];
-        let mut g = KernelGen { rng, b, vals, consts, bufs };
+        let mut g = KernelGen { rng, b, vals, consts, divisors, bufs };
         let count = 4 + g.below(12);
         g.stmts(0, count);
         g.b.finish()

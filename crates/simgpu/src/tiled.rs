@@ -412,9 +412,10 @@ fn apply_op(b: &mut KernelBuilder, op: &ElementaryOp, pattern: &[Reg]) -> Vec<Re
 mod tests {
     use super::*;
     use crate::device::Device;
-    use crate::kir::KernelArg;
+    use crate::exec::op_mix;
+    use crate::kir::{Instr, KernelArg};
     use arrayol::access::apply_access;
-    use arrayol::IMat;
+    use arrayol::{compose_access, IMat, WindowSpec};
     use mdarray::NdArray;
 
     fn stencil_access(rows: usize, cols: usize, weights: Vec<i64>) -> TiledAccess {
@@ -446,6 +447,89 @@ mod tests {
         let expect: Vec<i32> =
             apply_access(&acc, &input, &[4, 6]).as_slice().iter().map(|&v| v as i32).collect();
         assert_eq!(got, expect.as_slice());
+    }
+
+    /// A channel filter of the paper's downscaler (Figure 10) over a
+    /// `[rows, cols]` plane: a `pattern`-wide window stepping by `step` along
+    /// dimension `dim` from `origin`, averaging six-pixel windows.
+    fn channel_filter(
+        dim: usize,
+        in_shape: [usize; 2],
+        (pattern, origin, step): (usize, i64, usize),
+        windows: &[usize],
+    ) -> TiledAccess {
+        let tiles = in_shape[dim] / step;
+        let k = windows.len();
+        let unit =
+            if dim == 0 { IMat::from_rows(&[&[1], &[0]]) } else { IMat::from_rows(&[&[0], &[1]]) };
+        let paving = |s: usize| {
+            if dim == 0 {
+                IMat::from_rows(&[&[s as i64, 0], &[0, 1]])
+            } else {
+                IMat::from_rows(&[&[1, 0], &[0, s as i64]])
+            }
+        };
+        let mut in_origin = vec![0, 0];
+        in_origin[dim] = origin;
+        TiledAccess {
+            repetition: if dim == 0 { vec![tiles, in_shape[1]] } else { vec![in_shape[0], tiles] },
+            in_pattern: vec![pattern],
+            in_tiler: Tiler::new(in_origin, unit.clone(), paving(step)),
+            out_pattern: vec![k],
+            out_tiler: Tiler::new(vec![0, 0], unit, paving(k)),
+            op: ElementaryOp::InterpolateWindows {
+                windows: windows.iter().map(|&offset| WindowSpec { offset, len: 6 }).collect(),
+                divisor: 6,
+            },
+        }
+    }
+
+    /// The wrap idioms `a = x % n; b = a + n; c = b % n` in `instrs`.
+    fn wrap_idioms(instrs: &[Instr]) -> usize {
+        let nested: usize = instrs
+            .iter()
+            .map(|i| match i {
+                Instr::If { then, els, .. } => wrap_idioms(then) + wrap_idioms(els),
+                Instr::For { body, .. } => wrap_idioms(body),
+                _ => 0,
+            })
+            .sum();
+        let idiom = |w: &[Instr]| {
+            let [rem, add, wrap] = w else { return false };
+            let Instr::Bin { op: BinOp::Rem, dst: a, rhs: n, .. } = *rem else { return false };
+            let Instr::Bin { op: BinOp::Add, dst: b, lhs, rhs } = *add else { return false };
+            let Instr::Bin { op: BinOp::Rem, lhs: c, rhs: m, .. } = *wrap else { return false };
+            ((lhs, rhs) == (a, n) || (lhs, rhs) == (n, a)) && c == b && m == n
+        };
+        nested + instrs.windows(3).filter(|w| idiom(w)).count()
+    }
+
+    #[test]
+    fn every_wrap_of_the_hd_templates_decodes_to_one_fused_op() {
+        // The HD1080 horizontal and vertical filters and their fusion, from
+        // both the faithful template (every address wraps) and the lean one.
+        let hf = channel_filter(1, [1080, 1920], (11, -1, 8), &[0, 2, 5]);
+        let vf = channel_filter(0, [1080, 720], (13, -3, 9), &[0, 2, 5, 7]);
+        let fused = compose_access(&hf, &vf, &[1080, 1920], &[1080, 720], &[480, 720]).unwrap();
+        let args = [KernelArg::Buffer(0), KernelArg::Buffer(1)];
+        let bufs = vec![Some(Vec::new()), Some(Vec::new())];
+        for (name, acc, in_shape, out_shape) in [
+            ("rhf", &hf, [1080, 1920], [1080, 720]),
+            ("rvf", &vf, [1080, 720], [480, 720]),
+            ("hf_rhf_vf_rvf", &fused, [1080, 1920], [480, 720]),
+        ] {
+            for (lean, generate) in [
+                (false, generate_tiled_kernel as fn(_, _, _, _, _) -> _),
+                (true, generate_tiled_kernel_lean),
+            ] {
+                let tk = generate(name, acc, &in_shape, &out_shape, KernelFlavor::OpenCl).unwrap();
+                let idioms = wrap_idioms(&tk.kernel.body);
+                assert!(idioms > 0, "{name} (lean: {lean}) wraps its addresses");
+                let mix = op_mix(&tk.kernel, tk.config, &args, &bufs).unwrap();
+                assert_eq!(mix.wraps, idioms, "{name} (lean: {lean}): {mix:?}");
+                assert_eq!(mix.hw_divs, 0, "{name} (lean: {lean}): {mix:?}");
+            }
+        }
     }
 
     #[test]
